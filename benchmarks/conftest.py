@@ -31,10 +31,6 @@ Two environment variables control the cost of the campaign:
     shared (or later-merged) cache directory, then one plain session renders
     every figure from pure cache hits and asserts as usual.
 
-``REPRO_BENCH_BACKEND``
-    DMU storage backend for the campaign (``pure``/``accel``); unset falls
-    back to the config default (itself overridable via ``REPRO_BACKEND``).
-
 The knobs are parsed by :mod:`repro.experiments.env` — one definition shared
 with ``scripts/run_campaign*.py`` — which also honors the deprecated
 ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` spellings with a DeprecationWarning.
@@ -48,7 +44,6 @@ import pytest
 
 from repro.experiments.common import SimulationRunner
 from repro.experiments.env import (
-    bench_backend,
     bench_benchmarks,
     bench_cache_dir,
     bench_jobs,
@@ -66,7 +61,6 @@ def shared_runner() -> SimulationRunner:
         scale=bench_scale(),
         jobs=bench_jobs(),
         cache_dir=bench_cache_dir(),
-        backend=bench_backend(),
     )
 
 

@@ -22,11 +22,8 @@ Two measurements, recorded in ``BENCH_engine.json``:
   event kernel at all, measured in instructions per second.  This isolates
   the functional-model hot path (the columnar tables and list arrays) from
   kernel overhead; it uses only the public ISA API, so it runs on older
-  trees for ``--record-baseline`` A/B comparisons.  Since the storage
-  backend split the figure is an *interleaved* pure-vs-accel A/B:
-  ``dmu_ops`` is the pure backend, ``dmu_ops_accel`` the numpy-accelerated
-  one (omitted when numpy is unavailable), ``dmu_backend_speedup`` their
-  ratio (target >= 1.5x).
+  trees for ``--record-baseline`` A/B comparisons.  Recorded as
+  ``dmu_ops``.
 
 * **Cold single-run wall time** — the fig02/fig12 smoke set (three
   benchmarks, serial, no result cache) simulated from scratch.  This is the
@@ -45,8 +42,9 @@ Usage::
     # after the change: measure again and compute the speedup
     PYTHONPATH=src python scripts/bench_engine.py
 
-    # CI perf gate: re-measure and fail if cold smoke regressed beyond the
-    # noise tolerance vs the recorded baseline (advisory print otherwise)
+    # CI perf gate: re-measure and fail if cold smoke or dmu_ops regressed
+    # beyond the noise tolerance vs the recorded baseline (advisory print
+    # otherwise)
     PYTHONPATH=src python scripts/bench_engine.py --check --tolerance 1.25
 """
 
@@ -57,7 +55,6 @@ import json
 import pathlib
 import time
 
-from repro.config import DMU_BACKENDS
 from repro.sim.engine import Engine
 from repro.sim.events import Timeout, WaitEvent
 from repro.sim.resources import Lock
@@ -150,7 +147,7 @@ def measure_raw_kernel(
 
 
 # --------------------------------------------------------------------- raw DMU
-def measure_dmu_ops(num_tasks: int = 6144, window: int = 512, backend: str = None):
+def measure_dmu_ops(num_tasks: int = 6144, window: int = 512):
     """Instructions/second of a synthetic dependence chain on a bare DMU.
 
     Each task writes its own block (WAW edge to the task ``window``
@@ -160,16 +157,11 @@ def measure_dmu_ops(num_tasks: int = 6144, window: int = 512, backend: str = Non
     ``window``-th creation on, one ready task is popped and finished per
     creation, holding the in-flight set at the steady-state ``window``.  No
     event kernel is involved: this is the pure functional-model hot path.
-
-    ``backend`` selects the DMU storage backend ('pure'/'accel'); ``None``
-    keeps the config default, which also keeps the call compatible with
-    pre-backend trees under the ``--record-baseline`` protocol.
     """
     from repro.config import DMUConfig
     from repro.core.dmu import DependenceManagementUnit
 
-    config = DMUConfig() if backend is None else DMUConfig(backend=backend)
-    dmu = DependenceManagementUnit(config)
+    dmu = DependenceManagementUnit(DMUConfig())
     descriptor_base = 0x8AB0_0000_0000
     descriptor_stride = 0x140
     block = 4096
@@ -225,13 +217,12 @@ def measure_dmu_ops(num_tasks: int = 6144, window: int = 512, backend: str = Non
 
 
 # --------------------------------------------------------------------- cold smoke
-def measure_cold_smoke(scale: float = 0.1, experiments=SMOKE_EXPERIMENTS,
-                       backend: str = None):
+def measure_cold_smoke(scale: float = 0.1, experiments=SMOKE_EXPERIMENTS):
     """Wall time of an experiment smoke set, cold (serial, no cache)."""
     from repro.experiments.common import SimulationRunner
     from repro.experiments.registry import run_experiment
 
-    runner = SimulationRunner(scale=scale, backend=backend)
+    runner = SimulationRunner(scale=scale)
     start = time.perf_counter()
     rows = 0
     for name in experiments:
@@ -256,38 +247,8 @@ def _best(measure, repeat: int):
     return min(results, key=lambda result: result["seconds"])
 
 
-def measure_dmu_backend_ab(repeat: int) -> dict:
-    """Interleaved pure-vs-accel A/B of the DMU instruction benchmark.
-
-    Repetitions alternate backends (pure, accel, pure, accel, ...) so both
-    sides see the same slice of machine noise — a back-to-back block per
-    backend would attribute a background spike entirely to one of them.
-    When numpy is missing the accel figure is omitted (recording the silent
-    pure fallback as an "accel" number would be a lie).
-    """
-    from repro.core.backends import numpy_available
-
-    pure_runs, accel_runs = [], []
-    for _ in range(repeat):
-        pure_runs.append(measure_dmu_ops(backend="pure"))
-        if numpy_available():
-            accel_runs.append(measure_dmu_ops(backend="accel"))
-    pure = min(pure_runs, key=lambda run: run["seconds"])
-    figures = {"dmu_ops": dict(pure, backend="pure")}
-    if accel_runs:
-        accel = min(accel_runs, key=lambda run: run["seconds"])
-        figures["dmu_ops_accel"] = dict(accel, backend="accel")
-        figures["dmu_backend_speedup"] = round(
-            accel["ops_per_sec"] / pure["ops_per_sec"], 2
-        )
-    return figures
-
-
-def run_measurements(scale: float, repeat: int, full: bool = False,
-                     backend: str = None) -> dict:
-    """All figures.  ``backend`` selects the DMU backend of the cold-smoke
-    simulations (recorded alongside when set); the ``dmu_ops`` figures are
-    always the interleaved pure-vs-accel A/B regardless."""
+def run_measurements(scale: float, repeat: int, full: bool = False) -> dict:
+    """All figures, each the best of ``repeat`` runs."""
     measured = {
         "raw_kernel_command_objects": _best(
             lambda: measure_raw_kernel(use_int_yields=False), repeat
@@ -296,17 +257,15 @@ def run_measurements(scale: float, repeat: int, full: bool = False,
         "raw_kernel_far_future": _best(
             lambda: measure_raw_kernel(use_int_yields=True, far_future=True), repeat
         ),
-        "cold_smoke": _best(lambda: measure_cold_smoke(scale, backend=backend), repeat),
+        "cold_smoke": _best(lambda: measure_cold_smoke(scale), repeat),
+        "dmu_ops": _best(measure_dmu_ops, repeat),
         "repeat": repeat,
     }
-    if backend is not None:
-        measured["cold_smoke"]["backend"] = backend
-    measured.update(measure_dmu_backend_ab(repeat))
     if full:
         # Separate figure: the recorded default metric (cold_smoke) stays
         # comparable across records whether or not --full was requested.
         measured["cold_smoke_full"] = _best(
-            lambda: measure_cold_smoke(scale, FULL_SMOKE_EXPERIMENTS, backend=backend),
+            lambda: measure_cold_smoke(scale, FULL_SMOKE_EXPERIMENTS),
             repeat,
         )
         measured["full_experiments"] = list(FULL_SMOKE_EXPERIMENTS)
@@ -332,25 +291,18 @@ def _speedup(baseline: dict, measured: dict) -> dict:
         speedup["dmu_ops_per_sec"] = round(
             cur_dmu["ops_per_sec"] / base_dmu["ops_per_sec"], 2
         )
-    cur_accel = measured.get("dmu_ops_accel")
-    if cur_accel:
-        # Pre-backend baselines only have the (pure) dmu_ops figure; it is
-        # the honest reference for the accel backend too.
-        base_accel = baseline.get("dmu_ops_accel") or base_dmu
-        if base_accel:
-            speedup["dmu_ops_accel_per_sec"] = round(
-                cur_accel["ops_per_sec"] / base_accel["ops_per_sec"], 2
-            )
     return speedup
 
 
 def run_check(args) -> int:
     """CI perf gate: fresh measurements vs the recorded baseline.
 
-    Fails (exit 1) only when the cold-smoke time regressed beyond
-    ``--tolerance``; everything else — including improvements and
-    within-noise slowdowns — is printed as an advisory delta.  The record
-    file is never modified.
+    Fails (exit 1) only when the cold-smoke time or the ``dmu_ops``
+    throughput regressed beyond ``--tolerance``; everything else —
+    including improvements and within-noise slowdowns — is printed as an
+    advisory delta.  The record file is never modified.  Baseline figures
+    this script no longer measures (such as the ``dmu_ops_accel`` figures
+    of older records) are ignored.
     """
     if not args.output.exists():
         print(f"perf-smoke: no record at {args.output}; run --record-baseline first")
@@ -367,7 +319,7 @@ def run_check(args) -> int:
             f"not {args.scale}; the ratio would be meaningless"
         )
         return 1
-    measured = run_measurements(args.scale, args.repeat, backend=args.backend)
+    measured = run_measurements(args.scale, args.repeat)
     failures = []
     ratio = measured["cold_smoke"]["seconds"] / baseline["cold_smoke"]["seconds"]
     print(
@@ -377,28 +329,17 @@ def run_check(args) -> int:
     if ratio > args.tolerance:
         failures.append("cold smoke regressed beyond the noise tolerance")
 
-    # DMU throughput gate, per backend.  Baselines recorded before the
-    # backend split only carry the (pure) dmu_ops figure; it doubles as the
-    # reference for the accel leg — accel slower than old pure is always a
-    # regression.  A backend with neither a measurement nor a baseline
-    # figure is skipped, so the gate degrades gracefully on trees/machines
-    # without numpy.
-    base_pure = baseline.get("dmu_ops")
-    for figure in ("dmu_ops", "dmu_ops_accel"):
-        current = measured.get(figure)
-        reference = baseline.get(figure) or base_pure
-        if not current or not reference:
-            continue
+    # DMU throughput gate; skipped against baselines that predate it.
+    current = measured["dmu_ops"]
+    reference = baseline.get("dmu_ops")
+    if reference:
         dmu_ratio = reference["ops_per_sec"] / current["ops_per_sec"]
         print(
-            f"perf-smoke: {figure} {current['ops_per_sec']}/s vs baseline "
+            f"perf-smoke: dmu_ops {current['ops_per_sec']}/s vs baseline "
             f"{reference['ops_per_sec']}/s ({dmu_ratio:.2f}x, tolerance {args.tolerance}x)"
         )
         if dmu_ratio > args.tolerance:
-            failures.append(f"{figure} throughput regressed beyond the noise tolerance")
-    ab_speedup = measured.get("dmu_backend_speedup")
-    if ab_speedup is not None:
-        print(f"perf-smoke: dmu accel-vs-pure speedup {ab_speedup}x (target >= 1.5x)")
+            failures.append("dmu_ops throughput regressed beyond the noise tolerance")
 
     for name, value in sorted(_speedup(baseline, measured).items()):
         print(f"perf-smoke: advisory speedup {name}: {value}x")
@@ -428,20 +369,15 @@ def main() -> None:
              "(recorded as cold_smoke_full; the default metric is unchanged)",
     )
     parser.add_argument(
-        "--backend", choices=DMU_BACKENDS, default=None,
-        help="DMU storage backend for the cold-smoke simulations (default: "
-             "the config default; the dmu_ops figures always record the "
-             "interleaved pure-vs-accel A/B)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="re-measure and compare against the recorded baseline without "
-             "writing; exit 1 on cold-smoke regression beyond --tolerance",
+             "writing; exit 1 on a cold-smoke or dmu_ops regression beyond "
+             "--tolerance",
     )
     parser.add_argument(
         "--tolerance", type=float, default=1.25,
-        help="allowed cold-smoke slowdown factor in --check mode (noise margin)",
+        help="allowed slowdown factor in --check mode (noise margin)",
     )
     args = parser.parse_args()
 
@@ -452,8 +388,7 @@ def main() -> None:
     if args.output.exists():
         record = json.loads(args.output.read_text(encoding="utf-8"))
 
-    measured = run_measurements(args.scale, args.repeat, full=args.full,
-                                backend=args.backend)
+    measured = run_measurements(args.scale, args.repeat, full=args.full)
     measured["scale"] = args.scale
     measured["experiments"] = list(SMOKE_EXPERIMENTS)
     measured["benchmarks"] = SMOKE_BENCHMARKS

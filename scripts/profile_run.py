@@ -27,8 +27,6 @@ import sys
 
 
 def main() -> None:
-    from repro.config import DMU_BACKENDS
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiment", default="figure_12",
                         help="experiment name from the registry (default: figure_12)")
@@ -36,9 +34,6 @@ def main() -> None:
                         help="benchmark to include (repeatable; default: the "
                              "bench_engine smoke set)")
     parser.add_argument("--scale", type=float, default=0.1)
-    parser.add_argument("--backend", choices=DMU_BACKENDS, default=None,
-                        help="DMU storage backend to profile (default: pure); "
-                             "'accel' falls back to pure when numpy is missing")
     parser.add_argument("--top", type=int, default=30,
                         help="rows to print per table (default: 30)")
     parser.add_argument("--sort", choices=["cumulative", "tottime", "both"],
@@ -47,15 +42,11 @@ def main() -> None:
                         help="also dump the raw pstats file here")
     args = parser.parse_args()
 
-    from repro.core.backends import resolve_backend
     from repro.experiments.common import SimulationRunner
     from repro.experiments.registry import run_experiment
 
     benchmarks = args.benchmark or ["blackscholes", "cholesky", "qr"]
-    # Resolve once up front: the requested backend may fall back (accel
-    # without numpy), and the header below must name what actually ran.
-    backend = resolve_backend(args.backend).name
-    runner = SimulationRunner(scale=args.scale, backend=backend)
+    runner = SimulationRunner(scale=args.scale)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -64,7 +55,7 @@ def main() -> None:
     )
     profiler.disable()
 
-    print(f"profiled {args.experiment} scale={args.scale} backend={backend} "
+    print(f"profiled {args.experiment} scale={args.scale} "
           f"benchmarks={benchmarks} ({len(result.rows)} rows, "
           f"{runner.cache_info()['simulations_run']} simulations)\n")
     stats = pstats.Stats(profiler, stream=sys.stdout)

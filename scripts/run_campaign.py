@@ -15,7 +15,7 @@ import pathlib
 import time
 
 from repro.experiments.common import SimulationRunner
-from repro.experiments.env import bench_backend, bench_cache_dir, bench_jobs
+from repro.experiments.env import bench_cache_dir, bench_jobs
 from repro.experiments.registry import run_experiment
 
 
@@ -36,9 +36,6 @@ def main() -> None:
                         "incrementally (default: REPRO_BENCH_CACHE_DIR)")
     parser.add_argument("--cache-max-bytes", type=int, default=None,
                         help="size budget for --cache-dir (oldest-mtime entries evicted first)")
-    parser.add_argument("--backend", default=bench_backend(),
-                        help="DMU storage backend, pure or accel "
-                        "(default: REPRO_BENCH_BACKEND or the config default)")
     args = parser.parse_args()
     if args.cache_max_bytes is not None and args.cache_dir is None:
         parser.error("--cache-max-bytes requires --cache-dir")
@@ -46,12 +43,10 @@ def main() -> None:
 
     runner = SimulationRunner(scale=args.scale, verbose=True,
                               jobs=args.jobs, cache_dir=args.cache_dir,
-                              cache_max_bytes=args.cache_max_bytes,
-                              backend=args.backend)
+                              cache_max_bytes=args.cache_max_bytes)
     sweep_runner = SimulationRunner(scale=args.sweep_scale or args.scale, verbose=True,
                                     jobs=args.jobs, cache_dir=args.cache_dir,
-                                    cache_max_bytes=args.cache_max_bytes,
-                                    backend=args.backend)
+                                    cache_max_bytes=args.cache_max_bytes)
 
     plan = [
         ("table_03", dict(runner=runner)),

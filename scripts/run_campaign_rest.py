@@ -2,15 +2,14 @@
 """Remaining design-space figures for EXPERIMENTS.md (7, 8, 9, 11).
 
 Environment knobs (all optional): ``REPRO_BENCH_JOBS`` (worker processes,
-default 1), ``REPRO_BENCH_CACHE_DIR`` (persistent result cache, default
-none) and ``REPRO_BENCH_BACKEND`` (DMU storage backend, default the config
-default).  The pre-backend spellings ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
-are still honored with a :class:`DeprecationWarning`; the shared handling
+default 1) and ``REPRO_BENCH_CACHE_DIR`` (persistent result cache, default
+none).  The older spellings ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` are still
+honored with a :class:`DeprecationWarning`; the shared handling
 lives in :mod:`repro.experiments.env`.
 """
 import pathlib, time
 from repro.experiments.common import SimulationRunner
-from repro.experiments.env import bench_backend, bench_cache_dir, bench_jobs
+from repro.experiments.env import bench_cache_dir, bench_jobs
 from repro.experiments.registry import run_experiment
 
 
@@ -18,8 +17,7 @@ def main() -> None:
     out = pathlib.Path("results"); out.mkdir(exist_ok=True)
     runner = SimulationRunner(scale=0.25, verbose=True,
                               jobs=bench_jobs(),
-                              cache_dir=bench_cache_dir(),
-                              backend=bench_backend())
+                              cache_dir=bench_cache_dir())
     plan = [
         ("figure_07", dict(benchmarks=["cholesky", "histogram", "qr", "lu", "ferret"])),
         ("figure_08", dict(benchmarks=["cholesky", "histogram", "qr"])),

@@ -13,7 +13,6 @@ the simulator to reject inconsistent configurations early.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field, replace
 from typing import Literal, Mapping
 
@@ -22,23 +21,6 @@ from .units import DEFAULT_CLOCK_GHZ, is_power_of_two
 
 IndexSelection = Literal["dynamic", "static"]
 RuntimeKind = Literal["software", "tdm", "carbon", "task_superscalar"]
-
-#: Storage/execution backends of the columnar DMU core (``repro.core.backends``).
-#: Defined here rather than in the backends package so that ``validate`` does
-#: not need to import ``repro.core`` (which itself imports this module).
-DMU_BACKENDS = ("pure", "accel")
-
-
-def _default_dmu_backend() -> str:
-    """Default DMU backend: ``REPRO_BACKEND`` from the environment, else pure.
-
-    The env knob lets a whole process tree (most importantly a CI test run)
-    select a backend without threading ``--backend`` through every entry
-    point.  Unknown values are rejected by ``DMUConfig.validate`` exactly
-    like an explicit field value.
-    """
-    return os.environ.get("REPRO_BACKEND") or "pure"
-
 
 @dataclass(frozen=True)
 class DMUConfig:
@@ -66,14 +48,6 @@ class DMUConfig:
     index_selection: IndexSelection = "dynamic"
     static_index_start_bit: int = 0
     unlimited: bool = False
-    #: Storage/execution backend of the columnar core.  ``pure`` is plain
-    #: Python; ``accel`` uses specialized kernels + numpy audit scans and
-    #: falls back to ``pure`` (with a warning) when numpy is unavailable.
-    #: Backends are execution strategies, not semantics: results are
-    #: byte-identical, and :func:`repro.experiments.cache.canonical_run_key`
-    #: deliberately excludes this field.  The default honors the
-    #: ``REPRO_BACKEND`` environment variable (unset/empty means ``pure``).
-    backend: str = field(default_factory=_default_dmu_backend)
 
     @property
     def task_table_entries(self) -> int:
@@ -133,10 +107,6 @@ class DMUConfig:
             raise ConfigurationError(f"unknown index_selection: {self.index_selection}")
         if self.static_index_start_bit < 0 or self.static_index_start_bit > 40:
             raise ConfigurationError("static_index_start_bit out of range [0, 40]")
-        if self.backend not in DMU_BACKENDS:
-            raise ConfigurationError(
-                f"unknown DMU backend: {self.backend!r} (expected one of {DMU_BACKENDS})"
-            )
 
     def with_sizes(self, **kwargs: int) -> "DMUConfig":
         """Return a copy with some sizing fields replaced (used by sweeps)."""
@@ -333,10 +303,6 @@ class SimulationConfig:
         """Return a copy using a different DMU configuration."""
         return replace(self, dmu=dmu)
 
-    def with_dmu_backend(self, backend: str) -> "SimulationConfig":
-        """Return a copy whose DMU core uses a different storage backend."""
-        return replace(self, dmu=replace(self.dmu, backend=backend))
-
     # ------------------------------------------------------------------ serialization
     def to_dict(self) -> dict:
         """Nested plain-dict form (JSON-safe) covering *every* field.
@@ -350,13 +316,20 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimulationConfig":
-        """Rebuild a :class:`SimulationConfig` from :meth:`to_dict` output."""
+        """Rebuild a :class:`SimulationConfig` from :meth:`to_dict` output.
+
+        Accepts dicts written by older versions: the retired ``dmu.backend``
+        field (a storage strategy that never changed results) is dropped, so
+        cache entries and shard results stored with it still load.
+        """
         payload = dict(data)
         chip = dict(payload.pop("chip"))
         core = CoreConfig(**dict(chip.pop("core")))
+        dmu = dict(payload.pop("dmu"))
+        dmu.pop("backend", None)
         return cls(
             chip=ChipConfig(core=core, **chip),
-            dmu=DMUConfig(**dict(payload.pop("dmu"))),
+            dmu=DMUConfig(**dmu),
             costs=CostModelConfig(**dict(payload.pop("costs"))),
             locality=LocalityConfig(**dict(payload.pop("locality"))),
             **payload,

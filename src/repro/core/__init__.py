@@ -14,20 +14,10 @@ structure of Figure 3 of the paper:
 * :mod:`repro.core.ready_queue` — the FIFO of ready task IDs,
 * :mod:`repro.core.dmu` — the unit itself, implementing Algorithms 1 and 2
   with per-instruction cycle accounting and blocking on full structures,
-* :mod:`repro.core.backends` — pluggable storage/execution backends
-  (``pure`` Python lists vs the ``accel`` specialized kernels + numpy
-  audits); byte-identical results, selectable via ``DMUConfig.backend``,
 * :mod:`repro.core.storage` — the storage/area model behind Table III.
 """
 
 from .alias_table import AliasTable, dat_index_start_bit
-from .backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    StorageBackend,
-    numpy_available,
-    resolve_backend,
-)
 from .list_array import ListArray
 from .task_table import TaskTable
 from .dependence_table import DependenceTable
@@ -50,11 +40,6 @@ from .storage import (
 
 __all__ = [
     "AliasTable",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "StorageBackend",
-    "numpy_available",
-    "resolve_backend",
     "dat_index_start_bit",
     "ListArray",
     "TaskTable",

@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..errors import DMUStructureFullError
-from .backends import StorageBackend, resolve_backend
 
 
 def dat_index_start_bit(size: int) -> int:
@@ -53,7 +52,6 @@ class AliasTable:
         associativity: int,
         index_start_bit: int = 0,
         dynamic_index: bool = False,
-        backend: Optional[StorageBackend] = None,
     ) -> None:
         if num_entries % associativity != 0:
             raise ValueError("num_entries must be a multiple of associativity")
@@ -63,15 +61,13 @@ class AliasTable:
         self.num_sets = num_entries // associativity
         self.index_start_bit = index_start_bit
         self.dynamic_index = dynamic_index
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
         # Way columns: set with slab number s owns slots
         # [s * associativity, (s + 1) * associativity) of both columns, with
         # its live-way count in _set_count[s].  Slabs are handed out lazily.
         self._slab_of_set: Dict[int, int] = {}
-        self._way_address: List[int] = backend.make_slab()
-        self._way_id: List[int] = backend.make_slab()
-        self._set_count: List[int] = backend.make_column()
+        self._way_address: List[int] = []
+        self._way_id: List[int] = []
+        self._set_count: List[int] = []
         self._by_address: Dict[int, int] = {}
         self._address_set: Dict[int, int] = {}
         # Occupied-set count maintained incrementally: allocate/release keep
@@ -217,11 +213,21 @@ class AliasTable:
     def audit(self) -> Dict[str, int]:
         """Whole-structure occupancy recount from the raw way columns.
 
-        Delegates to the backend (vectorized under ``accel``); the
-        differential tests compare this ground truth against the maintained
-        ``_occupied_sets`` counter and the address directory.
+        Bypasses every maintained counter; the differential tests compare
+        this ground truth against ``_occupied_sets`` and the address
+        directory.
         """
-        return self._backend.audit_alias_table(self)
+        occupied_sets = 0
+        entries_in_use = 0
+        for count in self._set_count:
+            if count:
+                occupied_sets += 1
+                entries_in_use += count
+        return {
+            "occupied_sets": occupied_sets,
+            "entries_in_use": entries_in_use,
+            "directory_entries": len(self._by_address),
+        }
 
     def address_of(self, internal_id: int) -> Optional[int]:
         """Reverse lookup (used by tests and debugging; not a hardware path)."""

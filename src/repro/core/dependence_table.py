@@ -14,10 +14,9 @@ configurations never pay for untouched capacity.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import DMUProtocolError
-from .backends import StorageBackend, resolve_backend
 
 
 class DependenceTable:
@@ -34,18 +33,16 @@ class DependenceTable:
       release the DAT mapping when the entry is recycled)
     """
 
-    def __init__(self, num_entries: int, backend: Optional[StorageBackend] = None) -> None:
+    def __init__(self, num_entries: int) -> None:
         if num_entries < 1:
             raise ValueError("num_entries must be >= 1")
         self.num_entries = num_entries
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
-        self.last_writer: List[int] = backend.make_column()
-        self.last_writer_valid: List[int] = backend.make_column()
-        self.reader_list: List[int] = backend.make_column()
-        self.valid: List[int] = backend.make_column()
-        self.address: List[int] = backend.make_column()
-        self.size: List[int] = backend.make_column()
+        self.last_writer: List[int] = []
+        self.last_writer_valid: List[int] = []
+        self.reader_list: List[int] = []
+        self.valid: List[int] = []
+        self.address: List[int] = []
+        self.size: List[int] = []
         self._size = 0
         self.peak_occupancy = 0
         self._occupancy = 0

@@ -36,7 +36,8 @@ only materialized into a Python list for ``out`` accesses (the only
 direction whose algorithm consumes it).  Neither peek ever counted as SRAM
 accesses, so every charged access count is unchanged.
 
-Deviations from the paper, both documented in DESIGN.md:
+Deviations from the paper, both listed in ``docs/architecture.md``
+("Deviations from the paper"):
 
 * Reader lists are allocated lazily (at the first reader) instead of eagerly
   when the dependence entry is installed; with the paper's sizes (2048 DAT
@@ -55,7 +56,6 @@ from typing import Dict, Union
 from ..config import DMUConfig
 from ..errors import DMUProtocolError, UnknownTaskError
 from .alias_table import AliasTable
-from .backends import resolve_backend
 from .dependence_table import DependenceTable
 from .isa import (
     AddDependenceResult,
@@ -92,17 +92,11 @@ class DependenceManagementUnit:
     def __init__(self, config: DMUConfig) -> None:
         config.validate()
         self.config = config
-        # Resolve the storage/execution backend once; every structure shares
-        # the instance.  ``accel`` degrades to ``pure`` (with a warning) when
-        # numpy is unavailable — results are identical either way.
-        backend = resolve_backend(config.backend)
-        self.backend = backend
         self.tat = AliasTable(
             TAT,
             config.tat_entries,
             config.tat_associativity,
             index_start_bit=6,
-            backend=backend,
         )
         self.dat = AliasTable(
             DAT,
@@ -110,34 +104,25 @@ class DependenceManagementUnit:
             config.dat_associativity,
             index_start_bit=config.static_index_start_bit,
             dynamic_index=(config.index_selection == "dynamic"),
-            backend=backend,
         )
-        self.task_table = TaskTable(config.task_table_entries, backend=backend)
-        self.dependence_table = DependenceTable(
-            config.dependence_table_entries, backend=backend
-        )
+        self.task_table = TaskTable(config.task_table_entries)
+        self.dependence_table = DependenceTable(config.dependence_table_entries)
         # Successor and dependence lists are append-only between allocation
         # and release (only reader lists see remove/flush), which lets the
         # list array compute charged walk lengths arithmetically.
         self.successor_lists = ListArray(
             SLA, config.successor_list_entries, config.elements_per_list_entry,
-            append_only=True, backend=backend,
+            append_only=True,
         )
         self.dependence_lists = ListArray(
             DLA, config.dependence_list_entries, config.elements_per_list_entry,
-            append_only=True, backend=backend,
+            append_only=True,
         )
         self.reader_lists = ListArray(
             RLA, config.reader_list_entries, config.elements_per_list_entry,
-            backend=backend,
         )
-        self.ready_queue = ReadyQueue(config.ready_queue_entries, backend=backend)
-        self._stats = DMUStats()
-        #: Deferred-counter commit hook.  The pure backend keeps it None (its
-        #: instruction paths update ``_stats`` directly); the accel backend's
-        #: kernels batch counter updates and install a flush callable here,
-        #: which the :attr:`stats` property invokes before every external read.
-        self._stats_sync = None
+        self.ready_queue = ReadyQueue(config.ready_queue_entries)
+        self.stats = DMUStats()
         access_cycles = config.access_cycles
         self._access_cycles = access_cycles
         # Pooled result objects, one per instruction type: the hot return
@@ -190,26 +175,8 @@ class DependenceManagementUnit:
         self._dat_by_address = self.dat._by_address
         self._ready_push = self.ready_queue.push
         self._ready_pop = self.ready_queue.pop
-        # Let the backend rebind the instruction entry points on this
-        # instance (no-op for pure): the structures and cached column
-        # references above are final, so kernels may close over them.
-        backend.install(self)
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def stats(self) -> DMUStats:
-        """The DMU statistics, with any deferred backend counters committed.
-
-        The accel backend batches its counter updates; reading through this
-        property flushes them first, so external readers (the runtime models,
-        the differential tests) always observe the same totals the pure
-        backend maintains eagerly.
-        """
-        sync = self._stats_sync
-        if sync is not None:
-            sync()
-        return self._stats
-
     @property
     def in_flight_tasks(self) -> int:
         """Number of tasks currently tracked (created but not finished)."""
@@ -237,7 +204,7 @@ class DependenceManagementUnit:
         return task_id
 
     def _blocked(self, structure: str) -> DMUBlocked:
-        self._stats.record_blocked(structure)
+        self.stats.record_blocked(structure)
         result = self._blocked_result
         result.structure = structure
         return result
@@ -271,7 +238,7 @@ class DependenceManagementUnit:
         dependence_list = dependence_lists.new_list_head()
         self.task_table.install(task_id, descriptor_address, successor_list, dependence_list)
 
-        stats = self._stats
+        stats = self.stats
         structure_accesses = stats.structure_accesses
         structure_accesses[TAT] += 2
         structure_accesses[SLA] += 1
@@ -313,7 +280,7 @@ class DependenceManagementUnit:
         successor_lists = self.successor_lists
         dependence_lists = self.dependence_lists
         reader_lists = self.reader_lists
-        stats = self._stats
+        stats = self.stats
         dat = self.dat
         per_entry = self._per_entry
 
@@ -477,7 +444,7 @@ class DependenceManagementUnit:
                 f"task descriptor {descriptor_address:#x} completed creation twice"
             )
         creation_complete[task_id] = 1
-        stats = self._stats
+        stats = self.stats
         accesses = 2  # TAT lookup + Task Table read/update
         structure_accesses = stats.structure_accesses
         structure_accesses[TAT] += 1
@@ -506,7 +473,7 @@ class DependenceManagementUnit:
             raise UnknownTaskError(
                 f"task descriptor {descriptor_address:#x} is not tracked by the DMU"
             )
-        stats = self._stats
+        stats = self.stats
         structure_accesses = stats.structure_accesses
         accesses = 2  # TAT lookup + Task Table read
         structure_accesses[TAT] += 1
@@ -619,7 +586,7 @@ class DependenceManagementUnit:
     # ------------------------------------------------------------------ get_ready_task
     def get_ready_task(self) -> GetReadyTaskResult:
         """Pop the next ready task (ISA ``get_ready_task``)."""
-        stats = self._stats
+        stats = self.stats
         stats.structure_accesses[READY_QUEUE] += 1
         stats.instructions["get_ready_task"] += 1
         task_id = self._ready_pop()

@@ -3,8 +3,8 @@
 A list array is an SRAM that stores many variable-length lists of small IDs.
 Each entry holds a fixed number of element slots plus a ``Next`` field that
 points to the entry where the list continues; the ``Next`` field of the last
-entry points to the entry itself.  Invalid element slots hold an all-ones
-marker.
+entry points to the entry itself.  Invalid element slots hold a marker
+(:data:`INVALID_ELEMENT`).
 
 The DMU uses three list arrays: the Successor List Array (task IDs), the
 Dependence List Array (dependence IDs) and the Reader List Array (task IDs).
@@ -40,13 +40,15 @@ indices are handed out in increasing order only when the stack is empty.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import DMUStructureFullError
-from .backends import StorageBackend, resolve_backend
 
-#: Marker stored in unused element slots ("Invalid elements are set to all ones").
-INVALID_ELEMENT = 0xFFF
+#: Marker stored in unused element slots.  The hardware sets invalid elements
+#: to all ones; the model uses -1, which lies outside the ID space by
+#: construction (internal IDs count up from zero), so no configuration size
+#: can make a live ID collide with it.
+INVALID_ELEMENT = -1
 
 
 class ListArray:
@@ -58,7 +60,6 @@ class ListArray:
         num_entries: int,
         elements_per_entry: int,
         append_only: bool = False,
-        backend: Optional[StorageBackend] = None,
     ) -> None:
         if num_entries < 1:
             raise ValueError("num_entries must be >= 1")
@@ -70,21 +71,16 @@ class ListArray:
         #: Append-only arrays reject ``remove``/``flush``; in exchange the
         #: append path needs no chain walk (only the tail can be non-full).
         self.append_only = append_only
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
-        # Cached backend reference for the first-free-slot scan of the
-        # general append path (the one scan primitive this structure needs).
-        self._find_first = backend.find_first
         # Columnar storage, grown lazily as fresh entries are touched.
-        self._elements: List[int] = backend.make_slab()  # flat slot slab
-        self._next: List[int] = backend.make_column()  # Next pointer (self-loop at tail)
-        self._in_use: List[int] = backend.make_column()  # 0/1 per entry
-        self._valid: List[int] = backend.make_column()  # valid-slot count per entry
+        self._elements: List[int] = []  # flat slot slab
+        self._next: List[int] = []  # Next pointer (self-loop at tail)
+        self._in_use: List[int] = []  # 0/1 per entry
+        self._valid: List[int] = []  # valid-slot count per entry
         # Per-list columns, read/written at the head entry's index only.
-        self._list_valid: List[int] = backend.make_column()
-        self._list_entries: List[int] = backend.make_column()
-        self._tail: List[int] = backend.make_column()
-        self._recycled: List[int] = backend.make_column()
+        self._list_valid: List[int] = []
+        self._list_entries: List[int] = []
+        self._tail: List[int] = []
+        self._recycled: List[int] = []
         self._next_fresh_index = 0
         self.peak_entries_used = 0
         #: Number of SRAM entries not currently assigned to any list.  A
@@ -214,7 +210,7 @@ class ListArray:
                 # slots hold the marker, so index() finds the same slot the
                 # old per-slot loop did).
                 base = index * per_entry
-                slot = self._find_first(elements, INVALID_ELEMENT, base, base + per_entry)
+                slot = elements.index(INVALID_ELEMENT, base, base + per_entry)
                 elements[slot] = value
                 valid[index] = entry_valid + 1
                 list_valid[head] += 1
@@ -412,11 +408,26 @@ class ListArray:
     def audit(self) -> Dict[str, int]:
         """Whole-structure occupancy recount from the raw columns.
 
-        Delegates to the backend (vectorized under ``accel``); the
-        differential tests compare this ground truth against the maintained
-        ``free_entries``/``_list_valid`` counters.
+        Bypasses every maintained counter; the differential tests compare
+        this ground truth against ``free_entries`` and ``_list_valid``.
         """
-        return self._backend.audit_list_array(self)
+        entries_in_use = 0
+        for flag in self._in_use:
+            if flag:
+                entries_in_use += 1
+        live_elements = 0
+        for element in self._elements:
+            if element != INVALID_ELEMENT:
+                live_elements += 1
+        valid_total = 0
+        for count in self._valid:
+            valid_total += count
+        return {
+            "entries_in_use": entries_in_use,
+            "free_entries": self.num_entries - entries_in_use,
+            "live_elements": live_elements,
+            "valid_total": valid_total,
+        }
 
     # ------------------------------------------------------------------ internals
     def _walk(self, head: int) -> Iterator[int]:

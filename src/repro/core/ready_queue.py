@@ -15,22 +15,20 @@ blocking condition, and the capacity is used by the storage model only.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Deque, Optional
 
 from ..errors import DMUProtocolError
-from .backends import StorageBackend, resolve_backend
 
 
 class ReadyQueue:
     """FIFO queue of ready task IDs with occupancy statistics."""
 
-    def __init__(self, capacity: int, backend: Optional[StorageBackend] = None) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
-        self._queue: Deque[int] = backend.make_queue()
+        self._queue: Deque[int] = deque()
         self.total_pushes = 0
         self.total_pops = 0
         self.peak_occupancy = 0

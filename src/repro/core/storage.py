@@ -195,7 +195,8 @@ class CarbonStorageModel:
     Carbon [10] keeps ready tasks in per-core hardware queues with work
     stealing; the paper calls this "simple hardware queues" without giving a
     size, so this model assumes 64 task descriptors of 16 bytes per core
-    (an estimate documented in DESIGN.md).
+    (an estimate listed under "Deviations from the paper" in
+    ``docs/architecture.md``).
     """
 
     def __init__(self, num_cores: int = 32, entries_per_core: int = 64, bytes_per_entry: int = 16) -> None:

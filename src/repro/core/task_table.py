@@ -15,10 +15,9 @@ configurations never pay for untouched capacity.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import DMUProtocolError
-from .backends import StorageBackend, resolve_backend
 
 
 class TaskTable:
@@ -34,19 +33,17 @@ class TaskTable:
     * ``valid`` — 0/1 occupancy bit
     """
 
-    def __init__(self, num_entries: int, backend: Optional[StorageBackend] = None) -> None:
+    def __init__(self, num_entries: int) -> None:
         if num_entries < 1:
             raise ValueError("num_entries must be >= 1")
         self.num_entries = num_entries
-        backend = backend if backend is not None else resolve_backend()
-        self._backend = backend
-        self.descriptor_address: List[int] = backend.make_column()
-        self.predecessor_count: List[int] = backend.make_column()
-        self.successor_count: List[int] = backend.make_column()
-        self.successor_list: List[int] = backend.make_column()
-        self.dependence_list: List[int] = backend.make_column()
-        self.creation_complete: List[int] = backend.make_column()
-        self.valid: List[int] = backend.make_column()
+        self.descriptor_address: List[int] = []
+        self.predecessor_count: List[int] = []
+        self.successor_count: List[int] = []
+        self.successor_list: List[int] = []
+        self.dependence_list: List[int] = []
+        self.creation_complete: List[int] = []
+        self.valid: List[int] = []
         self._size = 0
         self.peak_occupancy = 0
         self._occupancy = 0

@@ -115,15 +115,7 @@ def canonical_run_key(
     given (the workload generator ignores it otherwise), so it is normalized
     to ``None`` in that case — two requests that generate the identical
     workload always map to the same key.
-
-    ``DMUConfig.backend`` is deliberately **excluded**: backends are
-    execution strategies, not semantics — every backend is required (and
-    tested) to produce byte-identical results, so cache entries and shard
-    merges are shared across backends instead of being resimulated per
-    backend (see ``docs/determinism.md``).
     """
-    config_dict = config.to_dict()
-    config_dict["dmu"].pop("backend", None)
     payload = {
         "version": CACHE_FORMAT_VERSION,
         "benchmark": benchmark,
@@ -131,7 +123,7 @@ def canonical_run_key(
         "granularity": granularity,
         "granularity_runtime": None if granularity is not None else granularity_runtime,
         "workload_seed": seed,
-        "config": config_dict,
+        "config": config.to_dict(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -206,7 +206,6 @@ class CampaignEngine:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         cache_max_bytes: Optional[int] = None,
         verbose: bool = False,
-        backend: Optional[str] = None,
         disk_cache: Optional[ResultCache] = None,
         program_cache: Optional[Dict[tuple, object]] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -225,14 +224,6 @@ class CampaignEngine:
         self.jobs = jobs
         self.verbose = verbose
         self.base_config = base_config or default_paper_config()
-        #: DMU storage backend applied to every resolved configuration (even
-        #: to request-provided DMU sizings, so a sweep stays uniform).  None
-        #: keeps whatever the base/request config says.  Backends never
-        #: change results — canonical run keys exclude them, so cache entries
-        #: are shared across backends.
-        self.backend = backend
-        if backend is not None:
-            self.base_config = self.base_config.with_dmu_backend(backend).validated()
         if disk_cache is not None:
             # Injected shared cache: several engines (the results daemon keeps
             # one per requested scale/seed) serve from one ResultCache.
@@ -323,10 +314,6 @@ class CampaignEngine:
         )
         if dmu is not None:
             config = replace(config, dmu=dmu)
-            if self.backend is not None and dmu.backend != self.backend:
-                # Sweeps hand in bare DMU sizings; the engine-level backend
-                # choice still applies to them.
-                config = config.with_dmu_backend(self.backend)
         return config.validated()
 
     def resolve(self, request: RunRequest) -> ResolvedRun:

@@ -69,7 +69,6 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from ..config import DMU_BACKENDS
 from ..errors import ExperimentError, TraceFormatError
 from .common import SimulationRunner
 from .registry import (
@@ -136,15 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the campaign engine (default: 1 = serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=DMU_BACKENDS,
-        default=None,
-        help="DMU storage backend: 'pure' (plain Python, the default) or "
-        "'accel' (numpy-accelerated; falls back to pure with a warning when "
-        "numpy is missing). Results are byte-identical either way, and cache "
-        "entries are shared across backends",
     )
     parser.add_argument(
         "--cache-dir",
@@ -413,7 +403,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        backend=args.backend,
     )
 
     if args.dry_run:

@@ -127,7 +127,6 @@ class SimulationRunner:
         jobs: int = 1,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         cache_max_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
         engine: Optional[CampaignEngine] = None,
     ) -> None:
         # An injected engine carries all its own parameters; the results
@@ -141,7 +140,6 @@ class SimulationRunner:
             cache_dir=cache_dir,
             cache_max_bytes=cache_max_bytes,
             verbose=verbose,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------ engine façade
@@ -164,11 +162,6 @@ class SimulationRunner:
     @property
     def base_config(self) -> SimulationConfig:
         return self.engine.base_config
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The engine-level DMU backend override (None = config default)."""
-        return self.engine.backend
 
     def config_for(
         self,

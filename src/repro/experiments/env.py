@@ -3,8 +3,7 @@
 One definition of the benchmark-campaign environment knobs, used by the
 pytest-benchmark conftest and every ``scripts/run_campaign*.py`` driver.
 Before this module the :func:`bench_env` deprecation shim lived only in
-``scripts/run_campaign_rest.py``, so the drivers drifted:
-``run_campaign.py`` never honored ``REPRO_BENCH_BACKEND`` and the
+``scripts/run_campaign_rest.py``, so the drivers drifted: the
 ``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` deprecation warning fired in exactly
 one script.
 
@@ -18,9 +17,6 @@ Knobs (all optional; empty values count as unset):
     Worker processes for the campaign engine (default 1 = serial).
 ``REPRO_BENCH_CACHE_DIR``
     Directory for the persistent result cache.
-``REPRO_BENCH_BACKEND``
-    DMU storage backend override (``pure``/``accel``).  Unset falls back to
-    the config-level default (itself overridable via ``REPRO_BACKEND``).
 ``REPRO_BENCH_SHARDS``
     ``i/N`` turns a benchmark session into a distributed cache warmer.
 
@@ -89,11 +85,6 @@ def bench_jobs() -> int:
 
 def bench_cache_dir() -> Optional[str]:
     return bench_env("CACHE_DIR")
-
-
-def bench_backend() -> Optional[str]:
-    """The campaign-level DMU backend override, or None (= config default)."""
-    return bench_env("BACKEND")
 
 
 def bench_shard():

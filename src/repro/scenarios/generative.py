@@ -7,7 +7,7 @@ reads concentrate on a few hot blocks), read/write ratio and phase
 structure (barriers between phases).  All randomness flows through one
 explicit seeded :class:`random.Random` (no module-level state anywhere),
 so the same ``(family, scale, granularity, seed)`` tuple always produces
-the identical program — across processes, hosts and backends — which is
+the identical program — across processes and hosts — which is
 what lets the campaign engine cache and shard them like paper benchmarks.
 
 :func:`layered_dag_program` is the core generator; the ``gen_*``

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..config import DMU_BACKENDS
 from ..errors import ExperimentError
 
 #: Response body formats ``POST /figures/<name>`` can produce.
@@ -25,7 +24,7 @@ RENDER_FORMATS = ("md", "csv")
 CONTENT_TYPES = {"md": "text/markdown; charset=utf-8", "csv": "text/csv; charset=utf-8"}
 
 _KNOWN_FIELDS = frozenset(
-    {"scale", "seed", "benchmarks", "schedulers", "backend", "format"}
+    {"scale", "seed", "benchmarks", "schedulers", "format"}
 )
 
 
@@ -39,9 +38,6 @@ class RenderRequest:
     #: Scheduler subset, forwarded to experiments that sweep schedulers
     #: (e.g. ``figure_12``); rejected by experiments that do not.
     schedulers: Optional[List[str]] = None
-    #: DMU storage backend. Never changes bytes — excluded from the ETag,
-    #: exactly as canonical run keys exclude it.
-    backend: Optional[str] = None
     format: str = "md"
 
     def plan_kwargs(self) -> Dict[str, object]:
@@ -87,11 +83,6 @@ def parse_render_request(body: bytes) -> RenderRequest:
     schedulers = data.get("schedulers")
     if schedulers is not None:
         schedulers = _string_list(schedulers, "schedulers")
-    backend = data.get("backend")
-    if backend is not None and backend not in DMU_BACKENDS:
-        raise ExperimentError(
-            f"'backend' must be one of {', '.join(DMU_BACKENDS)}, got {backend!r}"
-        )
     render_format = data.get("format", "md")
     if render_format not in RENDER_FORMATS:
         raise ExperimentError(
@@ -102,7 +93,6 @@ def parse_render_request(body: bytes) -> RenderRequest:
         seed=seed,
         benchmarks=benchmarks,
         schedulers=schedulers,
-        backend=backend,
         format=render_format,
     )
 
@@ -113,9 +103,7 @@ def etag_for(experiment: str, request: RenderRequest, keys: Sequence[str]) -> st
     Covers the canonical experiment name, every output-shaping knob
     (``scale``/``seed``/``benchmarks``/``schedulers``/``format`` — order
     matters for row order, so lists are digested as given), and the sorted
-    canonical key set the render resolves to.  The DMU ``backend`` is
-    deliberately absent: backends never change result bytes, exactly as
-    they are excluded from canonical run keys (``docs/determinism.md``).
+    canonical key set the render resolves to.
     """
     material = json.dumps(
         {

@@ -8,7 +8,7 @@
 * one built-``TaskProgram`` cache — scheduler/runtime sweeps across
   *requests* reuse the same immutable programs;
 * a bounded pool of :class:`~repro.experiments.campaign.CampaignEngine`
-  instances keyed by ``(scale, seed, backend)`` — the in-memory memo of a
+  instances keyed by ``(scale, seed)`` — the in-memory memo of a
   warm parameter set;
 * a bounded ``ProcessPoolExecutor`` — simulations run in worker processes
   (the engine's own picklable ``_simulate_entry`` body), so the event loop
@@ -167,13 +167,12 @@ class ResultsService:
 
     def engine_for(self, request: RenderRequest) -> CampaignEngine:
         """The (warm or new) engine of one parameter set, sharing the caches."""
-        key = (request.scale, request.seed, request.backend)
+        key = (request.scale, request.seed)
         engine = self.engines.get(key)
         if engine is None:
             engine = CampaignEngine(
                 scale=request.scale,
                 seed=request.seed,
-                backend=request.backend,
                 disk_cache=self.cache,
                 program_cache=self.programs,
             )
@@ -186,7 +185,7 @@ class ResultsService:
         return engine
 
     def _render_lock(self, request: RenderRequest) -> asyncio.Lock:
-        return self._render_locks[(request.scale, request.seed, request.backend)]
+        return self._render_locks[(request.scale, request.seed)]
 
     async def _simulate(self, engine: CampaignEngine, resolved: ResolvedRun) -> None:
         """Simulate one resolved run in the worker pool and commit it.
@@ -230,8 +229,9 @@ class ResultsService:
 
         await self.flights.run(resolved.key, flight)
         if engine.cached(resolved) is None:
-            # The flight was another engine's (same key, different backend):
-            # it committed to the shared disk cache; adopt the result.
+            # The flight may have been led by another engine (one since
+            # evicted and rebuilt): it committed to the shared disk cache,
+            # which ``cached`` reads through, so a miss means nothing landed.
             raise _HttpError(
                 500, f"simulation {resolved.key[:12]}… landed but is not cached"
             )

@@ -7,31 +7,13 @@ exercised by the pytest-benchmark harnesses and the experiment CLI instead.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.config import DMU_BACKENDS
 from repro.workloads.synthetic import chain_program, fork_join_program, random_dag_program
 
 from tests.util import diamond_program, make_config
 
 __all__ = ["diamond_program", "make_config"]
-
-# The DMU backend the suite runs under.  ``REPRO_BACKEND`` (honored by the
-# DMUConfig default in repro.config) lets CI run the identical suite once per
-# backend — the accel matrix leg sets REPRO_BACKEND=accel.  Fail fast on a
-# typo'd name instead of erroring inside hundreds of tests.
-SUITE_BACKEND = os.environ.get("REPRO_BACKEND") or "pure"
-if SUITE_BACKEND not in DMU_BACKENDS:
-    raise RuntimeError(
-        f"REPRO_BACKEND={SUITE_BACKEND!r} is not a DMU backend "
-        f"(expected one of {DMU_BACKENDS})"
-    )
-
-
-def pytest_report_header(config):
-    return f"repro: DMU backend = {SUITE_BACKEND} (REPRO_BACKEND)"
 
 
 @pytest.fixture

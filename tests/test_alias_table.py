@@ -150,3 +150,25 @@ class TestPropertyBased:
             table.release(address)
         assert len(table) == 0
         assert table.free_entries == 64
+
+
+class TestLargeTables:
+    def test_ids_past_4095_round_trip(self):
+        table = AliasTable("TAT", 8192, 8)
+        ids = [table.allocate(0x1000 + index) for index in range(5000)]
+        assert sorted(ids) == list(range(5000))
+        assert table.lookup(0x1000 + ids.index(4095)) == 4095
+        assert table.address_of(4999) == 0x1000 + ids.index(4999)
+        table.release(0x1000 + ids.index(4095))
+        assert table.allocate(0xF_0000) == 4095  # the freed ID is reused
+
+    def test_audit_recount_matches_maintained_counters(self):
+        table = make_table(entries=64, associativity=4)
+        for index in range(48):
+            table.allocate(0x1000 + index)
+        for index in range(0, 48, 3):
+            table.release(0x1000 + index)
+        audit = table.audit()
+        assert audit["entries_in_use"] == table.entries_in_use == 32
+        assert audit["directory_entries"] == 32
+        assert audit["occupied_sets"] == table.occupied_sets()

@@ -153,6 +153,25 @@ class TestResultCache:
         assert cache.get(key) is None
         assert cache.misses == 1
 
+    def test_entries_with_retired_backend_field_still_hit(self, tmp_path):
+        # Entries written while DMUConfig still had a storage-backend field
+        # store it inside the result's config, under a valid checksum.
+        result = run_simulation(diamond_program(), make_config(runtime="tdm"))
+        result_dict = result.to_dict()
+        result_dict["config"]["dmu"]["backend"] = "accel"
+        key = "ab" + "0" * 62
+        old = ResultCache(tmp_path / "old")
+        old.put_serialized(key, result_dict)
+        restored = old.get(key)
+        assert restored is not None
+        assert restored.config == result.config
+        assert (old.hits, old.misses, old.quarantined) == (1, 0, 0)
+        merged = ResultCache(tmp_path / "merged")
+        assert merged.merge_from(old) == 1
+        assert old.quarantined == 0
+        assert merged.get(key).total_cycles == result.total_cycles
+        assert (merged.hits, merged.quarantined) == (1, 0)
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))

@@ -266,3 +266,80 @@ class TestAccounting:
         many.get_ready_task()
         cost_many = many.finish_task(DESC).cycles
         assert cost_many > cost_few
+
+
+class TestIdsPastTheOldMarker:
+    """Internal IDs of 4095 and up are ordinary list elements.
+
+    The invalid-element marker used to be ``0xFFF``, so task ID 4095 (the
+    4096th in-flight task) could not be stored in a successor list: the
+    fig07 4096-entry sweep and the ideal DMU crashed at paper scale.
+    """
+
+    @staticmethod
+    def _drain(dmu: DependenceManagementUnit, num_tasks: int) -> None:
+        finished = 0
+        while True:
+            ready = dmu.get_ready_task()
+            if ready.descriptor_address is None:
+                break
+            dmu.finish_task(ready.descriptor_address)
+            finished += 1
+        assert finished == num_tasks
+        assert dmu.stats.total_blocked == 0
+        dmu.assert_empty()
+
+    @classmethod
+    def _chain(cls, dmu: DependenceManagementUnit, num_tasks: int) -> None:
+        # Every task writes one block, so each is the successor of the one
+        # before it; all stay in flight until the chain is drained in order.
+        for index in range(num_tasks):
+            create(dmu, DESC + 0x40 * index, [(DEP_A, "out")])
+        assert dmu.tat.entries_in_use == num_tasks
+        cls._drain(dmu, num_tasks)
+
+    @classmethod
+    def _readers(cls, dmu: DependenceManagementUnit, num_tasks: int) -> None:
+        # One writer, then readers of its block: every reader's task ID is
+        # stored in the writer's successor list and in the reader list.
+        create(dmu, DESC, [(DEP_A, "out")])
+        for index in range(1, num_tasks):
+            create(dmu, DESC + 0x40 * index, [(DEP_A, "in")])
+        assert dmu.tat.entries_in_use == num_tasks
+        assert dmu.get_ready_task().descriptor_address == DESC
+        assert dmu.finish_task(DESC).tasks_woken == num_tasks - 1
+        cls._drain(dmu, num_tasks - 1)
+
+    @classmethod
+    def _private_blocks(cls, dmu: DependenceManagementUnit, num_tasks: int) -> None:
+        # Every task writes its own block, so dependence IDs count up with
+        # the tasks and each lands in its task's dependence list.
+        for index in range(num_tasks):
+            create(dmu, DESC + 0x40 * index, [(DEP_A + BLOCK * index, "out")])
+        assert dmu.dat.entries_in_use == num_tasks
+        cls._drain(dmu, num_tasks)
+
+    @staticmethod
+    def _fig07_config() -> DMUConfig:
+        from repro.config import default_paper_config
+        from repro.experiments.fig07_tat_dat import _sweep_dmu
+
+        return _sweep_dmu(default_paper_config().dmu, 4096, 4096)
+
+    def test_fig07_4096_entry_config(self):
+        self._chain(DependenceManagementUnit(self._fig07_config()), 4096)
+
+    def test_ideal_config(self):
+        self._chain(DependenceManagementUnit(DMUConfig.ideal()), 5000)
+
+    def test_reader_lists_fig07_4096_entry_config(self):
+        self._readers(DependenceManagementUnit(self._fig07_config()), 4096)
+
+    def test_reader_lists_ideal_config(self):
+        self._readers(DependenceManagementUnit(DMUConfig.ideal()), 5000)
+
+    def test_dependence_lists_fig07_4096_entry_config(self):
+        self._private_blocks(DependenceManagementUnit(self._fig07_config()), 4096)
+
+    def test_dependence_lists_ideal_config(self):
+        self._private_blocks(DependenceManagementUnit(DMUConfig.ideal()), 5000)

@@ -54,13 +54,10 @@ PINNED_RUNTIME_CYCLES = {
 PINNED_RUNTIME_TASKS = 364
 
 
-def _run_pinned(runtime: str, backend: str = None):
+def _run_pinned(runtime: str):
     workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
     workload = create_workload("cholesky", scale=0.05, runtime=workload_runtime)
-    config = default_paper_config(runtime)
-    if backend is not None:
-        config = config.with_dmu_backend(backend)
-    return run_simulation(workload.build_program(), config)
+    return run_simulation(workload.build_program(), default_paper_config(runtime))
 
 
 class TestGoldenDigests:
@@ -91,48 +88,6 @@ class TestPinnedRuntimeCycles:
     @pytest.mark.parametrize("runtime", sorted(PINNED_RUNTIME_CYCLES))
     def test_total_cycles_unchanged(self, runtime):
         result = _run_pinned(runtime)
-        assert result.total_cycles == PINNED_RUNTIME_CYCLES[runtime]
-        assert result.num_tasks_executed == PINNED_RUNTIME_TASKS
-
-
-def _numpy_available() -> bool:
-    from repro.core.backends import numpy_available
-
-    return numpy_available()
-
-
-@pytest.mark.skipif(not _numpy_available(), reason="accel backend requires numpy")
-class TestAccelBackendIdentity:
-    """The accel storage backend reproduces the pinned kernel byte for byte.
-
-    Backends are excluded from canonical run keys precisely because they
-    cannot change results; these pins are the end-to-end proof — the same
-    golden digests and cycle counts the pure backend is held to, simulated
-    with ``DMUConfig.backend = "accel"``.
-    """
-
-    @pytest.fixture(scope="class")
-    def accel_runner(self):
-        from repro.experiments.common import SimulationRunner
-
-        return SimulationRunner(scale=0.1, backend="accel")
-
-    @pytest.mark.parametrize("experiment", sorted(GOLDEN_CSV_DIGESTS))
-    def test_csv_rows_byte_identical_under_accel(self, experiment, accel_runner):
-        from repro.experiments.registry import run_experiment
-
-        result = run_experiment(
-            experiment, scale=0.1, benchmarks=["blackscholes", "cholesky"],
-            runner=accel_runner,
-        )
-        digest = hashlib.sha256(result.to_csv().encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_CSV_DIGESTS[experiment], (
-            f"{experiment}: accel backend diverged from the golden digest"
-        )
-
-    @pytest.mark.parametrize("runtime", sorted(PINNED_RUNTIME_CYCLES))
-    def test_total_cycles_unchanged_under_accel(self, runtime):
-        result = _run_pinned(runtime, backend="accel")
         assert result.total_cycles == PINNED_RUNTIME_CYCLES[runtime]
         assert result.num_tasks_executed == PINNED_RUNTIME_TASKS
 

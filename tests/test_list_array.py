@@ -179,3 +179,43 @@ class TestPropertyBased:
         for head in heads:
             array.free_list(head)
         assert array.free_entries == array.num_entries
+
+
+def test_ids_past_4095_are_stored():
+    # The marker used to be 0xFFF, which made ID 4095 unstorable.
+    array = ListArray("SLA", 8, 4)
+    head, _ = array.new_list()
+    for value in (4094, 4095, 4096, 1 << 20):
+        array.append(head, value)
+    assert array.iterate(head)[0] == [4094, 4095, 4096, 1 << 20]
+    assert array.remove(head, 4095) == (True, 1)
+    assert array.iterate(head)[0] == [4094, 4096, 1 << 20]
+
+
+def test_invalid_element_lies_outside_the_id_space():
+    assert INVALID_ELEMENT < 0
+
+
+def test_hole_is_refilled_with_an_id_past_4095():
+    array = ListArray("RLA", 8, 4)
+    head, _ = array.new_list()
+    for value in (1, 2, 3, 4):
+        array.append(head, value)
+    assert array.remove(head, 2) == (True, 1)
+    array.append(head, 4095)
+    assert array.iterate(head)[0] == [1, 4095, 3, 4]
+    assert array.entries_of(head) == 1
+    assert array.audit()["live_elements"] == 4
+
+
+def test_audit_recounts_without_the_maintained_counters():
+    array = ListArray("SLA", 8, 4)
+    head, _ = array.new_list()
+    for value in range(10):
+        array.append(head, value)
+    truth = array.audit()
+    assert truth == {
+        "entries_in_use": 3, "free_entries": 5, "live_elements": 10, "valid_total": 10,
+    }
+    array.free_entries = 0  # a stale counter does not leak into the recount
+    assert array.audit() == truth

@@ -9,8 +9,6 @@ Mirror of ``tests/test_kernel_rewrite.py`` for the curated scenario bundles
   runtime models shows up here as a digest mismatch.
 * ``PINNED_SCENARIO_CYCLES`` — total cycle counts of the reader-storm
   family under each runtime model (each at its own optimal granularity).
-* Both pins rerun under the ``accel`` storage backend when numpy is
-  available — scenario keys share the backend-blind cache contract.
 * Differential determinism: serial vs ``jobs=2`` vs 3-shard split-and-merge
   renders are byte-identical for every bundle, and a fresh subprocess
   rebuilds every scenario workload to the identical structural digest
@@ -74,23 +72,14 @@ ALL_WORKLOADS = (
 SCALE = 0.05
 
 
-def _run_pinned(runtime: str, backend: str = None):
+def _run_pinned(runtime: str):
     from repro.config import default_paper_config
     from repro.sim.machine import run_simulation
     from repro.workloads.registry import create_workload
 
     workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
     workload = create_workload("gen_reader_storm", scale=0.2, runtime=workload_runtime)
-    config = default_paper_config(runtime)
-    if backend is not None:
-        config = config.with_dmu_backend(backend)
-    return run_simulation(workload.build_program(), config)
-
-
-def _numpy_available() -> bool:
-    from repro.core.backends import numpy_available
-
-    return numpy_available()
+    return run_simulation(workload.build_program(), default_paper_config(runtime))
 
 
 class TestRegistry:
@@ -150,26 +139,6 @@ class TestPinnedCycles:
         assert result.num_tasks_executed == PINNED_SCENARIO_TASKS
 
 
-@pytest.mark.skipif(not _numpy_available(), reason="accel backend requires numpy")
-class TestAccelBackendIdentity:
-    """Scenario results are backend-blind, like every other experiment."""
-
-    @pytest.fixture(scope="class")
-    def accel_runner(self):
-        return SimulationRunner(scale=0.1, backend="accel")
-
-    @pytest.mark.parametrize("experiment", sorted(GOLDEN_SCENARIO_CSV_DIGESTS))
-    def test_csv_rows_byte_identical_under_accel(self, experiment, accel_runner):
-        result = run_experiment(experiment, scale=0.1, runner=accel_runner)
-        digest = hashlib.sha256(result.to_csv().encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_SCENARIO_CSV_DIGESTS[experiment]
-
-    @pytest.mark.parametrize("runtime", sorted(PINNED_SCENARIO_CYCLES))
-    def test_total_cycles_unchanged_under_accel(self, runtime):
-        result = _run_pinned(runtime, backend="accel")
-        assert result.total_cycles == PINNED_SCENARIO_CYCLES[runtime]
-
-
 class TestDifferentialDeterminism:
     """Serial, parallel and sharded scenario renders are byte-identical."""
 
@@ -197,14 +166,6 @@ class TestDifferentialDeterminism:
         )
         assert (csv, markdown) == serial_outputs[experiment]
         assert merge_runner.cache_info()["simulations_run"] == 0
-
-    @pytest.mark.skipif(not _numpy_available(), reason="accel backend requires numpy")
-    @pytest.mark.parametrize("experiment", sorted(GOLDEN_SCENARIO_CSV_DIGESTS))
-    def test_accel_backend_matches_serial(self, experiment, serial_outputs):
-        assert (
-            experiment_output(experiment, SCALE, backend="accel")
-            == serial_outputs[experiment]
-        )
 
 
 class TestCrossProcessDeterminism:

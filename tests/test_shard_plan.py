@@ -15,6 +15,7 @@ The shard layer's whole correctness argument rests on two facts:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import default_paper_config
+from repro.config import DMUConfig, default_paper_config
 from repro.errors import ExperimentError
 from repro.experiments.cache import canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
@@ -30,6 +31,8 @@ from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan
 from repro.experiments.shard import ShardPlan, ShardSpec, lpt_assignment, shard_of
 from repro.runtime.cost_model import CampaignCostModel
+
+from tests.util import make_config
 
 hex_keys = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 key_sets = st.lists(hex_keys, min_size=1, max_size=64, unique=True)
@@ -227,4 +230,19 @@ class TestCanonicalKeyGoldenValues:
         assert (
             engine.resolve(RunRequest("histogram", "software")).key
             == "6ce3873d2f63a7ed0a40e1956c5becafbf84d53694f463fb67a01e6ce0ca2518"
+        )
+
+    def test_key_still_sees_semantic_dmu_fields(self):
+        base = DMUConfig(
+            tat_entries=32, dat_entries=32,
+            tat_associativity=4, dat_associativity=4,
+            successor_list_entries=16, dependence_list_entries=16,
+            reader_list_entries=16, elements_per_list_entry=4,
+            ready_queue_entries=32,
+        )
+        resized = dataclasses.replace(base, tat_entries=16)
+        assert canonical_run_key(
+            make_config(dmu=base), benchmark="cholesky", scale=0.1
+        ) != canonical_run_key(
+            make_config(dmu=resized), benchmark="cholesky", scale=0.1
         )

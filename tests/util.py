@@ -43,17 +43,14 @@ def experiment_output(
     scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     runner: Optional[SimulationRunner] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[str, str]:
     """Render one experiment and return its (CSV, Markdown) byte content.
 
     The differential determinism harness compares these strings across
-    serial, ``jobs > 1``, sharded split-and-merge and pure-vs-accel backend
-    executions — they must match byte for byte.  ``backend`` builds the
-    default runner with that DMU storage backend (ignored when ``runner``
-    is given).
+    serial, ``jobs > 1`` and sharded split-and-merge executions — they must
+    match byte for byte.
     """
-    runner = runner or SimulationRunner(scale=scale, backend=backend)
+    runner = runner or SimulationRunner(scale=scale)
     result = run_experiment(experiment, scale=scale, benchmarks=benchmarks, runner=runner)
     return result.to_csv(), result.to_markdown()
 
@@ -67,7 +64,6 @@ def run_all_shards(
     strategy: str = "modulo",
     steal: bool = False,
     shared: bool = False,
-    backend: Optional[str] = None,
 ) -> list[ShardManifest]:
     """Simulate every shard of an experiment into per-shard cache dirs.
 
@@ -79,7 +75,7 @@ def run_all_shards(
     manifests = []
     for index in range(1, count + 1):
         cache_dir = shard_root / ("shared" if shared else f"shard{index}")
-        runner = SimulationRunner(scale=scale, cache_dir=cache_dir, backend=backend)
+        runner = SimulationRunner(scale=scale, cache_dir=cache_dir)
         manifests.append(
             run_shard_worker(
                 experiment,
