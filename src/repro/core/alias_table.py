@@ -25,7 +25,7 @@ new allocation lands in) and is pinned by the digest tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import DMUStructureFullError
 
@@ -40,6 +40,10 @@ def dat_index_start_bit(size: int) -> int:
     if size <= 1:
         return 0
     return size.bit_length() - 1
+
+
+def _nothing_pending() -> None:
+    """Default :attr:`AliasTable.commit_pending`: no counter is batched."""
 
 
 class AliasTable:
@@ -69,7 +73,7 @@ class AliasTable:
         self._way_id: List[int] = []
         self._set_count: List[int] = []
         self._by_address: Dict[int, int] = {}
-        self._address_set: Dict[int, int] = {}
+        self._slab_of_address: Dict[int, int] = {}
         # Occupied-set count maintained incrementally: allocate/release keep
         # it in sync so occupancy sampling (once per add_dependence) does not
         # rescan every set.
@@ -78,8 +82,11 @@ class AliasTable:
         # so that very large "ideal" configurations cost nothing up front.
         self._next_fresh_id = 0
         self._recycled_ids: List[int] = []
+        #: Called before every read of ``lookups`` or the occupancy average.
+        #: The owning DMU batches those counters and installs its commit here.
+        self.commit_pending: Callable[[], None] = _nothing_pending
         # statistics
-        self.lookups = 0
+        self._lookups = 0
         self.allocations = 0
         self.conflict_rejections = 0
         self.capacity_rejections = 0
@@ -113,23 +120,34 @@ class AliasTable:
 
     def average_occupied_sets(self) -> float:
         """Mean number of occupied sets over all samples taken so far."""
+        self.commit_pending()
         if self._occupied_set_samples == 0:
             return 0.0
         return self._occupied_set_total / self._occupied_set_samples
 
+    @property
+    def lookups(self) -> int:
+        """Associative lookups performed so far."""
+        self.commit_pending()
+        return self._lookups
+
     # ------------------------------------------------------------------ operations
     def lookup(self, address: int) -> Optional[int]:
         """Return the internal ID mapped to ``address`` (None on miss)."""
-        self.lookups += 1
+        self._lookups += 1
         return self._by_address.get(address)
 
     def can_allocate(self, address: int, size: int = 1) -> bool:
         """True when ``address`` could be inserted right now without blocking."""
         if address in self._by_address:
             return True
+        return self.has_room(self.set_index(address, size))
+
+    def has_room(self, set_index: int) -> bool:
+        """True when a new address that maps to ``set_index`` fits right now."""
         if self.num_entries - len(self._by_address) <= 0:
             return False
-        slab = self._slab_of_set.get(self.set_index(address, size))
+        slab = self._slab_of_set.get(set_index)
         return slab is None or self._set_count[slab] < self.associativity
 
     def allocate(self, address: int, size: int = 1) -> int:
@@ -140,14 +158,21 @@ class AliasTable:
         rejection); the two causes are counted separately because the
         index-bit-selection experiment distinguishes them.
         """
-        by_address = self._by_address
-        existing = by_address.get(address)
+        existing = self._by_address.get(address)
         if existing is not None:
             return existing
+        return self.allocate_in_set(address, self.set_index(address, size))
+
+    def allocate_in_set(self, address: int, set_index: int) -> int:
+        """:meth:`allocate` for an unmapped ``address`` whose set is known.
+
+        Lets a caller that already computed ``set_index`` for its
+        :meth:`has_room` pre-check skip computing it again.
+        """
+        by_address = self._by_address
         if self.num_entries - len(by_address) <= 0:
             self.capacity_rejections += 1
             raise DMUStructureFullError(self.name, f"{self.name}: no free IDs")
-        set_index = self.set_index(address, size)
         set_count = self._set_count
         slab = self._slab_of_set.get(set_index)
         if slab is None:
@@ -175,7 +200,7 @@ class AliasTable:
         self._way_id[slot] = internal_id
         set_count[slab] = count + 1
         by_address[address] = internal_id
-        self._address_set[address] = set_index
+        self._slab_of_address[address] = slab
         self.allocations += 1
         occupancy = len(by_address)
         if occupancy > self.peak_occupancy:
@@ -187,25 +212,22 @@ class AliasTable:
         internal_id = self._by_address.pop(address, None)
         if internal_id is None:
             raise KeyError(f"{self.name}: address {address:#x} is not mapped")
-        set_index = self._address_set.pop(address)
-        slab = self._slab_of_set[set_index]
+        slab = self._slab_of_address.pop(address)
+        count = self._set_count[slab] - 1
+        self._set_count[slab] = count
+        base = slab * self.associativity
+        last = base + count
         way_address = self._way_address
         way_id = self._way_id
-        base = slab * self.associativity
-        count = self._set_count[slab]
-        # Find the way and close the gap by shifting the (short) slab tail
-        # left one slot — preserves way order exactly like the old
-        # ``del ways[position]`` on a per-set list.
-        for slot in range(base, base + count):
-            if way_address[slot] == address:
-                for shift in range(slot, base + count - 1):
-                    way_address[shift] = way_address[shift + 1]
-                    way_id[shift] = way_id[shift + 1]
-                way_address[base + count - 1] = -1
-                way_id[base + count - 1] = -1
-                break
-        self._set_count[slab] = count - 1
-        if count == 1:
+        # Close the gap by shifting the (short) slab tail left one slot —
+        # preserves way order exactly like the old ``del ways[position]`` on
+        # a per-set list.
+        slot = way_address.index(address, base, last + 1)
+        way_address[slot:last] = way_address[slot + 1 : last + 1]
+        way_id[slot:last] = way_id[slot + 1 : last + 1]
+        way_address[last] = -1
+        way_id[last] = -1
+        if not count:
             self._occupied_sets -= 1
         self._recycled_ids.append(internal_id)
         return internal_id

@@ -30,15 +30,8 @@ class DMUStats:
     ready_pops: int = 0
     null_ready_pops: int = 0
 
-    def record_instruction(self, name: str, cycles: int) -> None:
-        self.instructions[name] += 1
-        self.total_cycles += cycles
-
     def record_access(self, structure: str, count: int = 1) -> None:
         self.structure_accesses[structure] += count
-
-    def record_blocked(self, structure: str) -> None:
-        self.blocked_by_structure[structure] += 1
 
     @property
     def total_instructions(self) -> int:

@@ -29,7 +29,7 @@ from repro.core.dmu import DependenceManagementUnit
 from repro.core.isa import DMUBlocked
 from repro.core.list_array import INVALID_ELEMENT, ListArray
 from repro.core.task_table import TaskTable
-from repro.errors import DMUError, DMUProtocolError, DMUStructureFullError
+from repro.errors import DMUProtocolError, DMUStructureFullError
 
 
 # --------------------------------------------------------------------------
@@ -643,11 +643,10 @@ def _drive_dmu_stream(
     """Drive a small DMU through a random ISA instruction stream.
 
     The stream blocks on full structures and deliberately violates the DMU
-    protocol (duplicate creates, unknown descriptors); those errors are
-    expected and swallowed.  So is the structure-full error an ``out``
-    access can raise mid-instruction when one task sits twice among the
-    dependence's writer and readers: the SLA pre-check counts one new entry
-    per distinct list, not per append.  Returns the DMU in its final state.
+    protocol (duplicate creates, unknown descriptors); those protocol errors
+    are expected and swallowed.  A full structure must always surface as
+    ``DMUBlocked``, never as ``DMUStructureFullError``.  Returns the DMU in
+    its final state.
     """
     config = DMUConfig(
         tat_entries=64, dat_entries=64,
@@ -689,7 +688,7 @@ def _drive_dmu_stream(
                     dmu.add_dependence(0xDEAD, dependences[0], 64, "in")
                 else:
                     dmu.finish_task(0xBEEF)
-        except DMUError:
+        except DMUProtocolError:
             pass
     return dmu
 

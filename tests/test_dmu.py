@@ -216,6 +216,69 @@ class TestBlocking:
         assert isinstance(result, DMUBlocked)
         assert result.structure == "SLA"
 
+    @staticmethod
+    def _tight_sla_dmu() -> DependenceManagementUnit:
+        return DependenceManagementUnit(DMUConfig(
+            tat_entries=8, tat_associativity=8, dat_entries=8, dat_associativity=8,
+            successor_list_entries=4, dependence_list_entries=16,
+            reader_list_entries=8, elements_per_list_entry=2, ready_queue_entries=8,
+        ))
+
+    def test_sla_precheck_counts_every_append_to_one_list(self):
+        """An ``out`` that appends twice to one successor list blocks cleanly.
+
+        W is both the last writer and a reader of X, so T's ``out X`` appends
+        T to W's successor list twice (plus once to B's).  W's tail entry has
+        one free slot, so the second append needs a new SLA entry and none is
+        free.  The pre-check used to count one entry per distinct list and
+        let the instruction raise ``DMUStructureFullError`` half-way through.
+        """
+        dmu = self._tight_sla_dmu()
+        writer, other, reader, task = (DESC + index * 0x100 for index in range(4))
+        create(dmu, writer, [(DEP_A, "out"), (DEP_A, "in")])
+        create(dmu, other, [(DEP_B, "out")])
+        create(dmu, reader, [(DEP_A, "in")])
+        assert not isinstance(dmu.create_task(task), DMUBlocked)
+        assert dmu.successor_lists.free_entries == 0
+        capacity = dmu.capacity_snapshot()
+        counters = dmu.stats.as_dict()
+
+        result = dmu.add_dependence(task, DEP_A, BLOCK, "out")
+
+        assert isinstance(result, DMUBlocked)
+        assert result.structure == "SLA"
+        assert dmu.capacity_snapshot() == capacity
+        counters["blocked_by_structure"] = {"SLA": 1}
+        counters["total_blocked"] = 1
+        assert dmu.stats.as_dict() == counters
+        assert dmu.task_table.predecessor_count[dmu.tat.lookup(task)] == 0
+
+        # Finishing the unrelated task frees one SLA entry; the retry adds
+        # three edges: writer W, reader W and reader B.
+        assert dmu.get_ready_task().descriptor_address == writer
+        assert dmu.get_ready_task().descriptor_address == other
+        dmu.finish_task(other)
+        result = dmu.add_dependence(task, DEP_A, BLOCK, "out")
+        assert not isinstance(result, DMUBlocked)
+        assert result.predecessors_added == 3
+
+    def test_sla_precheck_counts_a_reader_that_reads_twice(self):
+        """R reads X twice, so T's ``out X`` appends T to R's list twice."""
+        dmu = self._tight_sla_dmu()
+        reader, successor, other, task = (DESC + index * 0x100 for index in range(4))
+        create(dmu, reader, [(DEP_B, "out"), (DEP_A, "in"), (DEP_A, "in")])
+        create(dmu, successor, [(DEP_B, "in")])  # R's tail entry: one free slot
+        create(dmu, other)
+        assert not isinstance(dmu.create_task(task), DMUBlocked)
+        assert dmu.successor_lists.free_entries == 0
+        capacity = dmu.capacity_snapshot()
+
+        result = dmu.add_dependence(task, DEP_A, BLOCK, "out")
+
+        assert isinstance(result, DMUBlocked)
+        assert result.structure == "SLA"
+        assert dmu.capacity_snapshot() == capacity
+
     def test_space_recovered_after_finish(self):
         dmu = make_dmu(tat_entries=8, dat_entries=8)
         for index in range(8):
