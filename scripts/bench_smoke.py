@@ -90,7 +90,7 @@ def fault_hook_overhead(calls: int = 200_000) -> dict:
     """Per-call cost of the ``maybe_fault`` instrumentation hook.
 
     The no-plan figure is the one that matters: every instrumented hot
-    path (cache reads, commits, claims) pays it on every production run.
+    path (simulations, cache reads, commits) pays it on every production run.
     The armed-plan figure uses selectors that never match, isolating the
     dispatch cost of an installed-but-quiet plan.
     """

@@ -132,7 +132,6 @@ def generate() -> str:
     lines.append(
         "Related drivers (same campaign machinery, no package install "
         "needed): `scripts/run_campaign.py` (full campaign), "
-        "`scripts/run_shard.py` (`worker`/`merge` subcommands), "
         "`scripts/run_server.py` (the results daemon, the script twin of "
         "`tdm-repro serve`), `scripts/bench_smoke.py` and "
         "`scripts/bench_engine.py` (benchmark records)."

@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import pathlib
+import threading
 import time
 import warnings
 from typing import Dict, List, Optional, Union
@@ -42,16 +43,12 @@ from ..sim.machine import SimulationResult
 CACHE_FORMAT_VERSION = 1
 
 #: Persistent union of observed per-key wall times (seconds + analytic cost
-#: units), living at the top of a cache directory.  Written by shard workers
-#: and ``merge_shards``; read by the cost-aware shard planner.  Advisory
-#: data: it shapes *planning* only and never results, so concurrent
-#: last-writer-wins updates are acceptable.
+#: units), living at the top of a cache directory.  Written by every batch
+#: that simulates into the cache (``CampaignEngine.run_many``) and by
+#: ``merge_shards``; read by the cost-aware shard planner and the pool
+#: watchdog.  Advisory data: it shapes *scheduling* only and never results,
+#: so concurrent last-writer-wins updates are acceptable.
 COST_PROFILE_FILENAME = "cost_profile.json"
-
-#: Subdirectory of a cache directory holding work-stealing claim files
-#: (``claims/<key>.claim``, created with ``O_EXCL`` — see
-#: ``repro.experiments.shard.ClaimBoard``).
-CLAIMS_DIRNAME = "claims"
 
 #: Subdirectory of a cache directory receiving torn/corrupt entry files
 #: (moved aside verbatim, with a ``.reason`` sidecar).  Not two hex chars,
@@ -72,8 +69,8 @@ def atomic_write(
 
     The single publication primitive for cache entries, merged shard copies
     and shard manifests: a concurrent reader sees either the old file or the
-    complete new one, never a torn write (the tmp name embeds the pid so
-    concurrent writers of one key cannot collide either).  The tmp file is
+    complete new one, never a torn write (the tmp name embeds the pid and
+    thread so concurrent writers of one key cannot collide either).  The tmp file is
     fsynced before the rename so a machine crash cannot publish a name whose
     bytes never reached disk.
 
@@ -83,7 +80,7 @@ def atomic_write(
     (:meth:`ResultCache.sweep_orphans` reclaims them).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
     blob = data if isinstance(data, bytes) else data.encode("utf-8")
     with open(tmp, "wb") as handle:
         handle.write(blob)
@@ -222,9 +219,9 @@ class ResultCache:
 
     * ``<directory>/<key[:2]>/<key>.json`` — two-level fan-out; entry
       enumeration is pinned to that shape, so auxiliary data (shard
-      manifests under ``manifests/``, work-stealing claims under
-      ``claims/``, the top-level ``cost_profile.json``) can live inside the
-      cache directory without being mistaken for entries.
+      manifests under ``manifests/``, the top-level ``cost_profile.json``)
+      can live inside the cache directory without being mistaken for
+      entries.
     * **Atomic writes** — every put is tmp + rename, so a reader (or a
       crashed writer) never observes a torn entry; ``CACHE_FORMAT_VERSION``
       gates stale layouts on read.
@@ -263,10 +260,9 @@ class ResultCache:
     def _entries(self):
         """Every cache entry file.  The ``??/*.json`` pattern pins the
         two-hex-char fan-out layout, so every non-entry artifact inside the
-        cache directory — ``manifests/`` (shard manifests), ``claims/``
-        (work-stealing claim files, which are ``.claim`` not ``.json``
-        anyway), and the top-level ``cost_profile.json`` — is never counted,
-        pruned, merged or cleared.  ``tests/test_campaign.py`` pins this."""
+        cache directory — ``manifests/`` (shard manifests) and the
+        top-level ``cost_profile.json`` — is never counted, pruned, merged
+        or cleared.  ``tests/test_campaign.py`` pins this."""
         return self.directory.glob("??/*.json")
 
     def __contains__(self, key: str) -> bool:
@@ -429,10 +425,9 @@ class ResultCache:
         point of multi-host campaigns: union every shard's cache, then
         render from the union.
 
-        Only ``??/*.json`` entries are copied: claim files are per-campaign
-        scratch that must never leak into a merge destination, and cost
-        profiles are unioned separately (with their own merge semantics) by
-        ``merge_shards``.
+        Only ``??/*.json`` entries are copied: shard manifests are read in
+        place, and cost profiles are unioned separately (with their own
+        merge semantics) by ``merge_shards``.
 
         Every copied entry is validated first (JSON shape + embedded
         checksum, exactly the :meth:`get` criteria): a torn or corrupt

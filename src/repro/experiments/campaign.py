@@ -11,10 +11,12 @@ embarrassingly parallel, incrementally resumable campaign:
 * results are memoized in-process *and* optionally persisted to an on-disk
   :class:`~repro.experiments.cache.ResultCache`, so re-invoking an experiment
   (or the benchmark suite) skips every already-simulated point;
-* :meth:`CampaignEngine.run_many` fans the uncached runs out over a
-  ``multiprocessing`` pool.  Workers return serialized results and the parent
-  merges them in key-sorted order, so the campaign output is bit-identical
-  to a serial run regardless of completion order or worker count.
+* :meth:`CampaignEngine.run_many` is the one way a cold point gets
+  simulated: a round loop that runs in-process (``jobs == 1``) or over a
+  watchdogged ``multiprocessing`` pool, retries transient failures and
+  commits in key-sorted order, so the campaign output is bit-identical to
+  a serial run regardless of completion order or worker count.  Serial
+  runs, pool batches, shard workers and the results daemon all use it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -38,8 +40,8 @@ from ..reliability.retry import RetryPolicy
 from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
 from ..runtime.cost_model import CampaignCostModel
 from ..sim.machine import SimulationResult, run_simulation
-from ..workloads.registry import create_workload
-from .cache import ResultCache, canonical_run_key, load_cost_profile
+from ..workloads.registry import create_workload, workload_factory
+from .cache import ResultCache, canonical_run_key, load_cost_profile, store_cost_profile
 
 #: Runtimes whose optimal-granularity default follows the TDM optimum.
 _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
@@ -47,6 +49,24 @@ _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
 #: Sentinel field marking a worker return value as a captured failure rather
 #: than a serialized result (no SimulationResult dict ever contains it).
 _ERROR_MARKER = "__campaign_error__"
+
+#: One attempt's outcome: ``(key, result | error marker, seconds)``.  The
+#: result is a ``SimulationResult`` in-process and its serialized dict from
+#: a pool worker.
+_Outcome = Tuple[str, object, float]
+
+
+def _error_marker(params: Dict[str, object], error_type: str, message: str,
+                  worker_traceback: str = "") -> Dict[str, object]:
+    """A captured failure, returned in place of a serialized result."""
+    return {
+        _ERROR_MARKER: {
+            "params": params,
+            "error_type": error_type,
+            "error_message": message,
+            "traceback": worker_traceback,
+        }
+    }
 
 
 class CampaignRunError(ExperimentError):
@@ -161,14 +181,10 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
         )
         result = run_simulation(workload.build_program(), config)
     except Exception as error:  # noqa: BLE001 - reported with full context
-        return payload["key"], {
-            _ERROR_MARKER: {
-                "params": _run_params(payload),
-                "error_type": type(error).__name__,
-                "error_message": str(error),
-                "traceback": traceback.format_exc(),
-            }
-        }, time.perf_counter() - started
+        marker = _error_marker(
+            _run_params(payload), type(error).__name__, str(error), traceback.format_exc()
+        )
+        return payload["key"], marker, time.perf_counter() - started
     return payload["key"], result.to_dict(), time.perf_counter() - started
 
 
@@ -186,12 +202,13 @@ class CampaignEngine:
       ``cache_dir``, in a :class:`~repro.experiments.cache.ResultCache`
       (optionally budgeted via ``cache_max_bytes``); reruns simulate only
       what is missing.
-    * **Parallelism** — :meth:`run_many` fans uncached runs over a
-      ``multiprocessing.Pool`` (``jobs > 1``) and commits worker results in
+    * **Execution** — :meth:`run_many` simulates uncached runs in one
+      retrying loop, in-process or over a watchdogged
+      ``multiprocessing.Pool`` (``jobs > 1``), and commits results in
       key-sorted order, so parallel output is byte-identical to serial
-      (``docs/determinism.md``).  Worker failures surface as
-      :class:`CampaignRunError` markers carrying the key and workload
-      parameters, never raw pool tracebacks.
+      (``docs/determinism.md``).  Failures surface as
+      :class:`CampaignRunError` carrying the key, workload parameters and
+      attempt history, never raw pool tracebacks.
     * **Program reuse** — identical workload points share one immutable
       built :class:`~repro.runtime.task.TaskProgram` (scheduler and
       runtime sweeps re-simulate the same program object).
@@ -207,7 +224,6 @@ class CampaignEngine:
         cache_max_bytes: Optional[int] = None,
         verbose: bool = False,
         disk_cache: Optional[ResultCache] = None,
-        program_cache: Optional[Dict[tuple, object]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         watchdog_config: Optional[WatchdogConfig] = None,
     ) -> None:
@@ -240,12 +256,9 @@ class CampaignEngine:
         #: the runtime-comparison figures) re-simulate the *same* immutable
         #: program, so rebuilding it per run was pure overhead.  Bounded FIFO
         #: (workload sweeps such as the granularity figures produce many
-        #: distinct programs; keys are tiny but programs are not).  The cache
-        #: key embeds scale and seed, so an injected dict is safe to share
-        #: across engines with different parameters.
-        self._program_cache: Dict[tuple, object] = (
-            program_cache if program_cache is not None else {}
-        )
+        #: distinct programs; keys are tiny but programs are not).  Used by
+        #: in-process simulation (``jobs == 1``); pool workers build their own.
+        self._program_cache: Dict[tuple, object] = {}
         #: Retry policy for transiently failed runs (crashed/hung workers,
         #: injected faults); permanent simulation errors never retry.
         self.retry_policy = retry_policy or RetryPolicy.from_env()
@@ -317,7 +330,12 @@ class CampaignEngine:
         return config.validated()
 
     def resolve(self, request: RunRequest) -> ResolvedRun:
-        """Attach the canonical key and effective configuration to a request."""
+        """Attach the canonical key and effective configuration to a request.
+
+        An unknown benchmark raises ``ConfigurationError`` here: it has no
+        simulation, so it gets no key.
+        """
+        workload_factory(request.benchmark)
         config = self.config_for(request.runtime, request.scheduler, request.dmu)
         workload_runtime: Optional[str]
         if request.granularity is not None:
@@ -352,49 +370,22 @@ class CampaignEngine:
                 return restored
         return None
 
-    def _store(self, resolved: ResolvedRun, result: SimulationResult) -> None:
-        self._memo[resolved.key] = result
-        if self.disk_cache is not None:
-            self.disk_cache.put(resolved.key, result)
-
     def cached(self, resolved: ResolvedRun) -> Optional[SimulationResult]:
         """The memoized/persisted result for a resolved run, if any.
 
-        Public face of the lookup the run methods perform first — callers
-        that orchestrate their own execution (the results daemon offloads
-        simulation to an executor) probe with this and commit via
-        :meth:`commit_serialized`.
+        Public face of the lookup :meth:`run_many` performs first — the
+        results daemon probes with it to decide what a render must simulate.
         """
         return self._lookup(resolved)
 
-    def commit_serialized(
-        self, key: str, result_dict: Dict[str, object], seconds: float = 0.0
-    ) -> SimulationResult:
-        """Commit one worker-serialized simulation result under its key.
+    def cost_model(self) -> CampaignCostModel:
+        """The campaign cost model, calibrated from the disk cache's profile.
 
-        This is the single write path for results produced *outside* the
-        engine's process: the ``run_many`` pool loop and the results
-        daemon's executor both land here, so counters, timings, memo and
-        disk persistence stay consistent regardless of who simulated.
+        Uncalibrated (analytic only) without a disk cache or profile.  The
+        pool watchdog derives its per-key deadlines from it.
         """
-        self.simulations_run += 1
-        if seconds:
-            self.key_timings[key] = seconds
-        result = SimulationResult.from_dict(result_dict)
-        self._memo[key] = result
-        if self.disk_cache is not None:
-            # The worker already serialized; don't re-serialize.
-            self.disk_cache.put_serialized(key, result_dict)
-        return result
-
-    def payload_for(self, resolved: ResolvedRun) -> Dict[str, object]:
-        """The picklable worker payload of one resolved run.
-
-        Pairs with the module-level :func:`_simulate_entry` worker: external
-        executors submit ``_simulate_entry(payload_for(resolved))`` and feed
-        the outcome back through :meth:`commit_serialized`.
-        """
-        return self._payload(resolved)
+        profile = load_cost_profile(self.disk_cache.directory) if self.disk_cache else {}
+        return CampaignCostModel(profile, scale=self.scale)
 
     def _payload(self, resolved: ResolvedRun) -> Dict[str, object]:
         return {
@@ -409,250 +400,237 @@ class CampaignEngine:
 
     # ------------------------------------------------------------------ running
     def run(self, request: RunRequest) -> SimulationResult:
-        """Run one simulation, consulting the memo and disk cache first."""
-        resolved = self.resolve(request)
-        cached = self._lookup(resolved)
-        if cached is not None:
-            return cached
-        result = self._simulate_retrying(resolved, [])
-        self._store(resolved, result)
-        return result
+        """Run one simulation, consulting the memo and disk cache first.
+
+        Raises :class:`CampaignRunError` when the simulation fails.
+        """
+        return self.run_many([request])[0]
 
     def run_many(
         self,
         requests: Sequence[RunRequest],
         failures: Optional[Dict[str, CampaignRunError]] = None,
     ) -> List[Optional[SimulationResult]]:
-        """Run a batch, fanning uncached points out over a process pool.
+        """Run a batch: every uncached point goes through the simulation loop.
 
-        The return list is aligned with ``requests``.  Workers return
-        serialized results; the parent deserializes and commits them in
-        key-sorted order, so the memo/disk state after a parallel batch is
-        identical to the state after the equivalent serial loop.
+        The return list is aligned with ``requests``.  Results are committed
+        in key-sorted order within each round of the loop, so the memo/disk
+        state after a parallel batch is identical to the state after the
+        equivalent serial loop.
 
         A failing simulation raises :class:`CampaignRunError` (carrying the
-        canonical key and workload parameters, not a bare pool traceback).
-        When ``failures`` is a dict the engine records errors there instead
-        — keyed by canonical run key — and returns ``None`` in the failed
-        requests' slots; successful batchmates still commit.  Shard workers
-        use that mode to turn crashes into manifest entries.
+        canonical key, workload parameters and attempt history, not a bare
+        pool traceback).  When ``failures`` is a dict the engine records
+        errors there instead — keyed by canonical run key — and returns
+        ``None`` in the failed requests' slots; successful batchmates still
+        commit.  Shard workers use that mode to turn crashes into manifest
+        entries.
 
         **Resilience.**  Transient failures — crashed pool workers, hung
-        simulations struck by the watchdog, injected faults — are requeued
+        simulations struck by the watchdog, injected faults — are retried
         with exponential backoff up to ``retry_policy.max_attempts`` per
         key; deterministic simulation errors fail immediately.  Because
-        results are pure functions of their canonical key and are committed
-        in key-sorted order, a recovered batch leaves memo and disk state
-        byte-identical to an undisturbed serial run.
+        results are pure functions of their canonical key, a recovered batch
+        leaves memo and disk state byte-identical to an undisturbed serial
+        run.  With a disk cache, the wall seconds of every simulated key are
+        unioned into its cost profile, which calibrates the next campaign's
+        watchdog deadlines and cost-planned shards.
         """
         resolved = [self.resolve(request) for request in requests]
         pending: Dict[str, ResolvedRun] = {}
         for item in resolved:
             if item.key not in pending and self._lookup(item) is None:
                 pending[item.key] = item
-        ordered = sorted(pending.values(), key=lambda item: item.key)
-        errors: Dict[str, CampaignRunError] = {}
-        if len(ordered) > 1 and self.jobs > 1:
-            self._run_pool(ordered, errors)
-        else:
-            for item in ordered:
-                history: List[Dict[str, object]] = []
-                try:
-                    result = self._simulate_retrying(item, history)
-                except Exception as error:  # noqa: BLE001 - wrapped with context
-                    errors[item.key] = CampaignRunError(
-                        item.key,
-                        _run_params(self._payload(item)),
-                        type(error).__name__,
-                        str(error),
-                        traceback.format_exc(),
-                        attempts=history,
-                    )
-                    continue
-                self._store(item, result)
-        if ordered:
+        if pending:
+            errors = self._simulate_pending(dict(pending))
+            self._record_costs(
+                {key: item for key, item in pending.items() if key not in errors}
+            )
             self.prune_disk_cache()
-        if errors:
-            if failures is None:
-                raise errors[min(errors)]  # deterministic: lowest key first
-            failures.update(errors)
+            if errors:
+                if failures is None:
+                    raise errors[min(errors)]  # deterministic: lowest key first
+                failures.update(errors)
         return [self._memo.get(item.key) for item in resolved]
 
-    def _simulate_retrying(self, item: ResolvedRun,
-                           history: List[Dict[str, object]]) -> SimulationResult:
-        """Serial-path simulation with transient-error retries.
+    def _simulate_pending(
+        self, pending: Dict[str, ResolvedRun]
+    ) -> Dict[str, CampaignRunError]:
+        """The simulation loop: rounds of attempts, each outcome settled once.
 
-        Appends one record per failed attempt to ``history`` and re-raises
-        the last error once the attempt budget is spent (or immediately for
-        permanent errors) — the caller wraps it with run context.
+        A round attempts every pending key — in-process when ``jobs == 1``,
+        otherwise on a fresh ``multiprocessing`` pool under the
+        :class:`~repro.reliability.watchdog.Watchdog` — and settles the
+        outcomes in key order.  Settling commits a result, requeues a
+        transient failure (backing off before the next round) until the
+        retry policy is exhausted, or fails the key with a
+        :class:`CampaignRunError` carrying its attempt history.  Keys a
+        condemned pool round left unfinished requeue without penalty.
+        Returns the failed keys' errors; ``pending`` ends empty.
         """
         policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self._simulate(item, attempt=attempt)
-            except Exception as error:  # noqa: BLE001 - classified below
-                history.append({
-                    "attempt": attempt,
-                    "error_type": type(error).__name__,
-                    "error_message": str(error),
-                })
-                if not policy.transient(type(error).__name__) or policy.exhausted(attempt):
-                    raise
-                self.retries += 1
-                time.sleep(policy.delay(attempt, item.key))
-
-    def _run_pool(self, ordered: Sequence[ResolvedRun],
-                  errors: Dict[str, CampaignRunError]) -> None:
-        """Fan a batch over a worker pool with watchdog + retry recovery.
-
-        Round-based: every pending key is submitted to a pool, completions
-        are collected as they land, and a round ends when either everything
-        finished or the watchdog finds overdue keys — the pool (and any hung
-        or orphaned task in it) is then terminated and surviving keys are
-        resubmitted.  Keys struck by the watchdog or failed transiently
-        accrue attempts; the rest requeue without penalty.  All commits
-        happen in key-sorted order after the loop, so completion order (and
-        recovery) cannot affect the merged state.
-        """
-        policy = self.retry_policy
-        spec = active_spec()
-        cost_model = CampaignCostModel(
-            load_cost_profile(self.disk_cache.directory) if self.disk_cache else {},
-            scale=self.scale,
-        )
-        watchdog = Watchdog(self.watchdog_config, cost_model)
-        pending: Dict[str, ResolvedRun] = {item.key: item for item in ordered}
-        attempts: Dict[str, int] = {}
+        failed_attempts: Dict[str, int] = {}
         history: Dict[str, List[Dict[str, object]]] = {}
-        outcomes: Dict[str, Tuple[Dict[str, object], float]] = {}
-        if self.verbose:  # pragma: no cover - console feedback only
-            print(f"[campaign] {len(pending)} runs on {self.jobs} workers")
+        errors: Dict[str, CampaignRunError] = {}
 
-        def strike(key: str, error_type: str, message: str) -> None:
-            attempts[key] = attempts.get(key, 0) + 1
+        def settle(key: str, result: object, seconds: float) -> None:
+            marker = result.get(_ERROR_MARKER) if isinstance(result, dict) else None
+            if marker is None:
+                del pending[key]
+                self._commit(key, result, seconds)
+                return
+            attempt = failed_attempts[key] = failed_attempts.get(key, 0) + 1
             history.setdefault(key, []).append({
-                "attempt": attempts[key],
-                "error_type": error_type,
-                "error_message": message,
+                "attempt": attempt,
+                "error_type": marker["error_type"],
+                "error_message": marker["error_message"],
             })
-            if policy.exhausted(attempts[key]):
-                item = pending.pop(key)
-                errors[key] = CampaignRunError(
-                    key,
-                    _run_params(self._payload(item)),
-                    error_type,
-                    message,
-                    attempts=history[key],
-                )
-            else:
+            if policy.transient(marker["error_type"]) and not policy.exhausted(attempt):
                 self.retries += 1
+                return
+            del pending[key]
+            errors[key] = CampaignRunError(
+                key,
+                marker["params"],
+                marker["error_type"],
+                marker["error_message"],
+                marker["traceback"],
+                attempts=history[key],
+            )
 
+        watchdog = None
+        if self.jobs > 1:
+            watchdog = Watchdog(self.watchdog_config, self.cost_model())
+            if self.verbose:  # pragma: no cover - console feedback only
+                print(f"[campaign] {len(pending)} runs on {self.jobs} workers")
         try:
             while pending:
                 batch = [pending[key] for key in sorted(pending)]
                 backoff = max(
-                    (policy.delay(attempts[item.key], item.key)
-                     for item in batch if attempts.get(item.key)),
+                    (policy.delay(failed_attempts[item.key], item.key)
+                     for item in batch if item.key in failed_attempts),
                     default=0.0,
                 )
                 if backoff:
                     time.sleep(backoff)
-                watchdog.reset()
-                deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
-                with multiprocessing.Pool(processes=min(self.jobs, len(batch))) as pool:
-                    handles = {}
-                    for item in batch:
-                        payload = self._payload(item)
-                        payload["attempt"] = attempts.get(item.key, 0) + 1
-                        payload["heartbeat_dir"] = str(watchdog.directory)
-                        if spec:
-                            payload["faults"] = spec
-                        handles[item.key] = pool.apply_async(_simulate_entry, (payload,))
-                    self._collect(
-                        handles, deadlines, watchdog, pending, outcomes, errors, strike
+                if watchdog is None:
+                    outcomes = (
+                        self._attempt(item, failed_attempts.get(item.key, 0) + 1)
+                        for item in batch
                     )
-                    # Exiting the with-block terminates the pool, killing any
-                    # hung worker and discarding tasks orphaned by a crash.
+                else:
+                    outcomes = self._pool_round(batch, failed_attempts, watchdog)
+                for outcome in outcomes:
+                    settle(*outcome)
         finally:
-            watchdog.cleanup()
-        for key in sorted(outcomes):
-            result_dict, seconds = outcomes[key]
-            self.commit_serialized(key, result_dict, seconds)
+            if watchdog is not None:
+                watchdog.cleanup()
+        return errors
 
-    def _collect(self, handles, deadlines, watchdog, pending, outcomes,
-                 errors, strike) -> None:
-        """One round's completion loop: drain results until done or overdue.
-
-        Successful keys leave ``pending`` and land in ``outcomes``;
-        transient worker errors strike (requeue or exhaust); permanent ones
-        fail directly — a deterministic simulation error recurs on every
-        attempt, so its first failure is definitive.  Returning with
-        ``handles`` non-empty means the watchdog condemned this round — the
-        caller terminates the pool and requeues un-struck survivors.
-        """
-        poll = watchdog.config.poll_interval_s
-        stall_budget = watchdog.config.min_seconds + max(deadlines.values(), default=0.0)
-        last_progress = time.monotonic()
-        while handles:
-            progressed = False
-            for key in sorted(handles):
-                handle = handles[key]
-                if not handle.ready():
-                    continue
-                progressed = True
-                del handles[key]
-                try:
-                    _, result_dict, seconds = handle.get()
-                except Exception as error:  # noqa: BLE001 - pool plumbing failure
-                    strike(key, type(error).__name__, str(error))
-                    continue
-                marker = result_dict.get(_ERROR_MARKER)
-                if marker is not None:
-                    if self.retry_policy.transient(marker["error_type"]):
-                        strike(key, marker["error_type"], marker["error_message"])
-                    else:
-                        # Permanent: one deterministic failure is definitive.
-                        pending.pop(key, None)
-                        errors[key] = CampaignRunError(
-                            key,
-                            marker["params"],
-                            marker["error_type"],
-                            marker["error_message"],
-                            marker["traceback"],
-                        )
-                    continue
-                pending.pop(key, None)
-                outcomes[key] = (result_dict, seconds)
-            if progressed:
-                last_progress = time.monotonic()
-            if not handles:
-                return
-            overdue = watchdog.overdue(
-                {key: deadlines[key] for key in handles}
+    def _attempt(self, item: ResolvedRun, attempt: int) -> _Outcome:
+        """One in-process attempt at ``item``: its outcome, never an exception."""
+        started = time.perf_counter()
+        try:
+            result = self._simulate(item, attempt)
+        except Exception as error:  # noqa: BLE001 - settled with run context
+            return self._failure(
+                item, type(error).__name__, str(error), traceback.format_exc()
             )
-            if overdue:
-                self.watchdog_kills += len(overdue)
-                for key in sorted(overdue):
-                    del handles[key]
-                    strike(
-                        key,
-                        "WorkerTimeout",
-                        f"no result after {overdue[key]:.1f}s "
-                        f"(deadline {deadlines[key]:.1f}s); pool terminated",
-                    )
-                return  # terminate the pool; un-struck keys requeue freely
-            if time.monotonic() - last_progress > stall_budget:
-                # No completion and no overdue heartbeat for a whole budget:
-                # workers died before heartbeating (or the pool wedged).
-                self.watchdog_kills += len(handles)
-                for key in sorted(handles):
-                    del handles[key]
-                    strike(key, "WorkerStall",
-                           f"no worker progress for {stall_budget:.1f}s; pool terminated")
-                return
-            time.sleep(poll)
+        return item.key, result, time.perf_counter() - started
+
+    def _pool_round(self, batch: Sequence[ResolvedRun], failed_attempts: Dict[str, int],
+                    watchdog: Watchdog) -> List[_Outcome]:
+        """Attempt ``batch`` on a fresh pool; the key-sorted outcomes.
+
+        Completions are collected as they land.  The round ends when every
+        key finished, or when the watchdog finds overdue keys (or sees no
+        progress for a whole stall budget: workers that died before
+        heartbeating).  Struck keys get a ``WorkerTimeout``/``WorkerStall``
+        outcome; the rest of an unfinished round get none and requeue.
+        Leaving the ``with`` block terminates the pool, killing any hung
+        worker and discarding tasks orphaned by a crash.
+        """
+        spec = active_spec()
+        items = {item.key: item for item in batch}
+        watchdog.reset()
+        deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
+        stall_budget = watchdog.config.min_seconds + max(deadlines.values())
+        outcomes: Dict[str, _Outcome] = {}
+        with multiprocessing.Pool(processes=min(self.jobs, len(batch))) as pool:
+            handles = {}
+            for item in batch:
+                payload = self._payload(item)
+                payload["attempt"] = failed_attempts.get(item.key, 0) + 1
+                payload["heartbeat_dir"] = str(watchdog.directory)
+                if spec:
+                    payload["faults"] = spec
+                handles[item.key] = pool.apply_async(_simulate_entry, (payload,))
+            last_progress = time.monotonic()
+            while handles:
+                for key in [key for key in sorted(handles) if handles[key].ready()]:
+                    try:
+                        outcomes[key] = handles.pop(key).get()
+                    except Exception as error:  # noqa: BLE001 - pool plumbing failure
+                        outcomes[key] = self._failure(
+                            items[key], type(error).__name__, str(error)
+                        )
+                    last_progress = time.monotonic()
+                if not handles:
+                    break
+                overdue = watchdog.overdue({key: deadlines[key] for key in handles})
+                if overdue:
+                    struck = {
+                        key: ("WorkerTimeout",
+                              f"no result after {seconds:.1f}s "
+                              f"(deadline {deadlines[key]:.1f}s); pool terminated")
+                        for key, seconds in overdue.items()
+                    }
+                elif time.monotonic() - last_progress > stall_budget:
+                    struck = {
+                        key: ("WorkerStall",
+                              f"no worker progress for {stall_budget:.1f}s; "
+                              "pool terminated")
+                        for key in handles
+                    }
+                else:
+                    time.sleep(watchdog.config.poll_interval_s)
+                    continue
+                self.watchdog_kills += len(struck)
+                for key, (error_type, message) in struck.items():
+                    outcomes[key] = self._failure(items[key], error_type, message)
+                break
+        return [outcomes[key] for key in sorted(outcomes)]
+
+    def _failure(self, item: ResolvedRun, error_type: str, message: str,
+                 worker_traceback: str = "") -> _Outcome:
+        """The outcome of an attempt at ``item`` that produced no result."""
+        params = _run_params(self._payload(item))
+        return item.key, _error_marker(params, error_type, message, worker_traceback), 0.0
+
+    def _commit(self, key: str, result: object, seconds: float) -> None:
+        """Memoize and persist one simulated result (serialized when it
+        comes from a pool worker — persisted as is, never re-serialized)."""
+        self.simulations_run += 1
+        self.key_timings[key] = seconds
+        if isinstance(result, dict):
+            if self.disk_cache is not None:
+                self.disk_cache.put_serialized(key, result)
+            result = SimulationResult.from_dict(result)
+        elif self.disk_cache is not None:
+            self.disk_cache.put(key, result)
+        self._memo[key] = result
+
+    def _record_costs(self, simulated: Dict[str, ResolvedRun]) -> None:
+        """Union the observed wall seconds of ``simulated`` into the disk
+        cache's cost profile (advisory data: a failed write is ignored)."""
+        if self.disk_cache is None or not simulated:
+            return
+        timings = {key: self.key_timings[key] for key in simulated}
+        entries = CampaignCostModel(scale=self.scale).observations_for(timings, simulated)
+        try:
+            store_cost_profile(self.disk_cache.directory, entries)
+        except OSError:
+            pass
 
     def prune_disk_cache(self) -> int:
         """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""
@@ -679,14 +657,7 @@ class CampaignEngine:
                 f"[run] {request.benchmark} runtime={request.runtime} "
                 f"scheduler={request.scheduler} tasks={program.num_tasks}"
             )
-        # Count *completed* simulations only (matching the pool path, where
-        # failed workers never reach the parent's counter): shard manifests
-        # report failures separately from `simulated`.
-        started = time.perf_counter()
-        result = run_simulation(program, resolved.config)
-        self.key_timings[resolved.key] = time.perf_counter() - started
-        self.simulations_run += 1
-        return result
+        return run_simulation(program, resolved.config)
 
     # ------------------------------------------------------------------ stats
     def cache_info(self) -> Dict[str, int]:

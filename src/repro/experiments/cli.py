@@ -31,12 +31,11 @@ Examples::
     tdm-repro figure_07 --scale 0.2 --shard 1/3 --shard-strategy cost --dry-run
 
     # Straggler-free variant on a shared filesystem: bins balanced by
-    # predicted cost (calibrated from cache/cost_profile.json when present),
-    # and idle shards steal unfinished keys through atomic claim files —
-    # a dead host's work is absorbed, merged bytes unchanged
-    tdm-repro figure_12 --scale 0.2 --shard 1/3 --shard-strategy cost --steal --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 2/3 --shard-strategy cost --steal --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 3/3 --shard-strategy cost --steal --cache-dir cache
+    # predicted cost (calibrated from cache/cost_profile.json when present);
+    # a dead host is repaired by rerunning its shard, merged bytes unchanged
+    tdm-repro figure_12 --scale 0.2 --shard 1/3 --shard-strategy cost --cache-dir cache
+    tdm-repro figure_12 --scale 0.2 --shard 2/3 --shard-strategy cost --cache-dir cache
+    tdm-repro figure_12 --scale 0.2 --shard 3/3 --shard-strategy cost --cache-dir cache
 
     # Long-running results daemon: one ResultCache and program cache serve
     # every request; repeated sweeps cost zero simulations
@@ -81,8 +80,8 @@ from .shard import (
     PLAN_STRATEGIES,
     ShardPlan,
     ShardSpec,
-    cost_model_for,
     merge_shards,
+    planning_model,
     run_shard_worker,
 )
 
@@ -164,13 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and the cross-host contract) or 'cost' (LPT bin packing by predicted "
         "wall time, calibrated from <cache-dir>/cost_profile.json when present). "
         "Planning only — results and canonical keys are unaffected",
-    )
-    parser.add_argument(
-        "--steal",
-        action="store_true",
-        help="with --shard: after draining this shard's own bin, claim and "
-        "simulate unfinished keys of the whole plan through atomic claim files "
-        "(<cache-dir>/claims/); all stealing workers must share one --cache-dir",
     )
     parser.add_argument(
         "--dry-run",
@@ -395,8 +387,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--shard/--merge-shards require --cache-dir")
     if (args.shard is not None or args.merge_shards is not None or args.dry_run) and len(names) != 1:
         parser.error("--shard/--merge-shards/--dry-run take a single experiment, not 'all'")
-    if args.steal and args.shard is None and not args.dry_run:
-        parser.error("--steal requires --shard (it is a shard-worker mode)")
     runner = SimulationRunner(
         scale=args.scale,
         verbose=args.verbose,
@@ -411,11 +401,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # profile, so predictions reflect what a worker would plan with.
         try:
             count = ShardSpec.parse(args.shard).count if args.shard is not None else 1
+            resolved = resolve_plan(names[0], runner, benchmarks=args.benchmarks)
             plan = ShardPlan(
-                resolve_plan(names[0], runner, benchmarks=args.benchmarks),
+                resolved,
                 count,
                 strategy=args.shard_strategy,
-                cost_model=cost_model_for(args.cache_dir, args.scale),
+                cost_model=planning_model(runner.engine, resolved),
             )
         except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -432,7 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 benchmarks=args.benchmarks,
                 manifest=args.manifest,
                 strategy=args.shard_strategy,
-                steal=args.steal,
             )
         except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)

@@ -14,14 +14,10 @@ distribution almost free — the only things a multi-host campaign needs are
   instead bin-packs the keys by predicted wall time (LPT greedy over a
   :class:`~repro.runtime.cost_model.CampaignCostModel`, deterministic
   tie-breaks by key) — same disjoint-cover law, straggler-free bins;
-* an opt-in **work-stealing mode** for the residual prediction error and
-  for dead hosts: a shard that drains its own bin claims unfinished keys
-  of the whole plan through atomic ``O_EXCL`` claim files in the shared
-  cache directory (:class:`ClaimBoard`), so idle peers absorb a slow or
-  killed shard's work and every key still simulates exactly once;
 * a **shard worker** (:func:`run_shard_worker`, reachable as
-  ``tdm-repro <experiment> --shard i/N`` and ``scripts/run_shard.py``)
-  that simulates only its slice into a shared or per-shard cache directory
+  ``tdm-repro <experiment> --shard i/N``) that simulates only its slice —
+  through the campaign engine's one simulation loop, with its retries and
+  watchdog — into a shared or per-shard cache directory
   and records a :class:`ShardManifest` — keys attempted, cache hits,
   simulations, failures (with the offending key and workload parameters),
   and wall time.  Rerunning a shard whose cache survived is a pure cache
@@ -41,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
-import os
 import pathlib
 import sys
 import time
@@ -53,13 +48,11 @@ from ..reliability.faults import maybe_fault
 from ..runtime.cost_model import CampaignCostModel
 from .cache import (
     CACHE_FORMAT_VERSION,
-    CLAIMS_DIRNAME,
     ResultCache,
     atomic_write,
-    load_cost_profile,
     store_cost_profile,
 )
-from .campaign import CampaignRunError, ResolvedRun
+from .campaign import CampaignEngine, CampaignRunError, ResolvedRun
 from .common import SimulationRunner
 
 #: Subdirectory of a cache directory where shard manifests are written.
@@ -69,9 +62,10 @@ MANIFEST_DIRNAME = "manifests"
 
 #: Shard-manifest schema version.  v2 added ``key_timings`` (per-key wall
 #: seconds of the runs this worker simulated), ``stolen_keys`` and
-#: ``strategy``; the reader accepts v1 manifests (the new fields default)
-#: and ignores fields it does not know, so mixed-version fleets merge.
-MANIFEST_VERSION = 2
+#: ``strategy``; v3 dropped ``stolen_keys``.  The reader accepts older
+#: manifests (missing fields default) and ignores fields it does not know,
+#: so mixed-version fleets merge.
+MANIFEST_VERSION = 3
 
 #: Partition strategies a :class:`ShardPlan` supports.
 PLAN_STRATEGIES = ("modulo", "cost")
@@ -280,152 +274,6 @@ class ShardPlan:
         return "\n".join(lines)
 
 
-class ClaimBoard:
-    """Atomic work-stealing claims through a shared cache directory.
-
-    One file per claimed key, ``<cache>/claims/<key>.claim``, created with
-    ``O_CREAT | O_EXCL`` — the filesystem's only atomic test-and-set — so
-    when two workers race for a key exactly one wins, with no coordinator
-    and no locks.  Claim files carry only advisory text (who claimed, when)
-    for operators; correctness never reads their contents.
-
-    Claims are in-flight markers, not results: workers release them once the
-    key's cache entry exists (the entry itself is the durable dedup), and
-    ``merge_shards`` sweeps any *satisfied* leftovers (claim present, key
-    cached — a worker crashed between simulating and releasing).  A claim
-    whose key is already in the cache is likewise ignored — and replaced —
-    by :meth:`claim`, so stale scratch can never force a resimulated key.
-
-    The remaining orphan class — claimed but never simulated, the scratch a
-    killed ``--steal`` worker leaves behind — used to block its keys from
-    ever being re-stolen (every later worker lost the ``O_EXCL`` race to a
-    corpse).  :meth:`reclaim` repairs that: a claim older than this board's
-    construction cannot belong to a peer of *this* campaign (peers claim
-    after the campaign starts), so the caller takes it over through an
-    atomic ``os.replace`` to a per-pid tombstone — exactly one reclaimer
-    wins even when several race — and claims the key normally.  The
-    ``claims/`` directory lives inside the cache dir but is invisible to
-    :class:`ResultCache` entry enumeration (the ``??/*.json`` pin) and is
-    never copied by ``merge_from``.
-    """
-
-    def __init__(
-        self,
-        cache_dir: Union[str, pathlib.Path],
-        cache: Optional[ResultCache] = None,
-    ) -> None:
-        self.directory = pathlib.Path(cache_dir) / CLAIMS_DIRNAME
-        self.directory.mkdir(parents=True, exist_ok=True)
-        #: The cache whose entries satisfy claims (None = satisfied-claim
-        #: handling disabled; raw boards behave exactly as before).
-        self.cache = cache
-        #: Claims whose mtime predates this moment are from an earlier
-        #: campaign — eligible for :meth:`reclaim` takeover.
-        self._born = time.time()
-
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.claim"
-
-    def _satisfied(self, key: str) -> bool:
-        return self.cache is not None and key in self.cache
-
-    def claim(self, key: str, owner: str = "") -> bool:
-        """Atomically claim ``key``; True iff this caller won it.
-
-        An existing claim whose key is already present in the cache is
-        stale scratch (the work it guarded is durably done): it is ignored
-        — released and re-claimed — rather than treated as a loss.
-        """
-        maybe_fault("claim", key)
-        try:
-            descriptor = os.open(
-                self.path_for(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
-        except FileExistsError:
-            if not self._satisfied(key):
-                return False
-            # Satisfied leftover: sweep it and retry the O_EXCL create once
-            # (a racing claimant may still win — that is fine, the key needs
-            # no simulation anyway).
-            self.release(key)
-            try:
-                descriptor = os.open(
-                    self.path_for(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-                )
-            except FileExistsError:
-                return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(f"{owner} {time.time():.3f}\n")
-        return True
-
-    def reclaim(self, key: str, owner: str = "") -> bool:
-        """Take over a stale (pre-campaign) claim and claim ``key``; True iff won.
-
-        Stale means: the claim file's mtime predates this board's
-        construction — it cannot have been written by a peer of the current
-        campaign, only left behind by a dead one.  The takeover renames the
-        stale file to a per-pid tombstone (``os.replace`` is atomic, so
-        exactly one of several racing reclaimers wins) before claiming
-        normally.  A fresh claim — some live peer's in-flight work — is
-        respected and the call returns False.
-        """
-        path = self.path_for(key)
-        try:
-            stat = path.stat()
-        except OSError:
-            # Claim vanished (released or already reclaimed): race for it
-            # through the ordinary O_EXCL path.
-            return self.claim(key, owner)
-        if stat.st_mtime >= self._born:
-            return False
-        tombstone = path.with_name(f"{path.name}.stale.{os.getpid()}")
-        try:
-            os.replace(path, tombstone)
-        except OSError:
-            return False  # another reclaimer won the takeover
-        try:
-            tombstone.unlink()
-        except OSError:
-            pass
-        return self.claim(key, owner)
-
-    def claimed(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
-    def release(self, key: str) -> None:
-        """Drop one claim (missing is fine — e.g. a concurrent reset)."""
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            pass
-
-    def claimed_keys(self) -> List[str]:
-        """Every currently claimed key, sorted."""
-        return sorted(path.stem for path in self.directory.glob("*.claim"))
-
-    def release_satisfied(self, cache: Optional[ResultCache] = None) -> int:
-        """Release every claim whose key is present in ``cache`` (or the
-        board's own cache); returns how many were swept.  Run by
-        ``merge_shards`` so a campaign's scratch never outlives it."""
-        cache = cache if cache is not None else self.cache
-        if cache is None:
-            return 0
-        swept = 0
-        for key in self.claimed_keys():
-            if key in cache:
-                self.release(key)
-                swept += 1
-        return swept
-
-    def reset(self) -> int:
-        """Delete every claim (before rerunning a crashed steal campaign)."""
-        dropped = 0
-        for key in self.claimed_keys():
-            self.release(key)
-            dropped += 1
-        return dropped
-
-
 @dataclass
 class ShardManifest:
     """What one shard worker attempted and how it went (JSON round-trip)."""
@@ -446,9 +294,6 @@ class ShardManifest:
     #: nothing), by canonical key — the raw observations behind the
     #: campaign cost model.  New in manifest v2; empty for v1 manifests.
     key_timings: Dict[str, float] = field(default_factory=dict)
-    #: Keys this worker claimed from other shards' bins (subset of
-    #: ``keys``).  New in manifest v2.
-    stolen_keys: List[str] = field(default_factory=list)
     #: Partition strategy the worker planned with.  New in manifest v2.
     strategy: str = "modulo"
     manifest_version: int = MANIFEST_VERSION
@@ -476,7 +321,6 @@ class ShardManifest:
             "wall_time_s": self.wall_time_s,
             "cache_format_version": self.cache_format_version,
             "key_timings": {key: self.key_timings[key] for key in sorted(self.key_timings)},
-            "stolen_keys": list(self.stolen_keys),
             "strategy": self.strategy,
             "manifest_version": self.manifest_version,
         }
@@ -485,10 +329,11 @@ class ShardManifest:
     def from_dict(cls, data: Dict[str, object]) -> "ShardManifest":
         """Version-tolerant reader.
 
-        v1 manifests predate ``key_timings``/``stolen_keys``/``strategy``
-        (their defaults apply, and the version is recorded as 1); fields a
-        *newer* writer might add are dropped rather than crashing, so
-        mixed-version fleets keep merging.
+        v1 manifests predate ``key_timings``/``strategy`` (their defaults
+        apply, and the version is recorded as 1); fields this reader does
+        not know — v2's ``stolen_keys``, or whatever a *newer* writer adds —
+        are dropped rather than crashing, so mixed-version fleets keep
+        merging.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         payload = {name: value for name, value in data.items() if name in known}
@@ -507,20 +352,19 @@ class ShardManifest:
             return cls.from_dict(json.load(handle))
 
     def summary(self) -> str:
-        stolen = f", {len(self.stolen_keys)} stolen" if self.stolen_keys else ""
         return (
             f"[shard {self.shard_index}/{self.shard_count}] {self.experiment}: "
             f"{self.attempted} keys, {self.cached_hits} cached, "
-            f"{self.simulated} simulated{stolen}, {len(self.failures)} failures "
+            f"{self.simulated} simulated, {len(self.failures)} failures "
             f"in {self.wall_time_s:.1f}s"
         )
 
     def report(self, out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
         """Print the worker-facing summary + failures; returns the exit code.
 
-        Shared by both CLI entry points (``tdm-repro --shard`` and
-        ``scripts/run_shard.py worker``) so the output contract — which the
-        CI resumability smoke greps (`` 0 simulated``) — has one definition.
+        The output contract of ``tdm-repro --shard`` — which the CI
+        resumability smoke greps (`` 0 simulated``) — has this one
+        definition.
         """
         print(self.summary(), file=out)
         for key, failure in sorted(self.failures.items()):
@@ -549,12 +393,21 @@ def find_manifests(
     return sorted(root.glob(pattern)) if root.is_dir() else []
 
 
-def cost_model_for(
-    cache_dir: Optional[Union[str, pathlib.Path]], scale: float
-) -> CampaignCostModel:
-    """A campaign cost model calibrated from a cache dir's profile (if any)."""
-    profile = load_cost_profile(cache_dir) if cache_dir is not None else {}
-    return CampaignCostModel(profile, scale=scale)
+def planning_model(engine: CampaignEngine, plan: Iterable[ResolvedRun]) -> CampaignCostModel:
+    """The cost model a cost-strategy shard partitions ``plan`` with.
+
+    Calibrated from the engine's cache profile, minus the observations of
+    the plan's own keys: every batch records its timings there as it
+    lands, and the shards of one campaign plan at different times.  Left
+    in, a shard planning after its peers ran would bin the keys
+    differently and a key could fall between two bins.
+    """
+    own = {item.key for item in plan}
+    profile = engine.cost_model().profile
+    return CampaignCostModel(
+        {key: entry for key, entry in profile.items() if key not in own},
+        scale=engine.scale,
+    )
 
 
 def run_shard_worker(
@@ -564,7 +417,6 @@ def run_shard_worker(
     benchmarks: Optional[Sequence[str]] = None,
     manifest: Optional[Union[str, pathlib.Path]] = None,
     strategy: str = "modulo",
-    steal: bool = False,
     **plan_kwargs: object,
 ) -> ShardManifest:
     """Execute one shard of an experiment's plan and write its manifest.
@@ -575,89 +427,25 @@ def run_shard_worker(
     aborting the shard, so a bad point costs one manifest entry, not the
     whole slice.  Rerunning a shard against a surviving cache is a pure
     warm-up: every key hits, ``simulated`` stays 0, and the manifest is
-    rewritten to reflect the healthy state.
+    rewritten to reflect the healthy state — which is how a dead shard is
+    repaired.
 
-    ``strategy="cost"`` plans the bins by predicted wall time (calibrated
-    from the cache directory's cost profile when one exists).  ``steal``
-    turns on work stealing: the worker claims each cold key through the
-    cache directory's :class:`ClaimBoard` before simulating it, and after
-    draining its own bin absorbs unfinished keys of the whole plan — so
-    all stealing workers must share one ``--cache-dir``.  A key some peer
-    already claimed is skipped (exactly-once by ``O_EXCL``); merged output
-    stays byte-identical to serial regardless of who ran what.
+    ``strategy="cost"`` plans the bins by predicted wall time (see
+    :func:`planning_model`).
     """
     from .registry import resolve_plan  # local import: registry imports experiments
 
     engine = runner.engine
     if engine.disk_cache is None:
         raise ExperimentError("shard workers require --cache-dir (the cache is the shard output)")
-    cache_dir = engine.disk_cache.directory
-    model = cost_model_for(cache_dir, runner.scale) if strategy == "cost" else None
-    plan = ShardPlan(
-        resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs),
-        shard.count,
-        strategy=strategy,
-        cost_model=model,
-    )
-    mine = plan.shard(shard)
-    claims = ClaimBoard(cache_dir, cache=engine.disk_cache) if steal else None
+    resolved = resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs)
+    model = planning_model(engine, resolved) if strategy == "cost" else None
+    mine = ShardPlan(resolved, shard.count, strategy=strategy, cost_model=model).shard(shard)
     failures: Dict[str, CampaignRunError] = {}
     hits_before = engine.memory_hits + engine.disk_hits
     simulated_before = engine.simulations_run
     started = time.perf_counter()
-
-    def _settle(claimed: Iterable[ResolvedRun]) -> None:
-        # A claim's job ends when the key's cache entry exists (the entry is
-        # the durable dedup); failed keys keep their claim so peers do not
-        # re-attempt a deterministic failure — staleness handling lets a
-        # *later* campaign retry them.
-        for item in claimed:
-            if item.key in engine.disk_cache:
-                claims.release(item.key)
-
-    if claims is not None:
-        # Warm keys need no claim (already simulated); cold keys are claimed
-        # before running so a stealing peer can never duplicate them.  A
-        # cold key whose claim predates this campaign belongs to a dead
-        # worker — the bin owner reclaims it, so a killed ``--steal`` run
-        # never permanently blocks its keys (the bug this fixed).
-        mine = [
-            item
-            for item in mine
-            if item.key in engine.disk_cache
-            or claims.claim(item.key, owner=f"shard {shard} own")
-            or claims.reclaim(item.key, owner=f"shard {shard} reclaimed")
-        ]
     engine.run_many([item.request for item in mine], failures=failures)
-    if claims is not None:
-        _settle(mine)
-    stolen: List[ResolvedRun] = []
-    if claims is not None:
-        owner = plan.assignment()
-        # Steal most-expensive-first (predicted), key tie-break: the same
-        # LPT intuition — absorb the biggest outstanding chunks first.
-        foreign = sorted(
-            (item for item in plan.runs if owner[item.key] != shard.index),
-            key=lambda item: (-plan.predicted_cost(item.key), item.key),
-        )
-        for item in foreign:
-            if item.key in engine.disk_cache:
-                continue
-            if not (
-                claims.claim(item.key, owner=f"shard {shard} stolen")
-                or claims.reclaim(item.key, owner=f"shard {shard} restolen")
-            ):
-                continue
-            stolen.append(item)
-            engine.run_many([item.request], failures=failures)
-            _settle([item])
-    wall = time.perf_counter() - started
-    attempted = mine + stolen
-    timings = {
-        item.key: round(engine.key_timings[item.key], 6)
-        for item in attempted
-        if item.key in engine.key_timings
-    }
     record = ShardManifest(
         experiment=experiment,
         shard_index=shard.index,
@@ -665,24 +453,19 @@ def run_shard_worker(
         scale=runner.scale,
         seed=runner.seed,
         benchmarks=list(benchmarks) if benchmarks is not None else None,
-        keys=[item.key for item in attempted],
+        keys=[item.key for item in mine],
         cached_hits=engine.memory_hits + engine.disk_hits - hits_before,
         simulated=engine.simulations_run - simulated_before,
         failures={key: error.to_dict() for key, error in failures.items()},
-        wall_time_s=wall,
-        key_timings=timings,
-        stolen_keys=[item.key for item in stolen],
+        wall_time_s=time.perf_counter() - started,
+        key_timings={
+            item.key: round(engine.key_timings[item.key], 6)
+            for item in mine
+            if item.key in engine.key_timings
+        },
         strategy=strategy,
     )
-    destination = manifest or manifest_path(cache_dir, experiment, shard)
-    record.write(destination)
-    if timings:
-        # Feed the observations back so the *next* cost-planned campaign
-        # over this cache directory is calibrated (merge_shards unions the
-        # same data across shard directories).
-        observer = model or cost_model_for(None, runner.scale)
-        resolved_by_key = {item.key: item for item in plan.runs}
-        store_cost_profile(cache_dir, observer.observations_for(timings, resolved_by_key))
+    record.write(manifest or manifest_path(engine.disk_cache.directory, experiment, shard))
     return record
 
 
@@ -722,6 +505,8 @@ class MergeReport:
             count = counts.pop()
             owners = sorted({shard_of(key, count) + 1 for key in self.missing_keys})
             hint = f"rerun shards {owners} of {count} and re-merge"
+        elif self.missing_shards:
+            hint = f"rerun shards {self.missing_shards} (no manifest) and re-merge"
         else:
             hint = "rerun the shards that produced no manifest and re-merge"
         failed = [key for key in self.missing_keys if key in self.failures]
@@ -793,12 +578,6 @@ def merge_shards(
         resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs), count=1
     )
     missing = [key for key in planned.keys() if key not in destination]
-    if (dest_root / CLAIMS_DIRNAME).is_dir():
-        # Sweep satisfied work-stealing claims (claim present, key cached —
-        # a worker crashed between simulating and releasing): the merge is
-        # the campaign's natural end, and stale scratch left behind would
-        # otherwise shadow the next campaign's claim board.
-        ClaimBoard(dest_root).release_satisfied(destination)
     failures: Dict[str, Dict[str, object]] = {}
     seen_shards: Dict[int, int] = {}
     timings: Dict[str, float] = {}
@@ -810,7 +589,7 @@ def merge_shards(
         # Union every shard's per-key observations into the destination's
         # persistent cost profile — the calibration corpus of the next
         # cost-planned campaign over this cache.
-        observer = cost_model_for(None, runner.scale)
+        observer = CampaignCostModel(scale=runner.scale)
         resolved_by_key = {item.key: item for item in planned.runs}
         store_cost_profile(
             dest_root, observer.observations_for(timings, resolved_by_key)

@@ -22,8 +22,7 @@ Each entry is ``kind@site[:selector][xT]``:
   ``sim`` (worker simulation body), ``cache-read`` (:meth:`ResultCache.get`),
   ``commit`` (cache entry publication, *between* tmp write and rename —
   a ``crash`` here leaves an orphaned ``*.tmp`` file), ``merge``
-  (:func:`merge_shards`), ``claim`` (work-stealing claim acquisition) and
-  ``serve`` (daemon request handling).
+  (:func:`merge_shards`) and ``serve`` (daemon request handling).
 
 * **selector** — when the fault fires.  ``:N`` fires on the N-th hit of the
   site in this process (a per-site counter); ``:key%M`` fires for every key
@@ -60,7 +59,7 @@ CRASH_EXIT_CODE = 86
 
 FAULT_KINDS = ("crash", "hang", "error", "corrupt")
 
-FAULT_SITES = ("sim", "cache-read", "commit", "merge", "claim", "serve")
+FAULT_SITES = ("sim", "cache-read", "commit", "merge", "serve")
 
 #: Default sleep of a ``hang`` fault; long enough that any realistic
 #: watchdog deadline trips first.

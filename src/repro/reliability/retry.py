@@ -1,8 +1,9 @@
 """Bounded retry with deterministic exponential backoff.
 
 :class:`RetryPolicy` is the single retry vocabulary of the campaign stack:
-:meth:`CampaignEngine.run_many` requeues transiently-failed keys through it
-(both the pool and the serial path), and the chaos suite asserts its bounds
+the one simulation loop of :meth:`CampaignEngine.run_many` (serial runs,
+pool batches, shard workers and the results daemon) requeues
+transiently-failed keys through it, and the chaos suite asserts its bounds
 (every key simulated at most ``max_attempts`` times).
 
 **Transient vs permanent.**  A simulation is a pure function of its

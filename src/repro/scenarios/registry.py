@@ -5,9 +5,9 @@ under which runtimes and schedulers — and the registry turns each bundle
 into a first-class experiment (``scenario_<name>``) registered alongside
 the paper's figures/tables.  That single wiring point is what buys every
 scenario the whole campaign stack for free: canonical run keys, the disk
-cache, ``--jobs`` fan-out, shard planning/merging, work stealing and the
-results daemon all operate on experiment names and plans, never on what
-the experiment means.
+cache, ``--jobs`` fan-out, shard planning/merging and the results daemon
+all operate on experiment names and plans, never on what the experiment
+means.
 
 Each bundle has pinned golden CSV digests and per-runtime cycle counts in
 ``tests/test_scenarios.py`` (same contract as ``GOLDEN_CSV_DIGESTS`` /

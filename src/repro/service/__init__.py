@@ -8,7 +8,8 @@ from memory instead of paying a cold CLI process per request
 
 * :class:`~repro.service.server.ResultsService` — the daemon: request
   routing, per-parameter :class:`~repro.experiments.campaign.CampaignEngine`
-  pool, bounded ``ProcessPoolExecutor`` simulation offload.
+  pool, simulation offload through the engine's retrying, watchdogged loop
+  (at most ``workers`` simulating processes).
 * :class:`~repro.service.singleflight.SingleFlight` — coalesces concurrent
   identical work by canonical run key (N clients, one simulation).
 * :class:`~repro.service.jobs.JobTable` — per-request progress records in

@@ -5,14 +5,13 @@
 
 * one :class:`~repro.experiments.cache.ResultCache` — every request's
   engine reads and writes the same on-disk store;
-* one built-``TaskProgram`` cache — scheduler/runtime sweeps across
-  *requests* reuse the same immutable programs;
 * a bounded pool of :class:`~repro.experiments.campaign.CampaignEngine`
   instances keyed by ``(scale, seed)`` — the in-memory memo of a
   warm parameter set;
-* a bounded ``ProcessPoolExecutor`` — simulations run in worker processes
-  (the engine's own picklable ``_simulate_entry`` body), so the event loop
-  never blocks on a simulation;
+* simulation offload through the engine's own loop
+  (:meth:`~repro.experiments.campaign.CampaignEngine.run_many`, with its
+  retries and watchdog) in a worker thread, so the event loop never blocks
+  on a simulation and at most ``workers`` simulating processes run at once;
 * a :class:`~repro.service.singleflight.SingleFlight` group keyed by
   canonical run key — N concurrent identical requests cost one simulation
   per key.
@@ -33,20 +32,13 @@ import asyncio
 import pathlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 import json
 
 from ..errors import ExperimentError
 from ..reliability.faults import maybe_fault
 from ..experiments.cache import ResultCache
-from ..experiments.campaign import (
-    _ERROR_MARKER,
-    _simulate_entry,
-    CampaignEngine,
-    CampaignRunError,
-    ResolvedRun,
-)
+from ..experiments.campaign import CampaignEngine, CampaignRunError, ResolvedRun
 from ..experiments.common import SimulationRunner
 from ..experiments.registry import (
     canonical_name,
@@ -136,12 +128,14 @@ class ResultsService:
         #: ``workers``) before new renders are refused with 503.
         self.queue_budget = queue_budget
         self.failure_ttl_s = failure_ttl_s
-        #: Built task programs shared by every engine (keys embed scale/seed).
-        self.programs: Dict[tuple, object] = {}
         self.engines: Dict[tuple, CampaignEngine] = {}
         self.flights = SingleFlight()
         self.jobs = JobTable()
-        self.executor: Optional[ProcessPoolExecutor] = None
+        #: One slot per simulating process: each flight runs one key through
+        #: its engine's loop, which simulates it in a one-process pool.
+        self._sim_slots = asyncio.Semaphore(workers)
+        #: Recovery counters of engines dropped from :attr:`engines`.
+        self._evicted_reliability = {"retries": 0, "watchdog_kills": 0}
         self.started_at = time.time()
         #: Serializes render sections per engine (simulations stay parallel:
         #: the lock is only held around memo lookups and row assembly).
@@ -151,7 +145,7 @@ class ResultsService:
         #: until the TTL lapses instead of re-simulating in a hot loop.
         self._failures: Dict[str, Tuple[float, str]] = {}
         self.failure_cache_hits = 0
-        #: Simulations currently submitted to the executor.
+        #: Simulations in flight (simulating or waiting for a slot).
         self.inflight_sims = 0
         #: Renders refused because the simulation queue exceeded budget.
         self.rejected_busy = 0
@@ -173,12 +167,16 @@ class ResultsService:
             engine = CampaignEngine(
                 scale=request.scale,
                 seed=request.seed,
+                # Never 1: a single-worker daemon still simulates in a pool
+                # process (crash isolation, watchdog), not on its own threads.
+                jobs=max(2, self.workers),
                 disk_cache=self.cache,
-                program_cache=self.programs,
             )
             if len(self.engines) >= self.ENGINE_LIMIT:
                 evicted = next(iter(self.engines))
-                del self.engines[evicted]
+                dropped = self.engines.pop(evicted).reliability_info()
+                for name in self._evicted_reliability:
+                    self._evicted_reliability[name] += dropped[name]
                 self._render_locks.pop(evicted, None)
             self.engines[key] = engine
             self._render_locks[key] = asyncio.Lock()
@@ -188,11 +186,13 @@ class ResultsService:
         return self._render_locks[(request.scale, request.seed)]
 
     async def _simulate(self, engine: CampaignEngine, resolved: ResolvedRun) -> None:
-        """Simulate one resolved run in the worker pool and commit it.
+        """Simulate one resolved run through its engine's loop.
 
-        Coalesced by canonical key across *all* concurrent requests and
-        engines: joiners of a flight started by another engine re-probe the
-        shared disk cache once the flight lands.
+        The loop retries transient failures (a crashed or hung worker) and
+        commits the result; it runs in a worker thread, holding one of the
+        ``workers`` simulation slots.  Coalesced by canonical key across
+        *all* concurrent requests and engines: joiners of a flight started
+        by another engine re-probe the shared disk cache once it lands.
         """
 
         self._check_failure_cache(resolved.key)
@@ -202,30 +202,19 @@ class ResultsService:
                 # A previous flight for this key landed between our caller's
                 # cache probe and takeoff — nothing left to simulate.
                 return
-            loop = asyncio.get_running_loop()
             self.inflight_sims += 1
             try:
-                key, result_dict, seconds = await loop.run_in_executor(
-                    self.executor, _simulate_entry, engine.payload_for(resolved)
-                )
-            finally:
-                self.inflight_sims -= 1
-            marker = result_dict.get(_ERROR_MARKER)
-            if marker is not None:
-                error = CampaignRunError(
-                    key,
-                    marker["params"],
-                    marker["error_type"],
-                    marker["error_message"],
-                    marker["traceback"],
-                )
+                async with self._sim_slots:
+                    await asyncio.to_thread(engine.run_many, [resolved.request])
+            except CampaignRunError as error:
                 # Negative-TTL cache: until the TTL lapses, repeat requests
                 # for this poison key are answered without resimulating.
-                self._failures[key] = (
+                self._failures[error.key] = (
                     time.monotonic() + self.failure_ttl_s, str(error)
                 )
-                raise error
-            engine.commit_serialized(key, result_dict, seconds)
+                raise
+            finally:
+                self.inflight_sims -= 1
 
         await self.flights.run(resolved.key, flight)
         if engine.cached(resolved) is None:
@@ -302,6 +291,7 @@ class ResultsService:
                     "joined": self.flights.joined,
                 },
                 "reliability": {
+                    **self._engine_reliability(),
                     "inflight_sims": self.inflight_sims,
                     "queue_budget": self.queue_budget,
                     "rejected_busy": self.rejected_busy,
@@ -314,6 +304,15 @@ class ResultsService:
             }
         )
         return 200, body, "application/json", {}
+
+    def _engine_reliability(self) -> Dict[str, int]:
+        """Simulation retries and watchdog strikes of every engine so far."""
+        totals = dict(self._evicted_reliability)
+        for engine in self.engines.values():
+            info = engine.reliability_info()
+            for name in totals:
+                totals[name] += info[name]
+        return totals
 
     async def handle_job(self, job_id: str) -> Tuple[int, bytes, str, Dict[str, str]]:
         job = self.jobs.get(job_id)
@@ -526,39 +525,34 @@ class ResultsService:
         """Run until cancelled.  ``ready``/``bound`` exist for test harnesses:
         ``bound`` receives the actual ``(host, port)`` (``port=0`` binds an
         ephemeral one) before ``ready`` is set."""
-        self.executor = ProcessPoolExecutor(max_workers=self.workers)
         server = await asyncio.start_server(self.handle_connection, host, port)
-        try:
-            address = server.sockets[0].getsockname()[:2]
-            if bound is not None:
-                bound.append(address)
-            self.log(
-                f"listening on http://{address[0]}:{address[1]} "
-                f"(cache={self.cache.directory if self.cache is not None else 'memory-only'}, "
-                f"workers={self.workers})"
-            )
-            if ready is not None:
-                ready.set()
-            async with server:
-                try:
-                    await server.serve_forever()
-                except asyncio.CancelledError:
-                    # Graceful drain: stop accepting, let in-flight requests
-                    # finish (bounded), then tear the pool down.
-                    self.draining = True
-                    server.close()
-                    deadline = time.monotonic() + self.DRAIN_TIMEOUT_S
-                    while self._active_requests and time.monotonic() < deadline:
-                        await asyncio.sleep(0.05)
-                    if self._active_requests:
-                        self.log(
-                            f"drain timeout: {self._active_requests} "
-                            "requests still in flight"
-                        )
-                    raise
-        finally:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = None
+        address = server.sockets[0].getsockname()[:2]
+        if bound is not None:
+            bound.append(address)
+        self.log(
+            f"listening on http://{address[0]}:{address[1]} "
+            f"(cache={self.cache.directory if self.cache is not None else 'memory-only'}, "
+            f"workers={self.workers})"
+        )
+        if ready is not None:
+            ready.set()
+        async with server:
+            try:
+                await server.serve_forever()
+            except asyncio.CancelledError:
+                # Graceful drain: stop accepting, let in-flight requests
+                # finish (bounded).
+                self.draining = True
+                server.close()
+                deadline = time.monotonic() + self.DRAIN_TIMEOUT_S
+                while self._active_requests and time.monotonic() < deadline:
+                    await asyncio.sleep(0.05)
+                if self._active_requests:
+                    self.log(
+                        f"drain timeout: {self._active_requests} "
+                        "requests still in flight"
+                    )
+                raise
 
 
 def _require(method: str, expected: str) -> None:

@@ -104,6 +104,24 @@ def available_workloads() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def workload_factory(name: str) -> WorkloadFactory:
+    """The generator registered under ``name``; ``ConfigurationError`` if none."""
+    key = name.lower()
+    if key not in _REGISTRY and key.startswith(("gen_", "trace_")):
+        # Scenario workloads register lazily so campaign pool workers (fresh
+        # processes that only ever see a workload *name*) can rebuild them
+        # without the parent having imported repro.scenarios first.
+        from ..scenarios.generative import register_builtin_workloads
+
+        register_builtin_workloads()
+    try:
+        return _REGISTRY[key]
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
+        ) from exc
+
+
 def create_workload(
     name: str,
     scale: float = 1.0,
@@ -117,21 +135,7 @@ def create_workload(
     ``runtime`` ('software' or 'tdm') selects that runtime's optimal
     granularity from Table II (defaulting to the software one).
     """
-    key = name.lower()
-    if key not in _REGISTRY and key.startswith(("gen_", "trace_")):
-        # Scenario workloads register lazily so campaign pool workers (fresh
-        # processes that only ever see a workload *name*) can rebuild them
-        # without the parent having imported repro.scenarios first.
-        from ..scenarios.generative import register_builtin_workloads
-
-        register_builtin_workloads()
-    try:
-        factory = _REGISTRY[key]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
-        ) from exc
-    workload = factory(scale=scale, granularity=granularity, seed=seed)
+    workload = workload_factory(name)(scale=scale, granularity=granularity, seed=seed)
     if granularity is None and runtime is not None:
         workload = workload.for_runtime(runtime)
     return workload

@@ -7,17 +7,20 @@ results.  The canonical content hash must keep every such pair distinct.
 """
 
 import dataclasses
+import functools
 import json
+import multiprocessing
 import warnings
 
 import pytest
 
 from repro.config import DMUConfig, default_paper_config
 from repro.errors import ExperimentError
-from repro.experiments.cache import ResultCache, canonical_run_key
+from repro.experiments.cache import ResultCache, canonical_run_key, load_cost_profile
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import resolve_plan, run_experiment
+from repro.reliability.watchdog import Watchdog, WatchdogConfig
 from repro.sim.machine import SimulationResult, run_simulation
 
 from tests.util import diamond_program, make_config
@@ -399,18 +402,15 @@ class TestCachePruneEdgeCases:
 
     def test_manifests_inside_cache_dir_are_never_pruned_or_counted(self, tmp_path):
         # Every non-result artifact a campaign parks inside the cache dir —
-        # shard manifests, work-stealing claims, the cost profile — must be
-        # invisible to entry enumeration, pruning, clearing and merging.
+        # shard manifests, the cost profile — must be invisible to entry
+        # enumeration, pruning, clearing and merging.
         cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
         manifest = cache.directory / "manifests" / "figure_10.shard-1-of-2.json"
         manifest.parent.mkdir()
         manifest.write_text('{"experiment": "figure_10"}', encoding="utf-8")
-        claim = cache.directory / "claims" / ("cd" * 32 + ".claim")
-        claim.parent.mkdir()
-        claim.write_text("shard 1/3 own\n", encoding="utf-8")
         profile = cache.directory / "cost_profile.json"
         profile.write_text('{"version": 1, "timings": {}}', encoding="utf-8")
-        artifacts = (manifest, claim, profile)
+        artifacts = (manifest, profile)
         assert len(cache) == 1
         stray = cache.total_bytes()
         assert stray == cache.path_for("ab" + "0" * 62).stat().st_size
@@ -418,13 +418,10 @@ class TestCachePruneEdgeCases:
         assert all(path.exists() for path in artifacts)
         cache.clear()
         assert all(path.exists() for path in artifacts)
-        # Merging this cache into another copies results only — a peer's
-        # claim files must never leak into (and poison) another worker's
-        # claim board, and profiles merge through store_cost_profile, not
-        # as cache entries.
+        # Merging this cache into another copies results only — profiles
+        # merge through store_cost_profile, not as cache entries.
         other = self._cache_with_keys(tmp_path / "other", ["ef" + "0" * 62])
         assert other.merge_from(cache) == 0  # the only entry was pruned
-        assert not (other.directory / "claims").exists()
         assert not (other.directory / "cost_profile.json").exists()
 
     def test_midcampaign_eviction_never_loses_a_needed_result(self, tmp_path):
@@ -486,6 +483,27 @@ class TestRunManyFailureWrapping:
         assert error.params["benchmark"] == "qr"
         assert engine.cache_info()["simulations_run"] == 1  # survivor committed
 
+    def test_run_is_a_one_request_batch(self, broken_qr):
+        from repro.experiments.campaign import CampaignRunError
+
+        engine = CampaignEngine(scale=SCALE)
+        with pytest.raises(CampaignRunError) as excinfo:
+            engine.run(RunRequest("qr", "software"))
+        error = excinfo.value
+        assert error.error_type == "RuntimeError"
+        # A deterministic error is definitive: one attempt, no retry.
+        assert [record["attempt"] for record in error.attempts] == [1]
+        assert engine.retries == 0
+        assert "injected qr fault" in error.worker_traceback
+
+    def test_unknown_benchmark_fails_at_resolve(self):
+        from repro.errors import ConfigurationError
+
+        engine = CampaignEngine(scale=SCALE)
+        with pytest.raises(ConfigurationError, match="unknown workload"):
+            engine.resolve(RunRequest("no-such-benchmark", "software"))
+        assert engine.cache_info()["simulations_run"] == 0
+
     def test_failed_key_is_not_cached_anywhere(self, broken_qr, tmp_path):
         engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path / "cache")
         failures = {}
@@ -527,3 +545,70 @@ class TestProgramCache:
             for scheduler in ("fifo", "lifo")
         ]
         assert rows_shared == rows_fresh
+
+
+class TestSimulationLoop:
+    """Every path records its timings; the pool submits the module worker."""
+
+    @staticmethod
+    def _plan(engine):
+        return [
+            item.request
+            for item in resolve_plan(
+                "figure_12", SimulationRunner(engine=engine), benchmarks=["blackscholes"]
+            )
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_records_one_profile_entry_per_simulated_key(self, tmp_path, jobs):
+        engine = CampaignEngine(scale=0.05, jobs=jobs, cache_dir=tmp_path)
+        engine.run_many(self._plan(engine))
+        profile = load_cost_profile(tmp_path)
+        assert len(profile) == engine.cache_info()["simulations_run"] > 1
+        assert sorted(profile) == sorted(engine.key_timings)
+        for key, entry in profile.items():
+            assert entry["seconds"] == round(engine.key_timings[key], 6)
+            assert entry["units"] > 0
+
+    def test_fresh_engine_gets_calibrated_watchdog_deadlines(self, tmp_path):
+        first = CampaignEngine(scale=0.05, jobs=2, cache_dir=tmp_path)
+        plan = self._plan(first)
+        first.run_many(plan)
+        profile = load_cost_profile(tmp_path)
+        fresh = CampaignEngine(
+            scale=0.05, jobs=2, cache_dir=tmp_path,
+            watchdog_config=WatchdogConfig(slack=3.0, min_seconds=0.0),
+        )
+        assert fresh.cost_model().calibrated
+        assert not CampaignEngine(scale=0.05).cost_model().calibrated
+        watchdog = Watchdog(fresh.watchdog_config, fresh.cost_model())
+        try:
+            for request in plan:
+                item = fresh.resolve(request)
+                assert watchdog.deadline_for(item) == pytest.approx(
+                    3.0 * profile[item.key]["seconds"]
+                )
+        finally:
+            watchdog.cleanup()
+
+    def test_pool_submits_the_module_level_worker_body(self, tmp_path, monkeypatch):
+        # The worker body is looked up on the module at submit time, so a
+        # wrapper installed there (as the repository benchmark does) runs
+        # for every simulated key.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a patched worker body reaches the pool only by fork")
+        from repro.experiments import campaign
+
+        original = campaign._simulate_entry
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        @functools.wraps(original)
+        def marking_entry(payload):
+            (marks / payload["key"]).touch()
+            return original(payload)
+
+        monkeypatch.setattr(campaign, "_simulate_entry", marking_entry)
+        engine = CampaignEngine(scale=0.05, jobs=2)
+        engine.run_many(self._plan(engine))
+        assert sorted(path.name for path in marks.iterdir()) == sorted(engine.key_timings)

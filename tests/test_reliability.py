@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -28,6 +30,7 @@ from repro.errors import ExperimentError
 from repro.experiments.cache import (
     QUARANTINE_DIRNAME,
     ResultCache,
+    load_cost_profile,
     result_checksum,
 )
 from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
@@ -85,6 +88,7 @@ class TestFaultGrammar:
             "crash@sim:key%3=7",    # residue out of range
             "",                     # empty spec
             " , ,",                 # only separators
+            "crash@claim",          # site of the removed work stealing
         ],
     )
     def test_malformed_specs_raise(self, bad):
@@ -482,7 +486,65 @@ def raw_exchange(address, payload: bytes) -> bytes:
     return b"".join(chunks)
 
 
+class ChildProcessSampler:
+    """Peak number of live child processes while the ``with`` block runs."""
+
+    def __enter__(self):
+        self.peak = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+        return self
+
+    def _sample(self):
+        while not self._stop.is_set():
+            try:
+                self.peak = max(self.peak, len(multiprocessing.active_children()))
+            except RuntimeError:  # the child set changed while listed
+                pass
+            self._stop.wait(0.005)
+
+    def __exit__(self, *_exc):
+        self._stop.set()
+        self._thread.join()
+
+
 class TestDaemonDegradation:
+    def test_crashed_worker_is_retried_and_cold_renders_keep_serving(
+        self, tmp_path, monkeypatch
+    ):
+        # A pool worker that dies mid-simulation (os._exit) must cost the
+        # daemon one retry, not its pool: the crashed figure and the next
+        # cold figure both render the CLI bytes, with never more than
+        # `workers` simulating processes alive.
+        expected = {
+            name: experiment_output(name, SCALE, BENCHMARKS)[0]
+            for name in ("figure_12", "figure_09")
+        }
+        plan = resolve_plan("figure_12", SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
+        modulo = 3
+        assert any(int(item.key, 16) % modulo == 0 for item in plan)
+        monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "2")
+        monkeypatch.setenv("REPRO_RETRY_DELAY_S", "0")
+        faults.install_plan(parse_faults(f"crash@sim:key%{modulo}"))
+        with reliability_daemon(tmp_path / "cache") as live, ChildProcessSampler() as sampler:
+            first = live.render("figure_12", RENDER_BODY)
+            assert first[0] == 200, first[2]
+            engine = live.service.engines[(SCALE, 0)]
+            simulated = engine.simulations_run
+            second = live.render("figure_09", RENDER_BODY)
+            assert engine.simulations_run > simulated  # the second figure was cold
+            _, _, body = live.request("GET", "/healthz")
+        assert second[0] == 200, second[2]
+        assert first[2].decode() == expected["figure_12"]
+        assert second[2].decode() == expected["figure_09"]
+        health = json.loads(body)["reliability"]
+        assert health["retries"] >= 1
+        assert health["watchdog_kills"] >= 1
+        assert 1 <= sampler.peak <= live.service.workers
+        # The daemon's runs calibrate the cache's cost profile too.
+        assert len(load_cost_profile(tmp_path / "cache")) == engine.simulations_run
+
     def test_oversized_request_line_is_a_clean_400(self, tmp_path):
         with reliability_daemon(tmp_path / "cache") as live:
             response = raw_exchange(

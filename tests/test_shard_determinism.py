@@ -16,7 +16,6 @@ This module makes that promise executable:
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
 from repro.experiments.shard import (
     MANIFEST_VERSION,
-    ClaimBoard,
     ShardManifest,
     ShardSpec,
     manifest_path,
@@ -89,7 +87,7 @@ class TestDifferentialEquivalence:
 
 
 class TestCostAndStealDeterminism:
-    """Planning strategy and work stealing never reach the rendered bytes."""
+    """The cost-planning strategy never reaches the rendered bytes."""
 
     def test_cost_strategy_split_and_merge_is_byte_identical(
         self, serial_outputs, tmp_path
@@ -116,176 +114,59 @@ class TestCostAndStealDeterminism:
         profile = load_cost_profile(tmp_path / "merged")
         assert sorted(profile) == all_keys
 
-    def test_steal_absorbs_a_dead_shard_with_every_key_simulated_once(
+    def test_cost_shards_sharing_one_cache_partition_the_plan(
         self, serial_outputs, tmp_path
     ):
+        # Shards of one campaign run one after another into one cache, and
+        # every batch records its timings in that cache's cost profile — so
+        # each shard plans against a profile its peers have grown.  The
+        # plan's own observations must not move the bins: every key is
+        # still simulated by exactly one shard.
         figure = "figure_12"
+        manifests = run_all_shards(
+            figure, SCALE, BENCHMARKS, tmp_path, count=3, strategy="cost", shared=True
+        )
         planned = resolve_plan(figure, SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        shared = tmp_path / "shared"
-        # Shard 3 of 3 is a dead host: it never runs.  Shards 1 and 2 share
-        # one cache directory and steal.
-        manifests = []
-        for index in (1, 2):
-            runner = SimulationRunner(scale=SCALE, cache_dir=shared)
-            manifests.append(
-                run_shard_worker(
-                    figure,
-                    ShardSpec(index, 3),
-                    runner,
-                    benchmarks=BENCHMARKS,
-                    strategy="cost",
-                    steal=True,
-                )
-            )
-        # Exactly-once: each planned key was simulated by exactly one
-        # worker (key_timings records only *simulated* runs), and the two
-        # workers together simulated exactly the plan.
         simulated = sorted(key for manifest in manifests for key in manifest.key_timings)
         assert simulated == [item.key for item in planned]
         assert sum(manifest.simulated for manifest in manifests) == len(planned)
-        # Somebody stole the dead shard's bin.
-        assert any(manifest.stolen_keys for manifest in manifests)
-        assert all(not manifest.failures for manifest in manifests)
+        assert sorted(load_cost_profile(tmp_path / "shared")) == simulated
+        csv, markdown, merged = merge_and_render(
+            figure, SCALE, BENCHMARKS, tmp_path, count=3, sources=[tmp_path / "shared"]
+        )
+        assert (csv, markdown) == serial_outputs[figure]
+        assert merged.cache_info()["simulations_run"] == 0
 
-        # Merge is a completeness check over the shared dir — complete
-        # despite the dead host — and renders the exact serial bytes.
+    def test_dead_cost_shard_is_named_by_the_merge_and_repaired_by_rerun(
+        self, serial_outputs, tmp_path
+    ):
+        figure = "figure_12"
+        shared = tmp_path / "shared"
+
+        def shard(index):
+            runner = SimulationRunner(scale=SCALE, cache_dir=shared)
+            return run_shard_worker(
+                figure, ShardSpec(index, 3), runner, benchmarks=BENCHMARKS, strategy="cost"
+            )
+
+        shard(1)
+        shard(2)  # shard 3 is a dead host: it never runs
+        runner = SimulationRunner(scale=SCALE, cache_dir=shared)
+        report = merge_shards(figure, [shared], runner, benchmarks=BENCHMARKS)
+        assert report.missing_shards == [3]
+        with pytest.raises(ExperimentError, match=r"rerun shards \[3\]"):
+            report.verify()
+        rerun = shard(3)
+        assert rerun.simulated == len(report.missing_keys)
+        assert sorted(rerun.keys) == report.missing_keys
         csv, markdown, merged = merge_and_render(
             figure, SCALE, BENCHMARKS, tmp_path, count=3, sources=[shared]
         )
         assert (csv, markdown) == serial_outputs[figure]
         assert merged.cache_info()["simulations_run"] == 0
 
-    def test_steal_rerun_against_warm_shared_cache_simulates_nothing(self, tmp_path):
-        figure = "figure_10"
-        shared = tmp_path / "shared"
-        run_all_shards(
-            figure, SCALE, BENCHMARKS, tmp_path, count=2, strategy="cost",
-            steal=True, shared=True,
-        )
-        # Every worker rerun is a pure warm-up: warm keys need no claim, so
-        # even the already-claimed board cannot block convergence.
-        for index in (1, 2):
-            runner = SimulationRunner(scale=SCALE, cache_dir=shared)
-            rerun = run_shard_worker(
-                figure, ShardSpec(index, 2), runner, benchmarks=BENCHMARKS,
-                strategy="cost", steal=True,
-            )
-            assert rerun.simulated == 0
-            assert rerun.cached_hits == rerun.attempted
-
-    def test_claim_board_race_has_exactly_one_winner_per_key(self, tmp_path):
-        board = ClaimBoard(tmp_path / "cache")
-        keys = [f"{index:064x}" for index in range(64)]
-
-        def contend(worker):
-            return [key for key in keys if board.claim(key, owner=f"worker{worker}")]
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            wins = list(pool.map(contend, range(4)))
-        claimed = sorted(key for won in wins for key in won)
-        assert claimed == keys  # every key won exactly once across workers
-        assert board.claimed_keys() == keys
-        assert board.reset() == len(keys)
-        assert board.claimed_keys() == []
-
-    def test_stale_claims_from_a_killed_worker_do_not_block_the_rerun(
-        self, serial_outputs, tmp_path
-    ):
-        """The stale-claim regression: a ``--steal`` worker killed after
-        claiming (but before simulating) used to leave ``claims/*.claim``
-        scratch that made every later worker skip those keys forever — the
-        rerun never converged.  Pre-campaign claims are now reclaimed."""
-        figure = "figure_12"
-        shared = tmp_path / "shared"
-        planned = resolve_plan(figure, SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        # A killed worker claimed every key of the plan, simulated none.
-        board = ClaimBoard(shared)
-        for item in planned:
-            assert board.claim(item.key, owner="dead worker")
-        # Backdate the claims: a real rerun happens later than the crash,
-        # and staleness is judged against the new board's construction time.
-        import os
-        import time
-
-        past = time.time() - 600
-        for item in planned:
-            os.utime(board.path_for(item.key), (past, past))
-
-        manifests = []
-        for index in (1, 2):
-            runner = SimulationRunner(scale=SCALE, cache_dir=shared)
-            manifests.append(
-                run_shard_worker(
-                    figure, ShardSpec(index, 2), runner,
-                    benchmarks=BENCHMARKS, strategy="cost", steal=True,
-                )
-            )
-        simulated = sorted(key for manifest in manifests for key in manifest.key_timings)
-        assert simulated == [item.key for item in planned]
-        assert sum(manifest.simulated for manifest in manifests) == len(planned)
-        assert all(not manifest.failures for manifest in manifests)
-        csv, markdown, merged = merge_and_render(
-            figure, SCALE, BENCHMARKS, tmp_path, count=2, sources=[shared]
-        )
-        assert (csv, markdown) == serial_outputs[figure]
-        assert merged.cache_info()["simulations_run"] == 0
-
-    def test_completed_workers_release_their_claims(self, tmp_path):
-        run_all_shards(
-            "figure_10", SCALE, BENCHMARKS, tmp_path, count=2,
-            strategy="cost", steal=True, shared=True,
-        )
-        # Claims are in-flight markers: a healthy campaign leaves none.
-        assert ClaimBoard(tmp_path / "shared").claimed_keys() == []
-
-    def test_fresh_claims_are_respected_not_reclaimed(self, tmp_path):
-        board = ClaimBoard(tmp_path / "cache")
-        key = "ab" * 32
-        assert board.claim(key, owner="live peer")
-        later = ClaimBoard(tmp_path / "cache")
-        # The claim predates `later`'s construction by microseconds at most;
-        # force the unambiguous case by stamping it into the future.
-        import os
-        import time
-
-        ahead = time.time() + 600
-        os.utime(board.path_for(key), (ahead, ahead))
-        assert not later.reclaim(key, owner="impatient peer")
-        assert board.claimed_keys() == [key]
-
-    def test_claim_for_a_cached_key_is_ignored(self, tmp_path):
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        key = "cd" * 32
-        cache.put_serialized(key, {"marker": True})
-        board = ClaimBoard(tmp_path / "cache", cache=cache)
-        # Leftover claim for an already-cached key: swept, not a blocker.
-        orphan = ClaimBoard(tmp_path / "cache")
-        assert orphan.claim(key, owner="crashed after simulating")
-        assert board.claim(key, owner="current campaign")
-        assert board.release_satisfied() == 1
-        assert board.claimed_keys() == []
-
-    def test_merge_sweeps_satisfied_claims(self, tmp_path):
-        figure = "figure_10"
-        shared = tmp_path / "shared"
-        run_all_shards(
-            figure, SCALE, BENCHMARKS, tmp_path, count=2,
-            strategy="cost", steal=True, shared=True,
-        )
-        # Simulate a worker that crashed between caching and releasing:
-        # its keys are in the cache, its claims still on the board.
-        planned = resolve_plan(figure, SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        board = ClaimBoard(shared)
-        for item in planned:
-            board.claim(item.key, owner="crashed before releasing")
-        runner = SimulationRunner(scale=SCALE, cache_dir=shared)
-        merge_shards(figure, [shared], runner, benchmarks=BENCHMARKS).verify()
-        assert ClaimBoard(shared).claimed_keys() == []
-
     def test_manifest_reader_tolerates_versions(self):
-        v2 = ShardManifest(
+        current = ShardManifest(
             experiment="figure_10",
             shard_index=1,
             shard_count=2,
@@ -295,26 +176,35 @@ class TestCostAndStealDeterminism:
             keys=["ab" * 32],
             simulated=1,
             key_timings={"ab" * 32: 0.25},
-            stolen_keys=["ab" * 32],
             strategy="cost",
         )
-        assert ShardManifest.from_dict(v2.to_dict()) == v2
-        assert v2.manifest_version == MANIFEST_VERSION
+        assert ShardManifest.from_dict(current.to_dict()) == current
+        assert current.manifest_version == MANIFEST_VERSION == 3
+        assert "stolen_keys" not in current.to_dict()
 
-        # A v1 manifest predates key_timings/stolen_keys/strategy entirely.
+        # A v2 manifest also lists the keys its worker stole: still readable,
+        # the retired field is dropped.
+        v2 = ShardManifest.from_dict(
+            dict(current.to_dict(), manifest_version=2, stolen_keys=["ab" * 32])
+        )
+        assert v2.manifest_version == 2
+        assert v2.keys == current.keys and v2.key_timings == current.key_timings
+        assert v2.strategy == "cost"
+        assert "stolen_keys" not in v2.to_dict()
+
+        # A v1 manifest predates key_timings/strategy entirely.
         v1_payload = {
             name: value
-            for name, value in v2.to_dict().items()
-            if name not in ("key_timings", "stolen_keys", "strategy", "manifest_version")
+            for name, value in current.to_dict().items()
+            if name not in ("key_timings", "strategy", "manifest_version")
         }
         v1 = ShardManifest.from_dict(v1_payload)
         assert v1.manifest_version == 1
-        assert v1.key_timings == {} and v1.stolen_keys == [] and v1.strategy == "modulo"
-        assert " stolen" not in v1.summary()
+        assert v1.key_timings == {} and v1.strategy == "modulo"
 
         # Fields from a *future* writer are dropped, not fatal.
-        future = dict(v2.to_dict(), manifest_version=3, carbon_footprint_g=12.5)
-        assert ShardManifest.from_dict(future).keys == v2.keys
+        future = dict(current.to_dict(), manifest_version=4, carbon_footprint_g=12.5)
+        assert ShardManifest.from_dict(future).keys == current.keys
 
 
 class TestResumability:
@@ -372,6 +262,18 @@ class TestResumability:
 
 
 class TestFailureDiagnostics:
+    def test_shard_cli_has_no_steal_option(self, tmp_path, capsys):
+        from repro.experiments.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([
+                "figure_12", "--shard", "1/3", "--steal",
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert excinfo.value.code == 2
+        assert "--steal" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
     def test_worker_requires_cache_dir(self):
         runner = SimulationRunner(scale=SCALE)
         with pytest.raises(ExperimentError, match="cache-dir"):

@@ -62,7 +62,6 @@ def run_all_shards(
     shard_root: pathlib.Path,
     count: int,
     strategy: str = "modulo",
-    steal: bool = False,
     shared: bool = False,
 ) -> list[ShardManifest]:
     """Simulate every shard of an experiment into per-shard cache dirs.
@@ -70,7 +69,7 @@ def run_all_shards(
     Each shard gets a *fresh* runner — the same isolation N distinct hosts
     would have — persisting to ``<shard_root>/shard<i>``, or to one
     ``<shard_root>/shared`` directory with ``shared=True`` (the layout a
-    shared-filesystem or work-stealing campaign requires).
+    shared-filesystem campaign uses).
     """
     manifests = []
     for index in range(1, count + 1):
@@ -83,7 +82,6 @@ def run_all_shards(
                 runner,
                 benchmarks=benchmarks,
                 strategy=strategy,
-                steal=steal,
             )
         )
     return manifests
