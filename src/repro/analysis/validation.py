@@ -104,8 +104,8 @@ def validate_execution(program: TaskProgram, instances: Sequence[TaskInstance]) 
         if instance.finish_cycle < instance.start_cycle:
             raise ValidationError(f"task {instance.name!r} finished before it started")
 
-    # Programs are immutable and shared across simulations by the campaign
-    # engine's program cache, so the reference graph is memoized on the
+    # Programs are immutable and shared across simulations by the campaign's
+    # program memo, so the reference graph is memoized on the
     # program itself (one build per program instead of one per simulation).
     reference = getattr(program, "_reference_graph", None)
     if reference is None:

@@ -32,7 +32,7 @@ import pathlib
 import threading
 import time
 import warnings
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from ..config import SimulationConfig
 from ..reliability.faults import maybe_fault
@@ -47,8 +47,11 @@ CACHE_FORMAT_VERSION = 1
 #: that simulates into the cache (``CampaignEngine.run_many``) and by
 #: ``merge_shards``; read by the cost-aware shard planner and the pool
 #: watchdog.  Advisory data: it shapes *scheduling* only and never results,
-#: so concurrent last-writer-wins updates are acceptable.
+#: so last-writer-wins updates by concurrent processes are acceptable.
 COST_PROFILE_FILENAME = "cost_profile.json"
+
+#: Serializes this process's cost-profile read-merge-writes.
+_PROFILE_LOCK = threading.Lock()
 
 #: Subdirectory of a cache directory receiving torn/corrupt entry files
 #: (moved aside verbatim, with a ``.reason`` sidecar).  Not two hex chars,
@@ -99,7 +102,7 @@ def atomic_write(
 
 
 def canonical_run_key(
-    config: SimulationConfig,
+    config: Union[SimulationConfig, Mapping[str, object]],
     benchmark: str,
     scale: float,
     granularity: Optional[int] = None,
@@ -111,8 +114,12 @@ def canonical_run_key(
     ``granularity_runtime`` only matters when no explicit ``granularity`` is
     given (the workload generator ignores it otherwise), so it is normalized
     to ``None`` in that case — two requests that generate the identical
-    workload always map to the same key.
+    workload always map to the same key.  ``config`` may be given as its
+    :meth:`~repro.config.SimulationConfig.to_dict` form (the campaign
+    engine passes the dict it derived once); both hash the same bytes.
     """
+    if isinstance(config, SimulationConfig):
+        config = config.to_dict()
     payload = {
         "version": CACHE_FORMAT_VERSION,
         "benchmark": benchmark,
@@ -120,7 +127,7 @@ def canonical_run_key(
         "granularity": granularity,
         "granularity_runtime": None if granularity is not None else granularity_runtime,
         "workload_seed": seed,
-        "config": config.to_dict(),
+        "config": config,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -197,17 +204,20 @@ def store_cost_profile(
 
     With ``merge`` the existing profile is read first and new entries win on
     key collisions (fresher observations supersede stale ones).  The write
-    is atomic, but read-merge-write is not a transaction — acceptable for
-    advisory planning data (see :data:`COST_PROFILE_FILENAME`).
+    is atomic, and read-merge-write is serialized within a process (the
+    results daemon stores from several threads); across processes it is
+    not a transaction — acceptable for advisory planning data (see
+    :data:`COST_PROFILE_FILENAME`).
     """
-    merged = dict(load_cost_profile(directory)) if merge else {}
-    merged.update(entries)
     path = pathlib.Path(directory) / COST_PROFILE_FILENAME
-    document = {
-        "version": CACHE_FORMAT_VERSION,
-        "timings": {key: merged[key] for key in sorted(merged)},
-    }
-    atomic_write(path, json.dumps(document, indent=2, sort_keys=True))
+    with _PROFILE_LOCK:
+        merged = dict(load_cost_profile(directory)) if merge else {}
+        merged.update(entries)
+        document = {
+            "version": CACHE_FORMAT_VERSION,
+            "timings": {key: merged[key] for key in sorted(merged)},
+        }
+        atomic_write(path, json.dumps(document, indent=2, sort_keys=True))
     return path
 
 

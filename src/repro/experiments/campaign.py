@@ -26,11 +26,12 @@ them through :meth:`run_many` when ``--jobs`` is greater than one.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import pathlib
 import time
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import DMUConfig, SimulationConfig, default_paper_config
@@ -39,6 +40,7 @@ from ..reliability.faults import active_spec, ensure_plan, maybe_fault
 from ..reliability.retry import RetryPolicy
 from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
 from ..runtime.cost_model import CampaignCostModel
+from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
 from ..workloads.registry import create_workload, workload_factory
 from .cache import ResultCache, canonical_run_key, load_cost_profile, store_cost_profile
@@ -145,6 +147,56 @@ class ResolvedRun:
     #: Runtime whose Table-II optimal granularity shapes the workload when
     #: the request gives no explicit granularity; None otherwise.
     workload_runtime: Optional[str]
+    #: ``config.to_dict()``, derived once per engine and shared by every run
+    #: with the same runtime, scheduler and DMU: the dict the key hashes and
+    #: pool payloads ship.  Read-only.
+    config_dict: Dict[str, object] = field(compare=False, repr=False)
+
+
+#: Built programs kept by :func:`build_program`.  Workload sweeps (the
+#: granularity figures) produce many distinct programs; keys are tiny but
+#: programs are not.
+_PROGRAM_MEMO_SIZE = 16
+
+
+def build_program(
+    benchmark: str,
+    scale: float,
+    granularity: Optional[int],
+    workload_runtime: Optional[str],
+    seed: int,
+) -> TaskProgram:
+    """The task program of one workload point, built once per process.
+
+    The one program memo of both execution paths: in-process runs and pool
+    workers call it alike.  Sweeps that vary only the runtime, scheduler or
+    DMU (every scheduler figure, the runtime comparisons) re-simulate the
+    *same* program.  Sharing is safe: :class:`TaskProgram` and everything it
+    references are immutable, and all per-run state lives in the
+    :class:`TaskInstance` objects the runtime materializes.  The memo key is
+    every build input, and generation is deterministic in them, so a
+    memoized program is indistinguishable from a rebuilt one.
+    """
+    return _memoized_program(
+        workload_factory(benchmark), benchmark, scale, granularity, workload_runtime, seed
+    )
+
+
+@functools.lru_cache(maxsize=_PROGRAM_MEMO_SIZE)
+def _memoized_program(
+    factory: object,
+    benchmark: str,
+    scale: float,
+    granularity: Optional[int],
+    workload_runtime: Optional[str],
+    seed: int,
+) -> TaskProgram:
+    # ``factory`` only keys the memo: a name re-registered with another
+    # generator (``register_workload(..., replace=True)``) is rebuilt.
+    workload = create_workload(
+        benchmark, scale=scale, granularity=granularity, runtime=workload_runtime, seed=seed
+    )
+    return workload.build_program()
 
 
 def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object], float]:
@@ -172,14 +224,14 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             write_heartbeat(heartbeat_dir, payload["key"], attempt)
         maybe_fault("sim", payload["key"], attempt)
         config = SimulationConfig.from_dict(payload["config"])
-        workload = create_workload(
+        program = build_program(
             payload["benchmark"],
-            scale=payload["scale"],
-            granularity=payload["granularity"],
-            runtime=payload["workload_runtime"],
-            seed=payload["seed"],
+            payload["scale"],
+            payload["granularity"],
+            payload["workload_runtime"],
+            payload["seed"],
         )
-        result = run_simulation(workload.build_program(), config)
+        result = run_simulation(program, config)
     except Exception as error:  # noqa: BLE001 - reported with full context
         marker = _error_marker(
             _run_params(payload), type(error).__name__, str(error), traceback.format_exc()
@@ -209,9 +261,16 @@ class CampaignEngine:
       (``docs/determinism.md``).  Failures surface as
       :class:`CampaignRunError` carrying the key, workload parameters and
       attempt history, never raw pool tracebacks.
+    * **Derived once** — resolution is memoized per engine: each distinct
+      :class:`RunRequest` is keyed once, and each distinct runtime,
+      scheduler and DMU gets one validated config and one ``to_dict()``,
+      shared by the key and the pool payloads.  The memos live on the
+      engine because ``scale``, ``seed`` and ``base_config`` are fixed at
+      construction.
     * **Program reuse** — identical workload points share one immutable
-      built :class:`~repro.runtime.task.TaskProgram` (scheduler and
-      runtime sweeps re-simulate the same program object).
+      built :class:`~repro.runtime.task.TaskProgram` through the bounded
+      module-level :func:`build_program` memo, in-process and in every
+      pool worker alike.
     """
 
     def __init__(
@@ -251,14 +310,11 @@ class CampaignEngine:
         #: :meth:`prune_disk_cache`.
         self.cache_max_bytes = cache_max_bytes
         self._memo: Dict[str, SimulationResult] = {}
-        #: Built task programs keyed by their workload parameters.  Sweeps
-        #: that vary only the runtime/scheduler/DMU (every scheduler figure,
-        #: the runtime-comparison figures) re-simulate the *same* immutable
-        #: program, so rebuilding it per run was pure overhead.  Bounded FIFO
-        #: (workload sweeps such as the granularity figures produce many
-        #: distinct programs; keys are tiny but programs are not).  Used by
-        #: in-process simulation (``jobs == 1``); pool workers build their own.
-        self._program_cache: Dict[tuple, object] = {}
+        #: Resolution memos (see :meth:`resolve`): requests already keyed,
+        #: and the validated config + its ``to_dict()`` per runtime,
+        #: scheduler and DMU.
+        self._resolved: Dict[RunRequest, ResolvedRun] = {}
+        self._configs: Dict[tuple, Tuple[SimulationConfig, Dict[str, object]]] = {}
         #: Retry policy for transiently failed runs (crashed/hung workers,
         #: injected faults); permanent simulation errors never retry.
         self.retry_policy = retry_policy or RetryPolicy.from_env()
@@ -280,41 +336,23 @@ class CampaignEngine:
         #: (shard manifests persist it as ``key_timings``).
         self.key_timings: Dict[str, float] = {}
 
-    _PROGRAM_CACHE_LIMIT = 16
-
-    def _build_program(
-        self,
-        benchmark: str,
-        granularity: Optional[int],
-        workload_runtime: Optional[str],
-    ):
-        """Build (or reuse) the task program for one workload point.
-
-        Safe to share across simulations: :class:`TaskProgram` and everything
-        it references (regions, definitions, dependence specs) are immutable;
-        all per-run state lives in the :class:`TaskInstance` objects the
-        runtime materializes from the definitions.  Workload generation is
-        deterministic in the key parameters, so a cached program is
-        indistinguishable from a rebuilt one.
-        """
-        key = (benchmark, self.scale, granularity, workload_runtime, self.seed)
-        program = self._program_cache.get(key)
-        if program is None:
-            workload = create_workload(
-                benchmark,
-                scale=self.scale,
-                granularity=granularity,
-                runtime=workload_runtime,
-                seed=self.seed,
-            )
-            program = workload.build_program()
-            cache = self._program_cache
-            if len(cache) >= self._PROGRAM_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
-            cache[key] = program
-        return program
-
     # ------------------------------------------------------------------ resolution
+    def _config_entry(
+        self, runtime: str, scheduler: str, dmu: Optional[DMUConfig]
+    ) -> Tuple[SimulationConfig, Dict[str, object]]:
+        """The validated config of one runtime/scheduler/DMU and its dict."""
+        signature = (runtime, scheduler, dmu)
+        entry = self._configs.get(signature)
+        if entry is None:
+            config = replace(
+                self.base_config, runtime=runtime, scheduler=scheduler, seed=self.seed
+            )
+            if dmu is not None:
+                config = replace(config, dmu=dmu)
+            config = config.validated()
+            entry = self._configs[signature] = (config, config.to_dict())
+        return entry
+
     def config_for(
         self,
         runtime: str,
@@ -322,21 +360,22 @@ class CampaignEngine:
         dmu: Optional[DMUConfig] = None,
     ) -> SimulationConfig:
         """The full simulation configuration for one runtime/scheduler/DMU."""
-        config = replace(
-            self.base_config, runtime=runtime, scheduler=scheduler, seed=self.seed
-        )
-        if dmu is not None:
-            config = replace(config, dmu=dmu)
-        return config.validated()
+        return self._config_entry(runtime, scheduler, dmu)[0]
 
     def resolve(self, request: RunRequest) -> ResolvedRun:
         """Attach the canonical key and effective configuration to a request.
 
-        An unknown benchmark raises ``ConfigurationError`` here: it has no
-        simulation, so it gets no key.
+        Memoized per engine: a repeated request returns the same
+        :class:`ResolvedRun`.  An unknown benchmark raises
+        ``ConfigurationError`` here: it has no simulation, so it gets no key.
         """
+        resolved = self._resolved.get(request)
+        if resolved is not None:
+            return resolved
         workload_factory(request.benchmark)
-        config = self.config_for(request.runtime, request.scheduler, request.dmu)
+        config, config_dict = self._config_entry(
+            request.runtime, request.scheduler, request.dmu
+        )
         workload_runtime: Optional[str]
         if request.granularity is not None:
             workload_runtime = None
@@ -347,14 +386,16 @@ class CampaignEngine:
         else:
             workload_runtime = "software"
         key = canonical_run_key(
-            config,
+            config_dict,
             benchmark=request.benchmark,
             scale=self.scale,
             granularity=request.granularity,
             granularity_runtime=workload_runtime,
             seed=self.seed,
         )
-        return ResolvedRun(request, key, config, workload_runtime)
+        resolved = ResolvedRun(request, key, config, workload_runtime, config_dict)
+        self._resolved[request] = resolved
+        return resolved
 
     # ------------------------------------------------------------------ lookup
     def _lookup(self, resolved: ResolvedRun) -> Optional[SimulationResult]:
@@ -395,7 +436,7 @@ class CampaignEngine:
             "granularity": resolved.request.granularity,
             "workload_runtime": resolved.workload_runtime,
             "seed": self.seed,
-            "config": resolved.config.to_dict(),
+            "config": resolved.config_dict,
         }
 
     # ------------------------------------------------------------------ running
@@ -649,8 +690,9 @@ class CampaignEngine:
         """
         maybe_fault("sim", resolved.key, attempt)
         request = resolved.request
-        program = self._build_program(
-            request.benchmark, request.granularity, resolved.workload_runtime
+        program = build_program(
+            request.benchmark, self.scale, request.granularity,
+            resolved.workload_runtime, self.seed,
         )
         if self.verbose:  # pragma: no cover - console feedback only
             print(

@@ -37,8 +37,8 @@ Examples::
     tdm-repro figure_12 --scale 0.2 --shard 2/3 --shard-strategy cost --cache-dir cache
     tdm-repro figure_12 --scale 0.2 --shard 3/3 --shard-strategy cost --cache-dir cache
 
-    # Long-running results daemon: one ResultCache and program cache serve
-    # every request; repeated sweeps cost zero simulations
+    # Long-running results daemon: one ResultCache serves every
+    # request; repeated sweeps cost zero simulations
     tdm-repro serve --cache-dir cache --port 8765 --service-workers 4
 
     # ... then render over HTTP: identical bytes to the CLI render, with an
@@ -324,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if command == "serve":
         # Daemon mode: a long-running results server owning one ResultCache
-        # and program cache (see docs/architecture.md, "Results daemon").
+        # (see docs/architecture.md, "Results daemon").
         if args.shard is not None or args.merge_shards is not None or args.dry_run:
             parser.error("serve does not combine with --shard/--merge-shards/--dry-run")
         if args.output is not None:

@@ -131,7 +131,7 @@ class SimulationRunner:
     ) -> None:
         # An injected engine carries all its own parameters; the results
         # daemon uses this to render through long-lived engines that share
-        # one disk cache and program cache across requests.
+        # one disk cache across requests.
         self.engine = engine or CampaignEngine(
             scale=scale,
             base_config=base_config,

@@ -56,7 +56,7 @@ class DependenceSpec:
     A plain ``__slots__`` class rather than a frozen dataclass (the
     generated dataclass machinery was measurable in workload builds), but
     still **enforced immutable**: built programs are shared across
-    simulations by the campaign engine's program cache, so a mutation here
+    simulations by the campaign's program memo (``build_program``), so a mutation here
     would leak state between runs and break the byte-identity contract.
     Equality and hashing mirror the old frozen dataclass: by
     ``(address, size, mode)``.

@@ -34,6 +34,11 @@ class Phase(str, Enum):
         return self.value
 
 
+#: ``(phase, serialized name)`` pairs in phase order, so
+#: :meth:`Timeline.from_dict` restores totals without per-thread enum work.
+_PHASE_NAMES = tuple((phase, phase.value) for phase in Phase)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A contiguous span of time a thread spent in one phase."""
@@ -56,16 +61,21 @@ class ThreadTimeline:
     :meth:`Timeline.to_dict` never serialized them).  Pass
     ``record_intervals=True`` (wired to ``SimulationConfig.record_timeline``)
     to additionally keep the interval trace for visualization workloads.
+    ``totals`` seeds the per-phase counts (every phase, in phase order) of a
+    restored thread; a new thread starts at zero.
     """
 
     __slots__ = ("thread_id", "record_intervals", "intervals", "totals",
                  "_current_phase", "_current_start")
 
-    def __init__(self, thread_id: int, record_intervals: bool = False) -> None:
+    def __init__(self, thread_id: int, record_intervals: bool = False,
+                 totals: Dict[Phase, int] | None = None) -> None:
         self.thread_id = thread_id
         self.record_intervals = record_intervals
         self.intervals: List[Interval] = []
-        self.totals: Dict[Phase, int] = {phase: 0 for phase in Phase}
+        self.totals: Dict[Phase, int] = (
+            {phase: 0 for phase in Phase} if totals is None else totals
+        )
         self._current_phase: Phase | None = None
         self._current_start = 0
 
@@ -214,12 +224,12 @@ class Timeline:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Timeline":
         """Rebuild a totals-only :class:`Timeline` from :meth:`to_dict` output."""
-        threads: List[ThreadTimeline] = []
-        for thread_id, totals in enumerate(data["threads"]):
-            thread = ThreadTimeline(thread_id, record_intervals=False)
-            for phase in Phase:
-                thread.totals[phase] = int(totals[phase.value])
-            threads.append(thread)
+        threads = [
+            ThreadTimeline(
+                thread_id, totals={phase: int(totals[name]) for phase, name in _PHASE_NAMES}
+            )
+            for thread_id, totals in enumerate(data["threads"])
+        ]
         return cls(threads, end_cycle=int(data["end_cycle"]))
 
     def as_relative_rows(self) -> List[Mapping[str, float]]:

@@ -14,14 +14,16 @@ import warnings
 
 import pytest
 
-from repro.config import DMUConfig, default_paper_config
+from repro.config import DMUConfig, SimulationConfig, default_paper_config
 from repro.errors import ExperimentError
+from repro.experiments import campaign
 from repro.experiments.cache import ResultCache, canonical_run_key, load_cost_profile
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
 from repro.reliability.watchdog import Watchdog, WatchdogConfig
 from repro.sim.machine import SimulationResult, run_simulation
+from repro.workloads.registry import create_workload
 
 from tests.util import diamond_program, make_config
 
@@ -132,6 +134,30 @@ class TestResultCache:
         assert restored.total_cycles == result.total_cycles
         assert restored.energy.to_dict() == result.energy.to_dict()
         assert len(cache) == 1
+
+    def test_concurrent_profile_stores_lose_no_entry(self, tmp_path):
+        # Results-daemon threads each union their batch's timings into one
+        # cache's profile; a lost read-merge-write would drop a key.
+        import sys
+        import threading
+
+        from repro.experiments.cache import store_cost_profile
+
+        def store(index):
+            store_cost_profile(tmp_path, {f"{index:064x}": {"seconds": 0.5, "units": 1.0}})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=store, args=(i,)) for i in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(load_cost_profile(tmp_path)) == [f"{i:064x}" for i in range(16)]
 
     def test_missing_and_corrupt_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -514,37 +540,248 @@ class TestRunManyFailureWrapping:
 
 
 class TestProgramCache:
-    """The engine reuses immutable built programs across simulations."""
+    """One bounded program memo serves in-process runs and pool workers."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        campaign._memoized_program.cache_clear()
+        yield
+        campaign._memoized_program.cache_clear()
 
     def test_same_workload_point_reuses_one_program(self):
-        engine = CampaignEngine(scale=0.05)
-        first = engine._build_program("cholesky", None, "software")
-        again = engine._build_program("cholesky", None, "software")
+        first = campaign.build_program("cholesky", 0.05, None, "software", 0)
+        again = campaign.build_program("cholesky", 0.05, None, "software", 0)
         assert first is again, "identical workload points must share the program"
-        other = engine._build_program("cholesky", None, "tdm")
-        assert other is not first, "different workload runtimes must not alias"
-        explicit = engine._build_program("cholesky", 7, None)
-        assert explicit is not first, "explicit granularities must not alias"
+        for other in (
+            ("cholesky", 0.05, None, "tdm", 0),
+            ("cholesky", 0.05, 7, None, 0),
+            ("cholesky", 0.1, None, "software", 0),
+            ("cholesky", 0.05, None, "software", 1),
+            ("qr", 0.05, None, "software", 0),
+        ):
+            assert campaign.build_program(*other) is not first, f"{other} must not alias"
 
     def test_cache_is_bounded(self):
-        engine = CampaignEngine(scale=0.05)
-        limit = CampaignEngine._PROGRAM_CACHE_LIMIT
+        limit = campaign._PROGRAM_MEMO_SIZE
         for granularity in range(1, limit + 3):
-            engine._build_program("blackscholes", granularity, None)
-        assert len(engine._program_cache) <= limit
+            campaign.build_program("blackscholes", 0.05, granularity, None, 0)
+        info = campaign._memoized_program.cache_info()
+        assert info.maxsize == limit
+        assert info.currsize == limit
+
+    def test_reregistered_workload_name_is_rebuilt(self, monkeypatch):
+        from repro.workloads import registry
+
+        # What ``register_workload(name, ..., replace=True)`` does, undone
+        # at teardown.
+        name = "memo_probe_workload"
+        monkeypatch.setitem(registry._REGISTRY, name, registry.workload_factory("cholesky"))
+        first = campaign.build_program(name, 0.05, None, "software", 0)
+        monkeypatch.setitem(registry._REGISTRY, name, registry.workload_factory("lu"))
+        second = campaign.build_program(name, 0.05, None, "software", 0)
+        assert second is not first
+        assert second.name != first.name
+
+    def test_worker_builds_each_program_once(self, monkeypatch):
+        built = []
+        real = campaign.create_workload
+
+        def counting_create(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "create_workload", counting_create)
+        engine = CampaignEngine(scale=0.05)
+        small = DMUConfig(tat_entries=64, dat_entries=64)
+        requests = [
+            RunRequest("cholesky", "software", "fifo"),
+            RunRequest("cholesky", "software", "lifo"),
+            RunRequest("cholesky", "tdm", "fifo"),
+            RunRequest("cholesky", "tdm", "fifo", dmu=small),
+        ]
+        payloads = [engine._payload(engine.resolve(request)) for request in requests]
+        # Same workload point, different scheduler or DMU: one program.
+        assert {payload["workload_runtime"] for payload in payloads[2:]} == {"tdm"}
+        outcomes = [campaign._simulate_entry(payload) for payload in payloads]
+        for (key, result, _), payload in zip(outcomes, payloads):
+            assert key == payload["key"]
+            assert campaign._ERROR_MARKER not in result
+        assert built == [("cholesky",), ("cholesky",)], "one build per workload runtime"
+        fresh = [
+            run_simulation(
+                real("cholesky", scale=0.05, runtime=item.workload_runtime).build_program(),
+                item.config,
+            ).to_dict()
+            for item in map(engine.resolve, requests)
+        ]
+        assert [result for _, result, _ in outcomes] == fresh
+        assert outcomes[0][1]["total_cycles"] != outcomes[2][1]["total_cycles"]
+        assert campaign._memoized_program.cache_info().currsize == 2
 
     def test_scheduler_sweep_results_match_fresh_programs(self):
-        """Rows computed off a cached program == rows off a fresh build."""
+        """Rows computed off a memoized program == rows off a fresh build."""
         shared = SimulationRunner(scale=0.05)
-        rows_shared = []
-        for scheduler in ("fifo", "lifo"):
-            result = shared.run("cholesky", "software", scheduler)
-            rows_shared.append(result.total_cycles)
+        rows_shared = [
+            shared.run("cholesky", "software", scheduler).total_cycles
+            for scheduler in ("fifo", "lifo")
+        ]
+        assert campaign._memoized_program.cache_info().misses == 1
+        program = create_workload("cholesky", scale=0.05, runtime="software").build_program()
         rows_fresh = [
-            SimulationRunner(scale=0.05).run("cholesky", "software", scheduler).total_cycles
+            run_simulation(program, shared.config_for("software", scheduler)).total_cycles
             for scheduler in ("fifo", "lifo")
         ]
         assert rows_shared == rows_fresh
+
+
+class TestResolutionMemo:
+    """A fresh engine derives each config and key once, and only once."""
+
+    PLAN = ("figure_02", "figure_07", "figure_12", "figure_13")
+    BENCHMARKS = ["blackscholes", "cholesky"]
+
+    @pytest.fixture(scope="class")
+    def filled_cache(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("warm")
+        runner = SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)
+        csvs = {
+            name: run_experiment(
+                name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
+            ).to_csv()
+            for name in self.PLAN
+        }
+        return cache_dir, csvs
+
+    def test_warm_render_derives_each_config_and_key_once(self, filled_cache, monkeypatch):
+        cache_dir, cold_csvs = filled_cache
+        to_dict_calls = []
+        requests = []
+        key_calls = []
+        real_to_dict = SimulationConfig.to_dict
+        real_resolve = CampaignEngine.resolve
+        real_key = campaign.canonical_run_key
+
+        def counting_to_dict(config):
+            to_dict_calls.append((config.runtime, config.scheduler, config.dmu))
+            return real_to_dict(config)
+
+        def recording_resolve(engine, request):
+            requests.append(request)
+            return real_resolve(engine, request)
+
+        def counting_key(*args, **kwargs):
+            key_calls.append(args)
+            return real_key(*args, **kwargs)
+
+        monkeypatch.setattr(SimulationConfig, "to_dict", counting_to_dict)
+        monkeypatch.setattr(CampaignEngine, "resolve", recording_resolve)
+        monkeypatch.setattr(campaign, "canonical_run_key", counting_key)
+        runner = SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)
+        csvs = {
+            name: run_experiment(
+                name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
+            ).to_csv()
+            for name in self.PLAN
+        }
+        assert csvs == cold_csvs
+        info = runner.engine.cache_info()
+        assert info["simulations_run"] == 0 and info["disk_hits"] > 0
+        distinct = set(requests)
+        signatures = {(request.runtime, request.scheduler, request.dmu) for request in distinct}
+        assert len(requests) > len(distinct) > len(signatures) > 1
+        assert len(key_calls) == len(distinct)
+        assert len(to_dict_calls) == len(signatures)
+        assert {call[:2] for call in to_dict_calls} == {sig[:2] for sig in signatures}
+
+    def test_repeated_resolve_returns_the_same_run(self):
+        engine = CampaignEngine(scale=0.05)
+        request = RunRequest("cholesky", "tdm", "lifo", dmu=DMUConfig(tat_entries=64))
+        first = engine.resolve(request)
+        assert engine.resolve(request) is first
+        assert engine.resolve(dataclasses.replace(request)) is first
+        assert engine.config_for("tdm", "lifo", request.dmu) is first.config
+        assert engine._payload(first)["config"] is first.config_dict
+        assert first.config_dict == first.config.to_dict()
+
+    @pytest.mark.parametrize("request_", [
+        RunRequest("cholesky", "software"),
+        RunRequest("qr", "tdm", "lifo", dmu=DMUConfig(tat_entries=64)),
+        RunRequest("lu", "carbon", granularity=8),
+        RunRequest("blackscholes", "task_superscalar", granularity_runtime="software"),
+    ])
+    def test_memoized_key_is_byte_identical_to_a_config_key(self, request_):
+        engine = CampaignEngine(scale=0.05, seed=3)
+        resolved = engine.resolve(request_)
+        # A config object rebuilt outside the memo hashes the same bytes.
+        rebuilt = dataclasses.replace(resolved.config)
+        assert rebuilt is not resolved.config
+        direct = canonical_run_key(
+            rebuilt,
+            benchmark=request_.benchmark,
+            scale=0.05,
+            granularity=request_.granularity,
+            granularity_runtime=resolved.workload_runtime,
+            seed=3,
+        )
+        assert resolved.key == direct
+
+    def test_concurrent_resolution_agrees_with_serial(self):
+        # The results daemon resolves on several threads through one engine.
+        import sys
+        import threading
+
+        requests = [
+            RunRequest(benchmark, runtime, scheduler)
+            for benchmark in ("cholesky", "qr")
+            for runtime in ("software", "tdm")
+            for scheduler in ("fifo", "lifo", "age")
+        ]
+        expected = [CampaignEngine(scale=0.05).resolve(request).key for request in requests]
+        engine = CampaignEngine(scale=0.05)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: seen.append([engine.resolve(r).key for r in requests])
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
+        assert [engine.resolve(request).key for request in requests] == expected
+        assert len(engine._resolved) == len(requests)
+        assert len(engine._configs) == 6
+
+    @pytest.mark.parametrize("other", [dict(scale=0.1), dict(seed=1)])
+    def test_engines_differing_in_scale_or_seed_share_nothing(self, other, monkeypatch):
+        key_calls = []
+        real_key = campaign.canonical_run_key
+
+        def counting_key(*args, **kwargs):
+            key_calls.append(args)
+            return real_key(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "canonical_run_key", counting_key)
+        request = RunRequest("cholesky", "tdm")
+        base = CampaignEngine(scale=0.05, seed=0)
+        varied = CampaignEngine(**dict(dict(scale=0.05, seed=0), **other))
+        first = base.resolve(request)
+        second = varied.resolve(request)
+        assert len(key_calls) == 2, "the second engine must derive its own key"
+        assert first.key != second.key
+        assert first.config_dict is not second.config_dict
+        assert base.resolve(request) is first and varied.resolve(request) is second
+        assert len(key_calls) == 2
+        if "seed" in other:
+            assert first.config.seed == 0 and second.config.seed == 1
 
 
 class TestSimulationLoop:

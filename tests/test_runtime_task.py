@@ -46,8 +46,8 @@ class TestDependenceSpec:
             DependenceSpec(0x100, 0, AccessMode.IN)
 
     def test_immutable(self):
-        # Built programs are shared across simulations by the campaign
-        # engine's program cache; mutation must fail loudly.
+        # Built programs are shared across simulations by the campaign's
+        # program memo; mutation must fail loudly.
         spec = DependenceSpec(0x100, 64, AccessMode.IN)
         with pytest.raises(AttributeError, match="immutable"):
             spec.address = 0x200

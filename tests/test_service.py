@@ -1,9 +1,9 @@
 """The results daemon's service contract, pinned as tests.
 
-The daemon's pitch is the cache story: one long-lived ``ResultCache`` and
-program cache serve every request, concurrent identical requests coalesce
-to one simulation per canonical key (single-flight), and the bytes a
-client receives are *identical* to the CLI render of the same figure —
+The daemon's pitch is the cache story: one long-lived ``ResultCache``
+serves every request, concurrent identical requests coalesce to one
+simulation per canonical key (single-flight), and the bytes a client
+receives are *identical* to the CLI render of the same figure —
 with an ETag over the resolved key set so revalidation costs nothing.
 """
 

@@ -106,3 +106,48 @@ def test_relative_rows():
     assert len(rows) == 2
     assert rows[0]["DEPS"] == pytest.approx(0.8)
     assert rows[1]["EXEC"] == pytest.approx(0.6)
+
+
+@pytest.fixture(scope="module")
+def live_timelines():
+    """The finished timeline of one small simulation per runtime."""
+    from repro.config import default_paper_config
+    from repro.sim.machine import run_simulation
+    from repro.workloads.registry import create_workload
+
+    program = create_workload("cholesky", scale=0.05, runtime="tdm").build_program()
+    return {
+        runtime: run_simulation(program, default_paper_config(runtime)).timeline
+        for runtime in ("software", "tdm", "carbon", "task_superscalar")
+    }
+
+
+@pytest.mark.parametrize("runtime", ["software", "tdm", "carbon", "task_superscalar"])
+def test_serialized_round_trip_is_exact(live_timelines, runtime):
+    live = live_timelines[runtime]
+    serialized = live.to_dict()
+    restored = Timeline.from_dict(serialized)
+    assert restored.to_dict() == serialized
+    assert restored.end_cycle == live.end_cycle
+    assert restored.num_threads == live.num_threads
+    assert restored.master_breakdown() == live.master_breakdown()
+    assert restored.worker_breakdown() == live.worker_breakdown()
+    assert restored.totals() == live.totals()
+    for thread, original in zip(restored.threads, live.threads):
+        assert thread.thread_id == original.thread_id
+        assert thread.totals == original.totals
+        assert list(thread.totals) == list(Phase)
+        assert all(type(cycles) is int for cycles in thread.totals.values())
+        assert thread.intervals == []
+        assert not thread.record_intervals
+    assert any(restored.phase_cycles(phase) for phase in Phase if phase is not Phase.IDLE)
+
+
+def test_restored_threads_keep_accumulating_independently():
+    restored = Timeline.from_dict(
+        {"end_cycle": 10, "threads": [{"DEPS": 1, "SCHED": 2, "EXEC": 3, "IDLE": 4}] * 2}
+    )
+    first, second = restored.threads
+    first.add(Phase.EXEC, 0, 5)
+    assert first.totals[Phase.EXEC] == 8
+    assert second.totals[Phase.EXEC] == 3
