@@ -130,18 +130,20 @@ def generate() -> str:
     lines.append("```")
     lines.append("")
     lines.append(
-        "Related drivers (same campaign machinery, no package install "
-        "needed): `scripts/run_campaign.py` (full campaign), "
-        "`scripts/run_server.py` (the results daemon, the script twin of "
-        "`tdm-repro serve`), `scripts/bench_smoke.py` and "
-        "`scripts/bench_engine.py` (benchmark records)."
+        "Without installing the package, `PYTHONPATH=src python -m "
+        "repro.experiments.cli` is the same command. Performance is "
+        "measured by `perfbench/run.py` (see `perfbench/README.md`); "
+        "`scripts/perf_gate.py` compares its run records of two trees."
     )
     lines.append("")
     return "\n".join(lines)
 
 
 def main() -> int:
-    check = "--check" in sys.argv[1:]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if docs/cli.md differs from the argparse tree")
+    check = parser.parse_args().check
     rendered = generate()
     if check:
         current = OUTPUT.read_text(encoding="utf-8") if OUTPUT.exists() else ""

@@ -38,10 +38,12 @@ Determinism: selectors are pure functions of (site counter, key, attempt) —
 no wall clock, no RNG — so a fault plan replays identically across runs and
 the chaos suite can assert exact recovery behavior.
 
-The no-plan fast path is two attribute loads and a ``None`` compare, so the
-instrumented hot paths (cache reads, commits) pay nothing measurable when
-``REPRO_FAULTS`` is unset — ``scripts/bench_smoke.py`` records this in
-``BENCH_campaign.json``.
+The no-plan fast path is two module-global reads and a ``None`` compare, so
+the instrumented hot paths (cache reads, commits) pay nothing measurable
+when ``REPRO_FAULTS`` is unset.  ``tests/test_reliability.py`` pins this:
+with no plan, :func:`maybe_fault` calls neither :func:`active_plan` nor
+:meth:`FaultPlan.fire`, and an armed plan whose selectors never match
+returns None.
 """
 
 from __future__ import annotations

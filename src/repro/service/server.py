@@ -1,6 +1,6 @@
 """The campaign results daemon: a stdlib-only asyncio HTTP/JSON service.
 
-``tdm-repro serve`` (or ``scripts/run_server.py``) starts one
+``tdm-repro serve`` (or ``python -m repro.experiments.cli serve``) starts one
 :class:`ResultsService`.  The service owns, for its whole lifetime:
 
 * one :class:`~repro.experiments.cache.ResultCache` — every request's
@@ -634,7 +634,7 @@ def serve(
     queue_budget: int = 32,
     failure_ttl_s: float = ResultsService.DEFAULT_FAILURE_TTL_S,
 ) -> int:
-    """Blocking entry point shared by ``tdm-repro serve`` and run_server.py."""
+    """Blocking entry point of ``tdm-repro serve``."""
     service = ResultsService(
         cache_dir=cache_dir,
         workers=workers,

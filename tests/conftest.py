@@ -1,8 +1,9 @@
 """Shared fixtures for the test suite.
 
 Simulation tests run on a small chip (8 cores) and small programs so the
-whole suite stays fast; the full 32-core / full-scale configurations are
-exercised by the pytest-benchmark harnesses and the experiment CLI instead.
+whole suite stays fast; the full 32-core paper configurations are
+exercised by ``tests/test_paper_claims.py`` at scale 0.25 and by the
+experiment CLI at any scale.
 """
 
 from __future__ import annotations

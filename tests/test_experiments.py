@@ -2,7 +2,8 @@
 
 These tests run the harnesses at tiny scales with a benchmark subset; the
 goal is to check the plumbing (rows, columns, normalization, notes, rendering)
-rather than the headline numbers, which EXPERIMENTS.md records from full runs.
+rather than the headline numbers, whose directions
+``tests/test_paper_claims.py`` asserts at scale 0.25.
 """
 
 import pytest

@@ -128,6 +128,23 @@ class TestFaultGrammar:
         faults.install_plan(None)
         assert maybe_fault("sim", "0a") is None
 
+    def test_no_plan_hook_is_two_global_reads(self, monkeypatch):
+        """The cost every production run pays per hook: no call beyond it."""
+        faults.install_plan(None)
+
+        def slow_path(*args, **kwargs):
+            raise AssertionError("the no-plan hook left its fast path")
+
+        monkeypatch.setattr(faults, "active_plan", slow_path)
+        monkeypatch.setattr(FaultPlan, "fire", slow_path)
+        for site in faults.FAULT_SITES:
+            assert maybe_fault(site, "deadbeef", 1) is None
+
+    def test_quiet_armed_plan_returns_none(self):
+        faults.install_plan("error@sim:key%3=1")  # 0xdeadbeef % 3 == 2
+        for attempt in (1, 2):
+            assert maybe_fault("sim", "deadbeef", attempt) is None
+
     def test_env_spec_is_loaded_lazily(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "error@serve")
         faults._PLAN = None

@@ -2,8 +2,8 @@
 
 Pins two sides of retiring the DMU storage-backend knob:
 
-* no layer carries it any more — config, engines, CLI, scripts, the perf
-  gate — so there is nothing left to select a second implementation with;
+* no layer carries it any more — config, engines, CLI — so there is
+  nothing left to select a second implementation with;
 * data written while ``DMUConfig`` still had a ``backend`` field keeps
   working: configurations load, canonical run keys are unchanged, and a
   warm result cache filled back then still answers every request.
@@ -11,14 +11,10 @@ Pins two sides of retiring the DMU storage-backend knob:
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
-import importlib.util
 import json
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -41,14 +37,6 @@ def _with_retired_field(config_dict: dict, value: str) -> dict:
     legacy = copy.deepcopy(config_dict)
     legacy["dmu"]["backend"] = value
     return legacy
-
-
-def _load_script(name: str):
-    path = REPO_ROOT / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"_script_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestNoKnobRemains:
@@ -80,20 +68,6 @@ class TestNoKnobRemains:
             build_parser().parse_args(["figure_02", "--backend", "pure"])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("script", ["run_campaign", "profile_run", "bench_engine"])
-    def test_scripts_reject_backend_option(self, script):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / f"{script}.py"),
-             "--backend", "pure"],
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src")},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --backend" in proc.stderr
 
 
 class TestRetiredFieldLoads:
@@ -152,45 +126,3 @@ class TestRetiredFieldLoads:
         assert warm.reliability_info()["quarantined"] == 0
         assert len(ResultCache(tmp_path)) == 2
 
-
-class TestPerfGateBaselines:
-    """``bench_engine.py --check`` reads baselines recorded by older trees."""
-
-    #: A base-tree record: the old pure-vs-accel A/B fields sit next to the
-    #: figures the gate still measures.
-    OLD_BASELINE = {
-        "scale": 0.1,
-        "cold_smoke": {"seconds": 2.0, "rows": 31, "simulations_run": 30},
-        "dmu_ops": {"seconds": 0.2, "instructions": 40000, "ops_per_sec": 200000},
-        "dmu_ops_accel": {"seconds": 0.18, "instructions": 40000,
-                          "ops_per_sec": 222222, "backend": "accel"},
-        "dmu_backend_speedup": 1.11,
-    }
-
-    def _check(self, tmp_path, monkeypatch, cold_seconds, ops_per_sec):
-        bench = _load_script("bench_engine")
-        record = tmp_path / "BENCH_engine.json"
-        record.write_text(json.dumps({"baseline": self.OLD_BASELINE}), encoding="utf-8")
-        measured = {
-            "cold_smoke": {"seconds": cold_seconds},
-            "dmu_ops": {"ops_per_sec": ops_per_sec},
-        }
-        monkeypatch.setattr(bench, "run_measurements", lambda scale, repeat: measured)
-        args = argparse.Namespace(output=record, scale=0.1, repeat=1, tolerance=1.25)
-        return bench.run_check(args)
-
-    def test_check_passes_against_old_baseline(self, tmp_path, monkeypatch, capsys):
-        assert self._check(tmp_path, monkeypatch, 2.0, 200000) == 0
-        assert "accel" not in capsys.readouterr().out
-
-    def test_check_still_gates_dmu_ops(self, tmp_path, monkeypatch, capsys):
-        assert self._check(tmp_path, monkeypatch, 2.0, 100000) == 1
-        assert "dmu_ops throughput regressed" in capsys.readouterr().out
-
-    def test_speedup_ignores_retired_figures(self):
-        bench = _load_script("bench_engine")
-        measured = {"cold_smoke": {"seconds": 1.0}, "dmu_ops": {"ops_per_sec": 400000}}
-        assert bench._speedup(self.OLD_BASELINE, measured) == {
-            "cold_smoke": 2.0,
-            "dmu_ops_per_sec": 2.0,
-        }
