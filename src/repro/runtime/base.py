@@ -2,10 +2,10 @@
 
 A runtime system is the component the simulated threads call into.  Its
 methods are *generators* that the calling thread drives with ``yield from``:
-they yield simulation commands (timeouts for busy cycles, lock acquisitions,
-event waits) and finally return their result.  This keeps all timing
-behaviour in one place while the thread model in :mod:`repro.sim.thread`
-handles phase accounting.
+they yield simulation commands (a bare ``int`` of busy cycles, ``Acquire``
+for a lock, ``WaitEvent`` for an event) and finally return their result.
+This keeps all timing behaviour in one place while the thread model in
+:mod:`repro.sim.thread` handles phase accounting.
 
 The common machinery provided here:
 
@@ -19,12 +19,12 @@ The common machinery provided here:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Union
 
 from ..config import SimulationConfig
 from ..schedulers.base import ReadyEntry, Scheduler
 from ..sim.engine import Engine
-from ..sim.events import Acquire, Command, NotificationEvent
+from ..sim.events import Acquire, NotificationEvent, WaitEvent
 from ..sim.noc import NocModel
 from ..sim.resources import Lock
 from .cost_model import RuntimeCostModel
@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.dmu import DependenceManagementUnit
     from ..sim.thread import SimThread
 
-RuntimeGenerator = Generator[Command, object, object]
+#: What a runtime operation yields: the kernel's three commands.
+RuntimeGenerator = Generator[Union[int, WaitEvent, Acquire], object, object]
 
 
 class RuntimeSystem(abc.ABC):
@@ -100,7 +101,7 @@ class RuntimeSystem(abc.ABC):
 
     @property
     def wake_channel(self) -> NotificationEvent:
-        """The pool's worker wake-up channel (threads hoist this per region)."""
+        """The pool's worker wake-up channel (threads hoist this once per run)."""
         return self.pool.wake_channel
 
     def push_ready(

@@ -9,7 +9,7 @@ together (:mod:`repro.sim.machine`), per-thread phase accounting
 """
 
 from .engine import Engine, Process
-from .events import Acquire, SimEvent, Timeout, WaitEvent
+from .events import Acquire, SimEvent, WaitEvent
 from .resources import Lock
 from .timeline import Phase, Timeline, TimelineRecorder
 from .machine import Machine, SimulationResult, run_simulation
@@ -18,7 +18,6 @@ __all__ = [
     "Engine",
     "Process",
     "SimEvent",
-    "Timeout",
     "Acquire",
     "WaitEvent",
     "Lock",

@@ -2,50 +2,27 @@
 
 The kernel is deliberately minimal (in the spirit of SimPy, but specialized
 for this project): an event queue ordered by time, and processes implemented
-as generators that yield commands.  A command is either a bare non-negative
-``int`` (the timeout fast path: suspend for that many cycles) or one of the
-:class:`~repro.sim.events.Command` objects (``Timeout``, ``WaitEvent``,
-``Acquire``).
+as generators that yield commands.  A command is a bare non-negative ``int``
+(suspend for that many cycles), a :class:`~repro.sim.events.WaitEvent` or an
+:class:`~repro.sim.events.Acquire`; anything else is an error.
 
 Hot-path design (this is the innermost loop of every simulation, executed
-once per event, so it avoids every avoidable allocation and call):
+once per event):
 
-* Timed events live in a **two-tier queue**: a bucketed near-future time
-  wheel covering the next :data:`WHEEL_SPAN` cycles, backed by a binary heap
-  for far-future events.  An event ``delta < WHEEL_SPAN`` cycles away is a
-  plain ``list.append`` into the bucket for its cycle; only long sleeps
-  (task bodies, large runtime costs) pay the ``heappush``.  When the clock
-  advances, heap events that fall inside the new window migrate into the
-  wheel, so the run loop never merges against the heap directly.
-* Buckets hold ``(seq, target, value)`` entries resumed directly by the run
-  loop — no per-event closure is allocated, and every target exposes the
-  same ``resume(value)`` shape (a process, a batched waiter drain, or the
-  :class:`_CallbackTarget` wrapper of the public :meth:`Engine.schedule`
-  API), so dispatch is uniform.  Within a bucket, append order *is* global
-  sequence order (the shared counter is allocated in scheduling order and a
-  bucket only ever collects entries for one cycle), so a bucket needs no
-  sorting — and because heap-to-wheel migration happens eagerly on every
-  clock advance, migrated entries are always appended before any same-cycle
-  entry is scheduled directly, keeping that invariant intact.
-* The next nonempty bucket is found in O(log #active-buckets) through a
-  small auxiliary heap of *bucket activation times* (one entry per bucket
-  that became nonempty, not one per event), so clustered events — the
-  common case: many processes waking on the same cycle — cost one heap
-  entry total instead of one each.
-* Zero-delay wakeups (event triggers, lock grants, process starts) never
-  touch the wheel or the heap: they are appended to a FIFO *ready deque* as
-  ``(seq, process, value)`` and merged with the current bucket by global
-  sequence number, so the observable event order is identical to a single
-  global queue — two runs of the same configuration stay bit-identical, and
-  so does a run against the pre-wheel kernel.
-* A broadcast event trigger with several waiters enqueues **one** batched
-  drain entry (see :class:`repro.sim.events.SimEvent`) instead of one deque
-  entry per waiter; the drain resumes its waiters back to back in
-  registration order, which is exactly the order the per-waiter entries
-  produced.
+* Timed events live in **one binary heap** of ``(time, seq, target, value)``
+  entries.  ``seq`` is unique, so tuple comparison never reaches the target.
+* Zero-delay wakeups (event triggers, lock grants, process starts, ``yield
+  0``) never touch the heap: they are appended to a FIFO *ready deque* as
+  ``(seq, target, value)``.  Per cycle the run loop pops the heap entries
+  due now, then drains the ready deque, then advances the clock.  No merge
+  check is needed: every heap entry due now was queued in an earlier cycle,
+  so it precedes, by seq, any ready entry created now — the observable
+  order is that of a single global ``(time, seq)`` queue.
+* Every target exposes ``resume(value)`` (a :class:`Process` or a batched
+  waiter drain, see :class:`repro.sim.events.SimEvent`), so dispatch is
+  uniform and no per-event closure is allocated.
 * Command dispatch in :meth:`Process.resume` is keyed on the exact command
-  type (``type(command) is ...``) with the bare-int timeout checked first;
-  the ``isinstance`` chain survives only in the cold error/subclass path.
+  type (``type(command) is ...``) with the bare-int timeout checked first.
 
 Determinism: events scheduled at the same time are processed in scheduling
 order (a monotonically increasing sequence number breaks ties), so two runs
@@ -56,43 +33,14 @@ walk-through of the queue design.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from ..errors import DeadlockError, SimulationError
-from .events import Acquire, SimEvent, Timeout, WaitEvent
+from .events import Acquire, SimEvent, WaitEvent
 
 ProcessBody = Generator[Any, Any, Any]
-
-
-class _CallbackTarget:
-    """Adapter giving a plain callback the ``resume(value)`` shape.
-
-    Queue entries always carry a target with a ``resume`` method (a
-    :class:`Process`, a :class:`~repro.sim.events._WaiterBatch`, or this
-    wrapper for :meth:`Engine.schedule` callbacks), so the run loop performs
-    a single uniform dispatch with no per-event type check.  Callbacks are
-    rare (cold control paths), processes are the per-event common case.
-    """
-
-    __slots__ = ("callback",)
-
-    def __init__(self, callback: Callable[[], None]) -> None:
-        self.callback = callback
-
-    def resume(self, value: Any) -> None:
-        self.callback()
-
-#: Width of the near-future time wheel in cycles.  Chosen from the measured
-#: delay distribution of the fig02/fig12 smoke set: ~95% of all timed events
-#: are scheduled less than 1024 cycles ahead (runtime busy-cycle charges,
-#: NoC round trips and short task bodies; the original 128-cycle span only
-#: covered ~78%), while long task bodies (thousands of cycles) stay on the
-#: far-future heap.  Must be a power of two: bucket index is ``time & MASK``.
-WHEEL_SPAN = 1024
-WHEEL_MASK = WHEEL_SPAN - 1
 
 
 class Process:
@@ -104,22 +52,16 @@ class Process:
     for timeouts and lock acquisitions).
     """
 
-    __slots__ = ("engine", "name", "generator", "finished", "result", "completion", "_send")
+    __slots__ = ("engine", "name", "finished", "result", "_send")
 
     def __init__(self, engine: "Engine", generator: ProcessBody, name: str = "process") -> None:
         self.engine = engine
         self.name = name
-        self.generator = generator
         self.finished = False
         self.result: Any = None
-        self.completion = SimEvent(engine, f"{name}.completion")
         # Bound ``generator.send`` cached once: resume() is called once per
         # event and the two-step attribute lookup is measurable at that rate.
         self._send = generator.send
-
-    def start(self) -> None:
-        """Queue the first step of the process at the current time."""
-        self.engine._wake(self, None)
 
     def resume(self, value: Any) -> None:
         """Advance the generator with ``value`` and interpret its next command."""
@@ -130,65 +72,37 @@ class Process:
         except StopIteration as stop:
             self.finished = True
             self.result = stop.value
-            self.engine._process_finished(self)
-            self.completion.trigger(stop.value)
+            self.engine._live_processes -= 1
             return
         except Exception as exc:  # surface the failing process in the traceback
             self.finished = True
-            self.engine._process_finished(self)
+            self.engine._live_processes -= 1
             raise SimulationError(f"process {self.name!r} raised {exc!r}") from exc
 
         # Command dispatch, keyed on the exact type.  Bare ints are the
-        # timeout fast path the runtime models use for every busy-cycle
-        # charge; Timeout objects remain supported (their cycle count is
-        # validated at construction).
+        # timeout the runtime models use for every busy-cycle charge.
         cls = command.__class__
         if cls is int:
             if command > 0:
                 engine = self.engine
                 seq = engine._seq
                 engine._seq = seq + 1
-                time = engine.now + command
-                if command < WHEEL_SPAN:
-                    bucket = engine._wheel[time & WHEEL_MASK]
-                    if not bucket:
-                        heappush(engine._bucket_times, time)
-                    bucket.append((seq, self, None))
-                else:
-                    heappush(engine._queue, (time, seq, self, None))
+                heappush(engine._queue, (engine.now + command, seq, self, None))
             elif command == 0:
                 self.engine._wake(self, None)
             else:
                 raise SimulationError(
                     f"process {self.name!r} yielded a negative timeout: {command}"
                 )
-        elif cls is Timeout:
-            cycles = command.cycles
-            if cycles:
-                engine = self.engine
-                seq = engine._seq
-                engine._seq = seq + 1
-                time = engine.now + cycles
-                if cycles < WHEEL_SPAN:
-                    bucket = engine._wheel[time & WHEEL_MASK]
-                    if not bucket:
-                        heappush(engine._bucket_times, time)
-                    bucket.append((seq, self, None))
-                else:
-                    heappush(engine._queue, (time, seq, self, None))
-            else:
-                self.engine._wake(self, None)
         elif cls is WaitEvent:
-            # add_waiter, inlined (one call per event wait).
             event = command.event
             if event.triggered:
                 self.engine._wake(self, event.value)
             else:
                 event._waiters.append(self)
         elif cls is Acquire:
-            # Lock._enqueue, with the uncontended grant (the overwhelmingly
-            # common case) inlined: one method call less per ISA instruction
-            # and per runtime-lock acquisition.
+            # The uncontended grant (the overwhelmingly common case) is
+            # handled here; a held lock queues the process.
             lock = command.lock
             if lock._holder is None:
                 engine = self.engine
@@ -201,33 +115,9 @@ class Process:
             else:
                 lock._enqueue(self)
         else:
-            self._dispatch_other(command)
-
-    def _dispatch_other(self, command: Any) -> None:
-        """Cold path: command subclasses and invalid yields."""
-        if isinstance(command, Timeout):
-            cycles = command.cycles
-        elif isinstance(command, WaitEvent):
-            command.event.add_waiter(self)
-            return
-        elif isinstance(command, Acquire):
-            command.lock._enqueue(self)
-            return
-        elif isinstance(command, int) and not isinstance(command, bool):
-            if command < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative timeout: {command}"
-                )
-            cycles = command
-        else:
             raise SimulationError(
                 f"process {self.name!r} yielded an unknown command: {command!r}"
             )
-        engine = self.engine
-        if cycles:
-            engine._schedule_entry(engine.now + cycles, engine._next_seq(), self, None)
-        else:
-            engine._wake(self, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "active"
@@ -235,23 +125,18 @@ class Process:
 
 
 class Engine:
-    """Discrete-event engine: clock, the two-tier event queue and the
-    process registry.
+    """Discrete-event engine: clock, event queue and process registry.
 
-    Pending events live in three places, merged by the run loop into one
+    Pending events live in two places, merged by the run loop into one
     global ``(time, seq)`` order:
 
-    * ``_wheel`` — :data:`WHEEL_SPAN` buckets of near-future timed events,
-      indexed by ``time & WHEEL_MASK``; ``_bucket_times`` is a min-heap of
-      the times of nonempty buckets (one entry per bucket, not per event).
-    * ``_queue`` — binary heap of far-future timed events; invariant: every
-      entry's time is at least ``now + WHEEL_SPAN`` (events migrate into
-      the wheel whenever the clock advances).
-    * ``_ready`` — FIFO deque of zero-delay wakeups at the current time.
+    * ``_queue`` — binary heap of timed events ``(time, seq, target, value)``,
+      every one due strictly after the cycle that queued it.
+    * ``_ready`` — FIFO deque of zero-delay wakeups ``(seq, target, value)``
+      at the current time.
     """
 
-    __slots__ = ("now", "_queue", "_ready", "_wheel", "_bucket_times", "_seq",
-                 "_processes", "_live_processes")
+    __slots__ = ("now", "_queue", "_ready", "_seq", "_processes", "_live_processes")
 
     def __init__(self) -> None:
         #: Current simulation time in cycles (read-only for client code; the
@@ -259,124 +144,36 @@ class Engine:
         #: it is read several times per event by the thread and runtime
         #: models and the descriptor call was measurable.
         self.now = 0
-        #: Far-future timed events: (time, seq, target, value),
-        #: time >= now + WHEEL_SPAN.
         self._queue: list = []
-        #: Zero-delay wakeups at the current time: (seq, target, value).
         self._ready: deque = deque()
-        #: Near-future buckets of (seq, target, value); bucket index is
-        #: time & WHEEL_MASK, so bucket i holds only events for the single
-        #: cycle in [now, now + WHEEL_SPAN) congruent to i.
-        self._wheel: List[list] = [[] for _ in range(WHEEL_SPAN)]
-        #: Min-heap of times of nonempty wheel buckets (the current cycle's
-        #: bucket is examined directly and never appears here).
-        self._bucket_times: list = []
         self._seq = 0
         self._processes: List[Process] = []
         self._live_processes = 0
 
-    # ------------------------------------------------------------------ queues
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
     def _wake(self, process: Process, value: Any = None) -> None:
         """Resume ``process`` with ``value`` at the current time (FIFO order).
 
-        This is the zero-delay fast path used by event triggers, lock grants
-        and process starts; it bypasses the timed queues entirely while
-        preserving the global scheduling order (the shared sequence counter
-        is the tie breaker the run loop merges on).
+        This is the zero-delay path used by event triggers, lock grants and
+        process starts; it bypasses the heap while preserving the global
+        scheduling order (the shared sequence counter is the tie breaker the
+        run loop merges on).
         """
         seq = self._seq
         self._seq = seq + 1
         self._ready.append((seq, process, value))
-
-    def _schedule_entry(self, time: int, seq: int, target: Any, value: Any) -> None:
-        """Queue a timed entry on the wheel or the far-future heap.
-
-        Cold-path helper shared by :meth:`schedule` (which wraps its callback
-        in :class:`_CallbackTarget`) and command subclasses; the bare-int/
-        :class:`Timeout` dispatch in :meth:`Process.resume` inlines the same
-        logic.  An entry for the *current* cycle goes onto the ready deque
-        (it carries a fresh sequence number, so FIFO order there *is* its
-        seq order) — this keeps the invariant that a cycle's wheel bucket
-        never grows while that cycle is being drained, which is what lets
-        the run loop drain buckets without per-event merge checks.
-        """
-        delta = time - self.now
-        if delta < WHEEL_SPAN:
-            if delta <= 0:
-                self._ready.append((seq, target, value))
-                return
-            bucket = self._wheel[time & WHEEL_MASK]
-            if not bucket:
-                heappush(self._bucket_times, time)
-            bucket.append((seq, target, value))
-        else:
-            heappush(self._queue, (time, seq, target, value))
-
-    def schedule(self, delay: "int | float", callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` cycles from now.
-
-        Fractional delays (cost models may produce floats) are rounded
-        half-up to the nearest cycle rather than truncated, so a 2.7-cycle
-        cost is charged 3 cycles, not 2.  A delay that is still negative
-        after rounding is an error.
-        """
-        cycles = delay if isinstance(delay, int) else math.floor(delay + 0.5)
-        if cycles < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._schedule_entry(
-            self.now + cycles, self._next_seq(), _CallbackTarget(callback), None
-        )
 
     def event(self, name: str = "event") -> SimEvent:
         """Create a new one-shot event bound to this engine."""
         return SimEvent(self, name)
 
     def process(self, generator: ProcessBody, name: str = "process") -> Process:
-        """Register and start a new process built from ``generator``."""
+        """Register a new process built from ``generator`` and queue its
+        first step at the current time."""
         process = Process(self, generator, name=name)
         self._processes.append(process)
         self._live_processes += 1
-        process.start()
+        self._wake(process, None)
         return process
-
-    def _process_finished(self, process: Process) -> None:
-        self._live_processes -= 1
-
-    def _has_pending_events(self) -> bool:
-        """True while any timed or zero-delay event is queued."""
-        return bool(
-            self._ready
-            or self._bucket_times
-            or self._queue
-            or self._wheel[self.now & WHEEL_MASK]
-        )
-
-    # ------------------------------------------------------------------ registry
-    @property
-    def processes(self) -> List[Process]:
-        """All processes ever registered with the engine.
-
-        Returns the live internal list (treat it as read-only); monitoring
-        code polling this property no longer pays an O(n) tuple copy per
-        access.  For progress accounting use :attr:`live_process_count` /
-        :attr:`finished_process_count`, which are O(1).
-        """
-        return self._processes
-
-    @property
-    def live_process_count(self) -> int:
-        """Number of registered processes that have not finished."""
-        return self._live_processes
-
-    @property
-    def finished_process_count(self) -> int:
-        """Number of registered processes that have run to completion."""
-        return len(self._processes) - self._live_processes
 
     # ------------------------------------------------------------------ run loop
     def run(self, until: Optional[int] = None) -> int:
@@ -391,66 +188,23 @@ class Engine:
         queue = self._queue
         ready = self._ready
         popleft = ready.popleft
-        wheel = self._wheel
-        times = self._bucket_times
         now = self.now
-        bucket = wheel[now & WHEEL_MASK]
         while True:
-            # ---- drain the current cycle: bucket entries first, then the
-            # zero-delay ready entries.  No per-event merge check is needed:
-            # a cycle's bucket cannot grow while the cycle runs (timed
-            # yields target strictly later cycles; same-cycle schedule()
-            # appends go to the ready deque), and every bucket entry was
-            # queued in an earlier cycle, so it precedes — in the global
-            # (time, seq) order — any ready entry created now.  Both
-            # containers are seq-sorted by construction.
-            if bucket:
-                for _seq, target, value in bucket:
-                    target.resume(value)
-                bucket.clear()
+            # Heap entries due now first: each was queued in an earlier
+            # cycle, so it precedes every ready entry created in this one.
+            while queue and queue[0][0] == now:
+                _time, _seq, target, value = heappop(queue)
+                target.resume(value)
             while ready:
-                entry = popleft()
-                entry[1].resume(entry[2])
-
-            # ---- advance the clock to the next event time.  Bucket times
-            # are always nearer than the far-future heap (its entries are
-            # at least WHEEL_SPAN cycles out by invariant).
-            if times:
-                time = times[0]
-            elif queue:
-                time = queue[0][0]
-            else:
+                _seq, target, value = popleft()
+                target.resume(value)
+            if not queue:
                 break
-            if until is not None and time > until:
-                # Stop the clock at the bound, but keep the heap/wheel
-                # invariant so a later run() call resumes exactly here.
+            now = queue[0][0]
+            if until is not None and now > until:
                 self.now = until
-                horizon = until + WHEEL_SPAN
-                while queue and queue[0][0] < horizon:
-                    entry = heappop(queue)
-                    etime = entry[0]
-                    slot = wheel[etime & WHEEL_MASK]
-                    if not slot:
-                        heappush(times, etime)
-                    slot.append((entry[1], entry[2], entry[3]))
                 return until
-            if times:
-                heappop(times)
-            self.now = now = time
-
-            # ---- migrate far-future events that entered the new window.
-            # Heap pops come out in (time, seq) order, and any later direct
-            # append to the same bucket carries a larger seq, so buckets
-            # stay seq-sorted without ever sorting.
-            horizon = now + WHEEL_SPAN
-            while queue and queue[0][0] < horizon:
-                entry = heappop(queue)
-                etime = entry[0]
-                slot = wheel[etime & WHEEL_MASK]
-                if not slot and etime != now:
-                    heappush(times, etime)
-                slot.append((entry[1], entry[2], entry[3]))
-            bucket = wheel[now & WHEEL_MASK]
+            self.now = now
         if self._live_processes > 0:
             blocked = [p.name for p in self._processes if not p.finished]
             raise DeadlockError(
@@ -462,7 +216,7 @@ class Engine:
     def run_all(self, max_cycles: Optional[int] = None) -> int:
         """Run to completion, optionally enforcing a cycle budget."""
         final = self.run(until=max_cycles)
-        if max_cycles is not None and self._has_pending_events():
+        if max_cycles is not None and (self._ready or self._queue):
             raise SimulationError(
                 f"simulation exceeded the cycle budget of {max_cycles} cycles"
             )

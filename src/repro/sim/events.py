@@ -1,10 +1,10 @@
 """Commands and events understood by the discrete-event kernel.
 
 Simulation processes are plain Python generators.  They communicate with the
-engine by yielding *command* objects:
+engine by yielding commands:
 
-``Timeout(cycles)``
-    Suspend the process for ``cycles`` clock cycles.
+a bare ``int >= 0``
+    Suspend the process for that many clock cycles.
 
 ``Acquire(lock)``
     Suspend until the FIFO lock is granted to this process.
@@ -20,41 +20,14 @@ reached, ...).
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .engine import Engine, Process
     from .resources import Lock
 
 
-class Command:
-    """Base class of every object a simulation process may yield."""
-
-    __slots__ = ()
-
-
-class Timeout(Command):
-    """Suspend the yielding process for a fixed number of cycles.
-
-    Fractional cycle counts (cost models may produce floats) are rounded
-    half-up, matching :meth:`repro.sim.engine.Engine.schedule` — truncation
-    would silently shave up to a cycle off every event.
-    """
-
-    __slots__ = ("cycles",)
-
-    def __init__(self, cycles: int | float) -> None:
-        rounded = cycles if isinstance(cycles, int) else math.floor(cycles + 0.5)
-        if rounded < 0:
-            raise ValueError(f"Timeout cycles must be >= 0, got {cycles}")
-        self.cycles = rounded
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timeout({self.cycles})"
-
-
-class Acquire(Command):
+class Acquire:
     """Suspend the yielding process until the lock is granted to it."""
 
     __slots__ = ("lock",)
@@ -66,7 +39,7 @@ class Acquire(Command):
         return f"Acquire({self.lock.name!r})"
 
 
-class WaitEvent(Command):
+class WaitEvent:
     """Suspend the yielding process until the event is triggered."""
 
     __slots__ = ("event",)
@@ -110,7 +83,7 @@ class SimEvent:
     makes the primitive safe against wake-up/wait races.
     """
 
-    __slots__ = ("engine", "name", "triggered", "value", "_waiters", "_callbacks")
+    __slots__ = ("engine", "name", "triggered", "value", "_waiters")
 
     def __init__(self, engine: "Engine", name: str = "event") -> None:
         self.engine = engine
@@ -118,21 +91,6 @@ class SimEvent:
         self.triggered = False
         self.value: Any = None
         self._waiters: list["Process"] = []
-        self._callbacks: list[Callable[[Any], None]] = []
-
-    def add_waiter(self, process: "Process") -> None:
-        """Register a process to be resumed on trigger (engine internal)."""
-        if self.triggered:
-            self.engine._wake(process, self.value)
-        else:
-            self._waiters.append(process)
-
-    def add_callback(self, callback: Callable[[Any], None]) -> None:
-        """Invoke ``callback(value)`` when the event triggers (or now if it has)."""
-        if self.triggered:
-            callback(self.value)
-        else:
-            self._callbacks.append(callback)
 
     def trigger(self, value: Any = None) -> None:
         """Fire the event, resuming every waiter at the current time.
@@ -148,7 +106,6 @@ class SimEvent:
         self.triggered = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        callbacks, self._callbacks = self._callbacks, []
         if waiters:
             engine = self.engine
             seq = engine._seq
@@ -157,8 +114,6 @@ class SimEvent:
                 engine._ready.append((seq, waiters[0], value))
             else:
                 engine._ready.append((seq, _WaiterBatch(waiters), value))
-        for callback in callbacks:
-            callback(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else f"{len(self._waiters)} waiters"

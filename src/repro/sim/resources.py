@@ -51,20 +51,16 @@ class Lock:
         return len(self._waiters)
 
     def _enqueue(self, process: "Process") -> None:
-        """Called on a yielded ``Acquire(self)`` (the engine's dispatch
-        inlines the uncontended branch of this method — keep in sync; the
-        contended hand-off lives in :meth:`release`)."""
-        if self._holder is None:
-            engine = self.engine
-            self._holder = process
-            self._acquired_at = engine.now
-            self.acquisitions += 1
-            engine._wake(process, None)
-        else:
-            waiters = self._waiters
-            waiters.append((process, self.engine.now))
-            if len(waiters) > self.max_queue_length:
-                self.max_queue_length = len(waiters)
+        """Queue ``process`` behind the current holder.
+
+        Called on a yielded ``Acquire(self)`` while the lock is held; the
+        uncontended grant lives in :meth:`repro.sim.engine.Process.resume`
+        and the contended hand-off in :meth:`release`.
+        """
+        waiters = self._waiters
+        waiters.append((process, self.engine.now))
+        if len(waiters) > self.max_queue_length:
+            self.max_queue_length = len(waiters)
 
     def release(self, process: "Process") -> None:
         """Release the lock; must be called by the current holder."""
@@ -78,8 +74,8 @@ class Lock:
         self.total_hold_cycles += now - self._acquired_at
         waiters = self._waiters
         if waiters:
-            # Hand-off grant, inlined (release runs twice per ISA
-            # instruction under contention): same bookkeeping as _grant.
+            # Hand-off grant: the same bookkeeping as the uncontended grant
+            # in Process.resume, plus the waiter's queueing time.
             waiter, enqueued_at = waiters.popleft()
             self._holder = waiter
             self._acquired_at = now

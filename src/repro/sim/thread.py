@@ -5,7 +5,9 @@ executes the program sequentially and creates tasks when it encounters task
 creation statements; worker threads iterate over the scheduling and execution
 phases; when the master reaches a global synchronization point (the end of a
 parallel region) it adopts the behaviour of a worker thread until every task
-of the region has executed, and then resumes the sequential program.
+of the region has executed, and then resumes the sequential program.  Both
+roles share one process body, :meth:`SimThread.run`: the master's creation
+phase precedes the worker loop that every thread runs.
 
 Phase accounting (DEPS / SCHED / EXEC / IDLE) is performed here so that the
 runtime-system models only need to express *how long* their operations take,
@@ -61,7 +63,7 @@ class RegionState:
 
 
 def _inline_pop_enabled(runtime) -> bool:
-    """Whether the worker loops may inline the software-pool pop.
+    """Whether the worker loop may inline the software-pool pop.
 
     True only when the class that provides the runtime's *active*
     ``try_get_task`` also declares ``inline_software_pop`` in its own body —
@@ -94,23 +96,35 @@ class SimThread:
     def run(self) -> Iterator:
         """Process body: iterate over the program's parallel regions.
 
-        The worker-side loop is inlined here rather than delegated through
-        ``yield from self._worker_loop(...)``: every ``send`` into a process
-        traverses the whole generator-delegation chain, and worker events
-        are the majority of all simulation events, so one less frame on that
-        chain is a measurable win.  ``_worker_loop`` (the same loop body) is
-        kept for the master thread, which enters it only at the region
-        barrier.
+        In each region the master first creates the region's tasks; then
+        every thread, the master included, runs the same worker loop (wake,
+        pop, execute, finish) until the region drains.  The loop is inlined
+        here rather than delegated through ``yield from``: every ``send``
+        into a process traverses the whole generator-delegation chain, and
+        worker events are the majority of all simulation events.
         """
         machine = self.machine
         engine = machine.engine
-        self.timeline.begin(Phase.IDLE, engine.now)
-        if self.is_master:
-            runtime = machine.runtime
-            timeline = self.timeline
-            clock_ghz = machine.clock_ghz
-            for region_state in machine.region_states:
-                # Master side, inlined like the worker loop below.
+        runtime = machine.runtime
+        timeline = self.timeline
+        clock_ghz = machine.clock_ghz
+        is_master = self.is_master
+        # Bound methods hoisted out of the wake loop (it runs once per
+        # thread wake-up, the most frequent control path in a simulation).
+        wait_target = runtime.wake_channel.wait_target
+        work_available = runtime.work_available_hint
+        core_id = self.core_id
+        process = self.process
+        inline_pop = _inline_pop_enabled(runtime)
+        if inline_pop:
+            pool = runtime.pool
+            acquire_runtime = runtime.acquire_runtime_lock
+            lock_cycles = runtime._lock_cycles
+            pop_cycles = runtime._pop_cycles
+            runtime_lock = runtime.runtime_lock
+        timeline.begin(Phase.IDLE, engine.now)
+        for region_state in machine.region_states:
+            if is_master:
                 region = region_state.region
                 if region.sequential_us_before > 0:
                     timeline.begin(Phase.EXEC, engine.now)
@@ -124,39 +138,19 @@ class SimThread:
                     region_state.note_created()
                 region_state.note_all_created()
                 runtime.notify_workers()
-                # The master reached the barrier: behave as a worker until
-                # the region drains.
-                yield from self._worker_loop(region_state)
-            self.timeline.begin(Phase.IDLE, engine.now)
-            return None
-
-        runtime = machine.runtime
-        timeline = self.timeline
-        # Bound methods hoisted out of the wake loop (it runs once per
-        # worker wake-up, the most frequent control path in a simulation).
-        wait_target = runtime.wake_channel.wait_target
-        work_available = runtime.work_available_hint
-        core_id = self.core_id
-        process = self.process
-        inline_pop = _inline_pop_enabled(runtime)
-        if inline_pop:
-            pool = runtime.pool
-            acquire_runtime = runtime.acquire_runtime_lock
-            lock_cycles = runtime._lock_cycles
-            pop_cycles = runtime._pop_cycles
-            runtime_lock = runtime.runtime_lock
-        for region_state in machine.region_states:
-            # Keep this block in sync with _worker_loop (it is the same loop,
-            # inlined to shorten the per-event delegation chain).
+                # The master reached the barrier: it behaves as a worker
+                # until the region drains.
             done_event = region_state.done_event
+            # Reusable WaitEvent command: the target event changes per wait,
+            # so the command is mutated in place instead of allocated per
+            # idle spin.
             wait_command = WaitEvent(done_event)
             while not done_event.triggered:
                 wake_target = wait_target()
                 # The SCHED phase only opens when a pop will actually be
-                # attempted.  On a no-work wake-up the old begin(SCHED)/
-                # begin(IDLE) pair at the same cycle recorded a zero-duration
-                # visit that the timeline discards anyway; skipping it leaves
-                # every phase total identical.
+                # attempted: try_get_task performs the same hint check
+                # first, so skipping it on a no-work wake-up leaves timing,
+                # pool behaviour and every phase total identical.
                 if work_available():
                     timeline.begin(Phase.SCHED, engine.now)
                     if inline_pop:
@@ -188,78 +182,13 @@ class SimThread:
                 task.mark_running(engine.now, core_id)
                 yield machine.execution_cycles(core_id, task)
                 self.tasks_executed += 1
+                # Task finalization (dependence management work).
                 timeline.begin(Phase.DEPS, engine.now)
                 yield from runtime.finish_task(self, task)
                 if region_state.note_finished():
                     runtime.notify_workers()
             timeline.begin(Phase.IDLE, engine.now)
-        self.timeline.begin(Phase.IDLE, engine.now)
         return None
-
-    # ------------------------------------------------------------------ workers
-    def _worker_loop(self, region_state: RegionState) -> Iterator:
-        machine = self.machine
-        engine = machine.engine
-        runtime = machine.runtime
-        timeline = self.timeline
-        wait_target = runtime.wake_channel.wait_target
-        work_available = runtime.work_available_hint
-        core_id = self.core_id
-        process = self.process
-        inline_pop = _inline_pop_enabled(runtime)
-        if inline_pop:
-            pool = runtime.pool
-            acquire_runtime = runtime.acquire_runtime_lock
-            lock_cycles = runtime._lock_cycles
-            pop_cycles = runtime._pop_cycles
-            runtime_lock = runtime.runtime_lock
-        done_event = region_state.done_event
-        # Reusable WaitEvent command: the target event changes per wait, so
-        # the command is mutated in place instead of allocated per idle spin.
-        wait_command = WaitEvent(done_event)
-        while not done_event.triggered:
-            wake_target = wait_target()
-            # Skip the generator round trip entirely when no work is visible;
-            # try_get_task performs the same hint check first, so the timing
-            # and pool behaviour are identical either way.  SCHED opens only
-            # when a pop is attempted (see the inlined loop in run()).
-            if work_available():
-                timeline.begin(Phase.SCHED, engine.now)
-                if inline_pop:
-                    # try_get_task, inlined (identical yields; see
-                    # RuntimeSystem.inline_software_pop).
-                    if pool.peek_available():
-                        yield acquire_runtime
-                        yield lock_cycles
-                        entry = pool.pop(core_id)
-                        if entry is not None:
-                            yield pop_cycles
-                        runtime_lock.release(process)
-                    else:
-                        entry = None
-                else:
-                    entry = yield from runtime.try_get_task(self)
-            else:
-                entry = None
-            if entry is None:
-                timeline.begin(Phase.IDLE, engine.now)
-                if done_event.triggered:
-                    break
-                wait_command.event = wake_target
-                yield wait_command
-                continue
-            task = entry.task
-            # Task execution.
-            timeline.begin(Phase.EXEC, engine.now)
-            task.mark_running(engine.now, core_id)
-            yield machine.execution_cycles(core_id, task)
-            self.tasks_executed += 1
-            # Task finalization (dependence management work).
-            timeline.begin(Phase.DEPS, engine.now)
-            yield from runtime.finish_task(self, task)
-            if region_state.note_finished():
-                runtime.notify_workers()
-        self.timeline.begin(Phase.IDLE, engine.now)
 
 
 def build_threads(machine: "Machine") -> List[SimThread]:

@@ -12,6 +12,10 @@ to the original lambda-per-event kernel.  Two layers of pinning enforce that:
   each of the four runtime models, also captured pre-rewrite.  This covers the
   bare-int fast path end to end for every runtime (all four yield bare ints on
   their hot paths now).
+* ``PINNED_RUNTIME_EVENTS`` — the number of events (sequence numbers) each of
+  those runs dispatches.  Event count is part of the determinism contract
+  (``docs/determinism.md``): a kernel change may make events cheaper, never
+  fewer or more.
 """
 
 import hashlib
@@ -20,9 +24,9 @@ import pytest
 
 from repro.config import default_paper_config
 from repro.errors import SimulationError
-from repro.sim.engine import WHEEL_SPAN, Engine
-from repro.sim.events import NotificationEvent, SimEvent, Timeout, WaitEvent
-from repro.sim.machine import run_simulation
+from repro.sim.engine import Engine
+from repro.sim.events import NotificationEvent, SimEvent, WaitEvent
+from repro.sim.machine import Machine
 from repro.sim.timeline import Phase, ThreadTimeline
 from repro.workloads.registry import create_workload
 
@@ -52,12 +56,24 @@ PINNED_RUNTIME_CYCLES = {
     "task_superscalar": 7_336_055,
 }
 PINNED_RUNTIME_TASKS = 364
+# Events (``engine._seq`` at the end) of the same runs, captured on the
+# two-tier-queue kernel the single heap replaced.
+PINNED_RUNTIME_EVENTS = {
+    "software": 11_860,
+    "tdm": 20_803,
+    "carbon": 8_664,
+    "task_superscalar": 19_948,
+}
+
+
+def _pinned_machine(runtime: str) -> Machine:
+    workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
+    workload = create_workload("cholesky", scale=0.05, runtime=workload_runtime)
+    return Machine(workload.build_program(), default_paper_config(runtime))
 
 
 def _run_pinned(runtime: str):
-    workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
-    workload = create_workload("cholesky", scale=0.05, runtime=workload_runtime)
-    return run_simulation(workload.build_program(), default_paper_config(runtime))
+    return _pinned_machine(runtime).run()
 
 
 class TestGoldenDigests:
@@ -91,6 +107,21 @@ class TestPinnedRuntimeCycles:
         assert result.total_cycles == PINNED_RUNTIME_CYCLES[runtime]
         assert result.num_tasks_executed == PINNED_RUNTIME_TASKS
 
+    @pytest.mark.parametrize("runtime", sorted(PINNED_RUNTIME_EVENTS))
+    def test_event_count_unchanged(self, runtime):
+        machine = _pinned_machine(runtime)
+        machine.run()
+        assert machine.engine._seq == PINNED_RUNTIME_EVENTS[runtime]
+
+    def test_master_joins_the_worker_loop_at_the_barrier(self):
+        # The master runs the same worker loop as every other thread once
+        # it has created a region's tasks, so it executes tasks too.
+        machine = _pinned_machine("software")
+        machine.run()
+        executed = [thread.tasks_executed for thread in machine.threads]
+        assert machine.threads[0].is_master and executed[0] > 0
+        assert sum(executed) == PINNED_RUNTIME_TASKS
+
 
 class TestBareIntTimeouts:
     def test_int_yield_advances_clock(self):
@@ -108,24 +139,6 @@ class TestBareIntTimeouts:
         engine.process(body(), name="p")
         engine.run()
         assert log == [10, 10, 15]
-
-    def test_int_and_timeout_yields_interleave_identically(self):
-        def build(use_ints):
-            engine = Engine()
-            trace = []
-
-            def worker(tag, delay):
-                yield delay if use_ints else Timeout(delay)
-                trace.append((engine.now, tag))
-                yield (delay * 2) if use_ints else Timeout(delay * 2)
-                trace.append((engine.now, tag))
-
-            for index in range(5):
-                engine.process(worker(f"w{index}", index + 1), name=f"w{index}")
-            engine.run()
-            return trace
-
-        assert build(True) == build(False)
 
     def test_negative_int_rejected(self):
         engine = Engine()
@@ -148,20 +161,25 @@ class TestBareIntTimeouts:
         with pytest.raises(SimulationError, match="unknown command"):
             engine.run()
 
-    def test_timeout_subclass_dispatches_via_cold_path(self):
-        class SlowTimeout(Timeout):
-            pass
+    @pytest.mark.parametrize("base", ["event", "lock"])
+    def test_command_subclass_yield_rejected(self, base):
+        # Dispatch is keyed on the exact command type; a subclass is not
+        # one of the three commands.
+        from repro.sim.events import Acquire
+        from repro.sim.resources import Lock
 
         engine = Engine()
-        fired = []
+        if base == "event":
+            command = type("MyWait", (WaitEvent,), {})(SimEvent(engine, "e"))
+        else:
+            command = type("MyAcquire", (Acquire,), {})(Lock(engine, "l"))
 
         def body():
-            yield SlowTimeout(7)
-            fired.append(engine.now)
+            yield command
 
         engine.process(body(), name="sub")
-        engine.run()
-        assert fired == [7]
+        with pytest.raises(SimulationError, match="unknown command"):
+            engine.run()
 
 
 class TestRunUntilReentry:
@@ -203,18 +221,16 @@ class TestRunUntilReentry:
         assert fired == [10]
 
 
-class TestBucketedWheel:
-    """The two-tier queue (near-future wheel + far-future heap) is order-
-    transparent: delays on either side of the WHEEL_SPAN horizon, horizon
-    crossings via run(until), and heap-to-wheel migration must all preserve
-    the single-queue (time, seq) order."""
+class TestQueueOrdering:
+    """The event heap plus the zero-delay ready deque behave as one global
+    (time, seq) queue: short and long delays, pauses via run(until) and
+    batched triggers all preserve that order."""
 
-    def test_delays_across_the_horizon_interleave_by_time_then_seq(self):
+    def test_short_and_long_delays_interleave_by_time_then_seq(self):
         engine = Engine()
         trace = []
-        # Delays straddling the wheel horizon, scheduled in one batch: the
-        # far-future heap and the wheel must merge back into time order.
-        delays = [1, WHEEL_SPAN - 1, WHEEL_SPAN, WHEEL_SPAN + 1, 3 * WHEEL_SPAN, 7]
+        # Short and long delays scheduled in one batch fire in time order.
+        delays = [1, 1023, 1024, 1025, 3072, 7]
 
         def worker(tag, delay):
             yield delay
@@ -226,7 +242,7 @@ class TestBucketedWheel:
         assert trace == sorted(trace), "events fired out of (time, seq) order"
         assert [now for now, _tag in trace] == sorted(delays)
 
-    def test_same_cycle_ties_follow_scheduling_order_across_tiers(self):
+    def test_same_cycle_ties_follow_scheduling_order(self):
         engine = Engine()
         trace = []
 
@@ -236,20 +252,20 @@ class TestBucketedWheel:
             yield second
             trace.append((engine.now, tag, "b"))
 
-        # Both processes reach cycle WHEEL_SPAN + 2: p0 via a far-future
-        # sleep (heap, migrated into the wheel), p1 via two near sleeps
-        # (wheel only).  p0 scheduled its arrival first, so it runs first.
-        engine.process(sleeper("p0", WHEEL_SPAN + 2, 1), name="p0")
-        engine.process(sleeper("p1", 2, WHEEL_SPAN), name="p1")
+        # Both processes reach cycle 1026: p0 via one long sleep, p1 via
+        # two shorter ones.  p0 scheduled its arrival first, so it runs
+        # first.
+        engine.process(sleeper("p0", 1026, 1), name="p0")
+        engine.process(sleeper("p1", 2, 1024), name="p1")
         engine.run()
         assert trace == [
             (2, "p1", "a"),
-            (WHEEL_SPAN + 2, "p0", "a"),
-            (WHEEL_SPAN + 2, "p1", "b"),
-            (WHEEL_SPAN + 3, "p0", "b"),
+            (1026, "p0", "a"),
+            (1026, "p1", "b"),
+            (1027, "p0", "b"),
         ]
 
-    def test_run_until_pauses_inside_and_beyond_the_wheel_window(self):
+    def test_run_until_pauses_before_near_and_far_events(self):
         def build():
             engine = Engine()
             trace = []
@@ -260,44 +276,62 @@ class TestBucketedWheel:
                     trace.append((engine.now, tag))
 
             engine.process(worker("near", 5), name="near")
-            engine.process(worker("far", WHEEL_SPAN + 11), name="far")
+            engine.process(worker("far", 1035), name="far")
             return engine, trace
 
         engine, full = build()
         engine.run()
 
         engine2, stepped = build()
-        # Bounds inside the first window, exactly at the horizon, and far
-        # beyond it (forcing heap->wheel migration on re-entry).
-        for until in (3, WHEEL_SPAN, WHEEL_SPAN + 11, 2 * WHEEL_SPAN + 30):
+        # Bounds before the first event, between events, exactly at an
+        # event time, and far beyond it.
+        for until in (3, 1024, 1035, 2078):
             assert engine2.run(until=until) == until
         engine2.run()
         assert stepped == full
         assert engine2.now == engine.now
 
-    def test_schedule_callbacks_merge_with_process_wakeups(self):
+    def test_ties_break_by_the_seq_claimed_when_the_delay_was_yielded(self):
         engine = Engine()
         trace = []
 
-        def worker():
-            yield 4
-            trace.append(("proc", engine.now))
+        def worker(tag, delays):
+            for delay in delays:
+                yield delay
+            trace.append((tag, engine.now))
 
-        engine.process(worker(), name="p")
-        engine.schedule(4, lambda: trace.append(("cb4", engine.now)))
-        engine.schedule(WHEEL_SPAN + 4, lambda: trace.append(("far", engine.now)))
-        engine.schedule(0, lambda: trace.append(("cb0", engine.now)))
+        # "p" is created first but yields 0 before its 4-cycle delay, so it
+        # claims that delay's sequence number after "d4" claimed its own.
+        engine.process(worker("p", [0, 4]), name="p")
+        engine.process(worker("d4", [4]), name="d4")
+        engine.process(worker("far", [1028]), name="far")
+        engine.process(worker("d0", [0]), name="d0")
         engine.run()
-        # Ties at time 4 break by scheduling order: the callback claimed its
-        # sequence number when schedule() ran, the process's wakeup only when
-        # its first step executed `yield 4` (during cycle 0) — exactly the
-        # pre-wheel single-queue order.
         assert trace == [
-            ("cb0", 0),
-            ("cb4", 4),
-            ("proc", 4),
-            ("far", WHEEL_SPAN + 4),
+            ("d0", 0),
+            ("d4", 4),
+            ("p", 4),
+            ("far", 1028),
         ]
+
+    def test_heap_entries_due_now_run_before_ready_entries_created_now(self):
+        engine = Engine()
+        trace = []
+
+        def first():
+            yield 5
+            trace.append(("first", engine.now))
+            yield 0  # claims a ready-deque seq during cycle 5
+            trace.append(("first again", engine.now))
+
+        def second():
+            yield 5  # queued during cycle 0, so it precedes the yield 0
+            trace.append(("second", engine.now))
+
+        engine.process(first(), name="first")
+        engine.process(second(), name="second")
+        engine.run()
+        assert trace == [("first", 5), ("second", 5), ("first again", 5)]
 
     def test_batched_trigger_preserves_waiter_and_bystander_order(self):
         engine = Engine()
@@ -360,7 +394,7 @@ class TestBucketedWheel:
         live = engine.process(waiter(), name="live")
 
         def sentinel():  # keeps the queues non-empty so run(until) pauses
-            yield WHEEL_SPAN * 4
+            yield 4096
 
         engine.process(sentinel(), name="sentinel")
         engine.run(until=engine.now + 1)  # let the waiter reach its yield
@@ -370,9 +404,9 @@ class TestBucketedWheel:
         assert woken == [42]
         assert finished.result is None
 
-    def test_deadlock_detection_sees_wheel_and_heap_events(self):
-        # A pending far-future event must keep the engine alive; once the
-        # queues drain with a blocked process, DeadlockError still fires.
+    def test_deadlock_detection_waits_for_pending_timed_events(self):
+        # A pending timed event must keep the engine alive; once the queues
+        # drain with a blocked process, DeadlockError still fires.
         from repro.errors import DeadlockError
 
         engine = Engine()
@@ -381,34 +415,29 @@ class TestBucketedWheel:
             yield WaitEvent(SimEvent(engine, "never"))
 
         def worker():
-            yield WHEEL_SPAN * 2
+            yield 2048
 
         engine.process(blocked(), name="blocked")
         engine.process(worker(), name="w")
         with pytest.raises(DeadlockError):
             engine.run()
-        assert engine.now == WHEEL_SPAN * 2
+        assert engine.now == 2048
 
+    def test_deadlock_message_names_only_the_blocked_processes(self):
+        from repro.errors import DeadlockError
 
-class TestProcessRegistry:
-    def test_process_counts_are_cheap_and_correct(self):
         engine = Engine()
 
-        def body(delay):
-            yield delay
+        def blocked():
+            yield WaitEvent(SimEvent(engine, "never"))
 
-        engine.process(body(5), name="a")
-        engine.process(body(9), name="b")
-        assert engine.live_process_count == 2
-        assert engine.finished_process_count == 0
-        # The registry property returns the live list (no per-access copy).
-        assert engine.processes is engine.processes
-        engine.run(until=5)
-        assert engine.live_process_count == 1
-        engine.run()
-        assert engine.live_process_count == 0
-        assert engine.finished_process_count == 2
-        assert [p.name for p in engine.processes] == ["a", "b"]
+        def finisher():
+            yield 3
+
+        engine.process(finisher(), name="done")
+        engine.process(blocked(), name="stuck")
+        with pytest.raises(DeadlockError, match=r"1 processes still blocked: \['stuck'\]"):
+            engine.run()
 
 
 class TestNotificationEventLazyRearm:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import NotificationEvent, Timeout, WaitEvent
+from repro.sim.events import NotificationEvent, WaitEvent
 
 
 def test_timeout_advances_clock():
@@ -12,9 +12,9 @@ def test_timeout_advances_clock():
     log = []
 
     def body():
-        yield Timeout(10)
+        yield 10
         log.append(engine.now)
-        yield Timeout(5)
+        yield 5
         log.append(engine.now)
 
     engine.process(body(), name="p")
@@ -26,7 +26,7 @@ def test_process_return_value_captured():
     engine = Engine()
 
     def body():
-        yield Timeout(1)
+        yield 1
         return 42
 
     process = engine.process(body(), name="p")
@@ -40,7 +40,7 @@ def test_same_time_events_processed_in_scheduling_order():
     order = []
 
     def body(tag):
-        yield Timeout(10)
+        yield 10
         order.append(tag)
 
     for tag in ("a", "b", "c"):
@@ -55,9 +55,9 @@ def test_determinism_two_identical_runs():
         trace = []
 
         def worker(tag, delay):
-            yield Timeout(delay)
+            yield delay
             trace.append((engine.now, tag))
-            yield Timeout(delay * 2)
+            yield delay * 2
             trace.append((engine.now, tag))
 
         for index in range(5):
@@ -78,7 +78,7 @@ def test_wait_event_resumes_with_value():
         seen.append(value)
 
     def producer():
-        yield Timeout(30)
+        yield 30
         event.trigger("payload")
 
     engine.process(waiter(), name="waiter")
@@ -111,18 +111,6 @@ def test_event_trigger_is_idempotent():
     assert event.value == 1
 
 
-def test_event_callback_invoked():
-    engine = Engine()
-    event = engine.event("cb")
-    values = []
-    event.add_callback(values.append)
-    event.trigger("x")
-    assert values == ["x"]
-    # Callback added after trigger fires immediately.
-    event.add_callback(values.append)
-    assert values == ["x", "x"]
-
-
 def test_notification_event_rearms():
     engine = Engine()
     channel = NotificationEvent(engine, "notify")
@@ -137,9 +125,9 @@ def test_notification_event_rearms():
         woken.append((tag, engine.now))
 
     def notifier():
-        yield Timeout(5)
+        yield 5
         channel.notify_all()
-        yield Timeout(5)
+        yield 5
         channel.notify_all()
 
     engine.process(waiter("w"), name="w")
@@ -165,7 +153,7 @@ def test_run_until_stops_early():
     log = []
 
     def body():
-        yield Timeout(100)
+        yield 100
         log.append("late")
 
     engine.process(body(), name="p")
@@ -178,57 +166,18 @@ def test_run_all_enforces_cycle_budget():
     engine = Engine()
 
     def body():
-        yield Timeout(1000)
+        yield 1000
 
     engine.process(body(), name="p")
     with pytest.raises(SimulationError):
         engine.run_all(max_cycles=10)
 
 
-def test_negative_timeout_rejected():
-    with pytest.raises(ValueError):
-        Timeout(-1)
-
-
-def test_schedule_in_past_rejected():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.schedule(-5, lambda: None)
-
-
-def test_fractional_delays_round_half_up():
-    # int(delay) used to truncate: a 2.7-cycle cost lost 0.7 cycles per event.
-    engine = Engine()
-    fired_at = []
-    engine.schedule(2.7, lambda: fired_at.append(engine.now))
-    engine.schedule(0.5, lambda: fired_at.append(engine.now))
-    engine.schedule(0.4, lambda: fired_at.append(engine.now))
-    engine.run()
-    assert sorted(fired_at) == [0, 1, 3]
-
-
-def test_fractional_timeout_rounds_half_up():
-    assert Timeout(2.7).cycles == 3
-    assert Timeout(2.2).cycles == 2
-    assert Timeout(0.5).cycles == 1
-    assert Timeout(7).cycles == 7
-
-
-def test_negative_after_rounding_rejected():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.schedule(-0.6, lambda: None)
-    # -0.4 rounds half-up to 0: schedulable "now", not in the past.
-    engine.schedule(-0.4, lambda: None)
-    with pytest.raises(ValueError):
-        Timeout(-0.6)
-
-
 def test_exception_in_process_is_wrapped():
     engine = Engine()
 
     def bad():
-        yield Timeout(1)
+        yield 1
         raise RuntimeError("boom")
 
     engine.process(bad(), name="bad")
@@ -237,11 +186,13 @@ def test_exception_in_process_is_wrapped():
 
 
 def test_unknown_command_rejected():
-    engine = Engine()
+    # Fractional cycle counts are not timeouts: cost models round first.
+    for command in ("not a command", 2.5):
+        engine = Engine()
 
-    def body():
-        yield "not a command"
+        def body():
+            yield command
 
-    engine.process(body(), name="p")
-    with pytest.raises(SimulationError, match="unknown command"):
-        engine.run()
+        engine.process(body(), name="p")
+        with pytest.raises(SimulationError, match="unknown command"):
+            engine.run()

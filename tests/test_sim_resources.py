@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import Acquire, Timeout
+from repro.sim.events import Acquire
 from repro.sim.resources import Lock
 
 
@@ -14,10 +14,10 @@ def test_lock_grants_in_fifo_order():
     order = []
 
     def worker(tag, start_delay, hold):
-        yield Timeout(start_delay)
+        yield start_delay
         yield Acquire(lock)
         order.append((tag, engine.now))
-        yield Timeout(hold)
+        yield hold
         lock.release(process_map[tag])
 
     process_map = {}
@@ -36,7 +36,7 @@ def test_lock_statistics():
 
     def worker(tag):
         yield Acquire(lock)
-        yield Timeout(4)
+        yield 4
         lock.release(procs[tag])
 
     for tag in ("a", "b"):
@@ -57,11 +57,11 @@ def test_release_by_non_holder_rejected():
 
     def holder():
         yield Acquire(lock)
-        yield Timeout(100)
+        yield 100
         lock.release(procs["holder"])
 
     def intruder():
-        yield Timeout(1)
+        yield 1
         lock.release(procs["intruder"])
 
     procs["holder"] = engine.process(holder(), name="holder")
@@ -78,7 +78,7 @@ def test_uncontended_lock_has_no_wait():
     def worker():
         yield Acquire(lock)
         lock.release(procs["w"])
-        yield Timeout(1)
+        yield 1
 
     procs["w"] = engine.process(worker(), name="w")
     engine.run()
