@@ -16,8 +16,12 @@ to the original lambda-per-event kernel.  Two layers of pinning enforce that:
   those runs dispatches.  Event count is part of the determinism contract
   (``docs/determinism.md``): a kernel change may make events cheaper, never
   fewer or more.
+* ``PINNED_BLOCKED_RUNS`` — cycles, events and blocked-instruction counts of
+  the two DMU runtimes on a DMU small enough that ISA instructions block, so
+  the blocked-instruction retry path is pinned end to end.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -66,10 +70,33 @@ PINNED_RUNTIME_EVENTS = {
 }
 
 
-def _pinned_machine(runtime: str) -> Machine:
+# (benchmark, runtime) -> (total cycles, events, DMU blocked instructions) at
+# scale=0.05 on the TDM workload with a 64-entry TAT, DAT and Ready Queue and
+# 32-entry successor, dependence and reader lists.
+PINNED_BLOCKED_RUNS = {
+    ("cholesky", "tdm"): (13_079_699, 29_518, 302),
+    ("cholesky", "task_superscalar"): (12_525_059, 46_838, 297),
+    ("qr", "tdm"): (15_639_853, 54_811, 543),
+    ("qr", "task_superscalar"): (15_098_841, 78_566, 533),
+}
+
+
+def _pinned_machine(runtime: str, benchmark: str = "cholesky", small_dmu: bool = False) -> Machine:
     workload_runtime = "tdm" if runtime in ("tdm", "task_superscalar") else "software"
-    workload = create_workload("cholesky", scale=0.05, runtime=workload_runtime)
-    return Machine(workload.build_program(), default_paper_config(runtime))
+    workload = create_workload(benchmark, scale=0.05, runtime=workload_runtime)
+    config = default_paper_config(runtime)
+    if small_dmu:
+        dmu = dataclasses.replace(
+            config.dmu,
+            tat_entries=64,
+            dat_entries=64,
+            ready_queue_entries=64,
+            successor_list_entries=32,
+            dependence_list_entries=32,
+            reader_list_entries=32,
+        )
+        config = dataclasses.replace(config, dmu=dmu).validated()
+    return Machine(workload.build_program(), config)
 
 
 def _run_pinned(runtime: str):
@@ -112,6 +139,15 @@ class TestPinnedRuntimeCycles:
         machine = _pinned_machine(runtime)
         machine.run()
         assert machine.engine._seq == PINNED_RUNTIME_EVENTS[runtime]
+
+    @pytest.mark.parametrize("workload,runtime", sorted(PINNED_BLOCKED_RUNS))
+    def test_blocked_instruction_path_unchanged(self, workload, runtime):
+        machine = _pinned_machine(runtime, workload, small_dmu=True)
+        result = machine.run()
+        blocked = result.runtime_stats["dmu_blocked_events"]
+        assert (result.total_cycles, machine.engine._seq, blocked) == (
+            PINNED_BLOCKED_RUNS[workload, runtime]
+        )
 
     def test_master_joins_the_worker_loop_at_the_barrier(self):
         # The master runs the same worker loop as every other thread once
