@@ -3,9 +3,9 @@
 This package contains the task and dependence abstractions shared by the
 whole library (:mod:`repro.runtime.task`), the software dependence tracker
 (:mod:`repro.runtime.tracker`), the ready pool used by the software
-schedulers (:mod:`repro.runtime.ready_pool`), the calibrated phase cost model
-(:mod:`repro.runtime.cost_model`) and the four runtime-system variants
-evaluated in the paper:
+schedulers (:mod:`repro.runtime.ready_pool`), the calibrated phase cost
+formulas (:mod:`repro.runtime.cost_model`) and the four runtime-system
+variants evaluated in the paper:
 
 * :class:`~repro.runtime.software.SoftwareRuntime` — everything in software
   (the paper's baseline),
@@ -14,7 +14,11 @@ evaluated in the paper:
 * :class:`~repro.runtime.carbon.CarbonRuntime` — hardware FIFO task queues,
   dependence management in software (Carbon [10]),
 * :class:`~repro.runtime.task_superscalar.TaskSuperscalarRuntime` — both
-  dependence management and scheduling in hardware (Task Superscalar [11]).
+  dependence management and scheduling in hardware (Task Superscalar [11]):
+  the TDM runtime with the DMU's Ready Queue in place of the software pool.
+
+The software-pool pop is :meth:`~repro.runtime.base.RuntimeSystem.try_get_task`,
+shared by the software and TDM runtimes.
 """
 
 from .task import (
@@ -28,7 +32,6 @@ from .task import (
 )
 from .tracker import DependenceTracker, MatchResult
 from .ready_pool import ReadyPool
-from .cost_model import RuntimeCostModel
 from .base import RuntimeSystem
 from .software import SoftwareRuntime
 from .tdm import TDMRuntime
@@ -47,7 +50,6 @@ __all__ = [
     "DependenceTracker",
     "MatchResult",
     "ReadyPool",
-    "RuntimeCostModel",
     "RuntimeSystem",
     "SoftwareRuntime",
     "TDMRuntime",

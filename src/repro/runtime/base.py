@@ -11,7 +11,8 @@ The common machinery provided here:
 
 * task-instance creation (descriptor addresses, the descriptor -> instance
   map used to resolve DMU responses),
-* the software pool of ready tasks and the wake-up notification channel,
+* the software pool of ready tasks, its pop (:meth:`RuntimeSystem.try_get_task`)
+  and the wake-up notification channel,
 * the global runtime lock used by software TDG / pool updates,
 * bookkeeping counters surfaced in :meth:`RuntimeSystem.stats`.
 """
@@ -27,7 +28,6 @@ from ..sim.engine import Engine
 from ..sim.events import Acquire, NotificationEvent, WaitEvent
 from ..sim.noc import NocModel
 from ..sim.resources import Lock
-from .cost_model import RuntimeCostModel
 from .ready_pool import ReadyPool
 from .task import TaskDefinition, TaskInstance, TaskInstanceFactory
 
@@ -44,19 +44,12 @@ class RuntimeSystem(abc.ABC):
 
     #: Registry name of the runtime ("software", "tdm", ...).
     name: str = "abstract"
-    #: Whether the runtime drives a DMU model.
-    uses_dmu: bool = False
     #: Whether the configured software scheduler is honoured (hardware
     #: schedulers such as Carbon / Task Superscalar use their fixed policy).
     honors_scheduler: bool = True
-    #: When True the worker wake loop in :mod:`repro.sim.thread` inlines
-    #: the software-pool pop — the exact yield sequence of the runtime's
-    #: ``try_get_task`` (lock acquire, lock cycles, pop, pop cycles,
-    #: release) — skipping one generator allocation plus one delegation
-    #: frame per pop attempt, the most frequent scheduling path.  Only
-    #: valid for runtimes whose ``try_get_task`` is precisely that
-    #: sequence (software and TDM); keep the two in sync.
-    inline_software_pop: bool = False
+    #: Busy cycles of one successful software-pool pop; set by the runtimes
+    #: that inherit :meth:`try_get_task`.
+    _pop_cycles: int
 
     def __init__(
         self,
@@ -66,7 +59,8 @@ class RuntimeSystem(abc.ABC):
         noc: NocModel,
     ) -> None:
         self.config = config
-        self.costs = RuntimeCostModel(config.costs)
+        self.costs = config.costs
+        self._lock_cycles = config.costs.lock_acquire_cycles
         self.engine = engine
         self.noc = noc
         self.scheduler = scheduler
@@ -138,12 +132,25 @@ class RuntimeSystem(abc.ABC):
         Returns the new :class:`TaskInstance`.
         """
 
-    @abc.abstractmethod
     def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
         """Try to obtain a ready task for ``thread`` (SCHED phase).
 
         Returns a :class:`~repro.schedulers.base.ReadyEntry` or ``None``.
+        This is the software-pool pop under the runtime lock.  The worker
+        loop in :meth:`repro.sim.thread.SimThread.run` inlines these exact
+        yields for every runtime that does not override this method (one
+        less generator and ``send()`` frame per pop attempt); keep the two
+        in sync.
         """
+        if not self.pool.peek_available():
+            return None
+        yield self.acquire_runtime_lock
+        yield self._lock_cycles
+        entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
+        if entry is not None:
+            yield self._pop_cycles
+        self.runtime_lock.release(thread.process)
+        return entry
 
     @abc.abstractmethod
     def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Optional
 
 from ..schedulers.base import ReadyEntry
 from ..schedulers.fifo import FifoScheduler
-from ..sim.events import Acquire
 from .base import RuntimeGenerator, RuntimeSystem
+from .cost_model import sw_dependence_commit_cycles, sw_dependence_lookup_cycles, sw_finish_cycles
 from .ready_pool import ReadyPool
 from .task import TaskDefinition, TaskInstance
 from .tracker import DependenceTracker
@@ -32,7 +32,6 @@ class CarbonRuntime(RuntimeSystem):
     """Software dependence tracking + hardware FIFO task queues."""
 
     name = "carbon"
-    uses_dmu = False
     honors_scheduler = False
 
     def __init__(self, config, scheduler, engine, noc) -> None:
@@ -43,9 +42,8 @@ class CarbonRuntime(RuntimeSystem):
         self.pool = ReadyPool(FifoScheduler(), engine, name="carbon-queue")
         self.tracker = DependenceTracker()
         # Fixed per-operation costs hoisted out of the per-yield hot path.
-        self._alloc_cycles = self.costs.sw_task_alloc_cycles()
-        self._lock_cycles = self.costs.lock_acquire_cycles()
-        self._hw_queue_cycles = self.costs.hw_queue_cycles()
+        self._alloc_cycles = config.costs.sw_task_alloc_cycles
+        self._hw_queue_cycles = config.costs.hw_queue_access_cycles
 
     # ------------------------------------------------------------------ creation
     def create_task(
@@ -53,11 +51,11 @@ class CarbonRuntime(RuntimeSystem):
     ) -> RuntimeGenerator:
         instance = self.new_instance(definition, region_index)
         yield self._alloc_cycles
-        yield self.costs.sw_dependence_lookup_cycles(definition.num_dependences)
+        yield sw_dependence_lookup_cycles(self.costs, definition.num_dependences)
         yield self.acquire_runtime_lock
         yield self._lock_cycles
         match = self.tracker.register_task(instance)
-        yield self.costs.sw_dependence_commit_cycles(match)
+        yield sw_dependence_commit_cycles(self.costs, match)
         self.runtime_lock.release(thread.process)
         if match.initially_ready:
             yield self._hw_queue_cycles
@@ -81,7 +79,7 @@ class CarbonRuntime(RuntimeSystem):
         yield self.acquire_runtime_lock
         yield self._lock_cycles
         newly_ready = self.tracker.finish_task(instance)
-        yield self.costs.sw_finish_cycles(len(instance.successors))
+        yield sw_finish_cycles(self.costs, len(instance.successors))
         # The task's data is available as soon as its finalization is logged;
         # successors may start while the hardware queue insertions below are
         # still in flight, so the finish timestamp is recorded first.

@@ -19,92 +19,38 @@ the NoC round trip by :class:`~repro.sim.noc.NocModel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..config import CostModelConfig
 from .tracker import MatchResult
 
 
-@dataclass(frozen=True)
-class RuntimeCostModel:
-    """Turns runtime-system actions into busy cycles."""
+# The runtimes read fixed per-operation costs straight from
+# ``CostModelConfig``; only the three costs that depend on the matching work
+# performed are formulas.
+def sw_dependence_lookup_cycles(costs: CostModelConfig, num_dependences: int) -> int:
+    """Address hashing / region lookup work, performed outside the lock.
 
-    config: CostModelConfig
+    Nanos++-style runtimes resolve each dependence region before taking the
+    dependence-domain lock; only linking the task into the TDG needs mutual
+    exclusion.  Splitting the cost keeps lock contention realistic (the
+    paper measures thread-synchronization overheads below 1% of the
+    dependence-management time).
+    """
+    return num_dependences * costs.sw_dep_base_cycles
 
-    # ------------------------------------------------------------- software
-    def sw_task_alloc_cycles(self) -> int:
-        """Allocate and initialize a task descriptor in software."""
-        return self.config.sw_task_alloc_cycles
 
-    def sw_dependence_cycles(self, match: MatchResult) -> int:
-        """Software dependence matching for one task (all its dependences)."""
-        return self.sw_dependence_lookup_cycles(match.num_dependences) + self.sw_dependence_commit_cycles(match)
+def sw_dependence_commit_cycles(costs: CostModelConfig, match: MatchResult) -> int:
+    """TDG linking work (reader traversals, successor inserts), under the lock."""
+    return (
+        match.readers_traversed * costs.sw_dep_per_reader_cycles
+        + match.successor_links * costs.sw_dep_per_successor_cycles
+    )
 
-    def sw_dependence_lookup_cycles(self, num_dependences: int) -> int:
-        """Address hashing / region lookup work, performed outside the lock.
 
-        Nanos++-style runtimes resolve each dependence region before taking
-        the dependence-domain lock; only linking the task into the TDG needs
-        mutual exclusion.  Splitting the cost keeps lock contention realistic
-        (the paper measures thread-synchronization overheads below 1% of the
-        dependence-management time).
-        """
-        return num_dependences * self.config.sw_dep_base_cycles
-
-    def sw_dependence_commit_cycles(self, match: MatchResult) -> int:
-        """TDG linking work (reader traversals, successor inserts), under the lock."""
-        cfg = self.config
-        return (
-            match.readers_traversed * cfg.sw_dep_per_reader_cycles
-            + match.successor_links * cfg.sw_dep_per_successor_cycles
-        )
-
-    def sw_creation_cycles(self, match: MatchResult) -> int:
-        """Total software task-creation cost (descriptor + dependence matching)."""
-        return self.sw_task_alloc_cycles() + self.sw_dependence_cycles(match)
-
-    def sw_finish_cycles(self, num_successors: int) -> int:
-        """Software task-finalization cost (wake up successors, update the TDG)."""
-        cfg = self.config
-        return cfg.sw_finish_base_cycles + num_successors * cfg.sw_finish_per_successor_cycles
-
-    def sw_pop_cycles(self) -> int:
-        return self.config.sw_schedule_pop_cycles
-
-    def sw_push_cycles(self) -> int:
-        return self.config.sw_schedule_push_cycles
-
-    # ------------------------------------------------------------- TDM
-    def tdm_task_alloc_cycles(self) -> int:
-        """Descriptor allocation still performed in software under TDM."""
-        return self.config.tdm_task_alloc_cycles
-
-    def tdm_finish_cycles(self) -> int:
-        """Software-side bookkeeping when a task finishes under TDM."""
-        return self.config.tdm_finish_base_cycles
-
-    def tdm_pop_cycles(self) -> int:
-        return self.config.tdm_schedule_pop_cycles
-
-    def tdm_push_cycles(self) -> int:
-        return self.config.tdm_schedule_push_cycles
-
-    def tdm_drain_cycles(self) -> int:
-        """Software cost of handling one drained ready task (pool insertion aside)."""
-        return self.config.tdm_drain_per_task_cycles
-
-    # ------------------------------------------------------------- hardware queues
-    def hw_queue_cycles(self) -> int:
-        """Access to a hardware task queue (Carbon / Task Superscalar)."""
-        return self.config.hw_queue_access_cycles
-
-    # ------------------------------------------------------------- misc
-    def lock_acquire_cycles(self) -> int:
-        return self.config.lock_acquire_cycles
-
-    def idle_poll_cycles(self) -> int:
-        return self.config.sw_idle_poll_cycles
+def sw_finish_cycles(costs: CostModelConfig, num_successors: int) -> int:
+    """Software task-finalization cost (wake up successors, update the TDG)."""
+    return costs.sw_finish_base_cycles + num_successors * costs.sw_finish_per_successor_cycles
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ densely-connected tasks (Figure 2 of the paper).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from ..schedulers.base import ReadyEntry
-from ..sim.events import Acquire
 from .base import RuntimeGenerator, RuntimeSystem
+from .cost_model import sw_dependence_commit_cycles, sw_dependence_lookup_cycles, sw_finish_cycles
 from .task import TaskDefinition, TaskInstance
 from .tracker import DependenceTracker
 
@@ -27,19 +26,16 @@ class SoftwareRuntime(RuntimeSystem):
     """Software dependence tracking + software scheduling."""
 
     name = "software"
-    uses_dmu = False
     honors_scheduler = True
-    inline_software_pop = True
 
     def __init__(self, config, scheduler, engine, noc) -> None:
         super().__init__(config, scheduler, engine, noc)
         self.tracker = DependenceTracker()
         # Fixed per-operation costs hoisted out of the per-yield hot path.
-        costs = self.costs
-        self._alloc_cycles = costs.sw_task_alloc_cycles()
-        self._lock_cycles = costs.lock_acquire_cycles()
-        self._pop_cycles = costs.sw_pop_cycles()
-        self._push_cycles = costs.sw_push_cycles()
+        costs = config.costs
+        self._alloc_cycles = costs.sw_task_alloc_cycles
+        self._pop_cycles = costs.sw_schedule_pop_cycles
+        self._push_cycles = costs.sw_schedule_push_cycles
 
     # ------------------------------------------------------------------ creation
     def create_task(
@@ -49,11 +45,11 @@ class SoftwareRuntime(RuntimeSystem):
         # Descriptor allocation and dependence-region lookups happen outside
         # the lock; only linking the task into the TDG needs mutual exclusion.
         yield self._alloc_cycles
-        yield self.costs.sw_dependence_lookup_cycles(definition.num_dependences)
+        yield sw_dependence_lookup_cycles(self.costs, definition.num_dependences)
         yield self.acquire_runtime_lock
         yield self._lock_cycles
         match = self.tracker.register_task(instance)
-        yield self.costs.sw_dependence_commit_cycles(match)
+        yield sw_dependence_commit_cycles(self.costs, match)
         pushed = False
         if match.initially_ready:
             yield self._push_cycles
@@ -68,26 +64,12 @@ class SoftwareRuntime(RuntimeSystem):
             self.notify_workers()
         return instance
 
-    # ------------------------------------------------------------------ scheduling
-    def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        # The worker wake loop inlines this exact sequence when
-        # inline_software_pop is set (see repro/sim/thread.py) — keep in sync.
-        if not self.pool.peek_available():
-            return None
-        yield self.acquire_runtime_lock
-        yield self._lock_cycles
-        entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
-        if entry is not None:
-            yield self._pop_cycles
-        self.runtime_lock.release(thread.process)
-        return entry
-
     # ------------------------------------------------------------------ finalization
     def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:
         yield self.acquire_runtime_lock
         yield self._lock_cycles
         newly_ready = self.tracker.finish_task(instance)
-        yield self.costs.sw_finish_cycles(len(instance.successors))
+        yield sw_finish_cycles(self.costs, len(instance.successors))
         for successor in newly_ready:
             yield self._push_cycles
             self.push_ready(

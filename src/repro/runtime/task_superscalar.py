@@ -1,181 +1,53 @@
 """Task Superscalar baseline: dependence management *and* scheduling in hardware.
 
 Task Superscalar [11] offloads the whole runtime activity to the
-architecture.  The model reuses the DMU for dependence tracking (the paper's
-gem5 setup does the same: "Combining this hardware queue and the DMU we also
-model Task Superscalar") and schedules directly from the hardware Ready Queue
-with a fixed FIFO policy: workers pop ready tasks straight from the unit, so
-there is no software pool and the configured software scheduler is ignored.
+architecture.  The paper's gem5 setup builds it from TDM's parts:
+"Combining this hardware queue and the DMU we also model Task Superscalar".
+So does this model: it is the TDM runtime (same DMU, ISA issue sequence and
+blocked-instruction retry) with the software pool replaced by the DMU's
+hardware Ready Queue.  Workers pop ready tasks straight from the unit with a
+fixed FIFO policy, so the configured software scheduler is ignored.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Iterable
 
-from ..core.dmu import DependenceManagementUnit
 from ..schedulers.base import ReadyEntry
-from ..sim.events import Acquire, NotificationEvent, WaitEvent
-from ..sim.resources import Lock
-from ..sim.timeline import Phase
-from .base import RuntimeGenerator, RuntimeSystem
-from .task import TaskDefinition, TaskInstance
+from .base import RuntimeGenerator
+from .task import TaskInstance
+from .tdm import TDMRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.thread import SimThread
 
 
-class TaskSuperscalarRuntime(RuntimeSystem):
+class TaskSuperscalarRuntime(TDMRuntime):
     """Hardware dependence tracking + hardware FIFO scheduling."""
 
     name = "task_superscalar"
-    uses_dmu = True
     honors_scheduler = False
+    # The hardware queue replays a blocked instruction internally.
+    BLOCKED_RESPONSE_CROSSES_NOC = False
 
     def __init__(self, config, scheduler, engine, noc) -> None:
         super().__init__(config, scheduler, engine, noc)
-        self._dmu = DependenceManagementUnit(config.dmu)
-        self.dmu_lock = Lock(engine, "tss")
-        self._acquire_dmu_lock = Acquire(self.dmu_lock)
-        self.space_freed = NotificationEvent(engine, "tss-space")
-        self.blocked_instruction_events = 0
-        # Fixed per-operation costs hoisted out of the per-yield hot path.
-        self._issue_cycles = config.dmu.instruction_issue_cycles
-        self._alloc_cycles = self.costs.tdm_task_alloc_cycles()
-        self._finish_cycles = self.costs.tdm_finish_cycles()
-        self._hw_queue_cycles = self.costs.hw_queue_cycles()
-        # NoC round trips are pure per-core constants; the table lookup
-        # replaces a bounds-checking method call on every ISA instruction.
-        self._noc_round_trip = tuple(
-            noc.round_trip_cycles(core) for core in range(config.chip.num_cores)
-        )
-
-    @property
-    def dmu(self) -> DependenceManagementUnit:
-        return self._dmu
+        self._hw_queue_cycles = config.costs.hw_queue_access_cycles
 
     def work_available_hint(self) -> bool:
         return self._dmu.ready_tasks > 0
 
-    # ------------------------------------------------------------------ issue helper
-    def _issue(self, thread: "SimThread", operation: Callable[[], object]) -> RuntimeGenerator:
-        """Issue one ISA instruction against the DMU and return its result.
+    # ------------------------------------------------------------------ ready-task routing
+    def _route_created_ready(self, thread: "SimThread", instance: TaskInstance) -> Iterable:
+        # Ready tasks stay in the DMU's Ready Queue: just wake the workers.
+        instance.mark_ready(self.engine.now)
+        self.notify_workers()
+        return ()
 
-        The hot call sites (:meth:`create_task`, :meth:`try_get_task`,
-        :meth:`finish_task`) inline this sequence — one less generator and
-        one less ``send()`` frame per instruction — falling back to
-        :meth:`_finish_blocked_issue` for the cold full-structure path; keep
-        the inline copies in sync with this reference.  Unlike the TDM
-        runtime, blocked stalls here charge no post-wait NoC crossing (the
-        hardware queue replays the instruction internally).
-        """
-        yield self._issue_cycles
-        yield self._noc_round_trip[thread.core_id]
-        space_target = self.space_freed.wait_target()
-        yield self._acquire_dmu_lock
-        result = operation()
-        if result.blocked:
-            result = yield from self._finish_blocked_issue(thread, operation, space_target)
-        else:
-            yield result.cycles
-            self.dmu_lock.release(thread.process)
-        return result
-
-    def _finish_blocked_issue(
-        self, thread: "SimThread", operation: Callable[[], object], space_target
-    ) -> RuntimeGenerator:
-        """Cold path of :meth:`_issue`: wait for space, then retry.
-
-        Entered with the DMU lock held and ``operation()`` just blocked;
-        ``space_target`` was captured before the lock acquisition so no
-        space-freed notification is lost to the lock wait.  The completed
-        result is detached from the DMU's pooled instance because it is
-        consumed after this generator returns (past further yields).
-        """
-        process = thread.process
-        engine = self.engine
-        timeline = thread.timeline
-        while True:
-            self.dmu_lock.release(process)
-            self.blocked_instruction_events += 1
-            timeline.begin(Phase.IDLE, engine.now)
-            yield WaitEvent(space_target)
-            timeline.begin(Phase.DEPS, engine.now)
-            space_target = self.space_freed.wait_target()
-            yield self._acquire_dmu_lock
-            result = operation()
-            if result.blocked:
-                continue
-            result = result.detach()
-            yield result.cycles
-            self.dmu_lock.release(process)
-            return result
-
-    # ------------------------------------------------------------------ creation
-    def create_task(
-        self, thread: "SimThread", definition: TaskDefinition, region_index: int
-    ) -> RuntimeGenerator:
-        instance = self.new_instance(definition, region_index)
-        descriptor = instance.descriptor_address
-        # Inlined _issue (see its docstring) for the 2 + num_dependences
-        # instructions every creation issues.
-        dmu = self._dmu
-        dmu_lock = self.dmu_lock
-        process = thread.process
-        issue_cycles = self._issue_cycles
-        round_trip = self._noc_round_trip[thread.core_id]
-        acquire_dmu = self._acquire_dmu_lock
-        wait_target = self.space_freed.wait_target
-
-        yield self._alloc_cycles
-        yield issue_cycles
-        yield round_trip
-        space_target = wait_target()
-        yield acquire_dmu
-        result = dmu.create_task(descriptor)
-        if result.blocked:
-            yield from self._finish_blocked_issue(
-                thread, lambda: dmu.create_task(descriptor), space_target
-            )
-        else:
-            yield result.cycles
-            dmu_lock.release(process)
-
-        for dependence in definition.dependences:
-            yield issue_cycles
-            yield round_trip
-            space_target = wait_target()
-            yield acquire_dmu
-            result = dmu.add_dependence(
-                descriptor, dependence.address, dependence.size, dependence.direction
-            )
-            if result.blocked:
-                yield from self._finish_blocked_issue(
-                    thread,
-                    lambda dep=dependence: dmu.add_dependence(
-                        descriptor, dep.address, dep.size, dep.direction
-                    ),
-                    space_target,
-                )
-            else:
-                yield result.cycles
-                dmu_lock.release(process)
-
-        yield issue_cycles
-        yield round_trip
-        space_target = wait_target()
-        yield acquire_dmu
-        completion = dmu.complete_creation(descriptor)
-        if completion.blocked:
-            completion = yield from self._finish_blocked_issue(
-                thread, lambda: dmu.complete_creation(descriptor), space_target
-            )
-        else:
-            yield completion.cycles
-            dmu_lock.release(process)
-        if completion.became_ready:
-            instance.mark_ready(self.engine.now)
+    def _route_woken(self, thread: "SimThread", tasks_woken: int) -> Iterable:
+        if tasks_woken > 0:
             self.notify_workers()
-        return instance
+        return ()
 
     # ------------------------------------------------------------------ scheduling
     def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
@@ -183,8 +55,9 @@ class TaskSuperscalarRuntime(RuntimeSystem):
         if dmu.ready_tasks == 0:
             return None
         yield self._hw_queue_cycles
-        # Inlined _issue (see its docstring): workers pop straight from the
-        # hardware Ready Queue, so this is the hottest instruction path.
+        # One get_ready_task instruction (see the ISA issue notes in
+        # repro.runtime.tdm): workers pop straight from the hardware Ready
+        # Queue, so this is the hottest instruction path.
         yield self._issue_cycles
         yield self._noc_round_trip[thread.core_id]
         space_target = self.space_freed.wait_target()
@@ -210,33 +83,3 @@ class TaskSuperscalarRuntime(RuntimeSystem):
             successor_count=result.num_successors,
             producer_core=thread.core_id,
         )
-
-    # ------------------------------------------------------------------ finalization
-    def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:
-        descriptor = instance.descriptor_address
-        dmu = self._dmu
-        yield self._finish_cycles
-        # Inlined _issue (see its docstring): one finish instruction per task.
-        yield self._issue_cycles
-        yield self._noc_round_trip[thread.core_id]
-        space_target = self.space_freed.wait_target()
-        yield self._acquire_dmu_lock
-        result = dmu.finish_task(descriptor)
-        if result.blocked:
-            result = yield from self._finish_blocked_issue(
-                thread, lambda: dmu.finish_task(descriptor), space_target
-            )
-        else:
-            yield result.cycles
-            self.dmu_lock.release(thread.process)
-        instance.mark_finished(self.engine.now)
-        self.tasks_finished += 1
-        self.space_freed.notify_all()
-        if result.tasks_woken > 0:
-            self.notify_workers()
-        return None
-
-    def stats(self):
-        data = super().stats()
-        data["dmu_blocked_events"] = self.blocked_instruction_events
-        return data

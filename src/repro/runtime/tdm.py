@@ -15,14 +15,19 @@ around the unit.  When the DMU reports that a structure is full, the
 instruction blocks: the core waits until a ``finish_task`` frees entries and
 then retries (only the DMU processing part is re-attempted — the instruction
 sits at the DMU, it is not re-executed by the core).
+
+Every ISA instruction follows that sequence, written out inline at each call
+site (one less generator and ``send()`` frame per instruction); the cold
+full-structure retry is :meth:`TDMRuntime._finish_blocked_issue`, the only
+copy.  :class:`~repro.runtime.task_superscalar.TaskSuperscalarRuntime`
+subclasses this runtime and shares both.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.dmu import DependenceManagementUnit
-from ..schedulers.base import ReadyEntry
 from ..sim.events import Acquire, NotificationEvent, WaitEvent
 from ..sim.resources import Lock
 from ..sim.timeline import Phase
@@ -37,9 +42,13 @@ class TDMRuntime(RuntimeSystem):
     """Runtime system using the DMU for dependence tracking."""
 
     name = "tdm"
-    uses_dmu = True
     honors_scheduler = True
-    inline_software_pop = True
+    #: Whether the response of an instruction that blocked on a full DMU
+    #: crosses the NoC once more after the wait.  Under TDM the core stalls
+    #: on a barrier instruction parked at the DMU, and the eventual response
+    #: travels back to it; Task Superscalar's hardware queue replays the
+    #: instruction internally and charges no extra crossing.
+    BLOCKED_RESPONSE_CROSSES_NOC = True
 
     def __init__(self, config, scheduler, engine, noc) -> None:
         super().__init__(config, scheduler, engine, noc)
@@ -50,14 +59,13 @@ class TDMRuntime(RuntimeSystem):
         self.blocked_instruction_events = 0
         self.blocked_cycles = 0
         # Fixed per-operation costs hoisted out of the per-yield hot path.
-        costs = self.costs
+        costs = config.costs
         self._issue_cycles = config.dmu.instruction_issue_cycles
-        self._alloc_cycles = costs.tdm_task_alloc_cycles()
-        self._finish_cycles = costs.tdm_finish_cycles()
-        self._drain_cycles = costs.tdm_drain_cycles()
-        self._push_cycles = costs.tdm_push_cycles()
-        self._pop_cycles = costs.tdm_pop_cycles()
-        self._lock_cycles = costs.lock_acquire_cycles()
+        self._alloc_cycles = costs.tdm_task_alloc_cycles
+        self._finish_cycles = costs.tdm_finish_base_cycles
+        self._drain_cycles = costs.tdm_drain_per_task_cycles
+        self._push_cycles = costs.tdm_schedule_push_cycles
+        self._pop_cycles = costs.tdm_schedule_pop_cycles
         # NoC round trips are pure per-core constants; the table lookup
         # replaces a bounds-checking method call on every ISA instruction.
         self._noc_round_trip = tuple(
@@ -68,52 +76,26 @@ class TDMRuntime(RuntimeSystem):
     def dmu(self) -> DependenceManagementUnit:
         return self._dmu
 
-    # ------------------------------------------------------------------ ISA issue helper
-    def _issue(self, thread: "SimThread", operation: Callable[[], object]) -> RuntimeGenerator:
-        """Issue one TDM ISA instruction and return its result.
-
-        Retries (without re-paying issue and NoC latency) whenever the DMU
-        reports a full structure, waiting for space to be freed in between.
-        Time spent stalled on a full DMU is accounted as IDLE (the core makes
-        no progress and is clock gated), not as dependence-management work.
-
-        The hot call sites (:meth:`create_task`, :meth:`finish_task`,
-        :meth:`_drain_ready`) inline this sequence instead of delegating
-        through ``yield from`` — one less generator allocated and one less
-        frame on the ``send()`` chain per ISA instruction — and fall back to
-        :meth:`_finish_blocked_issue` for the cold full-structure path.  This
-        generator is kept as the single documented reference (and for any
-        future instruction off the hot path); keep the two in sync.
-
-        DMU results are pooled objects, valid only while the DMU lock is
-        held plus the resumption segment that releases it (the simulator is
-        cooperative: another core can only issue an instruction after this
-        process yields).  Call sites must copy any field they need beyond
-        that into locals; the cold path detaches a private copy because its
-        result crosses a wait.
-        """
-        yield self._issue_cycles
-        yield self._noc_round_trip[thread.core_id]
-        space_target = self.space_freed.wait_target()
-        yield self._acquire_dmu_lock
-        result = operation()
-        if result.blocked:
-            result = yield from self._finish_blocked_issue(thread, operation, space_target)
-        else:
-            yield result.cycles
-            self.dmu_lock.release(thread.process)
-        return result
-
+    # ------------------------------------------------------------------ ISA issue
+    # DMU results are pooled objects, valid only while the DMU lock is held
+    # plus the resumption segment that releases it (the simulator is
+    # cooperative: another core can only issue an instruction after this
+    # process yields).  Call sites copy any field they need beyond that into
+    # locals; the blocked path detaches a private copy because its result
+    # crosses a wait.
     def _finish_blocked_issue(
         self, thread: "SimThread", operation: Callable[[], object], space_target
     ) -> RuntimeGenerator:
-        """Cold path of :meth:`_issue`: the DMU reported a full structure.
+        """Cold path of an ISA instruction: the DMU reported a full structure.
 
         Entered with the DMU lock held and ``operation()`` just blocked;
         ``space_target`` is the notification target captured *before* the
         lock acquisition, so a ``finish_task`` that freed space while this
-        core waited for the lock is not missed.  Returns the completed
-        result after charging the post-wait NoC response crossing.
+        core waited for the lock is not missed.  Retries (without re-paying
+        issue and NoC latency) until the operation succeeds and returns its
+        detached result.  Time stalled on a full DMU is accounted as IDLE
+        (the core makes no progress and is clock gated), not as
+        dependence-management work.
         """
         process = thread.process
         engine = self.engine
@@ -131,19 +113,36 @@ class TDMRuntime(RuntimeSystem):
             result = operation()
             if result.blocked:
                 continue
-            # Detach from the pooled instance: the NoC-crossing yield below
-            # lets another core issue an instruction that would recycle it.
+            # Detach from the pooled instance: the yields below let another
+            # core issue an instruction that would recycle it.
             result = result.detach()
             yield result.cycles
             self.dmu_lock.release(process)
-            # The response still crosses the NoC once after a blocked wait.
-            yield self._noc_round_trip[thread.core_id] // 2
+            if self.BLOCKED_RESPONSE_CROSSES_NOC:
+                yield self._noc_round_trip[thread.core_id] // 2
             return result
+
+    # ------------------------------------------------------------------ ready-task routing
+    def _route_created_ready(self, thread: "SimThread", instance: TaskInstance) -> Iterable:
+        """Commands that route a task ready at creation (run with ``yield from``).
+
+        The creating thread drains it so it reaches the software pool
+        immediately (no other thread polls the DMU).
+        """
+        return self._drain_ready(thread)
+
+    def _route_woken(self, thread: "SimThread", tasks_woken: int) -> Iterable:
+        """Commands that route the successors a finish woke (run with ``yield from``).
+
+        "Just after notifying a task has finished, the runtime system uses
+        get_ready_task to request the successors that have just become
+        ready."
+        """
+        return self._drain_ready(thread)
 
     def _drain_ready(self, thread: "SimThread") -> RuntimeGenerator:
         """Issue ``get_ready_task`` until the DMU returns null, filling the pool."""
-        # Inlined _issue (see its docstring): locals hoisted because one
-        # drain loop runs after every task finish.
+        # Locals hoisted because one drain loop runs after every task finish.
         dmu = self._dmu
         dmu_lock = self.dmu_lock
         process = thread.process
@@ -187,9 +186,7 @@ class TDMRuntime(RuntimeSystem):
     ) -> RuntimeGenerator:
         instance = self.new_instance(definition, region_index)
         descriptor = instance.descriptor_address
-        # Inlined _issue (see its docstring) for the 2 + num_dependences
-        # instructions every creation issues; the cold blocked path is
-        # delegated to _finish_blocked_issue.
+        # The 2 + num_dependences instructions every creation issues.
         dmu = self._dmu
         dmu_lock = self.dmu_lock
         process = thread.process
@@ -245,50 +242,33 @@ class TDMRuntime(RuntimeSystem):
             yield completion.cycles
             dmu_lock.release(process)
         if completion.became_ready:
-            # The creating thread drains the task so it reaches the software
-            # pool immediately (no other thread polls the DMU).
-            yield from self._drain_ready(thread)
+            yield from self._route_created_ready(thread, instance)
         return instance
-
-    # ------------------------------------------------------------------ scheduling
-    def try_get_task(self, thread: "SimThread") -> RuntimeGenerator:
-        # The worker wake loop inlines this exact sequence when
-        # inline_software_pop is set (see repro/sim/thread.py) — keep in sync.
-        if not self.pool.peek_available():
-            return None
-        yield self.acquire_runtime_lock
-        yield self._lock_cycles
-        entry: Optional[ReadyEntry] = self.pool.pop(thread.core_id)
-        if entry is not None:
-            yield self._pop_cycles
-        self.runtime_lock.release(thread.process)
-        return entry
 
     # ------------------------------------------------------------------ finalization
     def finish_task(self, thread: "SimThread", instance: TaskInstance) -> RuntimeGenerator:
         descriptor = instance.descriptor_address
         dmu = self._dmu
         yield self._finish_cycles
-        # Inlined _issue (see its docstring): one finish instruction per task.
+        # One finish instruction per task.
         yield self._issue_cycles
         yield self._noc_round_trip[thread.core_id]
         space_target = self.space_freed.wait_target()
         yield self._acquire_dmu_lock
         result = dmu.finish_task(descriptor)
         if result.blocked:
-            yield from self._finish_blocked_issue(
+            result = yield from self._finish_blocked_issue(
                 thread, lambda: dmu.finish_task(descriptor), space_target
             )
         else:
             yield result.cycles
             self.dmu_lock.release(thread.process)
+        tasks_woken = result.tasks_woken
         instance.mark_finished(self.engine.now)
         self.tasks_finished += 1
-        # Entries were freed in the DMU: unblock any stalled creation.
+        # Entries were freed in the DMU: unblock any stalled instruction.
         self.space_freed.notify_all()
-        # "Just after notifying a task has finished, the runtime system uses
-        # get_ready_task to request the successors that have just become ready."
-        yield from self._drain_ready(thread)
+        yield from self._route_woken(thread, tasks_woken)
         return None
 
     def stats(self):

@@ -62,24 +62,6 @@ class RegionState:
         return False
 
 
-def _inline_pop_enabled(runtime) -> bool:
-    """Whether the worker loop may inline the software-pool pop.
-
-    True only when the class that provides the runtime's *active*
-    ``try_get_task`` also declares ``inline_software_pop`` in its own body —
-    the declaration asserts "my try_get_task is exactly the inlined
-    sequence".  A subclass that overrides ``try_get_task`` without
-    re-declaring the flag falls back to the generator path instead of being
-    silently bypassed with stale timing.
-    """
-    if not runtime.inline_software_pop:
-        return False
-    for klass in type(runtime).__mro__:
-        if "try_get_task" in vars(klass):
-            return "inline_software_pop" in vars(klass)
-    return False
-
-
 class SimThread:
     """One hardware thread (the simulation pins one thread per core)."""
 
@@ -103,6 +85,9 @@ class SimThread:
         into a process traverses the whole generator-delegation chain, and
         worker events are the majority of all simulation events.
         """
+        # Deferred: repro.runtime.base imports this package.
+        from ..runtime.base import RuntimeSystem
+
         machine = self.machine
         engine = machine.engine
         runtime = machine.runtime
@@ -115,7 +100,9 @@ class SimThread:
         work_available = runtime.work_available_hint
         core_id = self.core_id
         process = self.process
-        inline_pop = _inline_pop_enabled(runtime)
+        # The software-pool pop is inlined exactly when the runtime inherits
+        # it; an override (hardware queues, or any subclass) runs as written.
+        inline_pop = type(runtime).try_get_task is RuntimeSystem.try_get_task
         if inline_pop:
             pool = runtime.pool
             acquire_runtime = runtime.acquire_runtime_lock
@@ -154,9 +141,9 @@ class SimThread:
                 if work_available():
                     timeline.begin(Phase.SCHED, engine.now)
                     if inline_pop:
-                        # try_get_task, inlined (identical yields; see
-                        # RuntimeSystem.inline_software_pop): one less
-                        # generator + send() frame per pop attempt.
+                        # RuntimeSystem.try_get_task, inlined (identical
+                        # yields): one less generator + send() frame per
+                        # pop attempt.
                         if pool.peek_available():
                             yield acquire_runtime
                             yield lock_cycles

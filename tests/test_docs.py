@@ -83,7 +83,7 @@ class TestDocLinks:
 
     def test_docs_reference_real_modules(self):
         """Backtick-quoted repo paths in the docs must exist on disk."""
-        pattern = re.compile(r"`((?:src|scripts|tests|docs|benchmarks)/[\w./*-]+)`")
+        pattern = re.compile(r"`((?:src|scripts|tests|docs|perfbench|examples)/[\w./*-]+)`")
         missing = []
         for document in self._documents():
             for path in pattern.findall(document.read_text(encoding="utf-8")):

@@ -5,9 +5,15 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.cost_model import RuntimeCostModel
+from repro.runtime import factory
+from repro.runtime.cost_model import (
+    sw_dependence_commit_cycles,
+    sw_dependence_lookup_cycles,
+    sw_finish_cycles,
+)
 from repro.runtime.factory import available_runtimes, create_runtime
 from repro.runtime.ready_pool import ReadyPool
+from repro.runtime.software import SoftwareRuntime
 from repro.runtime.tracker import MatchResult
 from repro.schedulers import FifoScheduler
 from repro.sim.engine import Engine
@@ -55,28 +61,43 @@ class TestFactory:
         assert create_runtime(make_config(runtime="tdm"), engine, noc).dmu is not None
 
 
+def _sw_creation_cycles(costs: CostModelConfig, match: MatchResult) -> int:
+    """What the software runtime charges to create one task."""
+    return (
+        costs.sw_task_alloc_cycles
+        + sw_dependence_lookup_cycles(costs, match.num_dependences)
+        + sw_dependence_commit_cycles(costs, match)
+    )
+
+
 class TestCostModel:
     def test_software_cost_grows_with_matching_work(self):
-        costs = RuntimeCostModel(CostModelConfig())
+        costs = CostModelConfig()
         cheap = MatchResult(1, 0, 0, 0, True)
         expensive = MatchResult(4, 10, 3, 8, False)
-        assert costs.sw_creation_cycles(expensive) > costs.sw_creation_cycles(cheap)
+        assert _sw_creation_cycles(costs, expensive) > _sw_creation_cycles(costs, cheap)
 
     def test_lookup_plus_commit_equals_total(self):
-        costs = RuntimeCostModel(CostModelConfig())
+        # Lookup (outside the lock) is per dependence; commit (under the
+        # lock) is per reader traversed and per successor linked.
+        costs = CostModelConfig()
         match = MatchResult(3, 5, 2, 4, False)
-        assert costs.sw_dependence_cycles(match) == (
-            costs.sw_dependence_lookup_cycles(3) + costs.sw_dependence_commit_cycles(match)
+        assert sw_dependence_lookup_cycles(costs, 3) + sw_dependence_commit_cycles(
+            costs, match
+        ) == (
+            3 * costs.sw_dep_base_cycles
+            + 5 * costs.sw_dep_per_reader_cycles
+            + 4 * costs.sw_dep_per_successor_cycles
         )
 
     def test_tdm_creation_side_cheaper_than_software(self):
-        costs = RuntimeCostModel(CostModelConfig())
+        costs = CostModelConfig()
         match = MatchResult(3, 4, 2, 4, False)
-        assert costs.tdm_task_alloc_cycles() < costs.sw_creation_cycles(match)
+        assert costs.tdm_task_alloc_cycles < _sw_creation_cycles(costs, match)
 
     def test_finish_cost_grows_with_successors(self):
-        costs = RuntimeCostModel(CostModelConfig())
-        assert costs.sw_finish_cycles(10) > costs.sw_finish_cycles(0)
+        costs = CostModelConfig()
+        assert sw_finish_cycles(costs, 10) > sw_finish_cycles(costs, 0)
 
 
 class TestReadyPool:
@@ -157,6 +178,27 @@ class TestRuntimeOverheadOrdering:
         carbon = run_simulation(small_chain_program, make_config(runtime="carbon"))
         software = run_simulation(small_chain_program, make_config(runtime="software"))
         assert carbon.runtime_stats["lock_acquisitions"] < software.runtime_stats["lock_acquisitions"]
+
+
+class TestInlinedPoolPop:
+    """The worker loop inlines the software-pool pop only for runtimes that inherit it."""
+
+    def test_overridden_pop_runs_as_written(self, monkeypatch, small_random_program):
+        calls = []
+
+        class SlowPopRuntime(SoftwareRuntime):
+            def try_get_task(self, thread):
+                calls.append(thread.core_id)
+                yield 500
+                return (yield from super().try_get_task(thread))
+
+        config = make_config(runtime="software")
+        baseline = run_simulation(small_random_program, config)
+        monkeypatch.setitem(factory._RUNTIMES, "software", SlowPopRuntime)
+        slowed = run_simulation(small_random_program, config)
+        assert calls
+        assert slowed.num_tasks_executed == small_random_program.num_tasks
+        assert slowed.total_cycles > baseline.total_cycles
 
 
 class TestMultiRegionAndSchedulers:
