@@ -12,8 +12,8 @@ of ``BENCHMARK.json``.  The gate fails when
 * any run, base or head, reports ``"correct": false``;
 * a workload's median ``ops_ok_frac`` drops;
 * a gated metric's head median is worse than its base median by more than
-  its bound: ``wall_s`` on ``cold_campaign`` and ``dmu_instr_per_s`` on
-  ``dmu_replay``.
+  its bound: ``wall_s`` on ``cold_campaign`` and on ``warm_render``, and
+  ``dmu_instr_per_s`` on ``dmu_replay``.
 
 Every other metric is printed as an advisory.
 
@@ -34,7 +34,11 @@ from typing import Dict, List, Optional
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: The (workload, metric) pairs that fail the gate when they regress.
-GATED = {("cold_campaign", "wall_s"), ("dmu_replay", "dmu_instr_per_s")}
+GATED = {
+    ("cold_campaign", "wall_s"),
+    ("warm_render", "wall_s"),
+    ("dmu_replay", "dmu_instr_per_s"),
+}
 
 
 def load_bounds(path: pathlib.Path = REPO_ROOT / "BENCHMARK.json") -> Dict[str, dict]:

@@ -32,7 +32,8 @@ import pathlib
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import DMUConfig, SimulationConfig, default_paper_config
 from ..errors import ExperimentError
@@ -197,6 +198,46 @@ def _memoized_program(
         benchmark, scale=scale, granularity=granularity, runtime=workload_runtime, seed=seed
     )
     return workload.build_program()
+
+
+#: Characteristics kept by :func:`workload_characteristics`.  Entries are
+#: eight numbers, so the bound holds many full Table II renders (18 points
+#: each); the program memo's 16 would miss on every point of one render.
+_CHARACTERISTICS_MEMO_SIZE = 256
+
+
+def workload_characteristics(
+    benchmark: str,
+    scale: float,
+    granularity: Optional[int],
+    workload_runtime: Optional[str],
+    seed: int,
+) -> Mapping[str, object]:
+    """``Workload.describe()`` of one workload point, built once per process.
+
+    Keyed like :func:`build_program` (the registered generator included, so
+    a re-registered name is recomputed).  Table II reads only these numbers,
+    so a repeated render in one process builds no program.  The returned
+    mapping is a read-only view of the shared memo entry.
+    """
+    return _memoized_characteristics(
+        workload_factory(benchmark), benchmark, scale, granularity, workload_runtime, seed
+    )
+
+
+@functools.lru_cache(maxsize=_CHARACTERISTICS_MEMO_SIZE)
+def _memoized_characteristics(
+    factory: object,
+    benchmark: str,
+    scale: float,
+    granularity: Optional[int],
+    workload_runtime: Optional[str],
+    seed: int,
+) -> Mapping[str, object]:
+    workload = create_workload(
+        benchmark, scale=scale, granularity=granularity, runtime=workload_runtime, seed=seed
+    )
+    return MappingProxyType(workload.describe())
 
 
 def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object], float]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..workloads.registry import PAPER_TABLE2, create_workload
+from ..workloads.registry import PAPER_TABLE2
+from .campaign import workload_characteristics
 from .common import ExperimentResult, select_benchmarks
 
 COLUMNS = (
@@ -47,8 +48,8 @@ def run(
     sw_durations = []
     for name in names:
         paper = PAPER_TABLE2[name]
-        sw = create_workload(name, scale=scale, runtime="software").describe()
-        tdm = create_workload(name, scale=scale, runtime="tdm").describe()
+        sw = workload_characteristics(name, scale, None, "software", 0)
+        tdm = workload_characteristics(name, scale, None, "tdm", 0)
         result.add_row(
             benchmark=name,
             sw_tasks=sw["num_tasks"],

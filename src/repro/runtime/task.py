@@ -38,12 +38,18 @@ class AccessMode(enum.Enum):
     @property
     def is_output(self) -> bool:
         """True for OUT and INOUT accesses (they make the task the last writer)."""
-        return self in (AccessMode.OUT, AccessMode.INOUT)
+        return self in _OUTPUT_MODES
 
     @property
     def is_input(self) -> bool:
         """True for IN and INOUT accesses (they read the previous writer's data)."""
-        return self in (AccessMode.IN, AccessMode.INOUT)
+        return self in _INPUT_MODES
+
+
+# Enum members read through the class go through the enum metaclass's
+# ``__getattr__`` (a Python-level call); hot paths use these constants.
+_OUTPUT_MODES = (AccessMode.OUT, AccessMode.INOUT)
+_INPUT_MODES = (AccessMode.IN, AccessMode.INOUT)
 
 
 class DependenceSpec:
@@ -191,6 +197,13 @@ class TaskState(enum.Enum):
     FINISHED = "finished"
 
 
+# Module-level members for the per-task state transitions (see _OUTPUT_MODES).
+_CREATED = TaskState.CREATED
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_FINISHED = TaskState.FINISHED
+
+
 class TaskInstance:
     """Dynamic runtime state of one task."""
 
@@ -214,7 +227,7 @@ class TaskInstance:
     def __init__(self, definition: TaskDefinition, descriptor_address: int, region_index: int = 0) -> None:
         self.definition = definition
         self.descriptor_address = descriptor_address
-        self.state = TaskState.CREATED
+        self.state = _CREATED
         #: Mirrors ``state is TaskState.FINISHED`` as a plain attribute; the
         #: dependence tracker tests it once per matched reader/writer.
         self.finished = False
@@ -260,16 +273,16 @@ class TaskInstance:
         successor.num_predecessors += 1
 
     def mark_ready(self, cycle: int) -> None:
-        self.state = TaskState.READY
+        self.state = _READY
         self.ready_cycle = cycle
 
     def mark_running(self, cycle: int, core_id: int) -> None:
-        self.state = TaskState.RUNNING
+        self.state = _RUNNING
         self.start_cycle = cycle
         self.core_id = core_id
 
     def mark_finished(self, cycle: int) -> None:
-        self.state = TaskState.FINISHED
+        self.state = _FINISHED
         self.finished = True
         self.finish_cycle = cycle
 

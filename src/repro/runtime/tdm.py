@@ -99,14 +99,15 @@ class TDMRuntime(RuntimeSystem):
         """
         process = thread.process
         engine = self.engine
-        timeline = thread.timeline
+        begin = thread.timeline.begin
+        IDLE, DEPS = Phase.IDLE, Phase.DEPS
         while True:
             self.dmu_lock.release(process)
             self.blocked_instruction_events += 1
             blocked_since = engine.now
-            timeline.begin(Phase.IDLE, engine.now)
+            begin(IDLE, engine.now)
             yield WaitEvent(space_target)
-            timeline.begin(Phase.DEPS, engine.now)
+            begin(DEPS, engine.now)
             self.blocked_cycles += engine.now - blocked_since
             space_target = self.space_freed.wait_target()
             yield self._acquire_dmu_lock

@@ -109,18 +109,22 @@ class SimThread:
             lock_cycles = runtime._lock_cycles
             pop_cycles = runtime._pop_cycles
             runtime_lock = runtime.runtime_lock
-        timeline.begin(Phase.IDLE, engine.now)
+        # Phase members as locals: every ``Phase.X`` read goes through the
+        # enum metaclass, and the loop opens a phase per state change.
+        begin = timeline.begin
+        IDLE, EXEC, DEPS, SCHED = Phase.IDLE, Phase.EXEC, Phase.DEPS, Phase.SCHED
+        begin(IDLE, engine.now)
         for region_state in machine.region_states:
             if is_master:
                 region = region_state.region
                 if region.sequential_us_before > 0:
-                    timeline.begin(Phase.EXEC, engine.now)
+                    begin(EXEC, engine.now)
                     yield us_to_cycles(region.sequential_us_before, clock_ghz)
                 for definition in region.tasks:
                     if definition.creation_work_us > 0:
-                        timeline.begin(Phase.EXEC, engine.now)
+                        begin(EXEC, engine.now)
                         yield us_to_cycles(definition.creation_work_us, clock_ghz)
-                    timeline.begin(Phase.DEPS, engine.now)
+                    begin(DEPS, engine.now)
                     yield from runtime.create_task(self, definition, region_state.index)
                     region_state.note_created()
                 region_state.note_all_created()
@@ -139,7 +143,7 @@ class SimThread:
                 # first, so skipping it on a no-work wake-up leaves timing,
                 # pool behaviour and every phase total identical.
                 if work_available():
-                    timeline.begin(Phase.SCHED, engine.now)
+                    begin(SCHED, engine.now)
                     if inline_pop:
                         # RuntimeSystem.try_get_task, inlined (identical
                         # yields): one less generator + send() frame per
@@ -158,23 +162,23 @@ class SimThread:
                 else:
                     entry = None
                 if entry is None:
-                    timeline.begin(Phase.IDLE, engine.now)
+                    begin(IDLE, engine.now)
                     if done_event.triggered:
                         break
                     wait_command.event = wake_target
                     yield wait_command
                     continue
                 task = entry.task
-                timeline.begin(Phase.EXEC, engine.now)
+                begin(EXEC, engine.now)
                 task.mark_running(engine.now, core_id)
                 yield machine.execution_cycles(core_id, task)
                 self.tasks_executed += 1
                 # Task finalization (dependence management work).
-                timeline.begin(Phase.DEPS, engine.now)
+                begin(DEPS, engine.now)
                 yield from runtime.finish_task(self, task)
                 if region_state.note_finished():
                     runtime.notify_workers()
-            timeline.begin(Phase.IDLE, engine.now)
+            begin(IDLE, engine.now)
         return None
 
 

@@ -174,16 +174,21 @@ class Workload(abc.ABC):
         }
 
 
+# Modes as module constants (see ``blocked_matrix``): the shorthands below run
+# once per dependence of every generated task.
+_IN, _OUT, _INOUT = AccessMode.IN, AccessMode.OUT, AccessMode.INOUT
+
+
 def in_dep(address: int, size: int) -> DependenceSpec:
     """Shorthand for an input dependence."""
-    return DependenceSpec(address=address, size=size, mode=AccessMode.IN)
+    return DependenceSpec(address=address, size=size, mode=_IN)
 
 
 def out_dep(address: int, size: int) -> DependenceSpec:
     """Shorthand for an output dependence."""
-    return DependenceSpec(address=address, size=size, mode=AccessMode.OUT)
+    return DependenceSpec(address=address, size=size, mode=_OUT)
 
 
 def inout_dep(address: int, size: int) -> DependenceSpec:
     """Shorthand for an inout dependence."""
-    return DependenceSpec(address=address, size=size, mode=AccessMode.INOUT)
+    return DependenceSpec(address=address, size=size, mode=_INOUT)

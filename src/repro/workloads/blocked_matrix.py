@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from ..runtime.task import DependenceSpec, AccessMode
 
+# Modes as module constants: ``AccessMode.X`` reads go through the enum
+# metaclass, and the generators request one dependence per block access.
+_IN, _OUT, _INOUT = AccessMode.IN, AccessMode.OUT, AccessMode.INOUT
+
 
 @dataclass(frozen=True)
 class BlockedMatrix:
@@ -44,13 +48,13 @@ class BlockedMatrix:
         )
 
     def read(self, row: int, col: int) -> DependenceSpec:
-        return self.dep(row, col, AccessMode.IN)
+        return self.dep(row, col, _IN)
 
     def write(self, row: int, col: int) -> DependenceSpec:
-        return self.dep(row, col, AccessMode.OUT)
+        return self.dep(row, col, _OUT)
 
     def update(self, row: int, col: int) -> DependenceSpec:
-        return self.dep(row, col, AccessMode.INOUT)
+        return self.dep(row, col, _INOUT)
 
     @property
     def total_bytes(self) -> int:

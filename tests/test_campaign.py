@@ -634,6 +634,84 @@ class TestProgramCache:
         assert rows_shared == rows_fresh
 
 
+class TestCharacteristicsCache:
+    """Table II's workload characteristics are computed once per process."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        campaign._memoized_characteristics.cache_clear()
+        yield
+        campaign._memoized_characteristics.cache_clear()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = campaign.create_workload
+
+        def counting_create(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "create_workload", counting_create)
+        return built
+
+    def test_same_point_is_computed_once(self, builds):
+        first = campaign.workload_characteristics("cholesky", 0.05, None, "software", 0)
+        again = campaign.workload_characteristics("cholesky", 0.05, None, "software", 0)
+        assert again == first
+        assert builds == [("cholesky",)]
+        fresh = create_workload("cholesky", scale=0.05, runtime="software").describe()
+        assert dict(first) == fresh
+
+    def test_distinct_points_do_not_alias(self):
+        first = campaign.workload_characteristics("cholesky", 0.05, None, "software", 0)
+        for other in (
+            ("cholesky", 0.05, None, "tdm", 0),
+            ("cholesky", 0.05, 7, None, 0),
+            ("cholesky", 0.1, None, "software", 0),
+            ("cholesky", 0.05, None, "software", 1),
+            ("qr", 0.05, None, "software", 0),
+        ):
+            values = campaign.workload_characteristics(*other)
+            benchmark, scale, granularity, runtime, seed = other
+            fresh = create_workload(
+                benchmark, scale=scale, granularity=granularity, runtime=runtime, seed=seed
+            ).describe()
+            assert dict(values) == fresh, f"{other} must not alias"
+        assert campaign._memoized_characteristics.cache_info().currsize == 6
+
+    def test_reregistered_workload_name_is_recomputed(self, monkeypatch):
+        from repro.workloads import registry
+
+        name = "memo_probe_workload"
+        monkeypatch.setitem(registry._REGISTRY, name, registry.workload_factory("cholesky"))
+        first = campaign.workload_characteristics(name, 0.05, None, "software", 0)
+        monkeypatch.setitem(registry._REGISTRY, name, registry.workload_factory("lu"))
+        second = campaign.workload_characteristics(name, 0.05, None, "software", 0)
+        assert second["workload"] != first["workload"]
+
+    def test_returned_mapping_is_read_only(self):
+        values = campaign.workload_characteristics("cholesky", 0.05, None, "software", 0)
+        with pytest.raises(TypeError):
+            values["num_tasks"] = 0
+        with pytest.raises(TypeError):
+            del values["num_tasks"]
+        again = campaign.workload_characteristics("cholesky", 0.05, None, "software", 0)
+        assert again["num_tasks"] > 0
+
+    def test_bound_holds_a_full_table_ii_render(self):
+        # Nine benchmarks x {software, tdm}.
+        assert campaign._memoized_characteristics.cache_info().maxsize >= 18
+
+    def test_repeated_table_ii_render_builds_no_program(self, builds):
+        first = run_experiment("table_02", scale=0.05)
+        assert len(builds) == 18
+        del builds[:]
+        second = run_experiment("table_02", scale=0.05)
+        assert builds == [], "a repeated render must read only the memo"
+        assert second.to_csv() == first.to_csv()
+
+
 class TestResolutionMemo:
     """A fresh engine derives each config and key once, and only once."""
 

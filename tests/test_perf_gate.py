@@ -72,6 +72,13 @@ def test_fails_on_a_30_percent_wall_regression(tmp_path, capsys):
     assert "FAILED cold_campaign wall_s" in capsys.readouterr().out
 
 
+def test_fails_on_a_30_percent_warm_render_wall_regression(tmp_path, capsys):
+    base = three("warm_render", wall_s=0.10)
+    head = three("warm_render", wall_s=0.13)
+    assert run_gate(tmp_path, base, head) == 1
+    assert "FAILED warm_render wall_s" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("side", ["base", "head"])
 def test_fails_on_an_incorrect_run(tmp_path, side):
     runs = {"base": three("warm_render"), "head": three("warm_render")}
@@ -93,8 +100,8 @@ def test_higher_is_better_metrics(tmp_path, capsys):
 
 
 def test_ungated_regressions_are_advisories(tmp_path, capsys):
-    base = three("cold_campaign", peak_rss_mb=100.0) + three("warm_render", wall_s=0.2)
-    head = three("cold_campaign", peak_rss_mb=150.0) + three("warm_render", wall_s=0.4)
+    base = three("cold_campaign", peak_rss_mb=100.0) + three("warm_render", sim_s_p90=0.2)
+    head = three("cold_campaign", peak_rss_mb=150.0) + three("warm_render", sim_s_p90=0.4)
     assert run_gate(tmp_path, base, head) == 0
     out = capsys.readouterr().out
     assert out.count("advisory") == 2
