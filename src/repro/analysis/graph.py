@@ -33,28 +33,31 @@ def task_graph_edges(program: TaskProgram) -> List[Tuple[int, int]]:
 
 
 def critical_path_us(program: TaskProgram) -> float:
-    """Length (in microseconds of task work) of the longest dependence chain."""
-    work: Dict[int, float] = {task.uid: task.work_us for task in program.all_tasks()}
-    successors: Dict[int, Set[int]] = {uid: set() for uid in work}
+    """Length (in microseconds of task work) of the longest dependence chain.
+
+    Taskwait barriers already order the regions, so the span is the sum of
+    each region's longest chain, computed over same-region edges only: an
+    edge from an earlier region is implied by the barrier and must not
+    carry that region's chain into this one a second time.
+    """
+    work: Dict[int, float] = {}
+    region_of: Dict[int, int] = {}
+    for index, region in enumerate(program.regions):
+        for task in region.tasks:
+            work[task.uid] = task.work_us
+            region_of[task.uid] = index
     predecessors: Dict[int, Set[int]] = {uid: set() for uid in work}
     for pred, succ in task_graph_edges(program):
-        successors[pred].add(succ)
-        predecessors[succ].add(pred)
+        if region_of[pred] == region_of[succ]:
+            predecessors[succ].add(pred)
 
     longest: Dict[int, float] = {}
-
-    order = _topological_order(work, predecessors)
-    for uid in order:
-        incoming = [longest[p] for p in predecessors[uid] if p in longest]
-        longest[uid] = work[uid] + (max(incoming) if incoming else 0.0)
-    region_paths = []
-    start = 0
-    for region in program.regions:
-        uids = [task.uid for task in region.tasks]
-        if uids:
-            region_paths.append(max(longest[uid] for uid in uids))
-        start += len(uids)
-    return sum(region_paths)
+    for uid in _topological_order(work, predecessors):
+        longest[uid] = work[uid] + max((longest[p] for p in predecessors[uid]), default=0.0)
+    return sum(
+        max((longest[task.uid] for task in region.tasks), default=0.0)
+        for region in program.regions
+    )
 
 
 def max_parallelism(program: TaskProgram) -> float:

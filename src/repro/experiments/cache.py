@@ -42,17 +42,6 @@ from ..sim.machine import SimulationResult
 #: entries are treated as misses and resimulated rather than misread.
 CACHE_FORMAT_VERSION = 1
 
-#: Persistent union of observed per-key wall times (seconds + analytic cost
-#: units), living at the top of a cache directory.  Written by every batch
-#: that simulates into the cache (``CampaignEngine.run_many``) and by
-#: ``merge_shards``; read by the cost-aware shard planner and the pool
-#: watchdog.  Advisory data: it shapes *scheduling* only and never results,
-#: so last-writer-wins updates by concurrent processes are acceptable.
-COST_PROFILE_FILENAME = "cost_profile.json"
-
-#: Serializes this process's cost-profile read-merge-writes.
-_PROFILE_LOCK = threading.Lock()
-
 #: Subdirectory of a cache directory receiving torn/corrupt entry files
 #: (moved aside verbatim, with a ``.reason`` sidecar).  Not two hex chars,
 #: so the ``??/*.json`` entry enumeration never sees it.
@@ -174,53 +163,6 @@ def _entry_defect(blob: bytes) -> Optional[str]:
     return None
 
 
-def load_cost_profile(directory: Union[str, pathlib.Path]) -> Dict[str, Dict[str, float]]:
-    """The persisted cost profile of a cache directory (empty when absent).
-
-    Unreadable or structurally malformed profiles degrade to empty — cost
-    prediction then falls back to its uncalibrated analytic baseline rather
-    than aborting planning.
-    """
-    path = pathlib.Path(directory) / COST_PROFILE_FILENAME
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        entries = document["timings"]
-        if not isinstance(entries, dict):
-            return {}
-        return {
-            key: dict(value) for key, value in entries.items() if isinstance(value, dict)
-        }
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return {}
-
-
-def store_cost_profile(
-    directory: Union[str, pathlib.Path],
-    entries: Dict[str, Dict[str, float]],
-    merge: bool = True,
-) -> pathlib.Path:
-    """Persist (by default, union into) a cache directory's cost profile.
-
-    With ``merge`` the existing profile is read first and new entries win on
-    key collisions (fresher observations supersede stale ones).  The write
-    is atomic, and read-merge-write is serialized within a process (the
-    results daemon stores from several threads); across processes it is
-    not a transaction — acceptable for advisory planning data (see
-    :data:`COST_PROFILE_FILENAME`).
-    """
-    path = pathlib.Path(directory) / COST_PROFILE_FILENAME
-    with _PROFILE_LOCK:
-        merged = dict(load_cost_profile(directory)) if merge else {}
-        merged.update(entries)
-        document = {
-            "version": CACHE_FORMAT_VERSION,
-            "timings": {key: merged[key] for key in sorted(merged)},
-        }
-        atomic_write(path, json.dumps(document, indent=2, sort_keys=True))
-    return path
-
-
 class ResultCache:
     """On-disk store of serialized simulation results, one JSON file per key.
 
@@ -229,9 +171,8 @@ class ResultCache:
 
     * ``<directory>/<key[:2]>/<key>.json`` — two-level fan-out; entry
       enumeration is pinned to that shape, so auxiliary data (shard
-      manifests under ``manifests/``, the top-level ``cost_profile.json``)
-      can live inside the cache directory without being mistaken for
-      entries.
+      manifests under ``manifests/``, or any stray top-level file) can live
+      inside the cache directory without being mistaken for entries.
     * **Atomic writes** — every put is tmp + rename, so a reader (or a
       crashed writer) never observes a torn entry; ``CACHE_FORMAT_VERSION``
       gates stale layouts on read.
@@ -270,9 +211,9 @@ class ResultCache:
     def _entries(self):
         """Every cache entry file.  The ``??/*.json`` pattern pins the
         two-hex-char fan-out layout, so every non-entry artifact inside the
-        cache directory — ``manifests/`` (shard manifests) and the
-        top-level ``cost_profile.json`` — is never counted, pruned, merged
-        or cleared.  ``tests/test_campaign.py`` pins this."""
+        cache directory — ``manifests/`` (shard manifests) and any
+        top-level file — is never counted, pruned, merged or cleared.
+        ``tests/test_campaign.py`` pins this."""
         return self.directory.glob("??/*.json")
 
     def __contains__(self, key: str) -> bool:

@@ -40,11 +40,10 @@ from ..errors import ExperimentError
 from ..reliability.faults import active_spec, ensure_plan, maybe_fault
 from ..reliability.retry import RetryPolicy
 from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
-from ..runtime.cost_model import CampaignCostModel
 from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
 from ..workloads.registry import create_workload, workload_factory
-from .cache import ResultCache, canonical_run_key, load_cost_profile, store_cost_profile
+from .cache import ResultCache, canonical_run_key
 
 #: Runtimes whose optimal-granularity default follows the TDM optimum.
 _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
@@ -245,8 +244,8 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
 
     Lives at module scope so it pickles under both fork and spawn start
     methods.  Returns the canonical key with the serialized result and the
-    worker-side wall seconds the point took (workload build + simulation —
-    the quantity cost-aware shard planning predicts); the parent performs
+    worker-side wall seconds the point took (workload build + simulation,
+    recorded in ``CampaignEngine.key_timings``); the parent performs
     the deterministic merge.  Exceptions are captured into an error marker
     (rather than poisoning ``pool.map`` with a raw remote traceback) so the
     parent can attach the offending key and workload parameters — and so
@@ -373,8 +372,7 @@ class CampaignEngine:
         self.watchdog_kills = 0
         #: Observed wall seconds of every simulation this engine (or its
         #: pool workers) actually ran, by canonical key.  Cache hits record
-        #: nothing — the map is the raw material of the campaign cost model
-        #: (shard manifests persist it as ``key_timings``).
+        #: nothing; the benchmark harness reads it for per-key times.
         self.key_timings: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ resolution
@@ -460,15 +458,6 @@ class CampaignEngine:
         """
         return self._lookup(resolved)
 
-    def cost_model(self) -> CampaignCostModel:
-        """The campaign cost model, calibrated from the disk cache's profile.
-
-        Uncalibrated (analytic only) without a disk cache or profile.  The
-        pool watchdog derives its per-key deadlines from it.
-        """
-        profile = load_cost_profile(self.disk_cache.directory) if self.disk_cache else {}
-        return CampaignCostModel(profile, scale=self.scale)
-
     def _payload(self, resolved: ResolvedRun) -> Dict[str, object]:
         return {
             "key": resolved.key,
@@ -514,9 +503,7 @@ class CampaignEngine:
         key; deterministic simulation errors fail immediately.  Because
         results are pure functions of their canonical key, a recovered batch
         leaves memo and disk state byte-identical to an undisturbed serial
-        run.  With a disk cache, the wall seconds of every simulated key are
-        unioned into its cost profile, which calibrates the next campaign's
-        watchdog deadlines and cost-planned shards.
+        run.
         """
         resolved = [self.resolve(request) for request in requests]
         pending: Dict[str, ResolvedRun] = {}
@@ -525,9 +512,6 @@ class CampaignEngine:
                 pending[item.key] = item
         if pending:
             errors = self._simulate_pending(dict(pending))
-            self._record_costs(
-                {key: item for key, item in pending.items() if key not in errors}
-            )
             self.prune_disk_cache()
             if errors:
                 if failures is None:
@@ -582,7 +566,7 @@ class CampaignEngine:
 
         watchdog = None
         if self.jobs > 1:
-            watchdog = Watchdog(self.watchdog_config, self.cost_model())
+            watchdog = Watchdog(self.watchdog_config)
             if self.verbose:  # pragma: no cover - console feedback only
                 print(f"[campaign] {len(pending)} runs on {self.jobs} workers")
         try:
@@ -701,18 +685,6 @@ class CampaignEngine:
         elif self.disk_cache is not None:
             self.disk_cache.put(key, result)
         self._memo[key] = result
-
-    def _record_costs(self, simulated: Dict[str, ResolvedRun]) -> None:
-        """Union the observed wall seconds of ``simulated`` into the disk
-        cache's cost profile (advisory data: a failed write is ignored)."""
-        if self.disk_cache is None or not simulated:
-            return
-        timings = {key: self.key_timings[key] for key in simulated}
-        entries = CampaignCostModel(scale=self.scale).observations_for(timings, simulated)
-        try:
-            store_cost_profile(self.disk_cache.directory, entries)
-        except OSError:
-            pass
 
     def prune_disk_cache(self) -> int:
         """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""

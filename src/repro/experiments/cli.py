@@ -26,16 +26,15 @@ Examples::
     tdm-repro figure_12 --scale 0.2 --merge-shards shards/1 shards/2 shards/3 \\
         --cache-dir merged --output results/ --csv
 
-    # Audit the partition first: keys, predicted costs and shard assignment
-    # under a strategy, without simulating anything
-    tdm-repro figure_07 --scale 0.2 --shard 1/3 --shard-strategy cost --dry-run
+    # Audit the partition first: keys, owning shards and per-shard key
+    # counts, without simulating anything
+    tdm-repro figure_07 --scale 0.2 --shard 1/3 --dry-run
 
-    # Straggler-free variant on a shared filesystem: bins balanced by
-    # predicted cost (calibrated from cache/cost_profile.json when present);
-    # a dead host is repaired by rerunning its shard, merged bytes unchanged
-    tdm-repro figure_12 --scale 0.2 --shard 1/3 --shard-strategy cost --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 2/3 --shard-strategy cost --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 3/3 --shard-strategy cost --cache-dir cache
+    # Shared-filesystem variant: every shard writes into one cache; a dead
+    # host is repaired by rerunning its shard, merged bytes unchanged
+    tdm-repro figure_12 --scale 0.2 --shard 1/3 --cache-dir cache
+    tdm-repro figure_12 --scale 0.2 --shard 2/3 --cache-dir cache
+    tdm-repro figure_12 --scale 0.2 --shard 3/3 --cache-dir cache
 
     # Long-running results daemon: one ResultCache serves every
     # request; repeated sweeps cost zero simulations
@@ -76,14 +75,7 @@ from .registry import (
     resolve_plan,
     run_experiment,
 )
-from .shard import (
-    PLAN_STRATEGIES,
-    ShardPlan,
-    ShardSpec,
-    merge_shards,
-    planning_model,
-    run_shard_worker,
-)
+from .shard import ShardPlan, ShardSpec, merge_shards, run_shard_worker
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,20 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
         "shard I of N into --cache-dir and write a shard manifest (no rendering)",
     )
     parser.add_argument(
-        "--shard-strategy",
-        choices=PLAN_STRATEGIES,
-        default="modulo",
-        help="shard partition strategy: 'modulo' (int(key,16) %% N, the default "
-        "and the cross-host contract) or 'cost' (LPT bin packing by predicted "
-        "wall time, calibrated from <cache-dir>/cost_profile.json when present). "
-        "Planning only — results and canonical keys are unaffected",
-    )
-    parser.add_argument(
         "--dry-run",
         action="store_true",
-        help="print the resolved plan (keys, predicted costs, shard assignment "
-        "under --shard-strategy) without simulating anything; use --shard I/N "
-        "to choose the shard count being audited",
+        help="print the resolved plan (keys, owning shards, per-shard key "
+        "counts) without simulating anything; use --shard I/N to choose the "
+        "shard count being audited",
     )
     parser.add_argument(
         "--merge-shards",
@@ -397,17 +380,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.dry_run:
         # Audit mode: resolve and partition the plan, print it, simulate
-        # nothing.  A cache dir (when given) only contributes its cost
-        # profile, so predictions reflect what a worker would plan with.
+        # nothing.
         try:
             count = ShardSpec.parse(args.shard).count if args.shard is not None else 1
-            resolved = resolve_plan(names[0], runner, benchmarks=args.benchmarks)
-            plan = ShardPlan(
-                resolved,
-                count,
-                strategy=args.shard_strategy,
-                cost_model=planning_model(runner.engine, resolved),
-            )
+            plan = ShardPlan(resolve_plan(names[0], runner, benchmarks=args.benchmarks), count)
         except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -422,7 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 runner,
                 benchmarks=args.benchmarks,
                 manifest=args.manifest,
-                strategy=args.shard_strategy,
             )
         except ExperimentError as error:
             print(f"error: {error}", file=sys.stderr)

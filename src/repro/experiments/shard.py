@@ -9,11 +9,7 @@ distribution almost free — the only things a multi-host campaign needs are
   :class:`ShardPlan` assigns every canonical key to shard
   ``int(key, 16) % N``: a pure function of the key *value*, so the split is
   identical on every host regardless of plan enumeration order, Python
-  hash randomization, or how many duplicate requests a harness plans.
-  The modulo partition is blind to run *cost*, so ``strategy="cost"``
-  instead bin-packs the keys by predicted wall time (LPT greedy over a
-  :class:`~repro.runtime.cost_model.CampaignCostModel`, deterministic
-  tie-breaks by key) — same disjoint-cover law, straggler-free bins;
+  hash randomization, or how many duplicate requests a harness plans;
 * a **shard worker** (:func:`run_shard_worker`, reachable as
   ``tdm-repro <experiment> --shard i/N``) that simulates only its slice —
   through the campaign engine's one simulation loop, with its retries and
@@ -35,24 +31,17 @@ distribution almost free — the only things a multi-host campaign needs are
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Union
 
 from ..errors import ExperimentError
 from ..reliability.faults import maybe_fault
-from ..runtime.cost_model import CampaignCostModel
-from .cache import (
-    CACHE_FORMAT_VERSION,
-    ResultCache,
-    atomic_write,
-    store_cost_profile,
-)
-from .campaign import CampaignEngine, CampaignRunError, ResolvedRun
+from .cache import CACHE_FORMAT_VERSION, ResultCache, atomic_write
+from .campaign import CampaignRunError, ResolvedRun
 from .common import SimulationRunner
 
 #: Subdirectory of a cache directory where shard manifests are written.
@@ -62,13 +51,11 @@ MANIFEST_DIRNAME = "manifests"
 
 #: Shard-manifest schema version.  v2 added ``key_timings`` (per-key wall
 #: seconds of the runs this worker simulated), ``stolen_keys`` and
-#: ``strategy``; v3 dropped ``stolen_keys``.  The reader accepts older
-#: manifests (missing fields default) and ignores fields it does not know,
-#: so mixed-version fleets merge.
-MANIFEST_VERSION = 3
-
-#: Partition strategies a :class:`ShardPlan` supports.
-PLAN_STRATEGIES = ("modulo", "cost")
+#: ``strategy``; v3 dropped ``stolen_keys``; v4 dropped ``key_timings`` and
+#: ``strategy``.  The reader accepts older manifests (missing fields
+#: default) and ignores fields it does not know, so mixed-version fleets
+#: merge.
+MANIFEST_VERSION = 4
 
 
 def shard_of(key: str, count: int) -> int:
@@ -118,31 +105,6 @@ class ShardSpec:
         return f"{self.index}/{self.count}"
 
 
-def lpt_assignment(costs: Dict[str, float], count: int) -> Dict[str, int]:
-    """Longest-processing-time greedy bin packing of keys into ``count`` bins.
-
-    Keys are placed in decreasing predicted-cost order (ties broken by key,
-    so the result is a pure function of the cost map), each onto the
-    currently least-loaded bin (load ties broken by lowest bin index).
-    Returns key -> 0-based bin.  Classic LPT guarantees a max-bin load
-    within 4/3 of optimal; for this planner the property that matters is
-    determinism — two hosts computing the same costs compute the same bins.
-
-    Degenerate all-equal-costs input reduces to round-robin over the
-    key-sorted order, which tests pin as the contract.
-    """
-    if count < 1:
-        raise ExperimentError(f"shard count must be >= 1, got {count}")
-    bins: List[Tuple[float, int]] = [(0.0, index) for index in range(count)]
-    heapq.heapify(bins)
-    assignment: Dict[str, int] = {}
-    for key in sorted(costs, key=lambda key: (-costs[key], key)):
-        load, index = heapq.heappop(bins)
-        assignment[key] = index
-        heapq.heappush(bins, (load + costs[key], index))
-    return assignment
-
-
 class ShardPlan:
     """A deterministic partition of a plan's canonical key space.
 
@@ -150,64 +112,24 @@ class ShardPlan:
     duplicates collapse by key (first occurrence wins — all occurrences of
     one key describe the identical simulation by construction) and the
     retained runs are key-sorted, so two hosts enumerating the same
-    experiment always agree on both membership and order.
-
-    Two partition strategies:
-
-    * ``"modulo"`` (the default and the on-disk contract): shard
-      ``int(key, 16) % N`` — a pure function of the key value, requiring no
-      cost information at all.
-    * ``"cost"``: LPT bin packing over predicted wall times from a
-      :class:`~repro.runtime.cost_model.CampaignCostModel` (uncalibrated
-      analytic model when none is given).  Still deterministic — the model
-      is a pure function of workload parameters and the shared cost
-      profile — but hosts planning ``cost`` shards **must** share the same
-      profile state (or none); the modulo partition needs no such care.
-
-    Either way the partition never affects results: canonical keys ignore
-    it, and merged output is byte-identical regardless of who ran what.
+    experiment always agree on both membership and order.  Every key goes
+    to shard ``int(key, 16) % N`` (:func:`shard_of`), which needs no
+    information beyond the key.  The partition never affects results:
+    canonical keys ignore it, and merged output is byte-identical
+    regardless of who ran what.
     """
 
-    def __init__(
-        self,
-        resolved: Iterable[ResolvedRun],
-        count: int,
-        strategy: str = "modulo",
-        cost_model: Optional[CampaignCostModel] = None,
-    ) -> None:
+    def __init__(self, resolved: Iterable[ResolvedRun], count: int) -> None:
         if count < 1:
             raise ExperimentError(f"shard count must be >= 1, got {count}")
-        if strategy not in PLAN_STRATEGIES:
-            raise ExperimentError(
-                f"unknown shard strategy {strategy!r}; available: {', '.join(PLAN_STRATEGIES)}"
-            )
         self.count = count
-        self.strategy = strategy
         unique: Dict[str, ResolvedRun] = {}
         for item in resolved:
             unique.setdefault(item.key, item)
         self._runs: List[ResolvedRun] = [unique[key] for key in sorted(unique)]
-        model = cost_model
-        if model is None and strategy == "cost":
-            model = CampaignCostModel()
-        #: Predicted cost per key: model predictions when a model is
-        #: available (for dry-run audits and balance metrics under either
-        #: strategy), else a flat 1.0 (loads then count keys).
-        self._costs: Dict[str, float] = {
-            item.key: (float(model.predict(item)) if model is not None else 1.0)
-            for item in self._runs
-        }
-        if strategy == "cost":
-            self._owner = lpt_assignment(self._costs, count)
-        else:
-            self._owner = {item.key: shard_of(item.key, count) for item in self._runs}
 
     def __len__(self) -> int:
         return len(self._runs)
-
-    @property
-    def runs(self) -> List[ResolvedRun]:
-        return list(self._runs)
 
     def keys(self) -> List[str]:
         """Every canonical key of the plan, sorted."""
@@ -221,56 +143,32 @@ class ShardPlan:
             raise ExperimentError(
                 f"shard spec {spec} does not match plan sharded {self.count} ways"
             )
-        return [item for item in self._runs if self._owner[item.key] == spec.index - 1]
+        return [item for item in self._runs if spec.owns(item.key)]
 
     def assignment(self) -> Dict[str, int]:
         """Canonical key -> owning shard index (1-based), for every key."""
-        return {key: owner + 1 for key, owner in self._owner.items()}
-
-    def predicted_cost(self, key: str) -> float:
-        """Predicted wall seconds of one key (1.0 flat without a model)."""
-        return self._costs[key]
-
-    def shard_loads(self) -> List[float]:
-        """Total predicted cost per shard, indexed 0-based."""
-        loads = [0.0] * self.count
-        for key, owner in self._owner.items():
-            loads[owner] += self._costs[key]
-        return loads
+        return {item.key: shard_of(item.key, self.count) + 1 for item in self._runs}
 
     def describe(self, experiment: str = "") -> str:
         """Human-readable plan audit: the ``--dry-run`` output.
 
-        Key-sorted rows (key prefix, owning shard, predicted cost, workload
-        parameters) under per-shard load summaries — what an operator reads
-        to judge whether the balance is worth a cost-strategy campaign.
+        Per-shard key counts over key-sorted rows (key prefix, owning
+        shard, workload parameters).
         """
-        loads = self.shard_loads()
-        mean = sum(loads) / len(loads) if loads else 0.0
-        peak = max(loads) if loads else 0.0
-        lines = [
-            f"[plan] {experiment or 'plan'} strategy={self.strategy} "
-            f"shards={self.count}: {len(self)} keys, predicted total "
-            f"{sum(loads):.3f}s, max shard {peak:.3f}s, mean shard {mean:.3f}s"
-        ]
+        owners = self.assignment()
         counts = [0] * self.count
-        for owner in self._owner.values():
-            counts[owner] += 1
+        for owner in owners.values():
+            counts[owner - 1] += 1
+        lines = [f"[plan] {experiment or 'plan'} shards={self.count}: {len(self)} keys"]
         for index in range(self.count):
-            lines.append(
-                f"  shard {index + 1}/{self.count}: {counts[index]} keys, "
-                f"predicted {loads[index]:.3f}s"
-            )
-        lines.append("  key          shard  cost_s    run")
+            lines.append(f"  shard {index + 1}/{self.count}: {counts[index]} keys")
+        lines.append("  key          shard  run")
         for item in self._runs:
             request = item.request
             described = f"{request.benchmark} {request.runtime}/{request.scheduler}"
             if request.granularity is not None:
                 described += f" granularity={request.granularity}"
-            lines.append(
-                f"  {item.key[:12]}  {self._owner[item.key] + 1:>5}  "
-                f"{self._costs[item.key]:<8.3f}  {described}"
-            )
+            lines.append(f"  {item.key[:12]}  {owners[item.key]:>5}  {described}")
         return "\n".join(lines)
 
 
@@ -290,12 +188,6 @@ class ShardManifest:
     failures: Dict[str, Dict[str, object]] = field(default_factory=dict)
     wall_time_s: float = 0.0
     cache_format_version: int = CACHE_FORMAT_VERSION
-    #: Wall seconds of each run this worker *simulated* (cache hits record
-    #: nothing), by canonical key — the raw observations behind the
-    #: campaign cost model.  New in manifest v2; empty for v1 manifests.
-    key_timings: Dict[str, float] = field(default_factory=dict)
-    #: Partition strategy the worker planned with.  New in manifest v2.
-    strategy: str = "modulo"
     manifest_version: int = MANIFEST_VERSION
 
     @property
@@ -320,8 +212,6 @@ class ShardManifest:
             "failures": {key: dict(value) for key, value in sorted(self.failures.items())},
             "wall_time_s": self.wall_time_s,
             "cache_format_version": self.cache_format_version,
-            "key_timings": {key: self.key_timings[key] for key in sorted(self.key_timings)},
-            "strategy": self.strategy,
             "manifest_version": self.manifest_version,
         }
 
@@ -329,11 +219,10 @@ class ShardManifest:
     def from_dict(cls, data: Dict[str, object]) -> "ShardManifest":
         """Version-tolerant reader.
 
-        v1 manifests predate ``key_timings``/``strategy`` (their defaults
-        apply, and the version is recorded as 1); fields this reader does
-        not know — v2's ``stolen_keys``, or whatever a *newer* writer adds —
-        are dropped rather than crashing, so mixed-version fleets keep
-        merging.
+        A manifest without a version is recorded as v1; fields this reader
+        does not know — v2's ``stolen_keys``, v2/v3's ``key_timings`` and
+        ``strategy``, or whatever a *newer* writer adds — are dropped rather
+        than crashing, so mixed-version fleets keep merging.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         payload = {name: value for name, value in data.items() if name in known}
@@ -393,30 +282,12 @@ def find_manifests(
     return sorted(root.glob(pattern)) if root.is_dir() else []
 
 
-def planning_model(engine: CampaignEngine, plan: Iterable[ResolvedRun]) -> CampaignCostModel:
-    """The cost model a cost-strategy shard partitions ``plan`` with.
-
-    Calibrated from the engine's cache profile, minus the observations of
-    the plan's own keys: every batch records its timings there as it
-    lands, and the shards of one campaign plan at different times.  Left
-    in, a shard planning after its peers ran would bin the keys
-    differently and a key could fall between two bins.
-    """
-    own = {item.key for item in plan}
-    profile = engine.cost_model().profile
-    return CampaignCostModel(
-        {key: entry for key, entry in profile.items() if key not in own},
-        scale=engine.scale,
-    )
-
-
 def run_shard_worker(
     experiment: str,
     shard: ShardSpec,
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
     manifest: Optional[Union[str, pathlib.Path]] = None,
-    strategy: str = "modulo",
     **plan_kwargs: object,
 ) -> ShardManifest:
     """Execute one shard of an experiment's plan and write its manifest.
@@ -429,9 +300,6 @@ def run_shard_worker(
     warm-up: every key hits, ``simulated`` stays 0, and the manifest is
     rewritten to reflect the healthy state — which is how a dead shard is
     repaired.
-
-    ``strategy="cost"`` plans the bins by predicted wall time (see
-    :func:`planning_model`).
     """
     from .registry import resolve_plan  # local import: registry imports experiments
 
@@ -439,8 +307,7 @@ def run_shard_worker(
     if engine.disk_cache is None:
         raise ExperimentError("shard workers require --cache-dir (the cache is the shard output)")
     resolved = resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs)
-    model = planning_model(engine, resolved) if strategy == "cost" else None
-    mine = ShardPlan(resolved, shard.count, strategy=strategy, cost_model=model).shard(shard)
+    mine = ShardPlan(resolved, shard.count).shard(shard)
     failures: Dict[str, CampaignRunError] = {}
     hits_before = engine.memory_hits + engine.disk_hits
     simulated_before = engine.simulations_run
@@ -458,12 +325,6 @@ def run_shard_worker(
         simulated=engine.simulations_run - simulated_before,
         failures={key: error.to_dict() for key, error in failures.items()},
         wall_time_s=time.perf_counter() - started,
-        key_timings={
-            item.key: round(engine.key_timings[item.key], 6)
-            for item in mine
-            if item.key in engine.key_timings
-        },
-        strategy=strategy,
     )
     record.write(manifest or manifest_path(engine.disk_cache.directory, experiment, shard))
     return record
@@ -495,13 +356,9 @@ class MergeReport:
             return self
         preview = ", ".join(key[:12] + "…" for key in self.missing_keys[:5])
         counts = {manifest.shard_count for manifest in self.manifests}
-        strategies = {manifest.strategy for manifest in self.manifests}
-        if len(counts) == 1 and strategies <= {"modulo"}:
+        if len(counts) == 1:
             # The owning shard of every missing key is computable — name the
-            # shards to rerun rather than making the operator guess.  Only
-            # the modulo partition is reconstructible from keys alone; a
-            # cost-planned campaign's bins depend on the profile state at
-            # planning time.
+            # shards to rerun rather than making the operator guess.
             count = counts.pop()
             owners = sorted({shard_of(key, count) + 1 for key in self.missing_keys})
             hint = f"rerun shards {owners} of {count} and re-merge"
@@ -580,20 +437,9 @@ def merge_shards(
     missing = [key for key in planned.keys() if key not in destination]
     failures: Dict[str, Dict[str, object]] = {}
     seen_shards: Dict[int, int] = {}
-    timings: Dict[str, float] = {}
     for manifest in manifests:
         failures.update(manifest.failures)
         seen_shards[manifest.shard_index] = manifest.shard_count
-        timings.update(manifest.key_timings)
-    if timings:
-        # Union every shard's per-key observations into the destination's
-        # persistent cost profile — the calibration corpus of the next
-        # cost-planned campaign over this cache.
-        observer = CampaignCostModel(scale=runner.scale)
-        resolved_by_key = {item.key: item for item in planned.runs}
-        store_cost_profile(
-            dest_root, observer.observations_for(timings, resolved_by_key)
-        )
     count = shard_count or (max(seen_shards.values()) if seen_shards else 0)
     missing_shards = [
         index for index in range(1, count + 1) if index not in seen_shards

@@ -1,4 +1,4 @@
-"""Heartbeat files and cost-model deadlines for hung-worker detection.
+"""Heartbeat files and per-key deadlines for hung-worker detection.
 
 ``multiprocessing.Pool`` has a blind spot the campaign cannot tolerate: a
 worker SIGKILL'd mid-task is silently respawned, but its task is never
@@ -7,9 +7,9 @@ the merge the same way.  The watchdog turns both into the same observable:
 
 * every worker writes a **heartbeat file** (``hb-<pid>.json`` in a per-batch
   directory) naming the key it started and when;
-* the parent derives a **per-key deadline** from the campaign cost model's
-  predicted wall seconds times a slack factor (floored by a minimum, so
-  cheap runs on a loaded machine are not false positives);
+* the parent gives every key the same **deadline**, ``min_seconds``: one
+  constant well above the longest simulation of the paper-scale campaign,
+  so a slow run on a loaded machine is not a false positive;
 * a key whose heartbeat is older than its deadline — whether the worker is
   hung *or* dead — is reported overdue; the engine terminates the pool,
   strikes the overdue keys and requeues the rest without penalty.
@@ -35,31 +35,24 @@ HEARTBEAT_PREFIX = "hb-"
 
 @dataclass(frozen=True)
 class WatchdogConfig:
-    """Deadline shaping knobs (env-overridable for chaos smokes)."""
+    """Deadline knobs (env-overridable for chaos smokes)."""
 
-    #: Multiplier on the cost model's predicted wall seconds.
-    slack: float = 8.0
-    #: Floor on any deadline — predictions for smoke-scale runs are tiny
-    #: and machine load must not look like a hang.
-    min_seconds: float = 30.0
+    #: Every key's deadline.  The longest simulation of the paper-scale
+    #: campaign (``all --scale 1.0 --jobs 2``) takes 17-20 s on a 2-vCPU
+    #: box; the headroom keeps machine load from looking like a hang.
+    min_seconds: float = 90.0
     #: Parent-side completion/heartbeat poll cadence.
     poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.slack <= 0 or self.min_seconds < 0 or self.poll_interval_s <= 0:
-            raise ValueError("watchdog slack/min_seconds/poll_interval_s out of range")
+        if self.min_seconds < 0 or self.poll_interval_s <= 0:
+            raise ValueError("watchdog min_seconds/poll_interval_s out of range")
 
     @classmethod
     def from_env(cls) -> "WatchdogConfig":
-        """Config with ``REPRO_WATCHDOG_SLACK`` / ``REPRO_WATCHDOG_MIN_S`` applied."""
-        kwargs = {}
-        raw = os.environ.get("REPRO_WATCHDOG_SLACK", "").strip()
-        if raw:
-            kwargs["slack"] = float(raw)
+        """Config with ``REPRO_WATCHDOG_MIN_S`` applied."""
         raw = os.environ.get("REPRO_WATCHDOG_MIN_S", "").strip()
-        if raw:
-            kwargs["min_seconds"] = float(raw)
-        return cls(**kwargs)
+        return cls(min_seconds=float(raw)) if raw else cls()
 
 
 def write_heartbeat(directory: Union[str, pathlib.Path], key: str,
@@ -113,13 +106,9 @@ class Watchdog:
     def __init__(
         self,
         config: Optional[WatchdogConfig] = None,
-        cost_model: Optional[object] = None,
         directory: Optional[Union[str, pathlib.Path]] = None,
     ) -> None:
         self.config = config or WatchdogConfig()
-        #: A ``CampaignCostModel`` duck (``predict(resolved) -> seconds``);
-        #: None degrades every deadline to the configured floor.
-        self.cost_model = cost_model
         self._owns_directory = directory is None
         self.directory = pathlib.Path(
             directory if directory is not None else tempfile.mkdtemp(prefix="repro-hb-")
@@ -127,14 +116,8 @@ class Watchdog:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def deadline_for(self, resolved: object) -> float:
-        """Wall-second budget for one resolved run (prediction × slack, floored)."""
-        predicted = 0.0
-        if self.cost_model is not None:
-            try:
-                predicted = float(self.cost_model.predict(resolved))
-            except Exception:  # noqa: BLE001 - deadlines must never fail a run
-                predicted = 0.0
-        return max(self.config.min_seconds, predicted * self.config.slack)
+        """Wall-second budget for one resolved run: the same for every key."""
+        return self.config.min_seconds
 
     def reset(self) -> None:
         """Drop all heartbeats (called between retry rounds: stale heartbeats

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.graph import critical_path_us, max_parallelism
+from repro.analysis.graph import critical_path_us, max_parallelism, task_graph_edges
 from repro.analysis.metrics import (
     geometric_mean,
     normalize,
@@ -12,7 +12,14 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.validation import ReferenceGraph, validate_execution
 from repro.errors import ValidationError
-from repro.runtime.task import TaskInstance, TaskInstanceFactory
+from repro.runtime.task import (
+    AccessMode,
+    DependenceSpec,
+    TaskDefinition,
+    TaskInstanceFactory,
+    TaskProgram,
+    TaskRegion,
+)
 from repro.sim.machine import run_simulation
 from repro.workloads.synthetic import chain_program
 
@@ -47,7 +54,41 @@ class TestMetrics:
             relative_change(0.0, 10.0)
 
 
+def _two_region_program() -> TaskProgram:
+    """Region 0: A(10) -> B(20), plus an independent C(5): span 30.
+    Region 1: D(7) -> E(3), plus an independent F(1): span 10.  D also reads
+    what B wrote, an edge across the barrier between the regions."""
+    block = 4096
+    x, y, z, w = 0x1000_0000, 0x2000_0000, 0x3000_0000, 0x4000_0000
+
+    def task(uid, work_us, *dependences):
+        specs = tuple(DependenceSpec(address, block, mode) for address, mode in dependences)
+        return TaskDefinition(uid=uid, name=f"t{uid}", kind="t", work_us=work_us,
+                              dependences=specs)
+
+    first = TaskRegion(tasks=(
+        task(0, 10.0, (x, AccessMode.OUT)),
+        task(1, 20.0, (x, AccessMode.INOUT)),
+        task(2, 5.0, (y, AccessMode.OUT)),
+    ))
+    second = TaskRegion(tasks=(
+        task(3, 7.0, (x, AccessMode.IN), (z, AccessMode.OUT)),
+        task(4, 3.0, (z, AccessMode.IN)),
+        task(5, 1.0, (w, AccessMode.OUT)),
+    ))
+    return TaskProgram(name="two_regions", regions=(first, second))
+
+
 class TestGraphAnalysis:
+    def test_multi_region_span_is_the_sum_of_per_region_spans(self):
+        program = _two_region_program()
+        assert (1, 3) in task_graph_edges(program)  # the cross-region edge
+        assert critical_path_us(program) == pytest.approx(30.0 + 10.0)
+
+    def test_multi_region_parallelism_uses_the_per_region_span(self):
+        program = _two_region_program()
+        assert max_parallelism(program) == pytest.approx(46.0 / 40.0)
+
     def test_diamond_critical_path(self):
         program = diamond_program(work_us=10.0)
         assert critical_path_us(program) == pytest.approx(30.0)

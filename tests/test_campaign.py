@@ -17,11 +17,10 @@ import pytest
 from repro.config import DMUConfig, SimulationConfig, default_paper_config
 from repro.errors import ExperimentError
 from repro.experiments import campaign
-from repro.experiments.cache import ResultCache, canonical_run_key, load_cost_profile
+from repro.experiments.cache import ResultCache, canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
-from repro.reliability.watchdog import Watchdog, WatchdogConfig
 from repro.sim.machine import SimulationResult, run_simulation
 from repro.workloads.registry import create_workload
 
@@ -134,30 +133,6 @@ class TestResultCache:
         assert restored.total_cycles == result.total_cycles
         assert restored.energy.to_dict() == result.energy.to_dict()
         assert len(cache) == 1
-
-    def test_concurrent_profile_stores_lose_no_entry(self, tmp_path):
-        # Results-daemon threads each union their batch's timings into one
-        # cache's profile; a lost read-merge-write would drop a key.
-        import sys
-        import threading
-
-        from repro.experiments.cache import store_cost_profile
-
-        def store(index):
-            store_cost_profile(tmp_path, {f"{index:064x}": {"seconds": 0.5, "units": 1.0}})
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=store, args=(i,)) for i in range(16)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(load_cost_profile(tmp_path)) == [f"{i:064x}" for i in range(16)]
 
     def test_missing_and_corrupt_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -426,29 +401,44 @@ class TestCachePruneEdgeCases:
         assert old_key in cache
         assert new_key not in cache
 
-    def test_manifests_inside_cache_dir_are_never_pruned_or_counted(self, tmp_path):
-        # Every non-result artifact a campaign parks inside the cache dir —
-        # shard manifests, the cost profile — must be invisible to entry
-        # enumeration, pruning, clearing and merging.
-        cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
-        manifest = cache.directory / "manifests" / "figure_10.shard-1-of-2.json"
-        manifest.parent.mkdir()
-        manifest.write_text('{"experiment": "figure_10"}', encoding="utf-8")
-        profile = cache.directory / "cost_profile.json"
-        profile.write_text('{"version": 1, "timings": {}}', encoding="utf-8")
-        artifacts = (manifest, profile)
+    def _assert_invisible(self, cache, artifacts, tmp_path):
+        """Entry enumeration, pruning, clearing and merging skip ``artifacts``."""
         assert len(cache) == 1
-        stray = cache.total_bytes()
-        assert stray == cache.path_for("ab" + "0" * 62).stat().st_size
+        assert cache.total_bytes() == cache.path_for("ab" + "0" * 62).stat().st_size
         assert cache.prune(0) == 1  # the entry, none of the artifacts
         assert all(path.exists() for path in artifacts)
         cache.clear()
         assert all(path.exists() for path in artifacts)
-        # Merging this cache into another copies results only — profiles
-        # merge through store_cost_profile, not as cache entries.
         other = self._cache_with_keys(tmp_path / "other", ["ef" + "0" * 62])
         assert other.merge_from(cache) == 0  # the only entry was pruned
-        assert not (other.directory / "cost_profile.json").exists()
+        for path in artifacts:
+            assert not (other.directory / path.relative_to(cache.directory)).exists()
+
+    def test_manifests_inside_cache_dir_are_never_pruned_or_counted(self, tmp_path):
+        # Shard manifests live inside the cache dir and must be invisible
+        # to entry enumeration, pruning, clearing and merging.
+        cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
+        manifest = cache.directory / "manifests" / "figure_10.shard-1-of-2.json"
+        manifest.parent.mkdir()
+        manifest.write_text('{"experiment": "figure_10"}', encoding="utf-8")
+        self._assert_invisible(cache, [manifest], tmp_path)
+
+    def test_stray_cost_profile_from_an_older_version_is_ignored(self, tmp_path):
+        # Older versions wrote a top-level cost_profile.json into every
+        # cache dir.  Nothing reads or writes it now: a campaign over such a
+        # cache leaves it byte-for-byte alone, and no cache operation counts,
+        # prunes or merges it.
+        blob = '{"timings": {"%s": {"seconds": 1.0, "units": 2.0}}, "version": 1}' % ("ab" * 32)
+        profile = tmp_path / "cache" / "cost_profile.json"
+        profile.parent.mkdir()
+        profile.write_text(blob, encoding="utf-8")
+        engine = CampaignEngine(scale=SCALE, cache_dir=profile.parent)
+        engine.run_many([RunRequest("blackscholes", "software")])
+        assert engine.simulations_run == 1
+        assert profile.read_text(encoding="utf-8") == blob
+        engine.disk_cache.clear()
+        cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
+        self._assert_invisible(cache, [profile], tmp_path)
 
     def test_midcampaign_eviction_never_loses_a_needed_result(self, tmp_path):
         # The harshest budget evicts every disk entry after each batch, yet
@@ -875,36 +865,13 @@ class TestSimulationLoop:
         ]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_campaign_records_one_profile_entry_per_simulated_key(self, tmp_path, jobs):
+    def test_campaign_records_one_timing_per_simulated_key(self, tmp_path, jobs):
         engine = CampaignEngine(scale=0.05, jobs=jobs, cache_dir=tmp_path)
-        engine.run_many(self._plan(engine))
-        profile = load_cost_profile(tmp_path)
-        assert len(profile) == engine.cache_info()["simulations_run"] > 1
-        assert sorted(profile) == sorted(engine.key_timings)
-        for key, entry in profile.items():
-            assert entry["seconds"] == round(engine.key_timings[key], 6)
-            assert entry["units"] > 0
-
-    def test_fresh_engine_gets_calibrated_watchdog_deadlines(self, tmp_path):
-        first = CampaignEngine(scale=0.05, jobs=2, cache_dir=tmp_path)
-        plan = self._plan(first)
-        first.run_many(plan)
-        profile = load_cost_profile(tmp_path)
-        fresh = CampaignEngine(
-            scale=0.05, jobs=2, cache_dir=tmp_path,
-            watchdog_config=WatchdogConfig(slack=3.0, min_seconds=0.0),
-        )
-        assert fresh.cost_model().calibrated
-        assert not CampaignEngine(scale=0.05).cost_model().calibrated
-        watchdog = Watchdog(fresh.watchdog_config, fresh.cost_model())
-        try:
-            for request in plan:
-                item = fresh.resolve(request)
-                assert watchdog.deadline_for(item) == pytest.approx(
-                    3.0 * profile[item.key]["seconds"]
-                )
-        finally:
-            watchdog.cleanup()
+        plan = self._plan(engine)
+        engine.run_many(plan)
+        assert len(engine.key_timings) == engine.cache_info()["simulations_run"] > 1
+        assert sorted(engine.key_timings) == sorted({engine.resolve(r).key for r in plan})
+        assert all(seconds > 0 for seconds in engine.key_timings.values())
 
     def test_pool_submits_the_module_level_worker_body(self, tmp_path, monkeypatch):
         # The worker body is looked up on the module at submit time, so a

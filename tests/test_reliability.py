@@ -30,7 +30,6 @@ from repro.errors import ExperimentError
 from repro.experiments.cache import (
     QUARANTINE_DIRNAME,
     ResultCache,
-    load_cost_profile,
     result_checksum,
 )
 from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
@@ -225,22 +224,16 @@ class TestWatchdog:
             json.dumps({"pid": 2, "key": "k", "attempt": 2, "started": 50.0}))
         assert read_heartbeats(tmp_path) == {"k": 50.0}
 
-    def test_deadline_is_prediction_times_slack_with_floor(self):
-        class Model:
-            def predict(self, resolved):
-                return 10.0
-
-        class Broken:
-            def predict(self, resolved):
-                raise RuntimeError("no profile")
-
-        config = WatchdogConfig(slack=4.0, min_seconds=2.0)
-        assert Watchdog(config, Model()).deadline_for(object()) == 40.0
-        assert Watchdog(config, Broken()).deadline_for(object()) == 2.0
-        assert Watchdog(config, None).deadline_for(object()) == 2.0
+    def test_every_key_gets_the_one_deadline(self):
+        dog = Watchdog(WatchdogConfig(min_seconds=2.0))
+        try:
+            assert dog.deadline_for(object()) == 2.0
+        finally:
+            dog.cleanup()
+        assert WatchdogConfig().min_seconds == 90.0
 
     def test_overdue_counts_from_worker_start(self, tmp_path):
-        dog = Watchdog(WatchdogConfig(slack=1.0, min_seconds=1.0), None, tmp_path)
+        dog = Watchdog(WatchdogConfig(min_seconds=1.0), tmp_path)
         (tmp_path / "hb-1.json").write_text(
             json.dumps({"pid": 1, "key": "slow", "started": 100.0}))
         deadlines = {"slow": 5.0, "queued": 5.0}  # "queued" never heartbeat
@@ -252,11 +245,11 @@ class TestWatchdog:
 
     def test_config_validation_and_env(self, monkeypatch):
         with pytest.raises(ValueError):
-            WatchdogConfig(slack=0.0)
-        monkeypatch.setenv("REPRO_WATCHDOG_SLACK", "3.0")
+            WatchdogConfig(min_seconds=-1.0)
+        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
+        assert WatchdogConfig.from_env() == WatchdogConfig()
         monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "1.0")
-        config = WatchdogConfig.from_env()
-        assert config.slack == 3.0 and config.min_seconds == 1.0
+        assert WatchdogConfig.from_env().min_seconds == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +418,7 @@ class TestCampaignRecovery:
             scale=SCALE,
             jobs=2,
             retry_policy=FAST_RETRY,
-            watchdog_config=WatchdogConfig(
-                slack=4.0, min_seconds=2.0, poll_interval_s=0.02
-            ),
+            watchdog_config=WatchdogConfig(min_seconds=2.0, poll_interval_s=0.02),
         )
         plan = resolve_plan(
             "figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS
@@ -559,8 +550,6 @@ class TestDaemonDegradation:
         assert health["retries"] >= 1
         assert health["watchdog_kills"] >= 1
         assert 1 <= sampler.peak <= live.service.workers
-        # The daemon's runs calibrate the cache's cost profile too.
-        assert len(load_cost_profile(tmp_path / "cache")) == engine.simulations_run
 
     def test_oversized_request_line_is_a_clean_400(self, tmp_path):
         with reliability_daemon(tmp_path / "cache") as live:

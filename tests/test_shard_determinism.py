@@ -15,12 +15,12 @@ This module makes that promise executable:
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.cache import load_cost_profile
 from repro.experiments.campaign import CampaignRunError
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
@@ -86,58 +86,10 @@ class TestDifferentialEquivalence:
             assert manifest.ok
 
 
-class TestCostAndStealDeterminism:
-    """The cost-planning strategy never reaches the rendered bytes."""
+class TestSharedCacheDeterminism:
+    """Shards of one campaign running into one shared cache directory."""
 
-    def test_cost_strategy_split_and_merge_is_byte_identical(
-        self, serial_outputs, tmp_path
-    ):
-        figure = "figure_12"
-        manifests = run_all_shards(
-            figure, SCALE, BENCHMARKS, tmp_path, count=3, strategy="cost"
-        )
-        # Cost bins still partition the plan: every key attempted once.
-        all_keys = sorted(key for manifest in manifests for key in manifest.keys)
-        planned = resolve_plan(figure, SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        assert all_keys == [item.key for item in planned]
-        assert all(manifest.strategy == "cost" for manifest in manifests)
-        # Cold caches: every simulated key carries a wall-time observation.
-        for manifest in manifests:
-            assert sorted(manifest.key_timings) == sorted(manifest.keys)
-            assert all(seconds > 0 for seconds in manifest.key_timings.values())
-
-        csv, markdown, merged = merge_and_render(figure, SCALE, BENCHMARKS, tmp_path, count=3)
-        assert (csv, markdown) == serial_outputs[figure]
-        assert merged.cache_info()["simulations_run"] == 0
-        # The merge unioned every shard's observations into the calibration
-        # corpus of the next cost-planned campaign over this cache.
-        profile = load_cost_profile(tmp_path / "merged")
-        assert sorted(profile) == all_keys
-
-    def test_cost_shards_sharing_one_cache_partition_the_plan(
-        self, serial_outputs, tmp_path
-    ):
-        # Shards of one campaign run one after another into one cache, and
-        # every batch records its timings in that cache's cost profile — so
-        # each shard plans against a profile its peers have grown.  The
-        # plan's own observations must not move the bins: every key is
-        # still simulated by exactly one shard.
-        figure = "figure_12"
-        manifests = run_all_shards(
-            figure, SCALE, BENCHMARKS, tmp_path, count=3, strategy="cost", shared=True
-        )
-        planned = resolve_plan(figure, SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        simulated = sorted(key for manifest in manifests for key in manifest.key_timings)
-        assert simulated == [item.key for item in planned]
-        assert sum(manifest.simulated for manifest in manifests) == len(planned)
-        assert sorted(load_cost_profile(tmp_path / "shared")) == simulated
-        csv, markdown, merged = merge_and_render(
-            figure, SCALE, BENCHMARKS, tmp_path, count=3, sources=[tmp_path / "shared"]
-        )
-        assert (csv, markdown) == serial_outputs[figure]
-        assert merged.cache_info()["simulations_run"] == 0
-
-    def test_dead_cost_shard_is_named_by_the_merge_and_repaired_by_rerun(
+    def test_dead_shard_in_a_shared_cache_is_named_by_the_merge_and_repaired_by_rerun(
         self, serial_outputs, tmp_path
     ):
         figure = "figure_12"
@@ -145,19 +97,19 @@ class TestCostAndStealDeterminism:
 
         def shard(index):
             runner = SimulationRunner(scale=SCALE, cache_dir=shared)
-            return run_shard_worker(
-                figure, ShardSpec(index, 3), runner, benchmarks=BENCHMARKS, strategy="cost"
-            )
+            return run_shard_worker(figure, ShardSpec(index, 3), runner, benchmarks=BENCHMARKS)
 
-        shard(1)
-        shard(2)  # shard 3 is a dead host: it never runs
+        for index in (1, 2):  # shard 3 is a dead host: it never runs
+            manifest = shard(index)
+            assert manifest.simulated == manifest.attempted  # peers' keys untouched
         runner = SimulationRunner(scale=SCALE, cache_dir=shared)
         report = merge_shards(figure, [shared], runner, benchmarks=BENCHMARKS)
         assert report.missing_shards == [3]
-        with pytest.raises(ExperimentError, match=r"rerun shards \[3\]"):
+        assert report.missing_keys
+        with pytest.raises(ExperimentError, match=r"rerun shards \[3\] of 3"):
             report.verify()
         rerun = shard(3)
-        assert rerun.simulated == len(report.missing_keys)
+        assert rerun.simulated == rerun.attempted == len(report.missing_keys)
         assert sorted(rerun.keys) == report.missing_keys
         csv, markdown, merged = merge_and_render(
             figure, SCALE, BENCHMARKS, tmp_path, count=3, sources=[shared]
@@ -175,35 +127,49 @@ class TestCostAndStealDeterminism:
             benchmarks=None,
             keys=["ab" * 32],
             simulated=1,
-            key_timings={"ab" * 32: 0.25},
-            strategy="cost",
         )
         assert ShardManifest.from_dict(current.to_dict()) == current
-        assert current.manifest_version == MANIFEST_VERSION == 3
-        assert "stolen_keys" not in current.to_dict()
+        assert current.manifest_version == MANIFEST_VERSION == 4
+        for retired in ("stolen_keys", "key_timings", "strategy"):
+            assert retired not in current.to_dict()
 
-        # A v2 manifest also lists the keys its worker stole: still readable,
-        # the retired field is dropped.
+        # A v3 manifest carries its worker's strategy and per-key timings:
+        # still readable, the retired fields are dropped.
+        v3 = ShardManifest.from_dict(
+            dict(
+                current.to_dict(),
+                manifest_version=3,
+                strategy="cost",
+                key_timings={"ab" * 32: 0.25},
+            )
+        )
+        assert v3.manifest_version == 3
+        assert v3.keys == current.keys and v3.simulated == current.simulated
+        assert dataclasses.replace(v3, manifest_version=4) == current
+
+        # A v2 manifest also lists the keys its worker stole.
         v2 = ShardManifest.from_dict(
-            dict(current.to_dict(), manifest_version=2, stolen_keys=["ab" * 32])
+            dict(
+                current.to_dict(),
+                manifest_version=2,
+                strategy="modulo",
+                key_timings={"ab" * 32: 0.25},
+                stolen_keys=["ab" * 32],
+            )
         )
         assert v2.manifest_version == 2
-        assert v2.keys == current.keys and v2.key_timings == current.key_timings
-        assert v2.strategy == "cost"
-        assert "stolen_keys" not in v2.to_dict()
+        assert dataclasses.replace(v2, manifest_version=4) == current
 
-        # A v1 manifest predates key_timings/strategy entirely.
+        # A v1 manifest carries no version at all.
         v1_payload = {
-            name: value
-            for name, value in current.to_dict().items()
-            if name not in ("key_timings", "strategy", "manifest_version")
+            name: value for name, value in current.to_dict().items() if name != "manifest_version"
         }
         v1 = ShardManifest.from_dict(v1_payload)
         assert v1.manifest_version == 1
-        assert v1.key_timings == {} and v1.strategy == "modulo"
+        assert dataclasses.replace(v1, manifest_version=4) == current
 
         # Fields from a *future* writer are dropped, not fatal.
-        future = dict(current.to_dict(), manifest_version=4, carbon_footprint_g=12.5)
+        future = dict(current.to_dict(), manifest_version=5, carbon_footprint_g=12.5)
         assert ShardManifest.from_dict(future).keys == current.keys
 
 

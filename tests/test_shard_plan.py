@@ -29,31 +29,18 @@ from repro.experiments.cache import canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan
-from repro.experiments.shard import ShardPlan, ShardSpec, lpt_assignment, shard_of
-from repro.runtime.cost_model import CampaignCostModel
+from repro.experiments.shard import ShardPlan, ShardSpec, shard_of
 
 from tests.util import make_config
 
 hex_keys = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 key_sets = st.lists(hex_keys, min_size=1, max_size=64, unique=True)
 shard_counts = st.integers(min_value=1, max_value=16)
-cost_values = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
-cost_maps = st.dictionaries(hex_keys, cost_values, min_size=1, max_size=48)
 
 
 def _runs(keys):
     """Lightweight stand-ins for ResolvedRun (ShardPlan only reads ``.key``)."""
     return [SimpleNamespace(key=key) for key in keys]
-
-
-class _TableModel:
-    """A cost model that is just a lookup table (duck-typed ``predict``)."""
-
-    def __init__(self, costs):
-        self.costs = dict(costs)
-
-    def predict(self, item):
-        return self.costs[item.key]
 
 
 class TestPartitionProperties:
@@ -94,89 +81,19 @@ class TestPartitionProperties:
         assert owners[0] == shard_of(key, count) + 1
 
 
-class TestCostStrategyProperties:
-    """The ``strategy="cost"`` partition obeys the same laws as modulo."""
-
-    @given(costs=cost_maps, count=shard_counts)
-    @settings(max_examples=200, deadline=None)
-    def test_cost_partition_is_a_disjoint_cover(self, costs, count):
-        plan = ShardPlan(_runs(costs), count, strategy="cost", cost_model=_TableModel(costs))
-        slices = [plan.shard(ShardSpec(index, count)) for index in range(1, count + 1)]
-        combined = [item.key for piece in slices for item in piece]
-        assert sorted(combined) == sorted(costs)
-        # Per-shard loads tile the total predicted cost exactly.
-        assert sum(plan.shard_loads()) == pytest.approx(sum(costs.values()))
-
-    @given(costs=cost_maps, count=shard_counts, seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_cost_assignment_is_stable_under_plan_reordering(self, costs, count, seed):
-        shuffled = list(costs)
-        random.Random(seed).shuffle(shuffled)
-        model = _TableModel(costs)
-        original = ShardPlan(_runs(costs), count, strategy="cost", cost_model=model)
-        reordered = ShardPlan(_runs(shuffled), count, strategy="cost", cost_model=model)
-        assert original.assignment() == reordered.assignment()
-        assert original.keys() == reordered.keys()
-
-    @given(keys=key_sets, count=shard_counts, cost=cost_values)
-    @settings(max_examples=100, deadline=None)
-    def test_equal_costs_degenerate_to_round_robin_over_sorted_keys(self, keys, count, cost):
-        model = _TableModel({key: cost for key in keys})
-        plan = ShardPlan(_runs(keys), count, strategy="cost", cost_model=model)
-        assignment = plan.assignment()
-        for position, key in enumerate(sorted(keys)):
-            assert assignment[key] == (position % count) + 1
-
-    @given(costs=cost_maps, count=shard_counts)
-    @settings(max_examples=100, deadline=None)
-    def test_lpt_places_keys_in_decreasing_cost_order(self, costs, count):
-        # The first ``count`` keys by (cost desc, key) each open their own
-        # bin — the defining LPT move, and the reason one giant key can
-        # never share a bin with the runner-up while an empty bin exists.
-        assignment = lpt_assignment(costs, count)
-        ordered = sorted(costs, key=lambda key: (-costs[key], key))
-        heads = ordered[: count]
-        assert sorted(assignment[key] for key in heads) == list(range(len(heads)))
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown shard strategy"):
-            ShardPlan(_runs(["ab" * 32]), 2, strategy="random")
-
-    def test_modulo_plans_ignore_the_cost_model_for_ownership(self):
-        # A model may still be attached (dry-run audits price modulo bins),
-        # but ownership must stay the pure hash function.
-        keys = [f"{index:064x}" for index in range(8)]
-        costs = {key: float(index + 1) for index, key in enumerate(keys)}
-        plan = ShardPlan(_runs(keys), 3, strategy="modulo", cost_model=_TableModel(costs))
-        assert plan.assignment() == {key: shard_of(key, 3) + 1 for key in keys}
-        assert plan.predicted_cost(keys[4]) == 5.0
-
-
-class TestCostStrategyBalancesRealPlans:
-    """The acceptance scenario: mixed-cost figures balance better than modulo."""
-
-    def test_figure_07_three_shard_peak_load_drops_under_cost_binning(self):
-        runner = SimulationRunner(scale=0.05)
-        resolved = resolve_plan("figure_07", runner)
-        model = CampaignCostModel(scale=0.05)
-        modulo = ShardPlan(resolved, 3, strategy="modulo", cost_model=model)
-        cost = ShardPlan(resolved, 3, strategy="cost", cost_model=model)
-        assert cost.keys() == modulo.keys()  # same key space, different bins
-        assert max(cost.shard_loads()) < max(modulo.shard_loads())
-        # And the balanced peak sits within 1% of the ideal mean load.
-        mean = sum(cost.shard_loads()) / 3
-        assert max(cost.shard_loads()) < 1.01 * mean
-
-    def test_describe_reports_loads_and_every_key(self):
+class TestPlanAudit:
+    def test_describe_reports_counts_owners_and_every_key(self):
         runner = SimulationRunner(scale=0.05)
         resolved = resolve_plan("figure_10", runner, benchmarks=["blackscholes"])
-        plan = ShardPlan(resolved, 2, strategy="cost", cost_model=CampaignCostModel(scale=0.05))
+        plan = ShardPlan(resolved, 2)
         text = plan.describe("figure_10")
-        assert "strategy=cost" in text and "shards=2" in text
-        for item in plan.runs:
-            assert item.key[:12] in text
-        for line in ("shard 1/2", "shard 2/2", "max shard", "mean shard"):
-            assert line in text
+        assert text.splitlines()[0] == f"[plan] figure_10 shards=2: {len(plan)} keys"
+        owners = plan.assignment()
+        for index in (1, 2):
+            count = sum(1 for owner in owners.values() if owner == index)
+            assert f"shard {index}/2: {count} keys" in text
+        for key in plan.keys():
+            assert f"{key[:12]}  {owners[key]:>5}  blackscholes" in text
 
 
 class TestSpecValidation:

@@ -61,28 +61,17 @@ def run_all_shards(
     benchmarks: Optional[Sequence[str]],
     shard_root: pathlib.Path,
     count: int,
-    strategy: str = "modulo",
-    shared: bool = False,
 ) -> list[ShardManifest]:
     """Simulate every shard of an experiment into per-shard cache dirs.
 
     Each shard gets a *fresh* runner — the same isolation N distinct hosts
-    would have — persisting to ``<shard_root>/shard<i>``, or to one
-    ``<shard_root>/shared`` directory with ``shared=True`` (the layout a
-    shared-filesystem campaign uses).
+    would have — persisting to ``<shard_root>/shard<i>``.
     """
     manifests = []
     for index in range(1, count + 1):
-        cache_dir = shard_root / ("shared" if shared else f"shard{index}")
-        runner = SimulationRunner(scale=scale, cache_dir=cache_dir)
+        runner = SimulationRunner(scale=scale, cache_dir=shard_root / f"shard{index}")
         manifests.append(
-            run_shard_worker(
-                experiment,
-                ShardSpec(index, count),
-                runner,
-                benchmarks=benchmarks,
-                strategy=strategy,
-            )
+            run_shard_worker(experiment, ShardSpec(index, count), runner, benchmarks=benchmarks)
         )
     return manifests
 
