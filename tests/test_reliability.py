@@ -251,6 +251,36 @@ class TestWatchdog:
         monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "1.0")
         assert WatchdogConfig.from_env().min_seconds == 1.0
 
+    @pytest.mark.parametrize("raw,seconds", [("", 90.0), ("  ", 90.0), ("2.5", 2.5), ("0", 0.0)])
+    def test_env_sets_every_key_s_deadline(self, monkeypatch, raw, seconds):
+        monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", raw)
+        dog = Watchdog(WatchdogConfig.from_env())
+        try:
+            assert dog.deadline_for(object()) == seconds
+        finally:
+            dog.cleanup()
+
+    def test_negative_env_deadline_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "-3")
+        with pytest.raises(ValueError):
+            WatchdogConfig.from_env()
+
+    def test_engine_reads_its_deadline_from_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "7")
+        assert CampaignEngine(scale=SCALE).watchdog_config.min_seconds == 7.0
+        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S")
+        assert CampaignEngine(scale=SCALE).watchdog_config == WatchdogConfig()
+
+    def test_cleanup_removes_only_a_directory_it_created(self, tmp_path):
+        owned = Watchdog()
+        write_heartbeat(owned.directory, "k")
+        owned.cleanup()
+        assert not owned.directory.exists()
+        lent = Watchdog(directory=tmp_path / "hb")
+        write_heartbeat(lent.directory, "k")
+        lent.cleanup()
+        assert read_heartbeats(lent.directory) == {"k": pytest.approx(time.time(), abs=5.0)}
+
 
 # ---------------------------------------------------------------------------
 # Cache integrity: checksums, quarantine, orphan sweeping

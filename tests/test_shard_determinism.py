@@ -16,6 +16,7 @@ This module makes that promise executable:
 from __future__ import annotations
 
 import dataclasses
+import io
 import multiprocessing
 
 import pytest
@@ -26,8 +27,10 @@ from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
 from repro.experiments.shard import (
     MANIFEST_VERSION,
+    MergeReport,
     ShardManifest,
     ShardSpec,
+    find_manifests,
     manifest_path,
     merge_shards,
     run_shard_worker,
@@ -171,6 +174,103 @@ class TestSharedCacheDeterminism:
         # Fields from a *future* writer are dropped, not fatal.
         future = dict(current.to_dict(), manifest_version=5, carbon_footprint_g=12.5)
         assert ShardManifest.from_dict(future).keys == current.keys
+
+
+def _manifest(**overrides):
+    fields = dict(
+        experiment="figure_10", shard_index=2, shard_count=3, scale=SCALE, seed=0,
+        benchmarks=["blackscholes"], keys=["ab" * 32, "cd" * 32],
+        cached_hits=1, simulated=1, wall_time_s=1.5,
+    )
+    fields.update(overrides)
+    return ShardManifest(**fields)
+
+
+class TestManifestFormat:
+    """The manifest file and the worker-facing report, without simulating."""
+
+    def test_write_then_read_round_trips(self, tmp_path):
+        manifest = _manifest()
+        path = manifest.write(manifest_path(tmp_path, "figure_10", ShardSpec(2, 3)))
+        assert path.name == "figure_10.shard-2-of-3.json"
+        assert ShardManifest.read(path) == manifest
+
+    def test_find_manifests_filters_by_experiment(self, tmp_path):
+        assert find_manifests(tmp_path) == []  # no manifests directory yet
+        for experiment in ("figure_10", "figure_12"):
+            for index in (1, 2):
+                spec = ShardSpec(index, 2)
+                _manifest(experiment=experiment, shard_index=index, shard_count=2).write(
+                    manifest_path(tmp_path, experiment, spec)
+                )
+        assert [path.name for path in find_manifests(tmp_path, "figure_12")] == [
+            "figure_12.shard-1-of-2.json",
+            "figure_12.shard-2-of-2.json",
+        ]
+        assert len(find_manifests(tmp_path)) == 4
+
+    def test_clean_report_prints_the_summary_and_exits_zero(self):
+        manifest = _manifest()
+        out, err = io.StringIO(), io.StringIO()
+        assert manifest.ok and manifest.attempted == 2
+        assert manifest.report(out, err) == 0
+        assert out.getvalue() == (
+            "[shard 2/3] figure_10: 2 keys, 1 cached, 1 simulated, 0 failures in 1.5s\n"
+        )
+        assert err.getvalue() == ""
+
+    def test_failed_report_names_each_failure_and_exits_one(self):
+        failure = {
+            "params": {"benchmark": "blackscholes"},
+            "error_type": "RuntimeError",
+            "error_message": "boom",
+        }
+        manifest = _manifest(failures={"cd" * 32: failure})
+        out, err = io.StringIO(), io.StringIO()
+        assert not manifest.ok
+        assert manifest.report(out, err) == 1
+        assert "1 failures" in out.getvalue()
+        assert err.getvalue().startswith(f"  FAILED {'cd' * 6}… ")
+        assert "RuntimeError: boom" in err.getvalue()
+
+
+def _report(missing, manifests=(), failures=None, missing_shards=()):
+    return MergeReport(
+        experiment="figure_10",
+        entries_copied=0,
+        planned_keys=4,
+        missing_keys=list(missing),
+        manifests=list(manifests),
+        failures=dict(failures or {}),
+        missing_shards=list(missing_shards),
+    )
+
+
+class TestMergeVerdicts:
+    """How an incomplete merge tells the operator what to rerun."""
+
+    def test_complete_merge_verifies_to_itself(self):
+        report = _report([])
+        assert report.complete
+        assert report.verify() is report
+
+    def test_one_shard_count_names_the_owning_shards(self):
+        # 0x..ab % 3 == 0 and 0x..cd % 3 == 2: shards 1 and 3 own the keys.
+        missing = ["ab" * 32, "cd" * 32]
+        report = _report(missing, manifests=[_manifest(shard_index=3)])
+        with pytest.raises(ExperimentError, match=r"rerun shards \[1, 3\] of 3"):
+            report.verify()
+
+    def test_without_manifests_the_missing_shards_are_named(self):
+        report = _report(["ab" * 32], missing_shards=[2, 3])
+        with pytest.raises(ExperimentError, match=r"rerun shards \[2, 3\] \(no manifest\)"):
+            report.verify()
+
+    def test_failed_keys_are_flagged_as_not_converging(self):
+        key = "ab" * 32
+        report = _report([key], manifests=[_manifest()], failures={key: {}})
+        with pytest.raises(ExperimentError, match=r"1 of the missing keys \*failed\*"):
+            report.verify()
 
 
 class TestResumability:

@@ -81,6 +81,66 @@ class TestPartitionProperties:
         assert owners[0] == shard_of(key, count) + 1
 
 
+class TestModuloPartition:
+    """The one partition: shard ``int(key, 16) % N``, pinned and audited."""
+
+    @given(keys=key_sets, count=shard_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_owner_is_the_key_value_modulo_the_count(self, keys, count):
+        plan = ShardPlan(_runs(keys), count)
+        assert plan.assignment() == {key: int(key, 16) % count + 1 for key in keys}
+
+    @given(keys=key_sets)
+    @settings(max_examples=50, deadline=None)
+    def test_one_shard_owns_every_key(self, keys):
+        plan = ShardPlan(_runs(keys), 1)
+        assert [item.key for item in plan.shard(1)] == sorted(keys)
+
+    @given(keys=key_sets, count=shard_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_every_slice_is_key_sorted(self, keys, count):
+        plan = ShardPlan(_runs(keys), count)
+        for index in range(1, count + 1):
+            slice_keys = [item.key for item in plan.shard(index)]
+            assert slice_keys == sorted(slice_keys)
+
+    @given(keys=key_sets, count=shard_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_integer_index_selects_the_same_slice_as_a_spec(self, keys, count):
+        plan = ShardPlan(_runs(keys), count)
+        for index in range(1, count + 1):
+            assert plan.shard(index) == plan.shard(ShardSpec(index, count))
+
+    def test_first_run_of_a_duplicate_key_is_kept(self):
+        first = SimpleNamespace(key="ab" * 32, tag="first")
+        second = SimpleNamespace(key="ab" * 32, tag="second")
+        plan = ShardPlan([first, second], 2)
+        (kept,) = plan.shard(shard_of(first.key, 2) + 1)
+        assert kept is first
+
+    @pytest.mark.parametrize("key,count,owner", [
+        ("7cdb155fdc5f0c6703da6dbf27b25907555e5220e302d037847791a08d6ec3ec", 2, 1),
+        ("7cdb155fdc5f0c6703da6dbf27b25907555e5220e302d037847791a08d6ec3ec", 3, 3),
+        ("7cdb155fdc5f0c6703da6dbf27b25907555e5220e302d037847791a08d6ec3ec", 7, 2),
+        ("4a376a11ada6195c228c623fde3bef9901e827a96ec87acf2b4df763346f68b0", 7, 1),
+        ("866c126c467ad8a9a7698fe4dd6bdaeb61f0b62a62a462610a902c360dec3f31", 2, 2),
+        ("866c126c467ad8a9a7698fe4dd6bdaeb61f0b62a62a462610a902c360dec3f31", 3, 2),
+        ("866c126c467ad8a9a7698fe4dd6bdaeb61f0b62a62a462610a902c360dec3f31", 7, 5),
+    ])
+    def test_pinned_owners_of_golden_keys(self, key, count, owner):
+        """Hosts from different checkouts must agree on who owns a key."""
+        assert shard_of(key, count) + 1 == owner
+        assert ShardSpec(owner, count).owns(key)
+
+    def test_real_figure_plan_is_covered_by_its_shards(self):
+        runner = SimulationRunner(scale=0.05)
+        resolved = resolve_plan("figure_07", runner, benchmarks=["blackscholes"])
+        plan = ShardPlan(resolved, 3)
+        slices = [plan.shard(index) for index in (1, 2, 3)]
+        assert sum(len(piece) for piece in slices) == len(plan) == len(set(plan.keys()))
+        assert sorted(item.key for piece in slices for item in piece) == plan.keys()
+
+
 class TestPlanAudit:
     def test_describe_reports_counts_owners_and_every_key(self):
         runner = SimulationRunner(scale=0.05)
@@ -94,6 +154,20 @@ class TestPlanAudit:
             assert f"shard {index}/2: {count} keys" in text
         for key in plan.keys():
             assert f"{key[:12]}  {owners[key]:>5}  blackscholes" in text
+
+    def test_describe_names_the_granularity_of_granularity_sweeps(self):
+        runner = SimulationRunner(scale=0.05)
+        resolved = resolve_plan("figure_06", runner, benchmarks=["blackscholes"])
+        plan = ShardPlan(resolved, 3)
+        text = plan.describe("figure_06")
+        owners = plan.assignment()
+        for item in resolved:
+            granularity = item.request.granularity
+            assert granularity is not None
+            assert (
+                f"{item.key[:12]}  {owners[item.key]:>5}  blackscholes "
+                f"{item.request.runtime}/{item.request.scheduler} granularity={granularity}"
+            ) in text
 
 
 class TestSpecValidation:
