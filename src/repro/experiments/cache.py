@@ -7,14 +7,11 @@ parameters that shape the generated task program (benchmark, problem scale,
 explicit granularity or the runtime whose optimal granularity is used, and
 the workload seed).
 
-This replaces the old hand-written ``SimulationRunner._config_token``
-string, which silently dropped several DMU fields (``tat_associativity``,
-``elements_per_list_entry``, ``ready_queue_entries``, ...) and collapsed the
-scheduler to the runtime name for the hardware baselines — both of which
-caused sweeps varying those fields to return stale cached results.  Hashing
-the complete configuration dictionary makes collisions impossible by
-construction: any field that can change simulation output is part of the
-digest.
+Hashing the complete configuration dictionary makes collisions impossible
+by construction: any field that can change simulation output is part of the
+digest.  (The hand-written token it replaced dropped several DMU fields, such
+as ``tat_associativity`` and ``ready_queue_entries``, and so returned stale
+results to sweeps that varied them.)
 
 :class:`ResultCache` persists :class:`~repro.sim.machine.SimulationResult`
 rows as one JSON document per key under ``<dir>/<key[:2]>/<key>.json``.
@@ -32,7 +29,7 @@ import pathlib
 import threading
 import time
 import warnings
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..config import SimulationConfig
 from ..reliability.faults import maybe_fault
@@ -138,29 +135,31 @@ def result_checksum(result_dict: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _entry_defect(blob: bytes) -> Optional[str]:
-    """Why a serialized entry document is corrupt, or None when it is sound.
+def _parse_entry(blob: bytes) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+    """Parse and check one entry document: ``(result payload, defect)``.
 
-    The merge-time mirror of the :meth:`ResultCache.get` corruption checks.
-    A stale-but-well-formed layout (version mismatch) is *not* a defect —
-    readers gate on the version themselves — only torn/invalid JSON,
-    structural breakage and checksum mismatches count.
+    The one corruption check of :meth:`ResultCache.get` and
+    :meth:`ResultCache.merge_from`.  A sound current entry gives its
+    ``result`` payload and no defect; torn/invalid JSON, structural breakage
+    and checksum mismatches give None and the quarantine reason.  A
+    stale-but-well-formed layout (version mismatch) gives neither: it is a
+    plain miss, not corruption.
     """
     try:
         document = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
-        return f"invalid JSON: {error}"
+    except ValueError as error:  # UnicodeDecodeError and JSONDecodeError
+        return None, f"invalid JSON: {error}"
     if not isinstance(document, dict):
-        return "malformed entry: not a JSON object"
+        return None, "malformed entry: not a JSON object"
     if document.get("version") != CACHE_FORMAT_VERSION:
-        return None
+        return None, None
     result = document.get("result")
     if not isinstance(result, dict):
-        return "malformed entry: missing result payload"
+        return None, "malformed entry: missing result payload"
     recorded = document.get("sha256")
     if recorded is not None and recorded != result_checksum(result):
-        return "checksum mismatch"
-    return None
+        return None, "checksum mismatch"
+    return result, None
 
 
 class ResultCache:
@@ -266,29 +265,22 @@ class ResultCache:
             except OSError:
                 pass
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            blob = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
-        except json.JSONDecodeError as error:
+        payload, defect = _parse_entry(blob)
+        result = None
+        if payload is not None:
+            try:
+                result = SimulationResult.from_dict(payload)
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                # A sound envelope around a payload that is not a result.
+                defect = f"malformed entry: {type(error).__name__}: {error}"
+        if result is None:
             self.misses += 1
-            self.quarantine(path, f"invalid JSON: {error}")
-            return None
-        try:
-            if document.get("version") != CACHE_FORMAT_VERSION:
-                self.misses += 1
-                return None
-            recorded = document.get("sha256")
-            if recorded is not None and recorded != result_checksum(document["result"]):
-                self.misses += 1
-                self.quarantine(path, "checksum mismatch")
-                return None
-            result = SimulationResult.from_dict(document["result"])
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            # Structurally malformed (parses as JSON but is not an entry).
-            self.misses += 1
-            self.quarantine(path, f"malformed entry: {type(error).__name__}: {error}")
+            if defect is not None:
+                self.quarantine(path, defect)
             return None
         self.hits += 1
         try:
@@ -315,12 +307,8 @@ class ResultCache:
                 )
         return result
 
-    def put(self, key: str, result: SimulationResult) -> pathlib.Path:
-        """Persist ``result`` under ``key`` atomically; returns the file path."""
-        return self.put_serialized(key, result.to_dict())
-
     def put_serialized(self, key: str, result_dict: Dict[str, object]) -> pathlib.Path:
-        """Persist an already-serialized result (the parallel-merge path).
+        """Persist a serialized result under ``key`` atomically; returns the path.
 
         The document embeds a ``sha256`` integrity checksum of the result
         payload (verified by :meth:`get` and :meth:`merge_from`); entries
@@ -377,11 +365,10 @@ class ResultCache:
         render from the union.
 
         Only ``??/*.json`` entries are copied: shard manifests are read in
-        place, and cost profiles are unioned separately (with their own
-        merge semantics) by ``merge_shards``.
+        place and any other file in the directory is left alone.
 
-        Every copied entry is validated first (JSON shape + embedded
-        checksum, exactly the :meth:`get` criteria): a torn or corrupt
+        Every copied entry is validated first by the check :meth:`get`
+        uses (JSON shape + embedded checksum): a torn or corrupt
         source entry is quarantined *in the source* and skipped, so the
         merged cache never inherits corruption — the key simply stays
         missing and the completeness check names it for resimulation.
@@ -395,9 +382,9 @@ class ResultCache:
                 blob = entry.read_bytes()
             except OSError:  # vanished mid-merge (concurrent prune)
                 continue
-            reason = _entry_defect(blob)
-            if reason is not None:
-                source.quarantine(entry, reason)
+            _, defect = _parse_entry(blob)
+            if defect is not None:
+                source.quarantine(entry, defect)
                 continue
             atomic_write(destination, blob)
             copied += 1

@@ -12,16 +12,18 @@ embarrassingly parallel, incrementally resumable campaign:
   :class:`~repro.experiments.cache.ResultCache`, so re-invoking an experiment
   (or the benchmark suite) skips every already-simulated point;
 * :meth:`CampaignEngine.run_many` is the one way a cold point gets
-  simulated: a round loop that runs in-process (``jobs == 1``) or over a
-  watchdogged ``multiprocessing`` pool, retries transient failures and
-  commits in key-sorted order, so the campaign output is bit-identical to
-  a serial run regardless of completion order or worker count.  Serial
-  runs, pool batches, shard workers and the results daemon all use it.
+  simulated: a round loop that retries transient failures and commits in
+  key-sorted order, so the campaign output is bit-identical whatever the
+  completion order or worker count.  Serial is a one-worker campaign:
+  every attempt runs the one body, :func:`_simulate_entry`, in-process
+  (``jobs == 1``) or on a watchdogged ``multiprocessing`` pool, and every
+  outcome is the serialized result.  Renders, shard workers and the
+  results daemon all use it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
-:class:`RunRequest` (their ``plan`` functions) and the registry prefetches
-them through :meth:`run_many` when ``--jobs`` is greater than one.
+:class:`RunRequest` (their ``plan`` functions) and the registry runs every
+render's plan through :meth:`run_many` before the harness builds its rows.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
 #: than a serialized result (no SimulationResult dict ever contains it).
 _ERROR_MARKER = "__campaign_error__"
 
-#: One attempt's outcome: ``(key, result | error marker, seconds)``.  The
-#: result is a ``SimulationResult`` in-process and its serialized dict from
-#: a pool worker.
-_Outcome = Tuple[str, object, float]
+#: One attempt's outcome: ``(key, serialized result | error marker, seconds)``.
+_Outcome = Tuple[str, Dict[str, object], float]
 
 
 def _error_marker(params: Dict[str, object], error_type: str, message: str,
@@ -240,16 +240,19 @@ def _memoized_characteristics(
 
 
 def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object], float]:
-    """Worker-side body: rebuild the run from plain dicts and simulate it.
+    """The one attempt body: rebuild the run from plain dicts and simulate it.
 
-    Lives at module scope so it pickles under both fork and spawn start
-    methods.  Returns the canonical key with the serialized result and the
-    worker-side wall seconds the point took (workload build + simulation,
-    recorded in ``CampaignEngine.key_timings``); the parent performs
-    the deterministic merge.  Exceptions are captured into an error marker
-    (rather than poisoning ``pool.map`` with a raw remote traceback) so the
-    parent can attach the offending key and workload parameters — and so
-    one bad point does not discard its batchmates.
+    A one-worker campaign calls it in-process, a pool campaign in its
+    workers; the engine looks it up on this module at call time in both
+    modes, so a wrapper installed here sees every attempt.  Lives at module
+    scope so it pickles under both fork and spawn start methods.  Returns
+    the canonical key with the serialized result and the wall seconds the
+    point took (workload build + simulation, recorded in
+    ``CampaignEngine.key_timings``); the engine performs the deterministic
+    merge.  Exceptions are captured into an error marker (rather than
+    poisoning the pool with a raw remote traceback) so the engine can
+    attach the offending key and workload parameters — and so one bad
+    point does not discard its batchmates.
     """
     started = time.perf_counter()
     try:
@@ -295,10 +298,10 @@ class CampaignEngine:
       (optionally budgeted via ``cache_max_bytes``); reruns simulate only
       what is missing.
     * **Execution** — :meth:`run_many` simulates uncached runs in one
-      retrying loop, in-process or over a watchdogged
-      ``multiprocessing.Pool`` (``jobs > 1``), and commits results in
-      key-sorted order, so parallel output is byte-identical to serial
-      (``docs/determinism.md``).  Failures surface as
+      retrying loop through one attempt body, in-process or over a
+      watchdogged ``multiprocessing.Pool`` (``jobs > 1``), and commits
+      serialized results in key-sorted order, so parallel output is
+      byte-identical to serial (``docs/determinism.md``).  Failures surface as
       :class:`CampaignRunError` carrying the key, workload parameters and
       attempt history, never raw pool tracebacks.
     * **Derived once** — resolution is memoized per engine: each distinct
@@ -392,15 +395,6 @@ class CampaignEngine:
             entry = self._configs[signature] = (config, config.to_dict())
         return entry
 
-    def config_for(
-        self,
-        runtime: str,
-        scheduler: str = "fifo",
-        dmu: Optional[DMUConfig] = None,
-    ) -> SimulationConfig:
-        """The full simulation configuration for one runtime/scheduler/DMU."""
-        return self._config_entry(runtime, scheduler, dmu)[0]
-
     def resolve(self, request: RunRequest) -> ResolvedRun:
         """Attach the canonical key and effective configuration to a request.
 
@@ -469,6 +463,17 @@ class CampaignEngine:
             "config": resolved.config_dict,
         }
 
+    def _attempt_payload(self, resolved: ResolvedRun, attempt: int, spec: Optional[str],
+                         watchdog: Optional[Watchdog]) -> Dict[str, object]:
+        """What :func:`_simulate_entry` gets for one attempt, in either mode."""
+        payload = self._payload(resolved)
+        payload["attempt"] = attempt
+        if watchdog is not None:
+            payload["heartbeat_dir"] = str(watchdog.directory)
+        if spec:
+            payload["faults"] = spec
+        return payload
+
     # ------------------------------------------------------------------ running
     def run(self, request: RunRequest) -> SimulationResult:
         """Run one simulation, consulting the memo and disk cache first.
@@ -524,8 +529,9 @@ class CampaignEngine:
     ) -> Dict[str, CampaignRunError]:
         """The simulation loop: rounds of attempts, each outcome settled once.
 
-        A round attempts every pending key — in-process when ``jobs == 1``,
-        otherwise on a fresh ``multiprocessing`` pool under the
+        A round attempts every pending key through :func:`_simulate_entry`
+        — in-process when ``jobs == 1``, otherwise on a fresh
+        ``multiprocessing`` pool under the
         :class:`~repro.reliability.watchdog.Watchdog` — and settles the
         outcomes in key order.  Settling commits a result, requeues a
         transient failure (backing off before the next round) until the
@@ -539,11 +545,10 @@ class CampaignEngine:
         history: Dict[str, List[Dict[str, object]]] = {}
         errors: Dict[str, CampaignRunError] = {}
 
-        def settle(key: str, result: object, seconds: float) -> None:
-            marker = result.get(_ERROR_MARKER) if isinstance(result, dict) else None
+        def settle(key: str, result: Dict[str, object], seconds: float) -> None:
+            marker = result.get(_ERROR_MARKER)
             if marker is None:
-                del pending[key]
-                self._commit(key, result, seconds)
+                self._commit(pending.pop(key), result, seconds)
                 return
             attempt = failed_attempts[key] = failed_attempts.get(key, 0) + 1
             history.setdefault(key, []).append({
@@ -564,11 +569,10 @@ class CampaignEngine:
                 attempts=history[key],
             )
 
-        watchdog = None
-        if self.jobs > 1:
-            watchdog = Watchdog(self.watchdog_config)
-            if self.verbose:  # pragma: no cover - console feedback only
-                print(f"[campaign] {len(pending)} runs on {self.jobs} workers")
+        watchdog = Watchdog(self.watchdog_config) if self.jobs > 1 else None
+        if self.verbose:  # pragma: no cover - console feedback only
+            print(f"[campaign] {len(pending)} runs on {self.jobs} worker(s)")
+        spec = active_spec()
         try:
             while pending:
                 batch = [pending[key] for key in sorted(pending)]
@@ -579,13 +583,16 @@ class CampaignEngine:
                 )
                 if backoff:
                     time.sleep(backoff)
-                if watchdog is None:
-                    outcomes = (
-                        self._attempt(item, failed_attempts.get(item.key, 0) + 1)
-                        for item in batch
+                payloads = [
+                    self._attempt_payload(
+                        item, failed_attempts.get(item.key, 0) + 1, spec, watchdog
                     )
+                    for item in batch
+                ]
+                if watchdog is None:
+                    outcomes = (_simulate_entry(payload) for payload in payloads)
                 else:
-                    outcomes = self._pool_round(batch, failed_attempts, watchdog)
+                    outcomes = self._pool_round(batch, payloads, watchdog)
                 for outcome in outcomes:
                     settle(*outcome)
         finally:
@@ -593,18 +600,7 @@ class CampaignEngine:
                 watchdog.cleanup()
         return errors
 
-    def _attempt(self, item: ResolvedRun, attempt: int) -> _Outcome:
-        """One in-process attempt at ``item``: its outcome, never an exception."""
-        started = time.perf_counter()
-        try:
-            result = self._simulate(item, attempt)
-        except Exception as error:  # noqa: BLE001 - settled with run context
-            return self._failure(
-                item, type(error).__name__, str(error), traceback.format_exc()
-            )
-        return item.key, result, time.perf_counter() - started
-
-    def _pool_round(self, batch: Sequence[ResolvedRun], failed_attempts: Dict[str, int],
+    def _pool_round(self, batch: Sequence[ResolvedRun], payloads: Sequence[Dict[str, object]],
                     watchdog: Watchdog) -> List[_Outcome]:
         """Attempt ``batch`` on a fresh pool; the key-sorted outcomes.
 
@@ -616,21 +612,16 @@ class CampaignEngine:
         Leaving the ``with`` block terminates the pool, killing any hung
         worker and discarding tasks orphaned by a crash.
         """
-        spec = active_spec()
         items = {item.key: item for item in batch}
         watchdog.reset()
         deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
         stall_budget = watchdog.config.min_seconds + max(deadlines.values())
         outcomes: Dict[str, _Outcome] = {}
         with multiprocessing.Pool(processes=min(self.jobs, len(batch))) as pool:
-            handles = {}
-            for item in batch:
-                payload = self._payload(item)
-                payload["attempt"] = failed_attempts.get(item.key, 0) + 1
-                payload["heartbeat_dir"] = str(watchdog.directory)
-                if spec:
-                    payload["faults"] = spec
-                handles[item.key] = pool.apply_async(_simulate_entry, (payload,))
+            handles = {
+                payload["key"]: pool.apply_async(_simulate_entry, (payload,))
+                for payload in payloads
+            }
             last_progress = time.monotonic()
             while handles:
                 for key in [key for key in sorted(handles) if handles[key].ready()]:
@@ -673,18 +664,22 @@ class CampaignEngine:
         params = _run_params(self._payload(item))
         return item.key, _error_marker(params, error_type, message, worker_traceback), 0.0
 
-    def _commit(self, key: str, result: object, seconds: float) -> None:
-        """Memoize and persist one simulated result (serialized when it
-        comes from a pool worker — persisted as is, never re-serialized)."""
+    def _commit(self, item: ResolvedRun, result: Dict[str, object], seconds: float) -> None:
+        """Persist one serialized result as is and memoize its deserialized
+        form: every mode commits the shape a disk-cache hit restores."""
+        key = item.key
         self.simulations_run += 1
         self.key_timings[key] = seconds
-        if isinstance(result, dict):
-            if self.disk_cache is not None:
-                self.disk_cache.put_serialized(key, result)
-            result = SimulationResult.from_dict(result)
-        elif self.disk_cache is not None:
-            self.disk_cache.put(key, result)
-        self._memo[key] = result
+        if self.disk_cache is not None:
+            self.disk_cache.put_serialized(key, result)
+        restored = self._memo[key] = SimulationResult.from_dict(result)
+        if self.verbose:  # pragma: no cover - console feedback only
+            request = item.request
+            print(
+                f"[run] {request.benchmark} runtime={request.runtime} "
+                f"scheduler={request.scheduler} tasks={restored.num_tasks_executed} "
+                f"({seconds:.2f}s)"
+            )
 
     def prune_disk_cache(self) -> int:
         """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""
@@ -693,26 +688,6 @@ class CampaignEngine:
         evicted = self.disk_cache.prune(self.cache_max_bytes)
         self.cache_evictions += evicted
         return evicted
-
-    def _simulate(self, resolved: ResolvedRun, attempt: int = 1) -> SimulationResult:
-        """Run one simulation in-process.
-
-        The ``sim`` fault site fires here too, so serial campaigns exercise
-        ``error``/``hang`` faults (a ``crash`` fault in serial mode exits
-        the campaign process itself — use ``jobs > 1`` for crash chaos).
-        """
-        maybe_fault("sim", resolved.key, attempt)
-        request = resolved.request
-        program = build_program(
-            request.benchmark, self.scale, request.granularity,
-            resolved.workload_runtime, self.seed,
-        )
-        if self.verbose:  # pragma: no cover - console feedback only
-            print(
-                f"[run] {request.benchmark} runtime={request.runtime} "
-                f"scheduler={request.scheduler} tasks={program.num_tasks}"
-            )
-        return run_simulation(program, resolved.config)
 
     # ------------------------------------------------------------------ stats
     def cache_info(self) -> Dict[str, int]:

@@ -240,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list available experiments and exit",
     )
-    parser.add_argument("--verbose", action="store_true", help="print each simulation as it runs")
+    parser.add_argument(
+        "--verbose",
+        action="store_true",
+        help="print one line per simulated key as it is committed (serial or --jobs N alike)",
+    )
     return parser
 
 

@@ -40,7 +40,7 @@ def unique_requests(requests: Iterable[RunRequest]) -> List[RunRequest]:
     Harness plans naturally repeat points (every figure replans its
     software-FIFO baseline next to the same request from its scheduler
     sweep); :class:`RunRequest` is a frozen dataclass, so equal requests
-    collapse here and plan sizes, shard manifests and prefetch batches all
+    collapse here and plan sizes, shard manifests and campaign batches all
     count *simulations*, not enumeration artifacts.
     """
     return list(dict.fromkeys(requests))
@@ -113,9 +113,10 @@ class SimulationRunner:
 
     A thin façade over :class:`~repro.experiments.campaign.CampaignEngine`
     keeping the historical ``runner.run(...)`` call signature the harnesses
-    use.  ``jobs`` and ``cache_dir`` flow straight to the engine: with
-    ``jobs > 1`` batched prefetches (:meth:`prefetch`) fan out over a process
-    pool, and with ``cache_dir`` every result persists across invocations.
+    use.  ``jobs`` and ``cache_dir`` flow straight to the engine: ``jobs``
+    only chooses where each simulation executes (in-process or on a pool of
+    that many workers), and with ``cache_dir`` every result persists across
+    invocations.
     """
 
     def __init__(
@@ -152,24 +153,8 @@ class SimulationRunner:
         return self.engine.seed
 
     @property
-    def jobs(self) -> int:
-        return self.engine.jobs
-
-    @property
-    def verbose(self) -> bool:
-        return self.engine.verbose
-
-    @property
     def base_config(self) -> SimulationConfig:
         return self.engine.base_config
-
-    def config_for(
-        self,
-        runtime: str,
-        scheduler: str = BASELINE_SCHEDULER,
-        dmu: Optional[DMUConfig] = None,
-    ) -> SimulationConfig:
-        return self.engine.config_for(runtime, scheduler, dmu)
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/simulation counters of the underlying engine."""
@@ -182,26 +167,6 @@ class SimulationRunner:
     def prune_cache(self) -> int:
         """Enforce the engine's disk-cache size budget; returns evictions."""
         return self.engine.prune_disk_cache()
-
-    @staticmethod
-    def _config_token(config: SimulationConfig) -> str:
-        """The legacy hand-written cache token.  DO NOT use for caching.
-
-        Kept only to document (and regression-test) the collision it caused:
-        it omits ``tat_associativity``, ``dat_associativity``,
-        ``elements_per_list_entry``, ``ready_queue_entries``,
-        ``instruction_issue_cycles``, ``noc_roundtrip_cycles`` and
-        ``unlimited``, so sweeps varying any of those mapped to the same key
-        and returned stale results.  Superseded by
-        :func:`repro.experiments.cache.canonical_run_key`.
-        """
-        dmu = config.dmu
-        return (
-            f"{dmu.tat_entries}/{dmu.dat_entries}/{dmu.successor_list_entries}/"
-            f"{dmu.dependence_list_entries}/{dmu.reader_list_entries}/"
-            f"{dmu.access_cycles}/{dmu.index_selection}/{dmu.static_index_start_bit}/"
-            f"{config.chip.num_cores}"
-        )
 
     # ------------------------------------------------------------------ running
     def run(
@@ -232,15 +197,8 @@ class SimulationRunner:
         )
 
     def run_many(self, requests: Sequence[RunRequest]) -> List[SimulationResult]:
-        """Run a batch of requests, in parallel when ``jobs > 1``."""
+        """Run a batch of requests on the engine's workers (in-process for one)."""
         return self.engine.run_many(requests)
-
-    def prefetch(self, requests: Iterable[RunRequest]) -> int:
-        """Warm the caches with ``requests``; later ``run`` calls hit the memo."""
-        batch = list(requests)
-        if batch:
-            self.engine.run_many(batch)
-        return len(batch)
 
     def software_baseline(self, benchmark: str) -> SimulationResult:
         """The software-runtime FIFO baseline every figure normalizes to."""

@@ -39,19 +39,17 @@ COLUMNS = (
 def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     return unique_requests(RunRequest(name, "software") for name in select_benchmarks(benchmarks))
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 2 (software runtime, FIFO scheduler, 32 cores)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="figure_02",

@@ -32,9 +32,8 @@ COLUMNS = ("benchmark", "granularity", "granularity_label", "time_us", "normaliz
 def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     names = [name for name in select_benchmarks(benchmarks) if name in SWEEPABLE]
     requests = []
     for name in names:
@@ -45,12 +44,11 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 6 (software runtime, FIFO scheduler)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = [name for name in select_benchmarks(benchmarks) if name in SWEEPABLE]
     result = ExperimentResult(
         experiment="figure_06",

@@ -45,9 +45,8 @@ def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = SIZES,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     names = select_benchmarks(benchmarks) if benchmarks is not None else list(SENSITIVE_BENCHMARKS)
     base = runner.base_config.dmu
     requests = []
@@ -60,13 +59,12 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = SIZES,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 7 (TDM runtime, FIFO scheduler, ideal-normalized)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks) if benchmarks is not None else list(SENSITIVE_BENCHMARKS)
     result = ExperimentResult(
         experiment="figure_07",

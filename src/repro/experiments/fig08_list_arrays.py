@@ -46,7 +46,9 @@ def _sweep_dmu(base: DMUConfig, sla: int, dla: int, rla: int) -> DMUConfig:
 def _combos(sizes: Sequence[int], mode: str) -> list:
     if mode == "diagonal":
         return [(size, size, size) for size in sizes]
-    return list(itertools.product(sizes, repeat=3))
+    if mode == "grid":
+        return list(itertools.product(sizes, repeat=3))
+    raise ExperimentError(f"unknown sweep mode {mode!r}; use 'diagonal' or 'grid'")
 
 
 def plan(
@@ -54,31 +56,26 @@ def plan(
     benchmarks: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = SIZES,
     mode: str = "diagonal",
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
-    if mode not in ("diagonal", "grid"):
-        return []  # run() raises the proper error
+    """Every simulation ``run`` will request (simulated before it runs)."""
     base = runner.base_config.dmu
+    combos = _combos(sizes, mode)
     requests = []
     for name in select_benchmarks(benchmarks):
         requests.append(RunRequest(name, "tdm", dmu=DMUConfig.ideal()))
-        for sla, dla, rla in _combos(sizes, mode):
+        for sla, dla, rla in combos:
             requests.append(RunRequest(name, "tdm", dmu=_sweep_dmu(base, sla, dla, rla)))
     return unique_requests(requests)
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = SIZES,
     mode: str = "diagonal",
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 8 (TDM runtime, FIFO scheduler, ideal-normalized)."""
-    if mode not in ("diagonal", "grid"):
-        raise ExperimentError(f"unknown sweep mode {mode!r}; use 'diagonal' or 'grid'")
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="figure_08",

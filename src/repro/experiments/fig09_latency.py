@@ -24,9 +24,8 @@ def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
     latencies: Sequence[int] = LATENCIES,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     base = runner.base_config.dmu
     requests = []
     for name in select_benchmarks(benchmarks):
@@ -36,13 +35,12 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     latencies: Sequence[int] = LATENCIES,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 9 (TDM runtime, FIFO scheduler)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="figure_09",

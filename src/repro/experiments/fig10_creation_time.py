@@ -35,9 +35,8 @@ PAPER_AVERAGES = {
 def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     requests = []
     for name in select_benchmarks(benchmarks):
         requests.append(RunRequest(name, "software"))
@@ -46,12 +45,11 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 10 (FIFO scheduler under both runtimes)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="figure_10",

@@ -33,9 +33,8 @@ def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
     static_bits: Sequence[int] = STATIC_BITS,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     names = select_benchmarks(benchmarks) if benchmarks is not None else list(FIGURE_BENCHMARKS)
     base = runner.base_config.dmu
     requests = []
@@ -48,13 +47,12 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     static_bits: Sequence[int] = STATIC_BITS,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 11 (TDM runtime, FIFO scheduler)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks) if benchmarks is not None else list(FIGURE_BENCHMARKS)
     result = ExperimentResult(
         experiment="figure_11",

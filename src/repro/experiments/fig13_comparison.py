@@ -40,9 +40,8 @@ def plan(
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
     schedulers: Sequence[str] = SCHEDULERS,
-    **_: object,
 ) -> list:
-    """Every simulation ``run`` will request (for parallel prefetching)."""
+    """Every simulation ``run`` will request (simulated before it runs)."""
     requests = []
     for name in select_benchmarks(benchmarks):
         requests.append(RunRequest(name, "software"))
@@ -54,13 +53,12 @@ def plan(
 
 
 def run(
-    scale: float = 1.0,
+    runner: SimulationRunner,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     schedulers: Sequence[str] = SCHEDULERS,
-    runner: Optional[SimulationRunner] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 13 (Carbon vs Task Superscalar vs OptTDM)."""
-    runner = runner or SimulationRunner(scale=scale)
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="figure_13",

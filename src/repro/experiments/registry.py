@@ -10,11 +10,12 @@ downstream — the CLI, sharding, the results daemon — resolves names through
 to.
 
 When an experiment has a ``plan`` function (every simulating harness does),
-:func:`run_experiment` prefetches the planned runs through the runner's
-campaign engine before invoking the harness.  With a parallel runner
-(``jobs > 1``) the whole sweep fans out over the process pool and the
-harness then assembles its rows from cache hits; with a serial runner the
-plan is skipped and behavior is unchanged.
+:func:`run_experiment` simulates the whole planned sweep through the
+runner's campaign engine before invoking the harness, which then assembles
+its rows from the memo.  A serial runner is a one-worker campaign: it runs
+the same plan, the same attempt body and commits the same result shape as
+``--jobs N``.  An option the experiment does not take fails in the plan,
+before anything simulates.
 
 :func:`resolve_plan` exposes the same plan as resolved runs (canonical key
 plus full configuration, deduplicated and key-sorted) — the authoritative
@@ -67,10 +68,11 @@ def register_experiment(
 ) -> None:
     """Register one experiment under ``name`` (and optional ``aliases``).
 
-    ``plan`` is the sweep enumerator used for prefetching and sharding
-    (None for analytic tables); ``title`` is the one-line human description
-    shown in catalogs; ``kind`` tags the population (``paper`` or
-    ``scenario``) so catalogs can group without parsing names.
+    ``plan`` is the sweep enumerator every render simulates first and
+    sharding partitions (None for analytic tables); ``title`` is the
+    one-line human description shown in catalogs; ``kind`` tags the
+    population (``paper`` or ``scenario``) so catalogs can group without
+    parsing names.
     """
     key = name.lower()
     if key in _EXPERIMENTS and not replace:
@@ -224,13 +226,19 @@ def run_experiment(
     runner: Optional[SimulationRunner] = None,
     **kwargs: object,
 ) -> ExperimentResult:
-    """Run one experiment by name (prefetching its sweep when parallel)."""
+    """Run one experiment by name: simulate its whole plan, then render.
+
+    ``runner`` defaults to a serial :class:`SimulationRunner` at ``scale``.
+    Every harness is called as ``run(runner, scale, benchmarks, **options)``:
+    the simulating ones take their scale from the runner, and Table II
+    characterizes its workloads at ``scale``.
+    """
     function = get_experiment(name)
-    if runner is not None and getattr(runner, "jobs", 1) > 1:
-        plan = plan_function(name)
-        if plan is not None:
-            runner.prefetch(plan(runner, benchmarks=benchmarks, **kwargs))
-    return function(scale=scale, benchmarks=benchmarks, runner=runner, **kwargs)
+    runner = runner or SimulationRunner(scale=scale)
+    plan = plan_function(name)
+    if plan is not None:
+        runner.run_many(plan(runner, benchmarks=benchmarks, **kwargs))
+    return function(runner=runner, scale=scale, benchmarks=benchmarks, **kwargs)
 
 
 def run_all(

@@ -28,9 +28,9 @@ COLUMNS = (
 
 
 def run(
-    scale: float = 1.0,
+    runner: object,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: object = None,
 ) -> ExperimentResult:
     """Reproduce Table II (task counts and average durations)."""
     names = select_benchmarks(benchmarks)

@@ -40,10 +40,10 @@ COLUMNS = ("structure", "storage_kb", "paper_storage_kb", "area_mm2", "paper_are
 
 
 def run(
-    scale: float = 1.0,
+    runner: object,
+    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     dmu: Optional[DMUConfig] = None,
-    runner: object = None,
 ) -> ExperimentResult:
     """Reproduce Table III and the Section VI-C storage comparison."""
     model = DMUStorageModel(dmu or DMUConfig())

@@ -196,9 +196,8 @@ def plan_scenario(
     scenario: Scenario,
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    **_: object,
 ) -> List[RunRequest]:
-    """Every simulation :func:`run_scenario` will request, for prefetch/shard."""
+    """Every simulation :func:`run_scenario` will request (simulated first)."""
     requests = []
     for workload in _select_workloads(scenario, benchmarks):
         requests.append(RunRequest(workload, "software"))
@@ -210,10 +209,8 @@ def plan_scenario(
 
 def run_scenario(
     scenario: Scenario,
-    scale: float = 1.0,
+    runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    runner: Optional[SimulationRunner] = None,
-    **_: object,
 ) -> ExperimentResult:
     """Run one bundle: every workload under every runtime × scheduler.
 
@@ -221,7 +218,6 @@ def run_scenario(
     baseline, exactly like the paper's figures.
     """
     register_builtin_workloads()
-    runner = runner or SimulationRunner(scale=scale)
     result = ExperimentResult(
         experiment=scenario.experiment,
         title=f"Scenario {scenario.name}: {scenario.title}",
@@ -250,14 +246,11 @@ def run_scenario(
 
 def _make_run(scenario: Scenario) -> Callable[..., ExperimentResult]:
     def run(
-        scale: float = 1.0,
+        runner: SimulationRunner,
+        scale: float,
         benchmarks: Optional[Sequence[str]] = None,
-        runner: Optional[SimulationRunner] = None,
-        **kwargs: object,
     ) -> ExperimentResult:
-        return run_scenario(
-            scenario, scale=scale, benchmarks=benchmarks, runner=runner, **kwargs
-        )
+        return run_scenario(scenario, runner, benchmarks=benchmarks)
 
     run.__name__ = f"run_{scenario.experiment}"
     return run
@@ -267,10 +260,9 @@ def _make_plan(scenario: Scenario) -> Callable[..., List[RunRequest]]:
     def plan(
         runner: SimulationRunner,
         benchmarks: Optional[Sequence[str]] = None,
-        **kwargs: object,
     ) -> List[RunRequest]:
         register_builtin_workloads()
-        return plan_scenario(scenario, runner, benchmarks=benchmarks, **kwargs)
+        return plan_scenario(scenario, runner, benchmarks=benchmarks)
 
     plan.__name__ = f"plan_{scenario.experiment}"
     return plan

@@ -347,6 +347,11 @@ class ResultsService:
             )
         except ExperimentError as error:
             raise _HttpError(400, str(error)) from error
+        except TypeError as error:
+            # An option the experiment's plan does not take (e.g. schedulers
+            # on a figure without a scheduler sweep) → caller error, found
+            # before anything simulates.
+            raise _HttpError(400, f"unsupported option for {experiment}: {error}") from error
 
         etag = etag_for(experiment, request, [item.key for item in resolved])
         if etag_matches(if_none_match, etag):
@@ -439,8 +444,8 @@ class ResultsService:
                     **request.plan_kwargs(),
                 )
             except TypeError as error:
-                # An option the harness does not take (e.g. schedulers on a
-                # figure without a scheduler sweep) → caller error.
+                # An option an analytic table does not take (planned
+                # experiments already refused theirs above) → caller error.
                 raise _HttpError(400, f"unsupported option for {experiment}: {error}") from error
         text = result.to_csv() if request.format == "csv" else result.to_markdown()
         return text.encode("utf-8")

@@ -1,9 +1,10 @@
 """Campaign engine: canonical keys, result caching, parallel equivalence.
 
-The headline regression here: the old ``SimulationRunner._config_token``
-omitted several DMU fields, so two configurations differing only in (say)
-``tat_associativity`` mapped to the same memo key and sweeps returned stale
-results.  The canonical content hash must keep every such pair distinct.
+The headline regression here: the hand-written cache token the canonical
+key replaced omitted several DMU fields, so two configurations differing
+only in (say) ``tat_associativity`` mapped to the same memo key and sweeps
+returned stale results.  The canonical content hash must keep every such
+pair distinct.
 """
 
 import dataclasses
@@ -49,17 +50,16 @@ def _key(config, **kwargs):
 
 class TestCanonicalKeyRegression:
     @pytest.mark.parametrize("field_name,other_value", sorted(LEGACY_TOKEN_OMISSIONS.items()))
-    def test_legacy_token_collides_but_canonical_key_does_not(self, field_name, other_value):
-        """Two configs differing only in a dropped field: the old token is
-        identical (the collision), the canonical key is not (the fix)."""
+    def test_canonical_key_separates_fields_the_legacy_token_dropped(
+        self, field_name, other_value
+    ):
+        """Two configs differing only in a field the legacy token dropped
+        (its collision) get distinct canonical keys (the fix)."""
         base = default_paper_config()
         varied = base.with_dmu(
             dataclasses.replace(base.dmu, **{field_name: other_value})
         ).validated()
         assert getattr(base.dmu, field_name) != other_value
-        # The legacy token cannot tell the two configurations apart ...
-        assert SimulationRunner._config_token(base) == SimulationRunner._config_token(varied)
-        # ... the content hash always can.
         assert _key(base) != _key(varied)
 
     def test_scheduler_kept_for_hardware_runtimes(self):
@@ -127,7 +127,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))
         key = "ab" + "0" * 62
-        cache.put(key, result)
+        cache.put_serialized(key, result.to_dict())
         assert key in cache
         restored = cache.get(key)
         assert restored.total_cycles == result.total_cycles
@@ -157,6 +157,24 @@ class TestResultCache:
         assert cache.get(key) is None
         assert cache.misses == 1
 
+    def test_undecodable_entry_is_quarantined_by_get_and_merge(self, tmp_path):
+        # Bytes that are not UTF-8 fail the one entry check as invalid JSON,
+        # on a read and on a merge alike.
+        key = "aa" + "0" * 62
+        for name in ("read", "source"):
+            path = ResultCache(tmp_path / name).path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"\xff\xfe not utf-8")
+        read = ResultCache(tmp_path / "read")
+        assert read.get(key) is None
+        assert (read.misses, read.quarantined) == (1, 1)
+        source = ResultCache(tmp_path / "source")
+        assert ResultCache(tmp_path / "merged").merge_from(source) == 0
+        assert source.quarantined == 1
+        for name in ("read", "source"):
+            reason = tmp_path / name / "quarantine" / f"{key}.json.reason"
+            assert reason.read_text().startswith("invalid JSON")
+
     def test_entries_with_retired_backend_field_still_hit(self, tmp_path):
         # Entries written while DMUConfig still had a storage-backend field
         # store it inside the result's config, under a valid checksum.
@@ -179,7 +197,7 @@ class TestResultCache:
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))
-        cache.put("12" + "0" * 62, result)
+        cache.put_serialized("12" + "0" * 62, result.to_dict())
         cache.clear()
         assert len(cache) == 0
 
@@ -190,7 +208,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))
         key = "ab" + "0" * 62
-        cache.put(key, result)
+        cache.put_serialized(key, result.to_dict())
 
         import os as os_module
 
@@ -218,7 +236,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))
         key = "cd" + "0" * 62
-        cache.put(key, result)
+        cache.put_serialized(key, result.to_dict())
         monkeypatch.setattr(
             "repro.experiments.cache.os.utime",
             lambda *args, **kwargs: (_ for _ in ()).throw(FileNotFoundError()),
@@ -254,6 +272,15 @@ class TestEngineCaching:
         assert a.total_cycles == cold.run("cholesky", "software").total_cycles
         assert b.scheduler_name == "lifo"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memo_holds_the_deserialized_result_shape(self, jobs):
+        # Serial or pooled, a fresh result is memoized exactly as a disk hit
+        # restores it: totals kept, per-task instances dropped.
+        runner = SimulationRunner(scale=0.05, jobs=jobs)
+        result = runner.run("cholesky", "software")
+        assert result.task_instances == []
+        assert result.finished_task_count == result.num_tasks_executed > 0
+
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ExperimentError):
             SimulationRunner(scale=SCALE, jobs=0)
@@ -269,17 +296,21 @@ class TestEngineCaching:
 
 class TestParallelEquivalence:
     def test_jobs2_csv_is_byte_identical_to_serial(self, tmp_path):
-        serial = SimulationRunner(scale=SCALE)
+        serial = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "serial")
         parallel = SimulationRunner(scale=SCALE, jobs=2, cache_dir=tmp_path / "cache")
         kwargs = dict(scale=SCALE, benchmarks=["blackscholes"])
         serial_result = run_experiment("figure_12", runner=serial, **kwargs)
         parallel_result = run_experiment("figure_12", runner=parallel, **kwargs)
         assert parallel_result.to_csv() == serial_result.to_csv()
         assert parallel_result.to_markdown() == serial_result.to_markdown()
-        # The prefetch covered the whole sweep (the FIFO baseline and the
-        # fifo scheduler point share one key): the harness itself then ran
-        # entirely from the memo.
+        # Both ran the whole plan (the FIFO baseline and the fifo scheduler
+        # point share one key) and wrote the same entry bytes.
+        assert serial.cache_info()["simulations_run"] == 10
         assert parallel.cache_info()["simulations_run"] == 10
+        caches = (serial.engine.disk_cache, parallel.engine.disk_cache)
+        assert caches[0].keys() == caches[1].keys()
+        for key in caches[0].keys():
+            assert caches[0].path_for(key).read_bytes() == caches[1].path_for(key).read_bytes()
 
     def test_parallel_results_persist_for_warm_rerun(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -390,8 +421,8 @@ class TestCachePruneEdgeCases:
         result = run_simulation(diamond_program(), make_config(runtime="software"))
         cache = ResultCache(tmp_path / "cache")
         old_key, new_key = "aa" + "0" * 62, "bb" + "0" * 62
-        old_path = cache.put(old_key, result)
-        new_path = cache.put(new_key, result)
+        old_path = cache.put_serialized(old_key, result.to_dict())
+        new_path = cache.put_serialized(new_key, result.to_dict())
         os.utime(old_path, (1_000_000.0, 1_000_000.0))
         os.utime(new_path, (2_000_000.0, 2_000_000.0))
         # A campaign reads the *older* entry: it becomes most-recently-used …
@@ -618,7 +649,9 @@ class TestProgramCache:
         assert campaign._memoized_program.cache_info().misses == 1
         program = create_workload("cholesky", scale=0.05, runtime="software").build_program()
         rows_fresh = [
-            run_simulation(program, shared.config_for("software", scheduler)).total_cycles
+            run_simulation(
+                program, shared.engine.resolve(RunRequest("cholesky", "software", scheduler)).config
+            ).total_cycles
             for scheduler in ("fifo", "lifo")
         ]
         assert rows_shared == rows_fresh
@@ -767,7 +800,7 @@ class TestResolutionMemo:
         first = engine.resolve(request)
         assert engine.resolve(request) is first
         assert engine.resolve(dataclasses.replace(request)) is first
-        assert engine.config_for("tdm", "lifo", request.dmu) is first.config
+        assert engine._config_entry("tdm", "lifo", request.dmu)[0] is first.config
         assert engine._payload(first)["config"] is first.config_dict
         assert first.config_dict == first.config.to_dict()
 
@@ -873,11 +906,12 @@ class TestSimulationLoop:
         assert sorted(engine.key_timings) == sorted({engine.resolve(r).key for r in plan})
         assert all(seconds > 0 for seconds in engine.key_timings.values())
 
-    def test_pool_submits_the_module_level_worker_body(self, tmp_path, monkeypatch):
-        # The worker body is looked up on the module at submit time, so a
-        # wrapper installed there (as the repository benchmark does) runs
-        # for every simulated key.
-        if multiprocessing.get_start_method() != "fork":
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pool_submits_the_module_level_worker_body(self, tmp_path, monkeypatch, jobs):
+        # The attempt body is looked up on the module at call time, in-process
+        # and in the pool alike, so a wrapper installed there (as the
+        # repository benchmark does) runs for every simulated key.
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("a patched worker body reaches the pool only by fork")
         from repro.experiments import campaign
 
@@ -891,6 +925,6 @@ class TestSimulationLoop:
             return original(payload)
 
         monkeypatch.setattr(campaign, "_simulate_entry", marking_entry)
-        engine = CampaignEngine(scale=0.05, jobs=2)
+        engine = CampaignEngine(scale=0.05, jobs=jobs)
         engine.run_many(self._plan(engine))
         assert sorted(path.name for path in marks.iterdir()) == sorted(engine.key_timings)

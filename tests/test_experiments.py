@@ -16,9 +16,21 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import ExperimentResult, SimulationRunner, select_benchmarks
+from repro.experiments.registry import experiment_catalog, resolve_plan
+from repro.scenarios.registry import get_scenario
 
 SCALE = 0.12
 FAST_BENCHMARKS = ["cholesky", "blackscholes"]
+
+#: Every experiment with a simulation plan: 9 paper figures, 5 scenarios.
+PLANNED = [entry["name"] for entry in experiment_catalog() if entry["simulates"]]
+
+
+def one_workload(name):
+    """A one-workload subset of experiment ``name``'s sweep."""
+    if name.startswith("scenario_"):
+        return list(get_scenario(name).workloads[:1])
+    return ["blackscholes"]
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +94,41 @@ class TestRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ExperimentError):
             get_experiment("figure_99")
+
+
+class TestRenderRunsThePlan:
+    @pytest.mark.parametrize("name", PLANNED)
+    def test_serial_render_simulates_exactly_its_plan(self, name):
+        benchmarks = one_workload(name)
+        runner = SimulationRunner(scale=0.05)
+        planned = resolve_plan(name, runner, benchmarks=benchmarks)
+        run_experiment(name, benchmarks=benchmarks, runner=runner)
+        assert runner.cache_info()["simulations_run"] == len(planned) > 0
+
+    def test_every_planned_experiment_is_covered(self):
+        kinds = [entry["kind"] for entry in experiment_catalog() if entry["simulates"]]
+        assert (kinds.count("paper"), kinds.count("scenario")) == (9, 5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unsupported_option_fails_before_anything_simulates(self, jobs):
+        runner = SimulationRunner(scale=0.05, jobs=jobs)
+        with pytest.raises(TypeError):
+            run_experiment(
+                "figure_02", runner=runner, benchmarks=["blackscholes"], schedulers=["fifo"]
+            )
+        assert runner.cache_info()["simulations_run"] == 0
+
+    def test_scenario_rejects_an_option_it_does_not_take(self):
+        runner = SimulationRunner(scale=0.05)
+        with pytest.raises(TypeError):
+            run_experiment("scenario_deep_chain", runner=runner, schedulers=["lifo"])
+        assert runner.cache_info()["simulations_run"] == 0
+
+    def test_figure_08_plan_rejects_unknown_mode(self):
+        with pytest.raises(ExperimentError, match="unknown sweep mode"):
+            resolve_plan(
+                "figure_08", SimulationRunner(scale=0.05), benchmarks=["cholesky"], mode="cube"
+            )
 
 
 class TestHarnesses:

@@ -138,11 +138,16 @@ class TestEndpoints:
         assert status == 400 and b"JSON" in body
 
     def test_unsupported_option_400(self, daemon):
-        # figure_02 has no scheduler sweep; the knob must fail loudly.
+        # figure_02 has no scheduler sweep; the knob must fail loudly, in
+        # its plan, before anything simulates.
         status, _, _ = daemon.render(
             "figure_02", dict(RENDER_BODY, schedulers=["fifo"])
         )
         assert status == 400
+        engines = list(daemon.service.engines.values())
+        assert engines and all(engine.simulations_run == 0 for engine in engines)
+        # An analytic table has no plan; its render refuses the knob too.
+        assert daemon.render("table_03", dict(RENDER_BODY, schedulers=["fifo"]))[0] == 400
 
 
 class TestRenderContract:
