@@ -18,6 +18,14 @@ rows as one JSON document per key under ``<dir>/<key[:2]>/<key>.json``.
 Writes go through a temporary file followed by :func:`os.replace`, so
 concurrent campaign processes sharing a cache directory can never observe a
 half-written entry.
+
+Every JSON text that is hashed is :func:`canonical_json`: sorted keys,
+compact separators.  A run key hashes the canonical text of its payload,
+which embeds the config's canonical text verbatim (the engine encodes each
+config once).  An entry document is itself canonical JSON, so it stores the
+checksummed bytes of its ``result`` verbatim between a fixed prefix and
+suffix; a read checks the envelope and hashes the bytes it read instead of
+re-encoding the parsed result.
 """
 
 from __future__ import annotations
@@ -87,8 +95,20 @@ def atomic_write(
     os.replace(tmp, path)
 
 
+def canonical_json(value: object) -> str:
+    """The one canonical JSON text: sorted keys, compact separators.
+
+    What run keys, result checksums and entry documents are made of.  A
+    container's canonical text embeds each member's canonical text
+    verbatim, which is what lets :func:`canonical_run_key` splice in a
+    config text encoded earlier and lets :func:`_parse_entry` hash the
+    ``result`` bytes of an entry in place.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_run_key(
-    config: Union[SimulationConfig, Mapping[str, object]],
+    config: Union[SimulationConfig, Mapping[str, object], str],
     benchmark: str,
     scale: float,
     granularity: Optional[int] = None,
@@ -97,25 +117,34 @@ def canonical_run_key(
 ) -> str:
     """SHA-256 digest identifying one simulation, collision-free.
 
-    ``granularity_runtime`` only matters when no explicit ``granularity`` is
-    given (the workload generator ignores it otherwise), so it is normalized
-    to ``None`` in that case — two requests that generate the identical
-    workload always map to the same key.  ``config`` may be given as its
-    :meth:`~repro.config.SimulationConfig.to_dict` form (the campaign
-    engine passes the dict it derived once); both hash the same bytes.
+    The digest is over the canonical JSON of ``{"version", "benchmark",
+    "scale", "granularity", "granularity_runtime", "workload_seed",
+    "config"}``.  ``granularity_runtime`` only matters when no explicit
+    ``granularity`` is given (the workload generator ignores it otherwise),
+    so it is normalized to ``None`` in that case — two requests that
+    generate the identical workload always map to the same key.
+
+    ``config`` may be a :class:`~repro.config.SimulationConfig`, its
+    :meth:`~repro.config.SimulationConfig.to_dict` form, or the
+    :func:`canonical_json` text of that dict (the campaign engine encodes
+    each config once and passes the text).  All three hash the same bytes:
+    the payload text is assembled around the config text, byte-identical
+    to the canonical JSON of the whole payload dict.
     """
     if isinstance(config, SimulationConfig):
         config = config.to_dict()
-    payload = {
-        "version": CACHE_FORMAT_VERSION,
-        "benchmark": benchmark,
-        "scale": repr(float(scale)),
-        "granularity": granularity,
-        "granularity_runtime": None if granularity is not None else granularity_runtime,
-        "workload_seed": seed,
-        "config": config,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if not isinstance(config, str):
+        config = canonical_json(config)
+    dumps = json.dumps
+    if granularity is not None:
+        granularity_runtime = None
+    blob = (
+        f'{{"benchmark":{dumps(benchmark)},"config":{config},'
+        f'"granularity":{dumps(granularity)},'
+        f'"granularity_runtime":{dumps(granularity_runtime)},'
+        f'"scale":{dumps(repr(float(scale)))},'
+        f'"version":{dumps(CACHE_FORMAT_VERSION)},"workload_seed":{dumps(seed)}}}'
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -127,23 +156,49 @@ def result_checksum(result_dict: Dict[str, object]) -> str:
     still parses as JSON.  Computed over the ``result`` payload only — the
     envelope (version, key) is validated structurally — and over the
     *parsed* canonical form, so the digest survives a JSON round trip.
-    Entries written before the field existed verify as legacy (no digest,
-    structural checks only); the cache format version is unchanged because
-    canonical run keys embed it.
+    :meth:`ResultCache.put_serialized` hashes the same bytes it writes, and
+    :func:`_parse_entry` hashes the bytes it read; this re-encode is only
+    the fallback for entries in the older ``json.dumps(document,
+    sort_keys=True)`` layout (and for corrupt ones).  Entries written
+    before the field existed verify as legacy (no digest, structural checks
+    only); the cache format version is unchanged because canonical run keys
+    embed it.
     """
-    blob = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(result_dict).encode("utf-8")).hexdigest()
 
 
-def _parse_entry(blob: bytes) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+def _envelope(key: str, digest: str) -> Tuple[bytes, bytes]:
+    """The bytes around ``result`` in the canonical document of one entry.
+
+    Canonical key order is ``key``, ``result``, ``sha256``, ``version``, so
+    an entry is exactly ``prefix + canonical_json(result) + suffix``.
+    """
+    prefix = f'{{"key":{json.dumps(key)},"result":'
+    suffix = f',"sha256":{json.dumps(digest)},"version":{CACHE_FORMAT_VERSION}}}'
+    return prefix.encode("utf-8"), suffix.encode("utf-8")
+
+
+def _parse_entry(
+    blob: bytes, key: str
+) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
     """Parse and check one entry document: ``(result payload, defect)``.
 
     The one corruption check of :meth:`ResultCache.get` and
-    :meth:`ResultCache.merge_from`.  A sound current entry gives its
-    ``result`` payload and no defect; torn/invalid JSON, structural breakage
-    and checksum mismatches give None and the quarantine reason.  A
-    stale-but-well-formed layout (version mismatch) gives neither: it is a
-    plain miss, not corruption.
+    :meth:`ResultCache.merge_from`; ``key`` is the key the entry is filed
+    under.  A sound current entry gives its ``result`` payload and no
+    defect; torn/invalid JSON, structural breakage, a document recorded
+    under another key and checksum mismatches give None and the quarantine
+    reason.  A stale-but-well-formed layout (version mismatch) gives
+    neither: it is a plain miss, not corruption.
+
+    The checksum is verified on the bytes read: an entry written by
+    :meth:`ResultCache.put_serialized` is its envelope around the canonical
+    bytes of ``result``, so when the blob starts and ends with the envelope
+    of its key and recorded digest, the bytes in between are hashed in
+    place.  A match means they are byte for byte what the writer hashed, and
+    so ``result`` is exactly that value.  Only when that check fails (the
+    older ``sort_keys`` layout, or corruption) is the parsed result
+    re-encoded with :func:`result_checksum`.
     """
     try:
         document = json.loads(blob.decode("utf-8"))
@@ -156,8 +211,22 @@ def _parse_entry(blob: bytes) -> Tuple[Optional[Dict[str, object]], Optional[str
     result = document.get("result")
     if not isinstance(result, dict):
         return None, "malformed entry: missing result payload"
+    if document.get("key") != key:
+        return None, "key mismatch"
     recorded = document.get("sha256")
-    if recorded is not None and recorded != result_checksum(result):
+    if recorded is None:
+        return result, None
+    if isinstance(recorded, str):
+        prefix, suffix = _envelope(key, recorded)
+        end = len(blob) - len(suffix)
+        if (
+            end >= len(prefix)
+            and blob.startswith(prefix)
+            and blob.endswith(suffix)
+            and hashlib.sha256(blob[len(prefix):end]).hexdigest() == recorded
+        ):
+            return result, None
+    if recorded != result_checksum(result):
         return None, "checksum mismatch"
     return result, None
 
@@ -269,7 +338,7 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        payload, defect = _parse_entry(blob)
+        payload, defect = _parse_entry(blob, key)
         result = None
         if payload is not None:
             try:
@@ -310,18 +379,17 @@ class ResultCache:
     def put_serialized(self, key: str, result_dict: Dict[str, object]) -> pathlib.Path:
         """Persist a serialized result under ``key`` atomically; returns the path.
 
-        The document embeds a ``sha256`` integrity checksum of the result
-        payload (verified by :meth:`get` and :meth:`merge_from`); entries
-        written before the field existed remain readable.
+        The result is encoded once, as :func:`canonical_json`, and those
+        bytes are both hashed (the document's ``sha256`` field, the digest
+        :func:`result_checksum` gives) and written verbatim: the file is the
+        canonical JSON of ``{"key", "result", "sha256", "version"}``, which
+        :meth:`get` and :meth:`merge_from` verify without re-encoding.
+        Entries written before the field existed remain readable.
         """
         path = self.path_for(key)
-        document = {
-            "version": CACHE_FORMAT_VERSION,
-            "key": key,
-            "result": result_dict,
-            "sha256": result_checksum(result_dict),
-        }
-        atomic_write(path, json.dumps(document, sort_keys=True), fault_key=key)
+        payload = canonical_json(result_dict).encode("utf-8")
+        prefix, suffix = _envelope(key, hashlib.sha256(payload).hexdigest())
+        atomic_write(path, prefix + payload + suffix, fault_key=key)
         return path
 
     def sweep_orphans(self, max_age_s: float = ORPHAN_TMP_MAX_AGE_S) -> int:
@@ -382,7 +450,7 @@ class ResultCache:
                 blob = entry.read_bytes()
             except OSError:  # vanished mid-merge (concurrent prune)
                 continue
-            _, defect = _parse_entry(blob)
+            _, defect = _parse_entry(blob, entry.stem)
             if defect is not None:
                 source.quarantine(entry, defect)
                 continue

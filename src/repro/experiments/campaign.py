@@ -45,7 +45,7 @@ from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
 from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
 from ..workloads.registry import create_workload, workload_factory
-from .cache import ResultCache, canonical_run_key
+from .cache import ResultCache, canonical_json, canonical_run_key
 
 #: Runtimes whose optimal-granularity default follows the TDM optimum.
 _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
@@ -148,8 +148,8 @@ class ResolvedRun:
     #: the request gives no explicit granularity; None otherwise.
     workload_runtime: Optional[str]
     #: ``config.to_dict()``, derived once per engine and shared by every run
-    #: with the same runtime, scheduler and DMU: the dict the key hashes and
-    #: pool payloads ship.  Read-only.
+    #: with the same runtime, scheduler and DMU: the dict pool payloads ship
+    #: (the key hashes its canonical JSON text, encoded once).  Read-only.
     config_dict: Dict[str, object] = field(compare=False, repr=False)
 
 
@@ -306,8 +306,9 @@ class CampaignEngine:
       attempt history, never raw pool tracebacks.
     * **Derived once** — resolution is memoized per engine: each distinct
       :class:`RunRequest` is keyed once, and each distinct runtime,
-      scheduler and DMU gets one validated config and one ``to_dict()``,
-      shared by the key and the pool payloads.  The memos live on the
+      scheduler and DMU gets one validated config, one ``to_dict()``
+      (shipped in pool payloads) and one canonical JSON text of it (what
+      every key of that config hashes).  The memos live on the
       engine because ``scale``, ``seed`` and ``base_config`` are fixed at
       construction.
     * **Program reuse** — identical workload points share one immutable
@@ -354,10 +355,10 @@ class CampaignEngine:
         self.cache_max_bytes = cache_max_bytes
         self._memo: Dict[str, SimulationResult] = {}
         #: Resolution memos (see :meth:`resolve`): requests already keyed,
-        #: and the validated config + its ``to_dict()`` per runtime,
-        #: scheduler and DMU.
+        #: and the validated config + its ``to_dict()`` + the canonical JSON
+        #: text of that dict per runtime, scheduler and DMU.
         self._resolved: Dict[RunRequest, ResolvedRun] = {}
-        self._configs: Dict[tuple, Tuple[SimulationConfig, Dict[str, object]]] = {}
+        self._configs: Dict[tuple, Tuple[SimulationConfig, Dict[str, object], str]] = {}
         #: Retry policy for transiently failed runs (crashed/hung workers,
         #: injected faults); permanent simulation errors never retry.
         self.retry_policy = retry_policy or RetryPolicy.from_env()
@@ -381,8 +382,9 @@ class CampaignEngine:
     # ------------------------------------------------------------------ resolution
     def _config_entry(
         self, runtime: str, scheduler: str, dmu: Optional[DMUConfig]
-    ) -> Tuple[SimulationConfig, Dict[str, object]]:
-        """The validated config of one runtime/scheduler/DMU and its dict."""
+    ) -> Tuple[SimulationConfig, Dict[str, object], str]:
+        """The validated config of one runtime/scheduler/DMU, its dict and
+        the dict's :func:`~repro.experiments.cache.canonical_json` text."""
         signature = (runtime, scheduler, dmu)
         entry = self._configs.get(signature)
         if entry is None:
@@ -392,7 +394,9 @@ class CampaignEngine:
             if dmu is not None:
                 config = replace(config, dmu=dmu)
             config = config.validated()
-            entry = self._configs[signature] = (config, config.to_dict())
+            config_dict = config.to_dict()
+            entry = (config, config_dict, canonical_json(config_dict))
+            self._configs[signature] = entry
         return entry
 
     def resolve(self, request: RunRequest) -> ResolvedRun:
@@ -406,7 +410,7 @@ class CampaignEngine:
         if resolved is not None:
             return resolved
         workload_factory(request.benchmark)
-        config, config_dict = self._config_entry(
+        config, config_dict, config_json = self._config_entry(
             request.runtime, request.scheduler, request.dmu
         )
         workload_runtime: Optional[str]
@@ -419,7 +423,7 @@ class CampaignEngine:
         else:
             workload_runtime = "software"
         key = canonical_run_key(
-            config_dict,
+            config_json,
             benchmark=request.benchmark,
             scale=self.scale,
             granularity=request.granularity,

@@ -34,11 +34,6 @@ class Phase(str, Enum):
         return self.value
 
 
-#: ``(phase, serialized name)`` pairs in phase order, so
-#: :meth:`Timeline.from_dict` restores totals without per-thread enum work.
-_PHASE_NAMES = tuple((phase, phase.value) for phase in Phase)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A contiguous span of time a thread spent in one phase."""
@@ -224,10 +219,14 @@ class Timeline:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Timeline":
         """Rebuild a totals-only :class:`Timeline` from :meth:`to_dict` output."""
+        deps, sched, execute, idle = Phase
         threads = [
-            ThreadTimeline(
-                thread_id, totals={phase: int(totals[name]) for phase, name in _PHASE_NAMES}
-            )
+            ThreadTimeline(thread_id, totals={
+                deps: int(totals["DEPS"]),
+                sched: int(totals["SCHED"]),
+                execute: int(totals["EXEC"]),
+                idle: int(totals["IDLE"]),
+            })
             for thread_id, totals in enumerate(data["threads"])
         ]
         return cls(threads, end_cycle=int(data["end_cycle"]))

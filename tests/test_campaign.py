@@ -18,14 +18,14 @@ import pytest
 from repro.config import DMUConfig, SimulationConfig, default_paper_config
 from repro.errors import ExperimentError
 from repro.experiments import campaign
-from repro.experiments.cache import ResultCache, canonical_run_key
+from repro.experiments.cache import ResultCache, canonical_json, canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
 from repro.sim.machine import SimulationResult, run_simulation
 from repro.workloads.registry import create_workload
 
-from tests.util import diamond_program, make_config
+from tests.util import CONFIG_FORMS, diamond_program, make_config
 
 SCALE = 0.1
 
@@ -800,24 +800,28 @@ class TestResolutionMemo:
         first = engine.resolve(request)
         assert engine.resolve(request) is first
         assert engine.resolve(dataclasses.replace(request)) is first
-        assert engine._config_entry("tdm", "lifo", request.dmu)[0] is first.config
+        config, config_dict, config_json = engine._config_entry("tdm", "lifo", request.dmu)
+        assert config is first.config and config_dict is first.config_dict
+        assert config_json == canonical_json(first.config_dict)
         assert engine._payload(first)["config"] is first.config_dict
         assert first.config_dict == first.config.to_dict()
 
+    @pytest.mark.parametrize("form", sorted(CONFIG_FORMS))
     @pytest.mark.parametrize("request_", [
         RunRequest("cholesky", "software"),
         RunRequest("qr", "tdm", "lifo", dmu=DMUConfig(tat_entries=64)),
         RunRequest("lu", "carbon", granularity=8),
         RunRequest("blackscholes", "task_superscalar", granularity_runtime="software"),
     ])
-    def test_memoized_key_is_byte_identical_to_a_config_key(self, request_):
+    def test_memoized_key_is_byte_identical_to_a_config_key(self, request_, form):
         engine = CampaignEngine(scale=0.05, seed=3)
         resolved = engine.resolve(request_)
-        # A config object rebuilt outside the memo hashes the same bytes.
+        # A config rebuilt outside the memo hashes the same bytes, in any
+        # of the forms the key accepts.
         rebuilt = dataclasses.replace(resolved.config)
         assert rebuilt is not resolved.config
         direct = canonical_run_key(
-            rebuilt,
+            CONFIG_FORMS[form](rebuilt),
             benchmark=request_.benchmark,
             scale=0.05,
             granularity=request_.granularity,

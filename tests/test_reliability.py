@@ -20,6 +20,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import re
 import socket
 import threading
 import time
@@ -27,6 +28,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
     QUARANTINE_DIRNAME,
     ResultCache,
@@ -301,27 +303,96 @@ def plant(cache: ResultCache, key: str, blob: bytes) -> None:
     path.write_bytes(blob)
 
 
+#: Entry layouts a cache may hold: what ``put_serialized`` writes now (the
+#: compact canonical document) and what it wrote before (``sort_keys`` with
+#: the default separators).  Both must verify.
+LAYOUTS = ("compact", "sort_keys")
+
+
+def in_layout(blob: bytes, layout: str) -> bytes:
+    if layout == "compact":
+        return blob
+    return json.dumps(json.loads(blob), sort_keys=True).encode()
+
+
+def quarantine_reason(cache_dir, key: str) -> str:
+    return (cache_dir / QUARANTINE_DIRNAME / f"{key}.json.reason").read_text()
+
+
+@pytest.fixture
+def checksum_calls(monkeypatch):
+    """Every ``result_checksum`` re-encode the cache makes, recorded."""
+    calls = []
+
+    def counting_checksum(result_dict):
+        calls.append(result_dict)
+        return result_checksum(result_dict)
+
+    monkeypatch.setattr(cache_module, "result_checksum", counting_checksum)
+    return calls
+
+
 class TestCacheIntegrity:
-    def test_intact_entry_hits(self, tmp_path, real_entry):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_intact_entry_hits(self, tmp_path, real_entry, layout, checksum_calls):
         key, blob = real_entry
         cache = ResultCache(tmp_path)
-        plant(cache, key, blob)
+        plant(cache, key, in_layout(blob, layout))
         assert cache.get(key) is not None
         assert cache.hits == 1 and cache.quarantined == 0
+        # A current entry is verified on the bytes read; only the older
+        # layout falls back to re-encoding the parsed result.
+        assert len(checksum_calls) == (0 if layout == "compact" else 1)
 
-    def test_bit_flip_is_quarantined_as_a_miss(self, tmp_path, real_entry):
+    def test_put_serialized_writes_the_canonical_document(self, tmp_path, real_entry):
         key, blob = real_entry
         document = json.loads(blob)
-        document["result"]["total_cycles"] += 1  # stored sha256 now stale
+        assert blob == json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
         cache = ResultCache(tmp_path)
-        plant(cache, key, json.dumps(document).encode())
+        assert cache.put_serialized(key, document["result"]).read_bytes() == blob
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_flip_is_quarantined_as_a_miss(self, tmp_path, real_entry, layout):
+        key, blob = real_entry
+        # Flip the low bit of one digit inside the payload: still valid JSON,
+        # and the stored sha256 is now stale.
+        flipped, count = re.subn(
+            rb'("total_cycles": ?)(\d+)',
+            lambda match: match.group(1) + str(int(match.group(2)) ^ 1).encode(),
+            in_layout(blob, layout),
+            count=1,
+        )
+        assert count == 1
+        cache = ResultCache(tmp_path)
+        plant(cache, key, flipped)
         assert cache.get(key) is None
         assert cache.misses == 1 and cache.quarantined == 1
         quarantine = tmp_path / QUARANTINE_DIRNAME
-        assert (quarantine / f"{key}.json").is_file()
-        reason = (quarantine / f"{key}.json.reason").read_text()
-        assert "checksum mismatch" in reason
+        assert (quarantine / f"{key}.json").read_bytes() == flipped
+        assert "checksum mismatch" in quarantine_reason(tmp_path, key)
         assert not cache.path_for(key).exists()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_flipped_checksum_is_quarantined(self, tmp_path, real_entry, layout):
+        key, blob = real_entry
+        digest = json.loads(blob)["sha256"].encode()
+        other = b"0" if digest[:1] != b"0" else b"1"
+        flipped = in_layout(blob, layout).replace(digest, other + digest[1:])
+        cache = ResultCache(tmp_path)
+        plant(cache, key, flipped)
+        assert cache.get(key) is None
+        assert cache.quarantined == 1
+        assert "checksum mismatch" in quarantine_reason(tmp_path, key)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_misfiled_entry_is_quarantined(self, tmp_path, real_entry, layout):
+        key, blob = real_entry
+        other = "0" * 64
+        cache = ResultCache(tmp_path)
+        plant(cache, other, in_layout(blob, layout))    # intact, wrong filename
+        assert cache.get(other) is None
+        assert cache.misses == 1 and cache.quarantined == 1
+        assert "key mismatch" in quarantine_reason(tmp_path, other)
 
     def test_truncated_entry_is_quarantined(self, tmp_path, real_entry):
         key, blob = real_entry
@@ -329,9 +400,7 @@ class TestCacheIntegrity:
         plant(cache, key, blob[: len(blob) // 2])
         assert cache.get(key) is None
         assert cache.quarantined == 1
-        assert "invalid JSON" in (
-            tmp_path / QUARANTINE_DIRNAME / f"{key}.json.reason"
-        ).read_text()
+        assert "invalid JSON" in quarantine_reason(tmp_path, key)
 
     def test_legacy_entry_without_checksum_still_reads(self, tmp_path, real_entry):
         key, blob = real_entry
@@ -373,13 +442,28 @@ class TestCacheIntegrity:
         source = ResultCache(tmp_path / "source")
         plant(source, key, blob[: len(blob) // 2])      # torn shard entry
         other = "0" * 64
-        plant(source, other, blob)                      # healthy entry
+        source.put_serialized(other, json.loads(blob)["result"])   # healthy entry
         destination = ResultCache(tmp_path / "merged")
         copied = destination.merge_from(source)
         assert copied == 1
         assert source.quarantined == 1
         assert (tmp_path / "source" / QUARANTINE_DIRNAME / f"{key}.json").is_file()
         assert destination.get(other) is not None
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_merge_from_quarantines_misfiled_sources(self, tmp_path, real_entry, layout):
+        key, blob = real_entry
+        source = ResultCache(tmp_path / "source")
+        entry = in_layout(blob, layout)
+        plant(source, key, entry)                       # filed under its key
+        other = "0" * 64
+        plant(source, other, entry)                     # intact, wrong filename
+        destination = ResultCache(tmp_path / "merged")
+        assert destination.merge_from(source) == 1
+        assert destination.keys() == [key]
+        assert destination.path_for(key).read_bytes() == entry
+        assert source.quarantined == 1
+        assert "key mismatch" in quarantine_reason(tmp_path / "source", other)
 
     def test_merge_report_mentions_quarantined_entries(self):
         report = MergeReport(

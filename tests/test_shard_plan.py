@@ -31,7 +31,7 @@ from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan
 from repro.experiments.shard import ShardPlan, ShardSpec, shard_of
 
-from tests.util import make_config
+from tests.util import CONFIG_FORMS, make_config
 
 hex_keys = st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
 key_sets = st.lists(hex_keys, min_size=1, max_size=64, unique=True)
@@ -197,8 +197,9 @@ class TestSpecValidation:
 class TestCanonicalKeyGoldenValues:
     """Pinned key digests: the cross-host / cross-PR key-schema contract."""
 
-    def test_workload_parameter_keys(self):
-        config = default_paper_config()
+    @pytest.mark.parametrize("form", sorted(CONFIG_FORMS))
+    def test_workload_parameter_keys(self, form):
+        config = CONFIG_FORMS[form](default_paper_config())
         assert (
             canonical_run_key(config, "cholesky", 0.1)
             == "7cdb155fdc5f0c6703da6dbf27b25907555e5220e302d037847791a08d6ec3ec"

@@ -26,6 +26,8 @@ from repro.experiments.campaign import CampaignEngine
 from repro.experiments.cli import build_parser
 from repro.experiments.common import SimulationRunner
 
+from tests.util import CONFIG_FORMS
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Values the retired ``dmu.backend`` field was stored with on disk.
@@ -92,12 +94,14 @@ class TestRetiredFieldLoads:
         with pytest.raises(TypeError):
             SimulationConfig.from_dict(bogus)
 
+    @pytest.mark.parametrize("form", sorted(CONFIG_FORMS))
     @pytest.mark.parametrize("value", RETIRED_VALUES)
-    def test_canonical_key_unchanged(self, value):
+    def test_canonical_key_unchanged(self, value, form):
         legacy = _with_retired_field(default_paper_config().to_dict(), value)
+        config = CONFIG_FORMS[form](SimulationConfig.from_dict(legacy))
         # The pinned digest of tests/test_shard_plan.py's key-schema contract.
         assert (
-            canonical_run_key(SimulationConfig.from_dict(legacy), "cholesky", 0.1)
+            canonical_run_key(config, "cholesky", 0.1)
             == "7cdb155fdc5f0c6703da6dbf27b25907555e5220e302d037847791a08d6ec3ec"
         )
 

@@ -7,6 +7,7 @@ import pathlib
 from typing import Optional, Sequence, Tuple
 
 from repro.config import ChipConfig, CoreConfig, DMUConfig, SimulationConfig
+from repro.experiments.cache import canonical_json
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import run_experiment
 from repro.experiments.shard import ShardManifest, ShardSpec, merge_shards, run_shard_worker
@@ -16,6 +17,15 @@ from repro.runtime.task import (
     TaskDefinition,
     single_region_program,
 )
+
+#: The three forms ``canonical_run_key`` accepts for its ``config``, each
+#: derived from a :class:`SimulationConfig`; all three must hash the same
+#: bytes.  Parametrize key goldens over ``sorted(CONFIG_FORMS)``.
+CONFIG_FORMS = {
+    "object": lambda config: config,
+    "dict": SimulationConfig.to_dict,
+    "json": lambda config: canonical_json(config.to_dict()),
+}
 
 
 def make_config(
