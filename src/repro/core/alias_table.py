@@ -12,15 +12,18 @@ everything to one set.  The DMU therefore starts the index bits at
 ``log2(size)`` of the dependence (Section III-B1 / Section V-E), which this
 module implements in :func:`dat_index_start_bit`.
 
-Way storage is struct-of-arrays: each touched set owns a fixed slab of
-``associativity`` slots in two flat parallel columns (``way address`` and
-``way internal-ID``) plus an incremental per-set occupancy count — no tuple
-is allocated per way insertion, and eviction shifts the short slab in place
-to preserve way order.  Slabs are assigned lazily on a set's first
-allocation so "ideal" configurations (2^20 entries) never pay for untouched
-sets.  Internal IDs keep the fresh-counter + recycled-LIFO-stack scheme:
-recycling order is observable (it decides which Task/Dependence Table row a
-new allocation lands in) and is pinned by the digest tests.
+The table is count-only: a set's ways are not stored, because nothing reads
+them.  Lookups go through the address → ID directory and a full set blocks
+instead of evicting, so the observable state is which ID an address gets,
+whether its set still has a free way, and the occupancy counts.  The table
+keeps a live-way count per touched set index (a dict, so "ideal"
+configurations with 2^20 entries never pay for untouched sets) and the
+address → set map that a release needs.  Internal IDs keep the fresh-counter
++ recycled-LIFO-stack scheme: recycling order is observable (it decides
+which Task/Dependence Table row a new allocation lands in) and is pinned by
+the digest tests.  Every ID handed out is either mapped or on the recycled
+stack, so the fresh counter is the directory size whenever the stack is
+empty.
 """
 
 from __future__ import annotations
@@ -65,22 +68,13 @@ class AliasTable:
         self.num_sets = num_entries // associativity
         self.index_start_bit = index_start_bit
         self.dynamic_index = dynamic_index
-        # Way columns: set with slab number s owns slots
-        # [s * associativity, (s + 1) * associativity) of both columns, with
-        # its live-way count in _set_count[s].  Slabs are handed out lazily.
-        self._slab_of_set: Dict[int, int] = {}
-        self._way_address: List[int] = []
-        self._way_id: List[int] = []
-        self._set_count: List[int] = []
         self._by_address: Dict[int, int] = {}
-        self._slab_of_address: Dict[int, int] = {}
-        # Occupied-set count maintained incrementally: allocate/release keep
-        # it in sync so occupancy sampling (once per add_dependence) does not
-        # rescan every set.
+        self._set_of_address: Dict[int, int] = {}
+        # Live-way count per touched set index, and the number of sets whose
+        # count is non-zero (sampled once per add_dependence, so it is
+        # maintained rather than rescanned).
+        self._set_count: Dict[int, int] = {}
         self._occupied_sets = 0
-        # Internal IDs are handed out lazily (fresh counter + recycled stack)
-        # so that very large "ideal" configurations cost nothing up front.
-        self._next_fresh_id = 0
         self._recycled_ids: List[int] = []
         #: Called before every read of ``lookups`` or the occupancy average.
         #: The owning DMU batches those counters and installs its commit here.
@@ -145,10 +139,10 @@ class AliasTable:
 
     def has_room(self, set_index: int) -> bool:
         """True when a new address that maps to ``set_index`` fits right now."""
-        if self.num_entries - len(self._by_address) <= 0:
-            return False
-        slab = self._slab_of_set.get(set_index)
-        return slab is None or self._set_count[slab] < self.associativity
+        return (
+            len(self._by_address) < self.num_entries
+            and self._set_count.get(set_index, 0) < self.associativity
+        )
 
     def allocate(self, address: int, size: int = 1) -> int:
         """Map ``address`` to a fresh internal ID (or return the existing one).
@@ -170,41 +164,25 @@ class AliasTable:
         :meth:`has_room` pre-check skip computing it again.
         """
         by_address = self._by_address
-        if self.num_entries - len(by_address) <= 0:
+        occupancy = len(by_address)
+        if occupancy >= self.num_entries:
             self.capacity_rejections += 1
             raise DMUStructureFullError(self.name, f"{self.name}: no free IDs")
-        set_count = self._set_count
-        slab = self._slab_of_set.get(set_index)
-        if slab is None:
-            slab = len(set_count)
-            self._slab_of_set[set_index] = slab
-            blank = (-1,) * self.associativity
-            self._way_address.extend(blank)
-            self._way_id.extend(blank)
-            set_count.append(0)
-        count = set_count[slab]
-        if count >= self.associativity:
+        ways = self._set_count.get(set_index, 0)
+        if ways >= self.associativity:
             self.conflict_rejections += 1
             raise DMUStructureFullError(
                 self.name, f"{self.name}: set {set_index} has no free way"
             )
-        if self._recycled_ids:
-            internal_id = self._recycled_ids.pop()
-        else:
-            internal_id = self._next_fresh_id
-            self._next_fresh_id += 1
-        if count == 0:
+        internal_id = self._recycled_ids.pop() if self._recycled_ids else occupancy
+        if not ways:
             self._occupied_sets += 1
-        slot = slab * self.associativity + count
-        self._way_address[slot] = address
-        self._way_id[slot] = internal_id
-        set_count[slab] = count + 1
+        self._set_count[set_index] = ways + 1
         by_address[address] = internal_id
-        self._slab_of_address[address] = slab
+        self._set_of_address[address] = set_index
         self.allocations += 1
-        occupancy = len(by_address)
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
         return internal_id
 
     def release(self, address: int) -> int:
@@ -212,43 +190,36 @@ class AliasTable:
         internal_id = self._by_address.pop(address, None)
         if internal_id is None:
             raise KeyError(f"{self.name}: address {address:#x} is not mapped")
-        slab = self._slab_of_address.pop(address)
-        count = self._set_count[slab] - 1
-        self._set_count[slab] = count
-        base = slab * self.associativity
-        last = base + count
-        way_address = self._way_address
-        way_id = self._way_id
-        # Close the gap by shifting the (short) slab tail left one slot —
-        # preserves way order exactly like the old ``del ways[position]`` on
-        # a per-set list.
-        slot = way_address.index(address, base, last + 1)
-        way_address[slot:last] = way_address[slot + 1 : last + 1]
-        way_id[slot:last] = way_id[slot + 1 : last + 1]
-        way_address[last] = -1
-        way_id[last] = -1
-        if not count:
+        set_index = self._set_of_address.pop(address)
+        ways = self._set_count[set_index] - 1
+        self._set_count[set_index] = ways
+        if not ways:
             self._occupied_sets -= 1
         self._recycled_ids.append(internal_id)
         return internal_id
 
     def audit(self) -> Dict[str, int]:
-        """Whole-structure occupancy recount from the raw way columns.
+        """Whole-structure occupancy recount from the address → set map.
 
-        Bypasses every maintained counter; the differential tests compare
-        this ground truth against ``_occupied_sets`` and the address
-        directory.
+        Bypasses every maintained counter: the per-set live-way counts are
+        recounted from the map, ``miscounted_sets`` is the number of set
+        indexes whose maintained count disagrees with the recount, and
+        ``fullest_set`` (which must not exceed the associativity) is the
+        largest recount.  The differential tests compare this ground truth
+        against ``occupied_sets()`` and the address directory.
         """
-        occupied_sets = 0
-        entries_in_use = 0
-        for count in self._set_count:
-            if count:
-                occupied_sets += 1
-                entries_in_use += count
+        recount: Dict[int, int] = {}
+        for set_index in self._set_of_address.values():
+            recount[set_index] = recount.get(set_index, 0) + 1
+        touched = recount.keys() | self._set_count.keys()
         return {
-            "occupied_sets": occupied_sets,
-            "entries_in_use": entries_in_use,
+            "occupied_sets": len(recount),
+            "entries_in_use": len(self._set_of_address),
             "directory_entries": len(self._by_address),
+            "fullest_set": max(recount.values(), default=0),
+            "miscounted_sets": sum(
+                recount.get(index, 0) != self._set_count.get(index, 0) for index in touched
+            ),
         }
 
     def address_of(self, internal_id: int) -> Optional[int]:

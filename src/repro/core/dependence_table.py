@@ -28,9 +28,9 @@ class DependenceTable:
     * ``last_writer_valid`` — 0/1 valid bit for ``last_writer``
     * ``reader_list`` — Reader List Array head handle (``-1`` when absent)
     * ``valid`` — 0/1 occupancy bit
-    * ``address`` / ``size`` — the dependence address this entry aliases
-      (model-level bookkeeping, not a Figure-4 field: the DMU needs it to
-      release the DAT mapping when the entry is recycled)
+    * ``address`` — the dependence address this entry aliases (model-level
+      bookkeeping, not a Figure-4 field: the DMU needs it to release the DAT
+      mapping when the entry is recycled)
     """
 
     def __init__(self, num_entries: int) -> None:
@@ -42,7 +42,6 @@ class DependenceTable:
         self.reader_list: List[int] = []
         self.valid: List[int] = []
         self.address: List[int] = []
-        self.size: List[int] = []
         self._size = 0
         self.peak_occupancy = 0
         self._occupancy = 0
@@ -59,10 +58,9 @@ class DependenceTable:
         self.reader_list.extend(padding)
         self.valid.extend(padding)
         self.address.extend(padding)
-        self.size.extend(padding)
         self._size = size
 
-    def install(self, dep_id: int, address: int = 0, size: int = 0) -> None:
+    def install(self, dep_id: int, address: int = 0) -> None:
         """Initialize the columns for ``dep_id`` (first add_dependence of an address)."""
         if not (0 <= dep_id < self.num_entries):
             raise DMUProtocolError(
@@ -77,7 +75,6 @@ class DependenceTable:
         self.reader_list[dep_id] = -1
         self.valid[dep_id] = 1
         self.address[dep_id] = address
-        self.size[dep_id] = size
         self._occupancy += 1
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy

@@ -7,7 +7,8 @@ system (Section III).  This module implements the unit functionally and
 structurally:
 
 * internal IDs come from the TAT/DAT alias tables (set-associative, with the
-  dynamic index-bit selection of Section V-E),
+  dynamic index-bit selection of Section V-E; count-only, see
+  :mod:`repro.core.alias_table`),
 * per-task and per-dependence metadata live in the direct-access Task Table
   and Dependence Table — stored as parallel columns indexed by the internal
   ID, which the instruction paths below read and write directly,
@@ -31,11 +32,18 @@ the per-instruction hot path allocates nothing.
 The five instructions are bound once per DMU
 (:meth:`DependenceManagementUnit._bind_instructions`): closures over the
 structures' columns, free stacks and pooled results, so an instruction
-mostly indexes plain lists instead of following attribute chains.  The
-one-entry chain paths of the successor and dependence list arrays
-(allocate, append, read, free) are inlined; longer chains, the reader lists,
-table installs and alias-table allocation go through the structures'
-methods.  The DAT set index is computed once per pre-check + allocation.
+mostly indexes plain lists instead of following attribute chains.  Inlined
+over those bound columns and dicts:
+
+* the TAT/DAT set index, room pre-check, allocation and release (the DAT
+  set index is computed once per pre-check + allocation),
+* the Task Table and Dependence Table installs into a free row (the
+  ``install`` methods still grow the columns and raise the protocol
+  errors),
+* the one-entry chain paths of the successor and dependence list arrays
+  (allocate, append, read, free).
+
+Longer chains and the reader lists go through the structures' methods.
 
 Counters are committed on read.  The instructions do not update
 :class:`~repro.core.stats.DMUStats` one by one: a charge that is constant
@@ -187,11 +195,11 @@ class DependenceManagementUnit:
     def _bind_instructions(self) -> None:  # noqa: C901 - one closure per instruction
         """Bind the five ISA instructions and the counter commit to this DMU.
 
-        Every column, free stack and pooled result is a closure cell, so the
-        instruction paths index plain lists instead of following attribute
-        chains.  The structures mutate their columns in place (extend/
-        append only), so the bound list identities hold for the DMU's
-        lifetime.
+        Every column, directory, free stack and pooled result is a closure
+        cell, so the instruction paths index plain lists and dicts instead
+        of calling the structures' methods.  The structures mutate their
+        columns and dicts in place (never rebind them), so the bound
+        identities hold for the DMU's lifetime.
         """
         config = self.config
         access_cycles = config.access_cycles
@@ -200,18 +208,29 @@ class DependenceManagementUnit:
         structure_accesses = stats.structure_accesses
         blocked_by_structure = stats.blocked_by_structure
 
+        # Alias tables: set index, room pre-check, allocation and release
+        # run inline over the directory, the address → set map, the per-set
+        # live-way counts and the recycled-ID stack (AliasTable.has_room,
+        # allocate_in_set and release, step for step).
         tat = self.tat
         tat_by_address = tat._by_address
-        tat_set_index = tat.set_index
-        tat_has_room = tat.has_room
-        tat_allocate_in_set = tat.allocate_in_set
-        tat_release = tat.release
+        tat_set_of_address = tat._set_of_address
+        tat_set_count = tat._set_count
+        tat_recycled = tat._recycled_ids
+        tat_entries = tat.num_entries
+        tat_ways = tat.associativity
+        tat_sets = tat.num_sets
+        tat_start_bit = tat.index_start_bit
         dat = self.dat
         dat_by_address = dat._by_address
-        dat_set_index = dat.set_index
-        dat_has_room = dat.has_room
-        dat_allocate_in_set = dat.allocate_in_set
-        dat_release = dat.release
+        dat_set_of_address = dat._set_of_address
+        dat_set_count = dat._set_count
+        dat_recycled = dat._recycled_ids
+        dat_entries = dat.num_entries
+        dat_ways = dat.associativity
+        dat_sets = dat.num_sets
+        dat_start_bit = dat.index_start_bit
+        dat_dynamic_index = dat.dynamic_index
 
         task_table = self.task_table
         tt_install = task_table.install
@@ -396,15 +415,26 @@ class DependenceManagementUnit:
                     f"task descriptor {descriptor_address:#x} created twice"
                 )
             # Capacity pre-check (Blocked order is pinned: TAT, SLA, DLA).
-            set_index = tat_set_index(descriptor_address)
-            if not tat_has_room(set_index):
+            set_index = (descriptor_address >> tat_start_bit) % tat_sets
+            ways = tat_set_count.get(set_index, 0)
+            occupancy = len(tat_by_address)
+            if occupancy >= tat_entries or ways >= tat_ways:
                 return blocked(TAT)
             if sla.free_entries < 1:
                 return blocked(SLA)
             if dla.free_entries < 1:
                 return blocked(DLA)
 
-            task_id = tat_allocate_in_set(descriptor_address, set_index)
+            # AliasTable.allocate_in_set.
+            task_id = tat_recycled.pop() if tat_recycled else occupancy
+            if not ways:
+                tat._occupied_sets += 1
+            tat_set_count[set_index] = ways + 1
+            tat_by_address[descriptor_address] = task_id
+            tat_set_of_address[descriptor_address] = set_index
+            tat.allocations += 1
+            if occupancy >= tat.peak_occupancy:
+                tat.peak_occupancy = occupancy + 1
             # ListArray.new_list_head on a recycled entry (release already
             # blanked its slots and made it a one-entry chain).
             if sla_recycled:
@@ -431,7 +461,22 @@ class DependenceManagementUnit:
                 dla_tail[dependence_list] = dependence_list
             else:
                 dependence_list = dla_new_list_head()
-            tt_install(task_id, descriptor_address, successor_list, dependence_list)
+            if task_id < len(tt_valid) and not tt_valid[task_id]:
+                # TaskTable.install into a free row of the grown columns.
+                tt_descriptor[task_id] = descriptor_address
+                tt_pred[task_id] = 0
+                tt_succ[task_id] = 0
+                tt_succ_list[task_id] = successor_list
+                tt_dep_list[task_id] = dependence_list
+                tt_complete[task_id] = 0
+                tt_valid[task_id] = 1
+                occupancy = task_table._occupancy + 1
+                task_table._occupancy = occupancy
+                if occupancy > task_table.peak_occupancy:
+                    task_table.peak_occupancy = occupancy
+            else:
+                # Grows the columns, or raises the protocol error.
+                tt_install(task_id, descriptor_address, successor_list, dependence_list)
             created += 1
             create_result.task_id = task_id
             return create_result
@@ -489,8 +534,14 @@ class DependenceManagementUnit:
             if dep_id is None:
                 reader_list = -1
                 writer_id = -1
-                set_index = dat_set_index(dependence_address, size)
-                if not dat_has_room(set_index):
+                if dat_dynamic_index:
+                    # dat_index_start_bit(size): log2(size), rounded down.
+                    start_bit = size.bit_length() - 1 if size > 1 else 0
+                else:
+                    start_bit = dat_start_bit
+                set_index = (dependence_address >> start_bit) % dat_sets
+                ways = dat_set_count.get(set_index, 0)
+                if len(dat_by_address) >= dat_entries or ways >= dat_ways:
                     blocked_adds += 1
                     return blocked(DAT)
             else:
@@ -533,8 +584,32 @@ class DependenceManagementUnit:
             # Dependence Table access (read, or install for a new entry).
             accesses = 4
             if dep_id is None:
-                dep_id = dat_allocate_in_set(dependence_address, set_index)
-                dt_install(dep_id, dependence_address, size)
+                # AliasTable.allocate_in_set (nothing has touched the DAT
+                # since the pre-check, so ``ways`` still holds).
+                occupancy = len(dat_by_address)
+                dep_id = dat_recycled.pop() if dat_recycled else occupancy
+                if not ways:
+                    dat._occupied_sets += 1
+                dat_set_count[set_index] = ways + 1
+                dat_by_address[dependence_address] = dep_id
+                dat_set_of_address[dependence_address] = set_index
+                if occupancy >= dat.peak_occupancy:
+                    dat.peak_occupancy = occupancy + 1
+                dat.allocations += 1
+                if dep_id < len(dt_valid) and not dt_valid[dep_id]:
+                    # DependenceTable.install into a free row.
+                    dt_last_writer[dep_id] = -1
+                    dt_lw_valid[dep_id] = 0
+                    dt_reader_list[dep_id] = -1
+                    dt_valid[dep_id] = 1
+                    dt_address[dep_id] = dependence_address
+                    occupancy = dependence_table._occupancy + 1
+                    dependence_table._occupancy = occupancy
+                    if occupancy > dependence_table.peak_occupancy:
+                        dependence_table.peak_occupancy = occupancy
+                else:
+                    # Grows the columns, or raises the protocol error.
+                    dt_install(dep_id, dependence_address)
                 accesses += 1  # DAT directory write
                 dat_more += 1
 
@@ -722,7 +797,14 @@ class DependenceManagementUnit:
                         dt_valid[dep_id] = 0
                         dependence_table._occupancy -= 1
                         dt_accesses += 1
-                        dat_release(dt_address[dep_id])
+                        # AliasTable.release of the entry's address.
+                        address = dt_address[dep_id]
+                        dat_recycled.append(dat_by_address.pop(address))
+                        set_index = dat_set_of_address.pop(address)
+                        ways = dat_set_count[set_index] - 1
+                        dat_set_count[set_index] = ways
+                        if not ways:
+                            dat._occupied_sets -= 1
                         dat_releases += 1
                 rla_charged = True
 
@@ -751,7 +833,13 @@ class DependenceManagementUnit:
                 dla_accesses += dla_free_list(dependence_list)
             tt_valid[task_id] = 0
             task_table._occupancy -= 1
-            tat_release(descriptor_address)
+            del tat_by_address[descriptor_address]
+            set_index = tat_set_of_address.pop(descriptor_address)
+            ways = tat_set_count[set_index] - 1
+            tat_set_count[set_index] = ways
+            if not ways:
+                tat._occupied_sets -= 1
+            tat_recycled.append(task_id)
 
             # TAT lookup + release and Task Table read + free are constant.
             sla_more += sla_accesses

@@ -172,3 +172,16 @@ class TestLargeTables:
         assert audit["entries_in_use"] == table.entries_in_use == 32
         assert audit["directory_entries"] == 32
         assert audit["occupied_sets"] == table.occupied_sets()
+        assert audit["miscounted_sets"] == 0
+        assert audit["fullest_set"] <= table.associativity
+
+    def test_audit_recounts_instead_of_trusting_the_counts(self):
+        table = make_table(entries=64, associativity=4)
+        table.allocate(0x1000)
+        set_index = table.set_index(0x1000)
+        table._set_count[set_index] += 1  # a corrupted maintained count
+        table._occupied_sets += 1
+        audit = table.audit()
+        assert audit["miscounted_sets"] == 1
+        assert audit["fullest_set"] == 1
+        assert audit["occupied_sets"] == 1 != table.occupied_sets()

@@ -292,10 +292,6 @@ class RefAliasTable:
         self._recycled_ids.append(internal_id)
         return internal_id
 
-    def way_order(self, address: int) -> List[int]:
-        """Way addresses of the set holding ``address``, in way order."""
-        return [a for a, _ in self._sets.get(self.set_index(address), [])]
-
 
 class _RefTaskEntry:
     __slots__ = ("descriptor_address", "predecessor_count", "successor_count",
@@ -457,22 +453,31 @@ def test_alias_table_random_ops_differential(seed):
         assert real.conflict_rejections == ref.conflict_rejections
         assert real.capacity_rejections == ref.capacity_rejections
         assert real.peak_occupancy == ref.peak_occupancy
+        audit = real.audit()
+        assert audit["occupied_sets"] == ref.occupied_sets()
+        assert audit["entries_in_use"] == audit["directory_entries"] == len(ref._by_address)
+        assert audit["fullest_set"] <= assoc
+        assert audit["miscounted_sets"] == 0
 
 
-def test_alias_table_way_eviction_order_matches_reference():
-    """Releasing a middle way shifts later ways up, preserving way order."""
+def test_alias_table_freed_way_is_reused_like_reference():
+    """Releasing a middle way of a full set frees that way for a new address."""
     real = AliasTable("ways", 16, 4, index_start_bit=0)
     ref = RefAliasTable(16, 4)
     addresses = [4, 8, 12, 16]  # all map to set 0 (num_sets = 4)
     for address in addresses:
         assert real.allocate(address) == ref.allocate(address)
-    real.release(8)
-    ref.release(8)
+    assert not real.can_allocate(20) and not ref.can_allocate(20)
+    assert real.release(8) == ref.release(8)
+    assert real.occupied_sets() == ref.occupied_sets() == 1
     # The set has a free way again; the next conflicting allocate succeeds
     # and the two implementations hand out the same (recycled) ID.
     assert real.can_allocate(20) and ref.can_allocate(20)
-    assert real.allocate(20) == ref.allocate(20)
-    assert ref.way_order(4) == [4, 12, 16, 20]
+    assert real.allocate(20) == ref.allocate(20) == 1
+    assert real.occupied_sets() == ref.occupied_sets() == 1
+    assert real.conflict_rejections == ref.conflict_rejections == 0
+    audit = real.audit()
+    assert audit["fullest_set"] == 4 and audit["miscounted_sets"] == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -713,7 +718,8 @@ class TestAuditMatchesMaintainedCounters:
     """Raw-column recounts agree with the counters the DMU maintains.
 
     The capacity pre-checks read ``free_entries``, the per-list valid totals
-    and the occupied-set count instead of rescanning the structures; after a
+    and the per-set live-way counts instead of rescanning the structures, and
+    the DAT samples its maintained occupied-set count; after a
     random instruction stream every one of them must equal ``audit()``'s
     recount from the raw columns.
     """
@@ -739,3 +745,13 @@ class TestAuditMatchesMaintainedCounters:
             assert audit["occupied_sets"] == table.occupied_sets()
             assert audit["entries_in_use"] == table.entries_in_use
             assert audit["directory_entries"] == table.entries_in_use
+            assert audit["fullest_set"] <= table.associativity
+            assert audit["miscounted_sets"] == 0
+        # Every valid table row is the row its alias-table mapping names.
+        task_table, dependence_table = dmu.task_table, dmu.dependence_table
+        tasks = [i for i, valid in enumerate(task_table.valid) if valid]
+        assert {task_table.descriptor_address[i]: i for i in tasks} == dmu.tat._by_address
+        dependences = [i for i, valid in enumerate(dependence_table.valid) if valid]
+        assert {
+            dependence_table.address[i]: i for i in dependences
+        } == dmu.dat._by_address

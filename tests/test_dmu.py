@@ -197,6 +197,29 @@ class TestBlocking:
         assert dmu.capacity_snapshot() == before
         assert dmu.stats.blocked_by_structure["TAT"] == 1
 
+    def test_tat_set_conflict_blocks_create_without_state_change(self):
+        dmu = make_dmu(tat_entries=8, tat_associativity=2)
+        stride = dmu.tat.num_sets << dmu.tat.index_start_bit  # same TAT set
+        first, second, third = (DESC + index * stride for index in range(3))
+        create(dmu, first)
+        create(dmu, second)
+        before = dmu.capacity_snapshot()
+        result = dmu.create_task(third)
+        assert isinstance(result, DMUBlocked)
+        assert result.structure == "TAT"
+        assert dmu.capacity_snapshot() == before
+        assert before["TAT"] == 6  # free IDs remain: a set conflict, not capacity
+        assert dmu.stats.blocked_by_structure["TAT"] == 1
+        assert dmu.tat.conflict_rejections == 0
+        assert dmu.tat.capacity_rejections == 0
+        # Retiring a task of that set frees a way and recycles its ID.
+        assert dmu.get_ready_task().descriptor_address == first
+        dmu.finish_task(first)
+        created = dmu.create_task(third)
+        assert not isinstance(created, DMUBlocked)
+        assert created.task_id == 0
+        assert dmu.tat.audit()["fullest_set"] == 2
+
     def test_dat_conflict_blocks_add_dependence(self):
         dmu = make_dmu(dat_associativity=2, index_selection="static", static_index_start_bit=0)
         create(dmu, DESC)

@@ -79,12 +79,11 @@ class TestTaskTable:
 class TestDependenceTable:
     def test_install_read_free(self):
         table = DependenceTable(8)
-        table.install(5, address=0xBEEF, size=64)
+        table.install(5, address=0xBEEF)
         assert table.last_writer[5] == -1
         assert not table.last_writer_valid[5]
         assert table.reader_list[5] == -1
         assert table.address[5] == 0xBEEF
-        assert table.size[5] == 64
         table.free(5)
         assert table.occupancy == 0
 
@@ -100,12 +99,12 @@ class TestDependenceTable:
 
     def test_recycled_slot_is_reinitialized(self):
         table = DependenceTable(4)
-        table.install(1, address=0x10, size=4)
+        table.install(1, address=0x10)
         table.last_writer[1] = 3
         table.last_writer_valid[1] = 1
         table.reader_list[1] = 9
         table.free(1)
-        table.install(1, address=0x20, size=8)
+        table.install(1, address=0x20)
         assert table.last_writer[1] == -1
         assert not table.last_writer_valid[1]
         assert table.reader_list[1] == -1
