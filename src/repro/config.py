@@ -310,9 +310,11 @@ class SimulationConfig:
         This is the payload hashed by :func:`repro.experiments.cache.canonical_run_key`
         and stored alongside cached simulation results, so it must stay
         lossless: any field that can change simulation output has to appear.
-        ``dataclasses.asdict`` guarantees that automatically.
+        Walking ``dataclasses.fields`` guarantees that automatically; it
+        builds what ``dataclasses.asdict`` would, without its deep copy of
+        every leaf (all leaves are immutable scalars).
         """
-        return dataclasses.asdict(self)
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimulationConfig":
@@ -334,6 +336,15 @@ class SimulationConfig:
             locality=LocalityConfig(**dict(payload.pop("locality"))),
             **payload,
         )
+
+
+def _fields_dict(config: object) -> dict:
+    """Every field of a config dataclass, nested configs as nested dicts."""
+    return {
+        f.name: _fields_dict(value) if dataclasses.is_dataclass(value) else value
+        for f in dataclasses.fields(config)
+        for value in (getattr(config, f.name),)
+    }
 
 
 def default_paper_config(runtime: RuntimeKind = "tdm", scheduler: str = "fifo") -> SimulationConfig:

@@ -107,11 +107,6 @@ class AliasTable:
         """Number of sets that currently hold at least one valid entry."""
         return self._occupied_sets
 
-    def sample_occupancy(self) -> None:
-        """Record the current occupied-set count (drives Figure 11)."""
-        self._occupied_set_samples += 1
-        self._occupied_set_total += self._occupied_sets
-
     def average_occupied_sets(self) -> float:
         """Mean number of occupied sets over all samples taken so far."""
         self.commit_pending()
@@ -221,13 +216,6 @@ class AliasTable:
                 recount.get(index, 0) != self._set_count.get(index, 0) for index in touched
             ),
         }
-
-    def address_of(self, internal_id: int) -> Optional[int]:
-        """Reverse lookup (used by tests and debugging; not a hardware path)."""
-        for address, mapped in self._by_address.items():
-            if mapped == internal_id:
-                return address
-        return None
 
     def __contains__(self, address: int) -> bool:
         return address in self._by_address

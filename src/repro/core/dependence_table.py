@@ -78,30 +78,3 @@ class DependenceTable:
         self._occupancy += 1
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy
-
-    def require(self, dep_id: int) -> int:
-        """Bounds/validity check; returns ``dep_id`` for chaining."""
-        if 0 <= dep_id < self._size and self.valid[dep_id]:
-            return dep_id
-        if 0 <= dep_id < self.num_entries:
-            raise DMUProtocolError(f"Dependence Table entry {dep_id} is not valid")
-        raise DMUProtocolError(
-            f"dependence id {dep_id} out of range [0, {self.num_entries})"
-        )
-
-    def free(self, dep_id: int) -> None:
-        if not (0 <= dep_id < self.num_entries):
-            raise DMUProtocolError(
-                f"dependence id {dep_id} out of range [0, {self.num_entries})"
-            )
-        if dep_id >= self._size or not self.valid[dep_id]:
-            raise DMUProtocolError(f"Dependence Table entry {dep_id} is already free")
-        self.valid[dep_id] = 0
-        self._occupancy -= 1
-
-    def is_valid(self, dep_id: int) -> bool:
-        if 0 <= dep_id < self.num_entries:
-            return dep_id < self._size and bool(self.valid[dep_id])
-        raise DMUProtocolError(
-            f"dependence id {dep_id} out of range [0, {self.num_entries})"
-        )

@@ -91,35 +91,3 @@ class TaskTable:
         self._occupancy += 1
         if self._occupancy > self.peak_occupancy:
             self.peak_occupancy = self._occupancy
-
-    def require(self, task_id: int) -> int:
-        """Bounds/validity check; returns ``task_id`` for chaining.
-
-        The DMU's hot paths skip this (IDs handed out by the TAT are valid
-        by construction); it guards the externally-reachable entry points.
-        """
-        if 0 <= task_id < self._size and self.valid[task_id]:
-            return task_id
-        if 0 <= task_id < self.num_entries:
-            raise DMUProtocolError(f"Task Table entry {task_id} is not valid")
-        raise DMUProtocolError(
-            f"task id {task_id} out of range [0, {self.num_entries})"
-        )
-
-    def free(self, task_id: int) -> None:
-        """Invalidate the entry for ``task_id`` (finish_task)."""
-        if not (0 <= task_id < self.num_entries):
-            raise DMUProtocolError(
-                f"task id {task_id} out of range [0, {self.num_entries})"
-            )
-        if task_id >= self._size or not self.valid[task_id]:
-            raise DMUProtocolError(f"Task Table entry {task_id} is already free")
-        self.valid[task_id] = 0
-        self._occupancy -= 1
-
-    def is_valid(self, task_id: int) -> bool:
-        if 0 <= task_id < self.num_entries:
-            return task_id < self._size and bool(self.valid[task_id])
-        raise DMUProtocolError(
-            f"task id {task_id} out of range [0, {self.num_entries})"
-        )

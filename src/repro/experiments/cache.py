@@ -315,13 +315,22 @@ class ResultCache:
             return
         self.quarantined += 1
 
-    def get(self, key: str) -> Optional[SimulationResult]:
+    def get(
+        self,
+        key: str,
+        config: Optional[SimulationConfig] = None,
+        config_dict: Optional[Mapping[str, object]] = None,
+    ) -> Optional[SimulationResult]:
         """The cached result for ``key``, or None on miss/corruption.
 
         Corrupt entries — unparseable JSON, a structurally malformed
         document, or a checksum mismatch against the embedded ``sha256``
         field — are quarantined and counted as misses: the campaign
         resimulates the point rather than aborting or serving bad data.
+        ``config`` and its ``to_dict()`` form ``config_dict`` are the
+        config the caller resolved ``key`` from; a result whose stored
+        config equals it shares it (see
+        :meth:`~repro.sim.machine.SimulationResult.from_dict`).
         """
         path = self.path_for(key)
         fault = maybe_fault("cache-read", key)
@@ -342,7 +351,7 @@ class ResultCache:
         result = None
         if payload is not None:
             try:
-                result = SimulationResult.from_dict(payload)
+                result = SimulationResult.from_dict(payload, config, config_dict)
             except (AttributeError, KeyError, TypeError, ValueError) as error:
                 # A sound envelope around a payload that is not a result.
                 defect = f"malformed entry: {type(error).__name__}: {error}"

@@ -441,7 +441,9 @@ class CampaignEngine:
             self.memory_hits += 1
             return cached
         if self.disk_cache is not None:
-            restored = self.disk_cache.get(resolved.key)
+            restored = self.disk_cache.get(
+                resolved.key, resolved.config, resolved.config_dict
+            )
             if restored is not None:
                 self.disk_hits += 1
                 self._memo[resolved.key] = restored
@@ -676,7 +678,9 @@ class CampaignEngine:
         self.key_timings[key] = seconds
         if self.disk_cache is not None:
             self.disk_cache.put_serialized(key, result)
-        restored = self._memo[key] = SimulationResult.from_dict(result)
+        restored = self._memo[key] = SimulationResult.from_dict(
+            result, item.config, item.config_dict
+        )
         if self.verbose:  # pragma: no cover - console feedback only
             request = item.request
             print(

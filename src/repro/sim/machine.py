@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from ..config import SimulationConfig
 from ..core.stats import DMUStats
@@ -132,14 +132,30 @@ class SimulationResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` output (cache deserialization)."""
+    def from_dict(
+        cls,
+        data: Mapping[str, object],
+        config: Optional[SimulationConfig] = None,
+        config_dict: Optional[Mapping[str, object]] = None,
+    ) -> "SimulationResult":
+        """Rebuild a result from :meth:`to_dict` output (cache deserialization).
+
+        ``config`` is a config the caller already holds and ``config_dict``
+        its :meth:`~repro.config.SimulationConfig.to_dict` form: when the
+        stored ``config`` equals ``config_dict`` the result shares
+        ``config`` instead of parsing its own.  Any other stored config
+        (such as an older entry's, with the retired ``dmu.backend`` field)
+        is parsed by :meth:`~repro.config.SimulationConfig.from_dict`.
+        """
+        stored_config = data["config"]
+        if config is None or stored_config != config_dict:
+            config = SimulationConfig.from_dict(stored_config)
         dmu_stats = data.get("dmu_stats")
         return cls(
             program_name=data["program_name"],
             runtime_name=data["runtime_name"],
             scheduler_name=data["scheduler_name"],
-            config=SimulationConfig.from_dict(data["config"]),
+            config=config,
             total_cycles=int(data["total_cycles"]),
             timeline=Timeline.from_dict(data["timeline"]),
             energy=EnergyReport.from_dict(data["energy"]),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 
@@ -32,6 +33,10 @@ class Phase(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: The keys of one serialized thread row (:meth:`Timeline.to_dict`).
+_ROW_KEYS = frozenset(phase.value for phase in Phase)
 
 
 @dataclass(frozen=True)
@@ -149,15 +154,44 @@ class TimelineRecorder:
 
 
 class Timeline:
-    """Aggregated per-thread phase accounting for a finished simulation."""
+    """Aggregated per-thread phase accounting for a finished simulation.
+
+    A live timeline holds its :class:`ThreadTimeline` objects.  One restored
+    by :meth:`from_dict` holds the serialized per-thread rows and builds the
+    thread objects the first time :attr:`threads` is read (by
+    :meth:`totals`/:meth:`breakdown`, the energy model or :meth:`to_dict`):
+    only Figures 2 and 10 read per-thread phases, so most restored results
+    never build them.
+    """
 
     def __init__(self, threads: Sequence[ThreadTimeline], end_cycle: int) -> None:
-        self.threads = list(threads)
+        self._threads: List[ThreadTimeline] | None = list(threads)
+        self._rows: List[Dict[str, int]] = []
         self.end_cycle = end_cycle
 
     @property
+    def threads(self) -> List[ThreadTimeline]:
+        """One :class:`ThreadTimeline` per thread, built on first read of a
+        restored timeline.  The rows are kept, so concurrent first reads
+        each build an equal list from them."""
+        threads = self._threads
+        if threads is None:
+            deps, sched, execute, idle = Phase
+            threads = self._threads = [
+                ThreadTimeline(thread_id, totals={
+                    deps: row["DEPS"],
+                    sched: row["SCHED"],
+                    execute: row["EXEC"],
+                    idle: row["IDLE"],
+                })
+                for thread_id, row in enumerate(self._rows)
+            ]
+        return threads
+
+    @property
     def num_threads(self) -> int:
-        return len(self.threads)
+        threads = self._threads
+        return len(self._rows) if threads is None else len(threads)
 
     def totals(self, thread_ids: Iterable[int] | None = None) -> Dict[Phase, int]:
         """Sum of cycles per phase over the selected threads (all by default)."""
@@ -218,18 +252,30 @@ class Timeline:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Timeline":
-        """Rebuild a totals-only :class:`Timeline` from :meth:`to_dict` output."""
-        deps, sched, execute, idle = Phase
-        threads = [
-            ThreadTimeline(thread_id, totals={
-                deps: int(totals["DEPS"]),
-                sched: int(totals["SCHED"]),
-                execute: int(totals["EXEC"]),
-                idle: int(totals["IDLE"]),
-            })
-            for thread_id, totals in enumerate(data["threads"])
-        ]
-        return cls(threads, end_cycle=int(data["end_cycle"]))
+        """Rebuild a totals-only :class:`Timeline` from :meth:`to_dict` output.
+
+        The payload is checked here, so one that is not a timeline fails
+        now, not at a later read: ``end_cycle`` is an int, ``threads`` is a
+        list of rows with exactly the four phase keys, and every total is
+        an int.  The thread objects are built lazily (see :attr:`threads`).
+        """
+        rows = data["threads"]
+        end_cycle = data["end_cycle"]
+        if type(end_cycle) is not int:
+            raise TypeError(f"timeline end_cycle is not an int: {end_cycle!r}")
+        if type(rows) is not list:
+            raise TypeError("timeline threads are not a list of rows")
+        for row in rows:
+            if type(row) is not dict or row.keys() != _ROW_KEYS:
+                raise ValueError(f"timeline row is not the four phase totals: {row!r}")
+        # A float among the totals makes their sum a float; a string or a
+        # null raises TypeError.
+        if type(sum(chain.from_iterable(map(dict.values, rows)))) is not int:
+            raise TypeError("timeline phase totals are not all ints")
+        timeline = cls((), end_cycle)
+        timeline._threads = None
+        timeline._rows = rows
+        return timeline
 
     def as_relative_rows(self) -> List[Mapping[str, float]]:
         """One row per thread with the relative time per phase (for reports)."""

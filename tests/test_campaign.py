@@ -184,9 +184,10 @@ class TestResultCache:
         key = "ab" + "0" * 62
         old = ResultCache(tmp_path / "old")
         old.put_serialized(key, result_dict)
-        restored = old.get(key)
+        # The stored config differs from the known one, so it is parsed.
+        restored = old.get(key, result.config, result.config.to_dict())
         assert restored is not None
-        assert restored.config == result.config
+        assert restored.config == result.config and restored.config is not result.config
         assert (old.hits, old.misses, old.quarantined) == (1, 0, 0)
         merged = ResultCache(tmp_path / "merged")
         assert merged.merge_from(old) == 1

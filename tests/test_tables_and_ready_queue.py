@@ -8,6 +8,13 @@ from repro.core.task_table import TaskTable
 from repro.errors import DMUProtocolError
 
 
+def free_row(table, row):
+    """Retire ``row`` the way ``finish_task`` does: clear its valid bit and
+    drop the occupancy count (the DMU writes these columns in place)."""
+    table.valid[row] = 0
+    table._occupancy -= 1
+
+
 class TestTaskTable:
     def test_install_read_free(self):
         table = TaskTable(8)
@@ -18,25 +25,25 @@ class TestTaskTable:
         assert table.predecessor_count[3] == 0
         assert table.successor_count[3] == 0
         assert not table.creation_complete[3]
+        assert table.valid[3]
         assert table.occupancy == 1
-        table.free(3)
+        free_row(table, 3)
         assert table.occupancy == 0
-        assert not table.is_valid(3)
 
     def test_columns_grow_on_demand(self):
         table = TaskTable(1 << 20)  # "ideal" sizing costs nothing up front
         assert len(table.descriptor_address) == 0
         table.install(5, descriptor_address=0xAB, successor_list=0, dependence_list=1)
         assert len(table.descriptor_address) == 6
-        assert table.is_valid(5)
-        assert not table.is_valid(4)
+        assert table.valid[5]
+        assert not table.valid[4]
 
     def test_recycled_slot_is_reinitialized(self):
         table = TaskTable(8)
         table.install(2, descriptor_address=0x1, successor_list=3, dependence_list=4)
         table.predecessor_count[2] = 7
         table.creation_complete[2] = 1
-        table.free(2)
+        free_row(table, 2)
         table.install(2, descriptor_address=0x2, successor_list=5, dependence_list=6)
         assert table.predecessor_count[2] == 0
         assert not table.creation_complete[2]
@@ -48,30 +55,15 @@ class TestTaskTable:
         with pytest.raises(DMUProtocolError):
             table.install(0, descriptor_address=2, successor_list=0, dependence_list=0)
 
-    def test_require_invalid_rejected(self):
-        with pytest.raises(DMUProtocolError):
-            TaskTable(4).require(1)
-
-    def test_double_free_rejected(self):
-        table = TaskTable(4)
-        table.install(1, descriptor_address=1, successor_list=0, dependence_list=0)
-        table.free(1)
-        with pytest.raises(DMUProtocolError):
-            table.free(1)
-
     def test_out_of_range_id_rejected(self):
         with pytest.raises(DMUProtocolError):
-            TaskTable(4).require(4)
-        with pytest.raises(DMUProtocolError):
             TaskTable(4).install(4, descriptor_address=0, successor_list=0, dependence_list=0)
-        with pytest.raises(DMUProtocolError):
-            TaskTable(4).free(4)
 
     def test_peak_occupancy(self):
         table = TaskTable(4)
         for task_id in range(3):
             table.install(task_id, descriptor_address=task_id, successor_list=0, dependence_list=0)
-        table.free(0)
+        free_row(table, 0)
         assert table.peak_occupancy == 3
         assert table.occupancy == 2
 
@@ -84,7 +76,8 @@ class TestDependenceTable:
         assert not table.last_writer_valid[5]
         assert table.reader_list[5] == -1
         assert table.address[5] == 0xBEEF
-        table.free(5)
+        assert table.valid[5] and not table.valid[4]
+        free_row(table, 5)
         assert table.occupancy == 0
 
     def test_last_writer_lifecycle(self):
@@ -103,7 +96,7 @@ class TestDependenceTable:
         table.last_writer[1] = 3
         table.last_writer_valid[1] = 1
         table.reader_list[1] = 9
-        table.free(1)
+        free_row(table, 1)
         table.install(1, address=0x20)
         assert table.last_writer[1] == -1
         assert not table.last_writer_valid[1]
@@ -116,19 +109,9 @@ class TestDependenceTable:
         with pytest.raises(DMUProtocolError):
             table.install(0)
 
-    def test_require_invalid_rejected(self):
+    def test_out_of_range_id_rejected(self):
         with pytest.raises(DMUProtocolError):
-            DependenceTable(4).require(9)
-        with pytest.raises(DMUProtocolError):
-            DependenceTable(4).require(2)
-
-    def test_is_valid_bounds(self):
-        table = DependenceTable(4)
-        table.install(2)
-        assert table.is_valid(2)
-        assert not table.is_valid(3)
-        with pytest.raises(DMUProtocolError):
-            table.is_valid(4)
+            DependenceTable(4).install(4)
 
 
 class TestReadyQueue:
