@@ -17,6 +17,13 @@ of ``BENCHMARK.json``.  The gate fails when
 
 Every other metric is printed as an advisory.
 
+A traced run (``--trace 1``) reports per-layer metrics instead of the
+end-to-end ones.  Its correctness counts like any run's, but it takes no
+part in the medians: its deterministic work counters (``WORK_COUNTERS``) are
+printed side by side instead, each marked ``exact`` when every traced run of
+both trees agrees and ``changed`` otherwise.  This is advisory and never
+fails the gate: a change that is meant to be semantic moves them on purpose.
+
 Usage::
 
     python3 scripts/perf_gate.py base.jsonl head.jsonl
@@ -29,7 +36,7 @@ import json
 import pathlib
 import statistics
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,6 +46,15 @@ GATED = {
     ("warm_render", "wall_s"),
     ("dmu_replay", "dmu_instr_per_s"),
 }
+
+#: Work counters of a traced run that only a semantic change may move.
+WORK_COUNTERS = (
+    "sim.events",
+    "sim.events_per_task",
+    "sim.cycles_total",
+    "core.instructions",
+    "core.sram_accesses",
+)
 
 
 def load_bounds(path: pathlib.Path = REPO_ROOT / "BENCHMARK.json") -> Dict[str, dict]:
@@ -64,6 +80,35 @@ def worse_by(base: float, head: float, better: str) -> Optional[float]:
     return change if better == "lower" else -change
 
 
+def is_traced(run: dict) -> bool:
+    """Whether ``run`` is a traced run, which reports per-layer metrics."""
+    return WORK_COUNTERS[0] in run["metrics"]
+
+
+def by_workload(runs: Iterable[dict]) -> Dict[str, List[dict]]:
+    grouped: Dict[str, List[dict]] = {}
+    for run in runs:
+        grouped.setdefault(run["workload"], []).append(run)
+    return grouped
+
+
+def compare_counters(base_runs: List[dict], head_runs: List[dict]) -> None:
+    """Print the work counters of the traced runs of both trees side by side."""
+    base_groups = by_workload(run for run in base_runs if is_traced(run))
+    head_groups = by_workload(run for run in head_runs if is_traced(run))
+    for workload in sorted(set(base_groups) ^ set(head_groups)):
+        print(f"{workload} work counters: traced on one side only (advisory)")
+    for workload in sorted(set(base_groups) & set(head_groups)):
+        print(f"{workload} work counters: {len(base_groups[workload])} base traced runs, "
+              f"{len(head_groups[workload])} head traced runs (advisory)")
+        for name in WORK_COUNTERS:
+            base = [run["metrics"][name]["value"] for run in base_groups[workload]]
+            head = [run["metrics"][name]["value"] for run in head_groups[workload]]
+            verdict = "exact" if len(set(base + head)) == 1 else "changed"
+            print(f"  {name:<20} base {statistics.median(base):<16.10g} "
+                  f"head {statistics.median(head):<16.10g} {verdict}")
+
+
 def gate(base_runs: List[dict], head_runs: List[dict], bounds: Dict[str, dict]) -> List[str]:
     """Print the comparison and return the reasons the gate fails."""
     failures = []
@@ -72,13 +117,8 @@ def gate(base_runs: List[dict], head_runs: List[dict], bounds: Dict[str, dict]) 
             if run.get("correct") is not True:
                 failures.append(f"{side} run {index} ({run.get('workload')}) is not correct")
 
-    def by_workload(runs: List[dict]) -> Dict[str, List[dict]]:
-        grouped: Dict[str, List[dict]] = {}
-        for run in runs:
-            grouped.setdefault(run["workload"], []).append(run)
-        return grouped
-
-    base_groups, head_groups = by_workload(base_runs), by_workload(head_runs)
+    base_groups = by_workload(run for run in base_runs if not is_traced(run))
+    head_groups = by_workload(run for run in head_runs if not is_traced(run))
     for workload in sorted(set(base_groups) ^ set(head_groups)):
         failures.append(f"{workload} was run on only one side")
     for workload in sorted(set(base_groups) & set(head_groups)):
@@ -103,6 +143,7 @@ def gate(base_runs: List[dict], head_runs: List[dict], bounds: Dict[str, dict]) 
             shown = "n/a" if change is None else f"{change:+.1%}"
             print(f"  {name:<18} base {base:<12.6g} head {head:<12.6g} "
                   f"worse by {shown:>7} (bound {entry['bound']:.0%}) {verdict}")
+    compare_counters(base_runs, head_runs)
     return failures
 
 

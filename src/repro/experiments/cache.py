@@ -58,7 +58,7 @@ ORPHAN_TMP_MAX_AGE_S = 300.0
 
 
 def atomic_write(
-    path: pathlib.Path,
+    path: Union[str, pathlib.Path],
     data: Union[str, bytes],
     fault_key: Optional[str] = None,
 ) -> None:
@@ -76,8 +76,8 @@ def atomic_write(
     orphaned ``*.tmp`` file a SIGKILL'd writer would
     (:meth:`ResultCache.sweep_orphans` reclaims them).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}.{threading.get_ident()}"
     blob = data if isinstance(data, bytes) else data.encode("utf-8")
     with open(tmp, "wb") as handle:
         handle.write(blob)
@@ -259,6 +259,10 @@ class ResultCache:
     def __init__(self, directory: Union[str, pathlib.Path]) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: ``directory`` as a string ending in a separator.  :meth:`get`,
+        #: :meth:`put_serialized` and ``in`` build entry paths from it as
+        #: strings: two ``pathlib`` joins cost about as much as the read.
+        self._root = os.path.join(os.fspath(self.directory), "")
         self.hits = 0
         self.misses = 0
         #: Entries moved to ``quarantine/`` after failing to parse or to
@@ -274,7 +278,11 @@ class ResultCache:
 
     def path_for(self, key: str) -> pathlib.Path:
         """Cache file for ``key`` (two-level fan-out keeps directories small)."""
-        return self.directory / key[:2] / f"{key}.json"
+        return pathlib.Path(self._entry_path(key))
+
+    def _entry_path(self, key: str) -> str:
+        """:meth:`path_for` as a string."""
+        return f"{self._root}{key[:2]}{os.sep}{key}.json"
 
     def _entries(self):
         """Every cache entry file.  The ``??/*.json`` pattern pins the
@@ -285,7 +293,7 @@ class ResultCache:
         return self.directory.glob("??/*.json")
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        return os.path.isfile(self._entry_path(key))
 
     def quarantine(self, path: pathlib.Path, reason: str) -> None:
         """Move a corrupt entry file into ``quarantine/`` with a reason note.
@@ -332,18 +340,20 @@ class ResultCache:
         config equals it shares it (see
         :meth:`~repro.sim.machine.SimulationResult.from_dict`).
         """
-        path = self.path_for(key)
+        path = self._entry_path(key)
         fault = maybe_fault("cache-read", key)
-        if fault is not None and fault.kind == "corrupt" and path.is_file():
+        if fault is not None and fault.kind == "corrupt" and os.path.isfile(path):
             # Chaos hook: tear the on-disk entry in half so this very read
             # exercises the quarantine path.
             try:
-                blob = path.read_bytes()
-                path.write_bytes(blob[: max(1, len(blob) // 2)])
+                entry = pathlib.Path(path)
+                blob = entry.read_bytes()
+                entry.write_bytes(blob[: max(1, len(blob) // 2)])
             except OSError:
                 pass
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError:
             self.misses += 1
             return None
@@ -358,7 +368,7 @@ class ResultCache:
         if result is None:
             self.misses += 1
             if defect is not None:
-                self.quarantine(path, defect)
+                self.quarantine(pathlib.Path(path), defect)
             return None
         self.hits += 1
         try:
@@ -395,11 +405,11 @@ class ResultCache:
         :meth:`get` and :meth:`merge_from` verify without re-encoding.
         Entries written before the field existed remain readable.
         """
-        path = self.path_for(key)
+        path = self._entry_path(key)
         payload = canonical_json(result_dict).encode("utf-8")
         prefix, suffix = _envelope(key, hashlib.sha256(payload).hexdigest())
         atomic_write(path, prefix + payload + suffix, fault_key=key)
-        return path
+        return pathlib.Path(path)
 
     def sweep_orphans(self, max_age_s: float = ORPHAN_TMP_MAX_AGE_S) -> int:
         """Delete orphaned ``*.tmp.<pid>`` files left by killed writers.

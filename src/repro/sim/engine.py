@@ -23,6 +23,14 @@ once per event):
   uniform and no per-event closure is allocated.
 * Command dispatch in :meth:`Process.resume` is keyed on the exact command
   type (``type(command) is ...``) with the bare-int timeout checked first.
+* **Run-ahead.**  When a process's next wakeup is certain to be the run
+  loop's very next dispatch, :meth:`Process.resume` consumes its seq, sets
+  ``now`` to the wake time and sends to the generator again, so many
+  wakeups never touch the heap, the deque or the run loop.  It
+  needs an empty ready deque, no waiter batch mid-drain, a wake time
+  strictly before the heap head and within ``run(until=...)``; the
+  reasoning, the waiter-batch hold and why the run loop's local clock may
+  lag are in :class:`Engine`.
 
 Determinism: events scheduled at the same time are processed in scheduling
 order (a monotonically increasing sequence number breaks ties), so two runs
@@ -64,60 +72,86 @@ class Process:
         self._send = generator.send
 
     def resume(self, value: Any) -> None:
-        """Advance the generator with ``value`` and interpret its next command."""
+        """Advance the generator with ``value`` and schedule its next wakeup.
+
+        Each command reduces to a wake time ``when`` and a resume value: a
+        bare int ``d`` wakes at ``now + d``; a wait on a triggered event and
+        an uncontended lock grant wake now.  The wakeup always consumes a
+        seq.  It is then either queued (heap or ready deque, as the run loop
+        would see it) or, when it is certain to be the run loop's very next
+        dispatch, run ahead: ``engine.now`` moves to ``when`` and the
+        generator is sent to again here (see :class:`Engine`).
+        """
         if self.finished:
             return
-        try:
-            command = self._send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            self.engine._live_processes -= 1
-            return
-        except Exception as exc:  # surface the failing process in the traceback
-            self.finished = True
-            self.engine._live_processes -= 1
-            raise SimulationError(f"process {self.name!r} raised {exc!r}") from exc
+        engine = self.engine
+        send = self._send
+        ready = engine._ready
+        queue = engine._queue
+        # Locals for the whole call: only run-ahead below moves the clock
+        # while it lasts, and the bound and the hold change only around it
+        # (in run() and in a waiter batch's drain).
+        now = engine.now
+        until = engine._until
+        held = engine._hold
+        while True:
+            try:
+                command = send(value)
+            except StopIteration as stop:
+                self.finished = True
+                self.result = stop.value
+                engine._live_processes -= 1
+                return
+            except Exception as exc:  # surface the failing process in the traceback
+                self.finished = True
+                engine._live_processes -= 1
+                raise SimulationError(f"process {self.name!r} raised {exc!r}") from exc
 
-        # Command dispatch, keyed on the exact type.  Bare ints are the
-        # timeout the runtime models use for every busy-cycle charge.
-        cls = command.__class__
-        if cls is int:
-            if command > 0:
-                engine = self.engine
-                seq = engine._seq
-                engine._seq = seq + 1
-                heappush(engine._queue, (engine.now + command, seq, self, None))
-            elif command == 0:
-                self.engine._wake(self, None)
+            # Command dispatch, keyed on the exact type.  Bare ints are the
+            # timeout the runtime models use for every busy-cycle charge.
+            cls = command.__class__
+            if cls is int:
+                if command < 0:
+                    raise SimulationError(
+                        f"process {self.name!r} yielded a negative timeout: {command}"
+                    )
+                when = now + command
+                value = None
+            elif cls is WaitEvent:
+                event = command.event
+                if not event.triggered:
+                    event._waiters.append(self)
+                    return
+                when = now
+                value = event.value
+            elif cls is Acquire:
+                # The uncontended grant (the overwhelmingly common case) is
+                # handled here; a held lock queues the process.
+                lock = command.lock
+                if lock._holder is not None:
+                    lock._enqueue(self)
+                    return
+                lock._holder = self
+                when = lock._acquired_at = now
+                lock.acquisitions += 1
+                value = None
             else:
                 raise SimulationError(
-                    f"process {self.name!r} yielded a negative timeout: {command}"
+                    f"process {self.name!r} yielded an unknown command: {command!r}"
                 )
-        elif cls is WaitEvent:
-            event = command.event
-            if event.triggered:
-                self.engine._wake(self, event.value)
-            else:
-                event._waiters.append(self)
-        elif cls is Acquire:
-            # The uncontended grant (the overwhelmingly common case) is
-            # handled here; a held lock queues the process.
-            lock = command.lock
-            if lock._holder is None:
-                engine = self.engine
-                lock._holder = self
-                lock._acquired_at = engine.now
-                lock.acquisitions += 1
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._ready.append((seq, self, None))
-            else:
-                lock._enqueue(self)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded an unknown command: {command!r}"
-            )
+
+            # Queue the wakeup unless it is certainly the run loop's next
+            # dispatch (the four conditions in the Engine docstring).
+            seq = engine._seq
+            engine._seq = seq + 1
+            if (ready or held or (queue and queue[0][0] <= when)
+                    or (until is not None and when > until)):
+                if when == now:
+                    ready.append((seq, self, value))
+                else:
+                    heappush(queue, (when, seq, self, value))
+                return
+            engine.now = now = when
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "active"
@@ -134,33 +168,52 @@ class Engine:
       every one due strictly after the cycle that queued it.
     * ``_ready`` — FIFO deque of zero-delay wakeups ``(seq, target, value)``
       at the current time.
+
+    A wakeup at time ``t`` that :meth:`Process.resume` is about to schedule
+    (``t = now + d`` for a bare int ``d``, ``t = now`` for a wait on a
+    triggered event or an uncontended lock grant) is *run ahead* instead —
+    resumed at once, with ``now = t`` — when all four hold:
+
+    * the ready deque is empty;
+    * ``_hold`` is zero: no :class:`~repro.sim.events._WaiterBatch` is
+      mid-drain with waiters left (the batch raises the hold around every
+      waiter but the last, since the later waiters precede the wakeup);
+    * the heap is empty or ``t < queue[0][0]`` (strictly: an equal-time
+      heap entry was queued earlier and holds a smaller seq);
+    * ``run(until=U)`` is not bounding the run (``_until`` is None) or
+      ``t <= U``.
+
+    The wakeup then is the minimum of the single ``(time, seq)`` queue, the
+    entry the run loop would dispatch next, so skipping the queue changes no
+    order.  Its seq is still consumed, so ``_seq`` counts every event.
+
+    After a resume that ran ahead, the run loop's local ``now`` may lag
+    ``self.now``.  That is safe: run-ahead required every heap entry to lie
+    after ``t``, and every entry queued since lies after ``self.now``, so
+    the loop's "heap entries due now" test finds none at the stale time;
+    ready entries are drained at ``self.now``; and the next clock advance
+    reads the heap head, which lies beyond ``self.now``.
     """
 
-    __slots__ = ("now", "_queue", "_ready", "_seq", "_processes", "_live_processes")
+    __slots__ = ("now", "_queue", "_ready", "_seq", "_processes", "_live_processes",
+                 "_until", "_hold")
 
     def __init__(self) -> None:
         #: Current simulation time in cycles (read-only for client code; the
-        #: run loop is the only writer).  A plain attribute, not a property:
-        #: it is read several times per event by the thread and runtime
-        #: models and the descriptor call was measurable.
+        #: run loop and run-ahead in Process.resume are its only writers).
+        #: A plain attribute, not a property: it is read several times per
+        #: event by the thread and runtime models and the descriptor call
+        #: was measurable.
         self.now = 0
         self._queue: list = []
         self._ready: deque = deque()
         self._seq = 0
         self._processes: List[Process] = []
         self._live_processes = 0
-
-    def _wake(self, process: Process, value: Any = None) -> None:
-        """Resume ``process`` with ``value`` at the current time (FIFO order).
-
-        This is the zero-delay path used by event triggers, lock grants and
-        process starts; it bypasses the heap while preserving the global
-        scheduling order (the shared sequence counter is the tie breaker the
-        run loop merges on).
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        self._ready.append((seq, process, value))
+        #: ``until`` of the current :meth:`run`; bounds run-ahead.
+        self._until: Optional[int] = None
+        #: Raised by a waiter batch while later waiters of it remain.
+        self._hold = 0
 
     def event(self, name: str = "event") -> SimEvent:
         """Create a new one-shot event bound to this engine."""
@@ -172,7 +225,9 @@ class Engine:
         process = Process(self, generator, name=name)
         self._processes.append(process)
         self._live_processes += 1
-        self._wake(process, None)
+        seq = self._seq
+        self._seq = seq + 1
+        self._ready.append((seq, process, None))
         return process
 
     # ------------------------------------------------------------------ run loop
@@ -185,9 +240,12 @@ class Engine:
         Calling ``run`` again after an ``until``-bounded return resumes the
         simulation exactly where it stopped.
         """
+        self._until = until
         queue = self._queue
         ready = self._ready
         popleft = ready.popleft
+        # May lag self.now after a resume that ran ahead (see the class
+        # docstring); self.now is the clock.
         now = self.now
         while True:
             # Heap entries due now first: each was queued in an earlier

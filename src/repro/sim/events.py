@@ -62,6 +62,11 @@ class _WaiterBatch:
     reaches it.  The observable order is unchanged: the waiters run in
     registration order, before anything enqueued after the trigger, exactly
     as the per-waiter entries did.
+
+    While waiters remain after the one being resumed, the batch raises the
+    engine's ``_hold``: those waiters precede any wakeup the resumed one
+    schedules, so it must not run ahead (see :class:`repro.sim.engine.Engine`).
+    The last waiter resumes without the hold, as the single-waiter entry does.
     """
 
     __slots__ = ("waiters",)
@@ -70,8 +75,15 @@ class _WaiterBatch:
         self.waiters = waiters
 
     def resume(self, value: Any) -> None:
-        for process in self.waiters:
-            process.resume(value)
+        waiters = self.waiters
+        engine = waiters[0].engine
+        engine._hold += 1
+        try:
+            for process in waiters[:-1]:
+                process.resume(value)
+        finally:
+            engine._hold -= 1
+        waiters[-1].resume(value)
 
 
 class SimEvent:

@@ -19,18 +19,29 @@ to the original lambda-per-event kernel.  Two layers of pinning enforce that:
 * ``PINNED_BLOCKED_RUNS`` — cycles, events and blocked-instruction counts of
   the two DMU runtimes on a DMU small enough that ISA instructions block, so
   the blocked-instruction retry path is pinned end to end.
+
+Run-ahead (a process resumed inline when its wakeup is the next dispatch)
+is checked against a reference kernel that queues every wakeup on one
+``(time, seq)`` heap and never runs ahead: random process scripts must give
+the same dispatch trace and event count on both.
 """
 
 import dataclasses
 import hashlib
+import heapq
+import types
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import default_paper_config
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import NotificationEvent, SimEvent, WaitEvent
+from repro.sim.events import Acquire, NotificationEvent, SimEvent, WaitEvent
 from repro.sim.machine import Machine
+from repro.sim.resources import Lock
 from repro.sim.timeline import Phase, ThreadTimeline
 from repro.workloads.registry import create_workload
 
@@ -474,6 +485,262 @@ class TestQueueOrdering:
         engine.process(blocked(), name="stuck")
         with pytest.raises(DeadlockError, match=r"1 processes still blocked: \['stuck'\]"):
             engine.run()
+
+
+class TestRunAhead:
+    """The hazards of resuming a process inline instead of queueing it."""
+
+    def test_lone_process_runs_ahead_in_one_dispatch(self, monkeypatch):
+        from repro.sim import engine as engine_module
+
+        dispatches = []
+        resume = engine_module.Process.resume
+
+        def counting_resume(process, value):
+            dispatches.append(value)
+            resume(process, value)
+
+        monkeypatch.setattr(engine_module.Process, "resume", counting_resume)
+        engine = Engine()
+        trace = []
+
+        def body():
+            for delay in (3, 0, 4, 1):
+                yield delay
+                trace.append(engine.now)
+
+        engine.process(body(), name="lone")
+        assert engine.run() == 8
+        assert trace == [3, 3, 7, 8]
+        assert len(dispatches) == 1  # the start; every wakeup ran ahead
+        assert engine._seq == 5  # ...and still consumed its seq
+
+    def test_batch_waiter_does_not_run_ahead_of_later_waiters(self):
+        # The first waiter's 1-cycle delay is shorter than anything queued,
+        # but the second waiter was woken by the same trigger and must run
+        # first.
+        engine = Engine()
+        event = SimEvent(engine, "broadcast")
+        trace = []
+
+        def waiter(tag, delay):
+            got = yield WaitEvent(event)
+            trace.append(("woke", tag, engine.now, got))
+            yield delay
+            trace.append(("after", tag, engine.now))
+
+        def trigger():
+            yield 2
+            event.trigger("go")
+
+        def far():
+            yield 100
+            trace.append(("far", engine.now))
+
+        engine.process(waiter("a", 1), name="a")
+        engine.process(waiter("b", 5), name="b")
+        engine.process(trigger(), name="t")
+        engine.process(far(), name="far")
+        engine.run()
+        assert trace == [
+            ("woke", "a", 2, "go"),
+            ("woke", "b", 2, "go"),
+            ("after", "a", 3),
+            ("after", "b", 7),
+            ("far", 100),
+        ]
+        assert engine._hold == 0
+
+    def test_wake_past_until_stays_queued(self):
+        def build():
+            engine = Engine()
+            trace = []
+
+            def lone():
+                for delay in (3, 4, 50, 2):
+                    yield delay
+                    trace.append(engine.now)
+
+            engine.process(lone(), name="lone")
+            return engine, trace
+
+        engine, full = build()
+        engine.run()
+
+        paused, stepped = build()
+        assert paused.run(until=20) == 20
+        assert paused.now == 20
+        assert stepped == [3, 7]
+        assert [entry[0] for entry in paused._queue] == [57]
+        assert paused.run() == engine.now
+        assert stepped == full == [3, 7, 57, 59]
+        assert paused._seq == engine._seq
+
+    def test_cycle_budget_stops_a_process_that_never_blocks(self):
+        engine = Engine()
+
+        def spin():
+            while True:
+                yield 1
+
+        engine.process(spin(), name="spin")
+        with pytest.raises(SimulationError, match="cycle budget of 1000 cycles"):
+            engine.run_all(max_cycles=1000)
+        assert engine.now == 1000
+
+
+# --------------------------------------------------------------------------
+# Reference kernel: every wakeup, zero-delay included, goes onto one
+# (time, seq) heap; the run loop pops one entry at a time.  Same commands,
+# same seq accounting (a multi-waiter trigger claims one seq), no ready
+# deque, no run-ahead.
+class _RefEngine:
+    def __init__(self):
+        self.now, self._seq, self._heap = 0, 0, []
+
+    def schedule(self, time, target, value):
+        heapq.heappush(self._heap, (time, self._seq, target, value))
+        self._seq += 1
+
+    def process(self, generator, name):
+        process = types.SimpleNamespace(engine=self, name=name, finished=False, send=generator.send)
+        process.resume = lambda value: _ref_resume(process, value)
+        self.schedule(self.now, process, None)
+        return process
+
+    def run(self, until=None):
+        while self._heap:
+            if until is not None and self._heap[0][0] > until:
+                self.now = until
+                return until
+            self.now, _seq, target, value = heapq.heappop(self._heap)
+            target.resume(value)
+        return self.now
+
+
+def _ref_resume(process, value):
+    engine = process.engine
+    try:
+        command = process.send(value)
+    except StopIteration:
+        process.finished = True
+        return
+    kind, thing = command
+    if kind == "delay":
+        engine.schedule(engine.now + thing, process, None)
+    elif kind == "wait" and thing.triggered:
+        engine.schedule(engine.now, process, thing.value)
+    elif kind == "wait":
+        thing.waiters.append(process)
+    elif thing.holder is None:
+        thing.holder = process
+        engine.schedule(engine.now, process, None)
+    else:
+        thing.waiters.append(process)
+
+
+class _RefEvent:
+    def __init__(self, engine, name):
+        self.engine, self.triggered, self.value, self.waiters = engine, False, None, []
+
+    def trigger(self, value):
+        if self.triggered:
+            return
+        self.triggered, self.value, waiters = True, value, self.waiters
+        if len(waiters) == 1:
+            self.engine.schedule(self.engine.now, waiters[0], value)
+        elif waiters:
+            batch = types.SimpleNamespace(resume=lambda v: [w.resume(v) for w in waiters])
+            self.engine.schedule(self.engine.now, batch, value)
+
+
+class _RefLock:
+    def __init__(self, engine, name):
+        self.engine, self.holder, self.waiters = engine, None, deque()
+
+    def release(self, process):
+        assert self.holder is process
+        self.holder = self.waiters.popleft() if self.waiters else None
+        if self.holder is not None:
+            self.engine.schedule(self.engine.now, self.holder, None)
+
+
+REAL_KERNEL = types.SimpleNamespace(
+    Engine=Engine, Event=SimEvent, Lock=Lock,
+    delay=lambda cycles: cycles, wait=WaitEvent, acquire=Acquire)
+REFERENCE_KERNEL = types.SimpleNamespace(
+    Engine=_RefEngine, Event=_RefEvent, Lock=_RefLock,
+    delay=lambda cycles: ("delay", cycles), wait=lambda event: ("wait", event),
+    acquire=lambda lock: ("acquire", lock))
+
+N_EVENTS, N_LOCKS = 3, 2
+OPS = st.one_of(
+    st.tuples(st.just("delay"), st.integers(0, 12)),
+    st.tuples(st.just("wait"), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("trigger"), st.integers(0, N_EVENTS - 1)),
+    st.tuples(st.just("lock"), st.integers(0, N_LOCKS - 1), st.integers(0, 4)),
+)
+
+
+def _simulate(kernel, scripts, pauses):
+    """Run ``scripts`` on ``kernel``: the (now, process, value) trace of
+    every resumption, each run's return value, the final seq and clock."""
+    engine = kernel.Engine()
+    events = [kernel.Event(engine, f"e{index}") for index in range(N_EVENTS)]
+    locks = [kernel.Lock(engine, f"l{index}") for index in range(N_LOCKS)]
+    trace = []
+
+    def body(name, ops, handle):
+        trace.append((engine.now, name, None))
+        for index, (op, target, *rest) in enumerate(ops):
+            if op == "trigger":
+                events[target].trigger((name, index))
+                continue
+            if op == "delay":
+                got = yield kernel.delay(target)
+            elif op == "wait":
+                got = yield kernel.wait(events[target])
+            else:  # a critical section: acquire, hold for rest[0] cycles, release
+                got = yield kernel.acquire(locks[target])
+                trace.append((engine.now, name, got))
+                got = yield kernel.delay(rest[0])
+                locks[target].release(handle[0])
+            trace.append((engine.now, name, got))
+
+    def closer():  # triggers every event late, so no waiter is left blocked
+        yield kernel.delay(500)
+        for event in events:
+            event.trigger("closer")
+
+    for number, ops in enumerate(scripts):
+        handle = []
+        handle.append(engine.process(body(f"p{number}", ops, handle), f"p{number}"))
+    engine.process(closer(), "closer")
+    returns = [engine.run(until=until) for until in sorted(pauses)]
+    returns.append(engine.run())
+    return trace, returns, engine._seq, engine.now
+
+
+class TestReferenceOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(scripts=st.lists(st.lists(OPS, max_size=10), min_size=1, max_size=5),
+           pauses=st.lists(st.integers(0, 60), max_size=3))
+    def test_engine_matches_the_single_heap_reference(self, scripts, pauses):
+        assert _simulate(REAL_KERNEL, scripts, pauses) == _simulate(REFERENCE_KERNEL, scripts, pauses)
+
+    def test_oracle_sees_batches_locks_and_pauses(self):
+        # One fixed script through both kernels: three waiters on one event
+        # (a batch), a contended lock and two pauses.
+        scripts = [
+            [("wait", 0), ("delay", 1)],
+            [("wait", 0), ("delay", 0), ("lock", 0, 3)],
+            [("wait", 0), ("lock", 0, 2), ("delay", 7)],
+            [("delay", 2), ("trigger", 0), ("lock", 0, 4)],
+        ]
+        real = _simulate(REAL_KERNEL, scripts, [1, 5])
+        assert real == _simulate(REFERENCE_KERNEL, scripts, [1, 5])
+        assert real[1][:2] == [1, 5]
+        assert (2, "p0", ("p3", 1)) in real[0]
 
 
 class TestNotificationEventLazyRearm:

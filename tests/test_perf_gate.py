@@ -4,7 +4,8 @@ The gate is what CI's ``perf-smoke`` job trusts to catch a regression, so
 each way it can fail is pinned here: a regression past the
 ``BENCHMARK.json`` bound, a run that reports wrong output, a drop in the
 share of operations that succeeded, and the direction of metrics where
-higher is better.
+higher is better.  The work-counter comparison of traced runs is pinned as
+advisory: it marks counters ``exact`` or ``changed`` and never fails.
 """
 
 from __future__ import annotations
@@ -116,3 +117,62 @@ def test_compares_medians_not_single_runs(tmp_path):
 
 def test_fails_on_a_workload_run_on_one_side_only(tmp_path):
     assert run_gate(tmp_path, three("cold_campaign"), three("dmu_replay")) == 1
+
+
+def traced(workload: str, correct: bool = True, events: float = 1000.0) -> dict:
+    """A traced run's last line: per-layer metrics, no end-to-end ones."""
+    values = {name: 1000.0 for name in perf_gate.WORK_COUNTERS}
+    values["sim.events"] = events
+    values["sim.self_s"] = 20.0
+    return {"workload": workload, "correct": correct, "attempted": 10,
+            "failed": 0 if correct else 1,
+            "metrics": {name: {"value": value, "unit": "count"} for name, value in values.items()}}
+
+
+def counter_lines(out: str) -> dict:
+    """``{counter: verdict}`` from the gate's work-counter table."""
+    lines = [line.split() for line in out.splitlines()]
+    return {words[0]: words[-1] for words in lines
+            if words and words[0] in perf_gate.WORK_COUNTERS}
+
+
+def test_equal_work_counters_are_exact(tmp_path, capsys):
+    base = three("cold_campaign") + [traced("cold_campaign")]
+    head = three("cold_campaign") + [traced("cold_campaign")]
+    assert run_gate(tmp_path, base, head) == 0
+    out = capsys.readouterr().out
+    assert counter_lines(out) == {name: "exact" for name in perf_gate.WORK_COUNTERS}
+    assert "cold_campaign work counters: 1 base traced runs, 1 head traced runs" in out
+
+
+def test_changed_work_counters_are_advisory(tmp_path, capsys):
+    base = three("cold_campaign") + [traced("cold_campaign", events=8_169_799)]
+    head = three("cold_campaign") + [traced("cold_campaign", events=7_037_043)]
+    assert run_gate(tmp_path, base, head) == 0
+    out = capsys.readouterr().out
+    verdicts = counter_lines(out)
+    assert verdicts.pop("sim.events") == "changed"
+    assert set(verdicts.values()) == {"exact"}
+    assert "perf gate: pass" in out
+
+
+def test_traced_runs_take_no_part_in_the_medians(tmp_path):
+    # The traced runs carry no wall_s; the untraced medians alone decide.
+    base = three("cold_campaign", wall_s=7.0) + [traced("cold_campaign")]
+    head = three("cold_campaign", wall_s=9.1) + [traced("cold_campaign")]
+    assert run_gate(tmp_path, base, head) == 1
+    assert run_gate(tmp_path, base, three("cold_campaign", wall_s=7.0) + [traced("cold_campaign")]) == 0
+
+
+def test_an_incorrect_traced_run_fails(tmp_path):
+    base = three("cold_campaign") + [traced("cold_campaign")]
+    head = three("cold_campaign") + [traced("cold_campaign", correct=False)]
+    assert run_gate(tmp_path, base, head) == 1
+
+
+def test_traced_on_one_side_only_is_noted(tmp_path, capsys):
+    base = three("cold_campaign") + [traced("cold_campaign")]
+    assert run_gate(tmp_path, base, three("cold_campaign")) == 0
+    out = capsys.readouterr().out
+    assert "cold_campaign work counters: traced on one side only" in out
+    assert counter_lines(out) == {}
