@@ -64,19 +64,6 @@ class InvalidProgramError(SimulationError):
     """A workload produced a task program the simulator cannot execute."""
 
 
-class TraceFormatError(InvalidProgramError):
-    """A task-graph trace file is malformed or semantically invalid.
-
-    Raised by :mod:`repro.scenarios.trace` with a precise *location* (for
-    example ``regions[0].tasks[3].accesses[1].mode`` or ``line 7``) so a
-    multi-thousand-task export is debuggable from the message alone.
-    """
-
-    def __init__(self, location: str, message: str) -> None:
-        self.location = location
-        super().__init__(f"{location}: {message}" if location else message)
-
-
 class ValidationError(ReproError):
     """A post-simulation validation check failed (dependences violated, ...)."""
 

@@ -46,18 +46,6 @@ Examples::
         -d '{"scale": 0.2, "format": "csv"}'
     curl -s localhost:8765/experiments
     curl -s localhost:8765/healthz
-
-    # Curated scenario bundles (trace replay + generative DAG stress
-    # workloads, see docs/scenarios.md); each is a first-class experiment,
-    # so every flag above (--jobs, --shard, --merge-shards, serve) applies
-    tdm-repro scenario                       # list the bundles
-    tdm-repro scenario reader_storm --scale 0.2 --jobs 4 --cache-dir cache
-    tdm-repro scenario all --scale 0.1 --output results/ --csv
-
-    # Validate an exported task-graph trace (JSON or CSV), print its
-    # structural digest, optionally convert between the two flavors
-    tdm-repro trace examples/traces/diamond.json
-    tdm-repro trace mytrace.json --export-trace mytrace.csv
 """
 
 from __future__ import annotations
@@ -67,11 +55,11 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from ..errors import ExperimentError, TraceFormatError
+from ..errors import ExperimentError
 from .common import SimulationRunner
 from .registry import (
     available_experiments,
-    experiment_catalog,
+    canonical_name,
     resolve_plan,
     run_experiment,
 )
@@ -87,16 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        help="experiment name (e.g. figure_12, table_03, scenario_reader_storm), "
-        "'all', or a verb: 'scenario' (curated bundles), 'trace' (validate a "
-        "task-graph trace file), 'serve' (results daemon)",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="argument of the 'scenario'/'trace' verbs: a bundle name or 'all' "
-        "for scenario, a .json/.csv trace file for trace",
+        help="experiment name (e.g. figure_12, table_03), 'all', or 'serve' "
+        "(results daemon)",
     )
     parser.add_argument(
         "--scale",
@@ -228,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "see docs/reliability.md)",
     )
     parser.add_argument(
-        "--export-trace",
-        type=pathlib.Path,
-        default=None,
-        metavar="PATH",
-        help="trace verb: also write the validated trace back out at PATH "
-        "(.json or .csv suffix selects the flavor; converts between the two)",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         help="list available experiments and exit",
@@ -246,31 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one line per simulated key as it is committed (serial or --jobs N alike)",
     )
     return parser
-
-
-def _trace_command(args: argparse.Namespace) -> int:
-    """The ``trace`` verb: validate a trace file, summarize, convert."""
-    from ..scenarios.trace import dump_trace, load_trace, program_digest
-
-    try:
-        program = load_trace(args.target)
-    except TraceFormatError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(f"trace {args.target}: OK")
-    print(f"  name: {program.name}")
-    print(f"  regions: {len(program.regions)}")
-    print(f"  tasks: {program.num_tasks}")
-    print(f"  total work: {program.total_work_us:.1f} us")
-    print(f"  digest: {program_digest(program)}")
-    if args.export_trace is not None:
-        try:
-            dump_trace(program, args.export_trace)
-        except TraceFormatError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"  wrote {args.export_trace}")
-    return 0
 
 
 def _report_reliability(runner: SimulationRunner) -> None:
@@ -304,11 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("an experiment name (or 'all') is required unless --list is given")
     command = args.experiment.lower()
 
-    if command == "trace":
-        if args.target is None:
-            parser.error("trace requires a .json/.csv trace file path")
-        return _trace_command(args)
-
     if command == "serve":
         # Daemon mode: a long-running results server owning one ResultCache
         # (see docs/architecture.md, "Results daemon").
@@ -332,36 +274,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             **service_kwargs,
         )
 
-    if command == "scenario":
-        # Scenario verb: resolve bundle names to their scenario_<name>
-        # experiments, then fall through to the generic experiment path —
-        # every flag (--jobs, --shard, --merge-shards, --output) applies.
-        from ..scenarios.registry import available_scenarios, get_scenario, scenario_catalog
-
-        if args.target is None:
-            for entry in scenario_catalog():
-                print(f"{entry['name']}: {entry['title']} "
-                      f"[{', '.join(entry['workloads'])}]")
-            return 0
-        try:
-            if args.target.lower() == "all":
-                names = [get_scenario(name).experiment for name in available_scenarios()]
-            else:
-                names = [get_scenario(args.target).experiment]
-        except ExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    elif command == "all":
-        # 'all' remains the *paper* campaign (every table and figure);
-        # scenario bundles run via the scenario verb or by experiment name.
-        names = [entry["name"] for entry in experiment_catalog() if entry["kind"] == "paper"]
-    else:
-        if args.target is not None:
-            parser.error(
-                f"unexpected argument {args.target!r} "
-                "(only the 'scenario' and 'trace' verbs take a target)"
-            )
-        names = [args.experiment]
+    try:
+        names = available_experiments() if command == "all" else [canonical_name(args.experiment)]
+    except ExperimentError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.cache_max_bytes is not None and args.cache_dir is None:
         parser.error("--cache-max-bytes requires --cache-dir")
     if args.shard is not None and args.merge_shards is not None:

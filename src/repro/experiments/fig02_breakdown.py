@@ -46,7 +46,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 2 (software runtime, FIFO scheduler, 32 cores)."""

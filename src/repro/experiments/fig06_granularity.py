@@ -45,7 +45,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 6 (software runtime, FIFO scheduler)."""

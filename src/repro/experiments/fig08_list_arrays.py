@@ -70,7 +70,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     sizes: Sequence[int] = SIZES,
     mode: str = "diagonal",

@@ -36,7 +36,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     latencies: Sequence[int] = LATENCIES,
 ) -> ExperimentResult:

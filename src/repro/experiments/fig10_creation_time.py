@@ -46,7 +46,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
     """Reproduce Figure 10 (FIFO scheduler under both runtimes)."""

@@ -48,7 +48,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     static_bits: Sequence[int] = STATIC_BITS,
 ) -> ExperimentResult:

@@ -54,7 +54,6 @@ def plan(
 
 def run(
     runner: SimulationRunner,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     schedulers: Sequence[str] = SCHEDULERS,
 ) -> ExperimentResult:

@@ -1,13 +1,9 @@
-"""Experiment registry: run any table/figure/scenario reproduction by name.
+"""Experiment registry: run any table/figure reproduction by name.
 
-Two populations share one namespace: the paper's figures and tables
-(registered eagerly below, with ``fig2``/``figure12``-style aliases derived
-from their names) and the curated scenario bundles from
-:mod:`repro.scenarios.registry` (registered lazily on first lookup, so
-importing this module never drags the scenario subsystem in).  Everything
+The paper's eleven figures and tables are registered eagerly below, with
+``fig2``/``figure12``-style aliases derived from their names.  Everything
 downstream — the CLI, sharding, the results daemon — resolves names through
-:func:`canonical_name` and is agnostic to which population a name belongs
-to.
+:func:`canonical_name`.
 
 When an experiment has a ``plan`` function (every simulating harness does),
 :func:`run_experiment` simulates the whole planned sweep through the
@@ -25,7 +21,6 @@ merged caches against.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError
@@ -51,51 +46,18 @@ PlanFunction = Callable[..., List]
 _EXPERIMENTS: Dict[str, ExperimentFunction] = {}
 _PLANS: Dict[str, Optional[PlanFunction]] = {}
 _TITLES: Dict[str, str] = {}
-_KINDS: Dict[str, str] = {}
 
-#: Aliases accepted by the CLI (fig2, fig12, table2, scenario names, ...).
+#: Aliases accepted by the CLI (fig2, fig12, table2, ...).
 _ALIASES: Dict[str, str] = {}
 
 
-def register_experiment(
-    name: str,
-    run: ExperimentFunction,
-    plan: Optional[PlanFunction] = None,
-    title: Optional[str] = None,
-    aliases: Sequence[str] = (),
-    kind: str = "paper",
-    replace: bool = False,
-) -> None:
-    """Register one experiment under ``name`` (and optional ``aliases``).
+def _register_paper_experiments() -> None:
+    """Register each harness under its name and three aliases.
 
     ``plan`` is the sweep enumerator every render simulates first and
-    sharding partitions (None for analytic tables); ``title`` is the
-    one-line human description shown in catalogs; ``kind`` tags the
-    population (``paper`` or ``scenario``) so catalogs can group without
-    parsing names.
+    sharding partitions (None for analytic tables); the title shown in
+    catalogs is the first line of the harness module's docstring.
     """
-    key = name.lower()
-    if key in _EXPERIMENTS and not replace:
-        raise ExperimentError(f"experiment {name!r} is already registered")
-    _EXPERIMENTS[key] = run
-    _PLANS[key] = plan
-    _KINDS[key] = kind
-    if title is None:
-        module = sys.modules.get(run.__module__)
-        docstring = (getattr(module, "__doc__", None) or "").strip()
-        title = docstring.splitlines()[0].rstrip(".") if docstring else key
-    _TITLES[key] = title
-    for alias in aliases:
-        alias_key = alias.lower()
-        target = _ALIASES.get(alias_key)
-        if target is not None and target != key and not replace:
-            raise ExperimentError(
-                f"alias {alias!r} already points at experiment {target!r}"
-            )
-        _ALIASES[alias_key] = key
-
-
-def _register_paper_experiments() -> None:
     modules = {
         "figure_02": fig02_breakdown,
         "figure_06": fig06_granularity,
@@ -110,39 +72,23 @@ def _register_paper_experiments() -> None:
         "figure_13": fig13_comparison,
     }
     for name, module in modules.items():
+        _EXPERIMENTS[name] = module.run
+        _PLANS[name] = getattr(module, "plan", None)
+        _TITLES[name] = module.__doc__.strip().splitlines()[0].rstrip(".")
         kind_word, _, number = name.partition("_")
-        register_experiment(
-            name,
-            module.run,
-            plan=getattr(module, "plan", None),
-            aliases=(
-                f"{kind_word[:3]}{int(number)}",
-                f"{kind_word}{int(number)}",
-                name.replace("_", ""),
-            ),
-            kind="paper",
-        )
+        for alias in (
+            f"{kind_word[:3]}{int(number)}",
+            f"{kind_word}{int(number)}",
+            name.replace("_", ""),
+        ):
+            _ALIASES[alias] = name
 
 
 _register_paper_experiments()
 
-_scenarios_loaded = False
-
-
-def _ensure_scenarios() -> None:
-    """Lazily register the scenario bundles (idempotent, import-cycle safe)."""
-    global _scenarios_loaded
-    if _scenarios_loaded:
-        return
-    _scenarios_loaded = True
-    from ..scenarios.registry import register_scenario_experiments
-
-    register_scenario_experiments(register_experiment)
-
 
 def available_experiments() -> List[str]:
-    """Names of every reproducible table/figure/scenario, in registry order."""
-    _ensure_scenarios()
+    """Names of every reproducible table and figure, in registry order."""
     return list(_EXPERIMENTS)
 
 
@@ -150,14 +96,13 @@ def experiment_catalog() -> List[Dict[str, object]]:
     """Machine-readable description of every experiment, in registry order.
 
     One entry per experiment: its canonical ``name``, the accepted
-    ``aliases``, a one-line ``title``, its ``kind`` (``paper`` figure/table
-    or curated ``scenario``) and whether rendering it ``simulates``
-    (analytic tables have no simulation plan and render instantly).  This
-    is the payload of the results daemon's ``GET /experiments`` endpoint
-    and is equally usable by scripts that want to enumerate the
-    reproduction surface.
+    ``aliases``, a one-line ``title``, ``kind`` (always ``paper``; the
+    benchmark harness under ``perfbench/`` still filters on it) and whether
+    rendering it ``simulates`` (analytic tables have no simulation plan and
+    render instantly).  This is the payload of the results daemon's
+    ``GET /experiments`` endpoint and is equally usable by scripts that
+    want to enumerate the reproduction surface.
     """
-    _ensure_scenarios()
     return [
         {
             "name": name,
@@ -165,7 +110,7 @@ def experiment_catalog() -> List[Dict[str, object]]:
                 alias for alias, target in _ALIASES.items() if target == name
             ),
             "title": _TITLES[name],
-            "kind": _KINDS[name],
+            "kind": "paper",
             "simulates": _PLANS[name] is not None,
         }
         for name in _EXPERIMENTS
@@ -174,7 +119,6 @@ def experiment_catalog() -> List[Dict[str, object]]:
 
 def canonical_name(name: str) -> str:
     """Resolve an experiment name or alias to its canonical registry name."""
-    _ensure_scenarios()
     key = name.lower()
     canonical = key if key in _EXPERIMENTS else _ALIASES.get(key)
     if canonical is None:
@@ -228,17 +172,17 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by name: simulate its whole plan, then render.
 
-    ``runner`` defaults to a serial :class:`SimulationRunner` at ``scale``.
-    Every harness is called as ``run(runner, scale, benchmarks, **options)``:
-    the simulating ones take their scale from the runner, and Table II
-    characterizes its workloads at ``scale``.
+    ``runner`` defaults to a serial :class:`SimulationRunner` at ``scale``;
+    ``scale`` sizes only that default runner.  Every harness is called as
+    ``run(runner, benchmarks, **options)`` and takes its scale from the
+    runner.
     """
     function = get_experiment(name)
     runner = runner or SimulationRunner(scale=scale)
     plan = plan_function(name)
     if plan is not None:
         runner.run_many(plan(runner, benchmarks=benchmarks, **kwargs))
-    return function(runner=runner, scale=scale, benchmarks=benchmarks, **kwargs)
+    return function(runner=runner, benchmarks=benchmarks, **kwargs)
 
 
 def run_all(
@@ -248,19 +192,13 @@ def run_all(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, ExperimentResult]:
-    """Run the paper campaign (every table and figure), sharing cached runs.
-
-    Scenario bundles are excluded: they have their own workloads and are
-    run explicitly (``tdm-repro scenario <name>`` or by experiment name).
-    """
+    """Run the paper campaign (every table and figure), sharing cached runs."""
     runner = (
         SimulationRunner(scale=scale, jobs=jobs, cache_dir=cache_dir)
         if share_runner
         else None
     )
-    results: Dict[str, ExperimentResult] = {}
-    for name in available_experiments():
-        if _KINDS[name] != "paper":
-            continue
-        results[name] = run_experiment(name, scale=scale, benchmarks=benchmarks, runner=runner)
-    return results
+    return {
+        name: run_experiment(name, scale=scale, benchmarks=benchmarks, runner=runner)
+        for name in available_experiments()
+    }

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from ..workloads.registry import PAPER_TABLE2
 from .campaign import workload_characteristics
-from .common import ExperimentResult, select_benchmarks
+from .common import ExperimentResult, SimulationRunner, select_benchmarks
 
 COLUMNS = (
     "benchmark",
@@ -28,11 +28,11 @@ COLUMNS = (
 
 
 def run(
-    runner: object,
-    scale: float,
+    runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
 ) -> ExperimentResult:
-    """Reproduce Table II (task counts and average durations)."""
+    """Reproduce Table II (task counts and average durations) at the runner's scale."""
+    scale = runner.scale
     names = select_benchmarks(benchmarks)
     result = ExperimentResult(
         experiment="table_02",

@@ -41,7 +41,6 @@ COLUMNS = ("structure", "storage_kb", "paper_storage_kb", "area_mm2", "paper_are
 
 def run(
     runner: object,
-    scale: float,
     benchmarks: Optional[Sequence[str]] = None,
     dmu: Optional[DMUConfig] = None,
 ) -> ExperimentResult:

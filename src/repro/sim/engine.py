@@ -238,8 +238,13 @@ class Engine:
         the queues drain while registered processes are still unfinished,
         which indicates a lost wake-up or a dependence cycle in the workload.
         Calling ``run`` again after an ``until``-bounded return resumes the
-        simulation exactly where it stopped.
+        simulation exactly where it stopped; an ``until`` below the current
+        clock raises :class:`SimulationError`, since time cannot run back.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until cycle {until}: the clock is already at {self.now}"
+            )
         self._until = until
         queue = self._queue
         ready = self._ready

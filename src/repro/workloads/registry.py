@@ -106,16 +106,8 @@ def available_workloads() -> List[str]:
 
 def workload_factory(name: str) -> WorkloadFactory:
     """The generator registered under ``name``; ``ConfigurationError`` if none."""
-    key = name.lower()
-    if key not in _REGISTRY and key.startswith(("gen_", "trace_")):
-        # Scenario workloads register lazily so campaign pool workers (fresh
-        # processes that only ever see a workload *name*) can rebuild them
-        # without the parent having imported repro.scenarios first.
-        from ..scenarios.generative import register_builtin_workloads
-
-        register_builtin_workloads()
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[name.lower()]
     except KeyError as exc:
         raise ConfigurationError(
             f"unknown workload {name!r}; available: {', '.join(available_workloads())}"

@@ -21,7 +21,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
-SCRIPT = REPO_ROOT / "scripts" / "gen_cli_docs.py"
+SCRIPT = REPO_ROOT / "scripts/gen_cli_docs.py"
 
 #: Markdown inline links: [text](target).  Images and reference-style links
 #: are not used in this repo's docs.
@@ -95,5 +95,5 @@ class TestDocLinks:
         assert not missing, "docs reference nonexistent paths:\n" + "\n".join(missing)
 
     def test_required_pages_exist(self):
-        for page in ("architecture.md", "determinism.md", "figures.md", "cli.md", "scenarios.md", "reliability.md"):
+        for page in ("architecture.md", "determinism.md", "figures.md", "cli.md", "reliability.md"):
             assert (DOCS / page).exists(), f"docs/{page} is part of the docs contract"

@@ -14,23 +14,31 @@ from repro.experiments import (
     get_experiment,
     run_experiment,
 )
+from repro.experiments import cli as cli_module
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import ExperimentResult, SimulationRunner, select_benchmarks
 from repro.experiments.registry import experiment_catalog, resolve_plan
-from repro.scenarios.registry import get_scenario
 
 SCALE = 0.12
 FAST_BENCHMARKS = ["cholesky", "blackscholes"]
 
-#: Every experiment with a simulation plan: 9 paper figures, 5 scenarios.
+#: The eleven paper experiments, in registry order.
+PAPER_EXPERIMENTS = [
+    "figure_02",
+    "figure_06",
+    "table_02",
+    "figure_07",
+    "figure_08",
+    "figure_09",
+    "table_03",
+    "figure_10",
+    "figure_11",
+    "figure_12",
+    "figure_13",
+]
+
+#: Every experiment with a simulation plan: the nine paper figures.
 PLANNED = [entry["name"] for entry in experiment_catalog() if entry["simulates"]]
-
-
-def one_workload(name):
-    """A one-workload subset of experiment ``name``'s sweep."""
-    if name.startswith("scenario_"):
-        return list(get_scenario(name).workloads[:1])
-    return ["blackscholes"]
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +82,22 @@ class TestCommon:
 
 
 class TestRegistry:
-    def test_eleven_paper_experiments_available(self):
-        from repro.experiments.registry import experiment_catalog
-
+    def test_catalog_is_exactly_the_eleven_paper_experiments(self):
         catalog = experiment_catalog()
-        paper = [entry["name"] for entry in catalog if entry["kind"] == "paper"]
-        assert len(paper) == 11
-        names = available_experiments()
-        assert "figure_12" in names and "table_03" in names
-        # The scenario bundles register lazily into the same namespace.
-        scenarios = [entry["name"] for entry in catalog if entry["kind"] == "scenario"]
-        assert len(scenarios) == 5
-        assert all(name.startswith("scenario_") for name in scenarios)
+        assert [entry["name"] for entry in catalog] == PAPER_EXPERIMENTS
+        assert available_experiments() == PAPER_EXPERIMENTS
+        assert {entry["kind"] for entry in catalog} == {"paper"}
+
+    def test_all_resolves_to_the_catalog(self, monkeypatch):
+        rendered = []
+
+        def fake_run_experiment(name, **kwargs):
+            rendered.append(name)
+            return ExperimentResult(experiment=name, title=name, columns=("a",))
+
+        monkeypatch.setattr(cli_module, "run_experiment", fake_run_experiment)
+        assert cli_main(["all", "--scale", "0.05"]) == 0
+        assert rendered == PAPER_EXPERIMENTS
 
     def test_aliases(self):
         assert get_experiment("fig12") is get_experiment("figure_12")
@@ -99,15 +111,14 @@ class TestRegistry:
 class TestRenderRunsThePlan:
     @pytest.mark.parametrize("name", PLANNED)
     def test_serial_render_simulates_exactly_its_plan(self, name):
-        benchmarks = one_workload(name)
+        benchmarks = ["blackscholes"]
         runner = SimulationRunner(scale=0.05)
         planned = resolve_plan(name, runner, benchmarks=benchmarks)
         run_experiment(name, benchmarks=benchmarks, runner=runner)
         assert runner.cache_info()["simulations_run"] == len(planned) > 0
 
     def test_every_planned_experiment_is_covered(self):
-        kinds = [entry["kind"] for entry in experiment_catalog() if entry["simulates"]]
-        assert (kinds.count("paper"), kinds.count("scenario")) == (9, 5)
+        assert PLANNED == [name for name in PAPER_EXPERIMENTS if not name.startswith("table_")]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unsupported_option_fails_before_anything_simulates(self, jobs):
@@ -116,12 +127,6 @@ class TestRenderRunsThePlan:
             run_experiment(
                 "figure_02", runner=runner, benchmarks=["blackscholes"], schedulers=["fifo"]
             )
-        assert runner.cache_info()["simulations_run"] == 0
-
-    def test_scenario_rejects_an_option_it_does_not_take(self):
-        runner = SimulationRunner(scale=0.05)
-        with pytest.raises(TypeError):
-            run_experiment("scenario_deep_chain", runner=runner, schedulers=["lifo"])
         assert runner.cache_info()["simulations_run"] == 0
 
     def test_figure_08_plan_rejects_unknown_mode(self):
@@ -234,3 +239,16 @@ class TestCli:
         assert cli_main(["table_03", "--output", str(tmp_path), "--csv"]) == 0
         assert (tmp_path / "table_03.md").exists()
         assert (tmp_path / "table_03.csv").exists()
+
+    @pytest.mark.parametrize("name", ["figure_99", "scenario"])
+    def test_unknown_experiment_is_a_clean_usage_error(self, name, capsys):
+        assert cli_main([name, "--scale", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment") and repr(name) in err
+        assert "Traceback" not in err
+
+    def test_trace_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["trace", "x.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: x.json" in capsys.readouterr().err

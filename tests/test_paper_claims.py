@@ -40,10 +40,8 @@ def reproduce(shared_runner):
     """Run one experiment on the shared runner and return its result."""
 
     def _run(experiment: str, default_benchmarks: Optional[Sequence[str]] = None, **kwargs):
-        scale = kwargs.pop("scale", shared_runner.scale)
         return run_experiment(
             experiment,
-            scale=scale,
             benchmarks=default_benchmarks,
             runner=shared_runner,
             **kwargs,
@@ -168,10 +166,10 @@ def test_figure_13_comparison(reproduce):
     assert averages["OptTDM"]["normalized_edp"] <= averages["Carbon"]["normalized_edp"]
 
 
-def test_table_02_characteristics(reproduce):
+def test_table_02_characteristics():
     # Table II is always generated at full scale: it characterizes the
     # workload generators, not the simulator.
-    result = reproduce("table_02", default_benchmarks=None, scale=1.0)
+    result = run_experiment("table_02", scale=1.0)
     qr = result.row_for(benchmark="qr")
     assert qr["tdm_tasks"] == qr["paper_tdm_tasks"]
     cholesky = result.row_for(benchmark="cholesky")

@@ -114,6 +114,10 @@ class TestEndpoints:
         assert status == 200
         names = [entry["name"] for entry in catalog]
         assert "figure_02" in names and "table_03" in names
+        assert all(
+            entry.keys() == {"name", "aliases", "title", "kind", "simulates"}
+            for entry in catalog
+        )
         by_name = {entry["name"]: entry for entry in catalog}
         assert by_name["figure_02"]["simulates"] is True
         assert by_name["table_03"]["simulates"] is False

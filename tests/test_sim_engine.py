@@ -162,6 +162,27 @@ def test_run_until_stops_early():
     assert log == []
 
 
+def test_run_until_below_the_clock_is_rejected():
+    engine = Engine()
+    log = []
+
+    def body():
+        yield 10
+        log.append(engine.now)
+        yield 10
+        log.append(engine.now)
+
+    engine.process(body(), name="p")
+    assert engine.run(until=12) == 12
+    with pytest.raises(SimulationError, match="clock is already at 12"):
+        engine.run(until=5)
+    # The refused call left the clock and the queued wake at 20 alone.
+    assert engine.now == 12
+    assert engine.run(until=12) == 12
+    assert engine.run() == 20
+    assert log == [10, 20]
+
+
 def test_run_all_enforces_cycle_budget():
     engine = Engine()
 
