@@ -56,7 +56,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..errors import ExperimentError
-from .common import SimulationRunner
+from .common import SimulationRunner, select_benchmarks
 from .registry import (
     available_experiments,
     canonical_name,
@@ -291,13 +291,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--shard/--merge-shards require --cache-dir")
     if (args.shard is not None or args.merge_shards is not None or args.dry_run) and len(names) != 1:
         parser.error("--shard/--merge-shards/--dry-run take a single experiment, not 'all'")
-    runner = SimulationRunner(
-        scale=args.scale,
-        verbose=args.verbose,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-    )
+    try:
+        select_benchmarks(args.benchmarks)
+        runner = SimulationRunner(
+            scale=args.scale,
+            verbose=args.verbose,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            cache_max_bytes=args.cache_max_bytes,
+        )
+    except ExperimentError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.dry_run:
         # Audit mode: resolve and partition the plan, print it, simulate

@@ -82,7 +82,7 @@ class TestCommon:
 
 
 class TestRegistry:
-    def test_catalog_is_exactly_the_eleven_paper_experiments(self):
+    def test_eleven_paper_experiments_available(self):
         catalog = experiment_catalog()
         assert [entry["name"] for entry in catalog] == PAPER_EXPERIMENTS
         assert available_experiments() == PAPER_EXPERIMENTS
@@ -245,6 +245,21 @@ class TestCli:
         assert cli_main([name, "--scale", "0.05"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown experiment") and repr(name) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--benchmarks", "doom"], "error: unknown benchmarks: doom"),
+            (["--jobs", "0"], "error: jobs must be >= 1, got 0"),
+            (["--scale", "2"], "error: scale must be in (0, 1], got 2.0"),
+        ],
+        ids=["benchmarks", "jobs", "scale"],
+    )
+    def test_bad_runner_option_is_a_clean_usage_error(self, option, message, capsys):
+        assert cli_main(["figure_02", *option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
         assert "Traceback" not in err
 
     def test_trace_is_not_a_verb(self, capsys):

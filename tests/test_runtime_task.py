@@ -80,6 +80,10 @@ class TestTaskDefinition:
         with pytest.raises(InvalidProgramError):
             make_definition(memory_sensitivity=2.0)
 
+    def test_negative_creation_work_rejected(self):
+        with pytest.raises(InvalidProgramError, match="negative creation_work_us"):
+            make_definition(creation_work_us=-1.0)
+
     def test_immutable(self):
         definition = make_definition()
         with pytest.raises(AttributeError, match="immutable"):
@@ -121,6 +125,12 @@ class TestTaskProgram:
     def test_duplicate_uid_rejected(self):
         with pytest.raises(InvalidProgramError):
             single_region_program("p", [make_definition(uid=0), make_definition(uid=0)])
+
+    def test_duplicate_uid_across_regions_rejected(self):
+        region_a = TaskRegion(tasks=(make_definition(uid=3),), name="a")
+        region_b = TaskRegion(tasks=(make_definition(uid=3),), name="b")
+        with pytest.raises(InvalidProgramError, match="duplicate task uid 3"):
+            TaskProgram(name="p", regions=(region_a, region_b))
 
     def test_empty_program_rejected(self):
         with pytest.raises(InvalidProgramError):

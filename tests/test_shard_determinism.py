@@ -24,7 +24,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.campaign import CampaignRunError
 from repro.experiments.common import SimulationRunner
-from repro.experiments.registry import resolve_plan, run_experiment
+from repro.experiments.registry import experiment_catalog, resolve_plan, run_experiment
 from repro.experiments.shard import (
     MANIFEST_VERSION,
     MergeReport,
@@ -41,9 +41,21 @@ from tests.util import experiment_output, merge_and_render, run_all_shards
 SCALE = 0.05
 BENCHMARKS = ["blackscholes"]
 
-#: The figures under differential test: tiny but structurally distinct
-#: sweeps (1, 2 and 10 canonical keys for one benchmark respectively).
-FIGURES = ("figure_02", "figure_10", "figure_12")
+#: The figures under differential test: every paper experiment with a
+#: simulation plan, each a tiny but structurally distinct sweep for one
+#: benchmark (from 1 canonical key for figure_02 to the TAT/DAT grid of
+#: figure_07).  A test below keeps this in step with the registry.
+FIGURES = (
+    "figure_02",
+    "figure_06",
+    "figure_07",
+    "figure_08",
+    "figure_09",
+    "figure_10",
+    "figure_11",
+    "figure_12",
+    "figure_13",
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +65,10 @@ def serial_outputs():
 
 
 class TestDifferentialEquivalence:
+    def test_every_simulating_experiment_is_under_test(self):
+        planned = [entry["name"] for entry in experiment_catalog() if entry["simulates"]]
+        assert list(FIGURES) == planned
+
     @pytest.mark.parametrize("figure", FIGURES)
     def test_jobs2_output_is_byte_identical(self, figure, serial_outputs, tmp_path):
         runner = SimulationRunner(scale=SCALE, jobs=2, cache_dir=tmp_path / "cache")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pathlib
 from typing import Optional, Sequence, Tuple
 
@@ -15,6 +16,7 @@ from repro.runtime.task import (
     AccessMode,
     DependenceSpec,
     TaskDefinition,
+    TaskProgram,
     single_region_program,
 )
 
@@ -154,3 +156,22 @@ def diamond_program(work_us: float = 50.0):
         ),
     ]
     return single_region_program("diamond", tasks)
+
+
+def program_digest(program: TaskProgram, work: bool = True) -> str:
+    """SHA-256 over a built program's regions, tasks and dependences.
+
+    With ``work=False`` the per-task durations (``work_us`` and
+    ``creation_work_us``) are left out, so two programs that differ only
+    in their seeded duration jitter share a digest.
+    """
+    digest = hashlib.sha256(repr(program.name).encode("utf-8"))
+    for region in program.regions:
+        digest.update(repr((region.name, region.sequential_us_before)).encode("utf-8"))
+        for task in region.tasks:
+            dependences = tuple((d.address, d.size, d.mode.name) for d in task.dependences)
+            row = (task.uid, task.name, task.kind, dependences, task.memory_sensitivity)
+            if work:
+                row += (task.work_us, task.creation_work_us)
+            digest.update(repr(row).encode("utf-8"))
+    return digest.hexdigest()
