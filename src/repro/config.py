@@ -320,18 +320,14 @@ class SimulationConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "SimulationConfig":
         """Rebuild a :class:`SimulationConfig` from :meth:`to_dict` output.
 
-        Accepts dicts written by older versions: the retired ``dmu.backend``
-        field (a storage strategy that never changed results) is dropped, so
-        cache entries and shard results stored with it still load.
+        An unknown field at any level raises ``TypeError``.
         """
         payload = dict(data)
         chip = dict(payload.pop("chip"))
         core = CoreConfig(**dict(chip.pop("core")))
-        dmu = dict(payload.pop("dmu"))
-        dmu.pop("backend", None)
         return cls(
             chip=ChipConfig(core=core, **chip),
-            dmu=DMUConfig(**dmu),
+            dmu=DMUConfig(**dict(payload.pop("dmu"))),
             costs=CostModelConfig(**dict(payload.pop("costs"))),
             locality=LocalityConfig(**dict(payload.pop("locality"))),
             **payload,

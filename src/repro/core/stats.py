@@ -74,17 +74,17 @@ class DMUStats:
     def from_dict(cls, data: Mapping[str, object]) -> "DMUStats":
         """Rebuild :class:`DMUStats` from :meth:`as_dict` output.
 
-        Only the raw counters are read; the derived totals in the dictionary
-        (``total_instructions``, ...) recompute from them.
+        Only the raw counters are read, each required; the derived totals
+        in the dictionary (``total_instructions``, ...) recompute from them.
         """
         return cls(
-            instructions=Counter(data.get("instructions", {})),
-            structure_accesses=Counter(data.get("structure_accesses", {})),
-            blocked_by_structure=Counter(data.get("blocked_by_structure", {})),
-            total_cycles=int(data.get("total_cycles", 0)),
-            tasks_created=int(data.get("tasks_created", 0)),
-            tasks_finished=int(data.get("tasks_finished", 0)),
-            dependences_added=int(data.get("dependences_added", 0)),
-            ready_pops=int(data.get("ready_pops", 0)),
-            null_ready_pops=int(data.get("null_ready_pops", 0)),
+            instructions=Counter(data["instructions"]),
+            structure_accesses=Counter(data["structure_accesses"]),
+            blocked_by_structure=Counter(data["blocked_by_structure"]),
+            total_cycles=int(data["total_cycles"]),
+            tasks_created=int(data["tasks_created"]),
+            tasks_finished=int(data["tasks_finished"]),
+            dependences_added=int(data["dependences_added"]),
+            ready_pops=int(data["ready_pops"]),
+            null_ready_pops=int(data["null_ready_pops"]),
         )

@@ -43,9 +43,10 @@ from ..config import SimulationConfig
 from ..reliability.faults import maybe_fault
 from ..sim.machine import SimulationResult
 
-#: Bumped whenever the serialized result layout changes incompatibly; stale
-#: entries are treated as misses and resimulated rather than misread.
-CACHE_FORMAT_VERSION = 1
+#: Bumped whenever the entry or result layout changes incompatibly; stale
+#: entries are treated as misses and resimulated rather than misread.  Every
+#: canonical run key hashes it, so a bump moves every key.
+CACHE_FORMAT_VERSION = 2
 
 #: Subdirectory of a cache directory receiving torn/corrupt entry files
 #: (moved aside verbatim, with a ``.reason`` sidecar).  Not two hex chars,
@@ -148,25 +149,6 @@ def canonical_run_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def result_checksum(result_dict: Dict[str, object]) -> str:
-    """SHA-256 over the canonical JSON of a serialized result.
-
-    Embedded in every entry document (the ``sha256`` field) and verified on
-    read: a torn, truncated or bit-flipped entry is detected even when it
-    still parses as JSON.  Computed over the ``result`` payload only — the
-    envelope (version, key) is validated structurally — and over the
-    *parsed* canonical form, so the digest survives a JSON round trip.
-    :meth:`ResultCache.put_serialized` hashes the same bytes it writes, and
-    :func:`_parse_entry` hashes the bytes it read; this re-encode is only
-    the fallback for entries in the older ``json.dumps(document,
-    sort_keys=True)`` layout (and for corrupt ones).  Entries written
-    before the field existed verify as legacy (no digest, structural checks
-    only); the cache format version is unchanged because canonical run keys
-    embed it.
-    """
-    return hashlib.sha256(canonical_json(result_dict).encode("utf-8")).hexdigest()
-
-
 def _envelope(key: str, digest: str) -> Tuple[bytes, bytes]:
     """The bytes around ``result`` in the canonical document of one entry.
 
@@ -179,26 +161,31 @@ def _envelope(key: str, digest: str) -> Tuple[bytes, bytes]:
 
 
 def _parse_entry(
-    blob: bytes, key: str
-) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
-    """Parse and check one entry document: ``(result payload, defect)``.
+    blob: bytes,
+    key: str,
+    config: Optional[SimulationConfig] = None,
+    config_dict: Optional[Mapping[str, object]] = None,
+) -> Tuple[Optional[SimulationResult], Optional[str]]:
+    """Parse and check one entry document: ``(result, defect)``.
 
     The one corruption check of :meth:`ResultCache.get` and
     :meth:`ResultCache.merge_from`; ``key`` is the key the entry is filed
-    under.  A sound current entry gives its ``result`` payload and no
-    defect; torn/invalid JSON, structural breakage, a document recorded
-    under another key and checksum mismatches give None and the quarantine
-    reason.  A stale-but-well-formed layout (version mismatch) gives
-    neither: it is a plain miss, not corruption.
+    under, and ``config``/``config_dict`` are passed on to
+    :meth:`~repro.sim.machine.SimulationResult.from_dict`.  A sound current
+    entry gives its result and no defect; torn/invalid JSON, structural
+    breakage, a document recorded under another key, a checksum mismatch
+    and a payload that is not a result give None and the quarantine
+    reason.  A well-formed document of another format version gives
+    neither: it is a plain miss, not corruption (its key is not one the
+    current format computes anyway).
 
-    The checksum is verified on the bytes read: an entry written by
-    :meth:`ResultCache.put_serialized` is its envelope around the canonical
-    bytes of ``result``, so when the blob starts and ends with the envelope
-    of its key and recorded digest, the bytes in between are hashed in
-    place.  A match means they are byte for byte what the writer hashed, and
-    so ``result`` is exactly that value.  Only when that check fails (the
-    older ``sort_keys`` layout, or corruption) is the parsed result
-    re-encoded with :func:`result_checksum`.
+    The checksum is verified on the bytes read, and only there: an entry
+    written by :meth:`ResultCache.put_serialized` is its envelope around
+    the canonical bytes of ``result``, so the blob must start and end with
+    the envelope of its key and recorded digest, and the bytes in between
+    must hash to that digest.  A match means they are byte for byte what
+    the writer hashed, and so ``result`` is exactly that value.  Anything
+    else — a re-encoded document included — is a checksum mismatch.
     """
     try:
         document = json.loads(blob.decode("utf-8"))
@@ -214,21 +201,22 @@ def _parse_entry(
     if document.get("key") != key:
         return None, "key mismatch"
     recorded = document.get("sha256")
-    if recorded is None:
-        return result, None
-    if isinstance(recorded, str):
-        prefix, suffix = _envelope(key, recorded)
-        end = len(blob) - len(suffix)
-        if (
-            end >= len(prefix)
-            and blob.startswith(prefix)
-            and blob.endswith(suffix)
-            and hashlib.sha256(blob[len(prefix):end]).hexdigest() == recorded
-        ):
-            return result, None
-    if recorded != result_checksum(result):
+    if not isinstance(recorded, str):
+        return None, "malformed entry: missing sha256"
+    prefix, suffix = _envelope(key, recorded)
+    end = len(blob) - len(suffix)
+    if (
+        end < len(prefix)
+        or not blob.startswith(prefix)
+        or not blob.endswith(suffix)
+        or hashlib.sha256(blob[len(prefix):end]).hexdigest() != recorded
+    ):
         return None, "checksum mismatch"
-    return result, None
+    try:
+        return SimulationResult.from_dict(result, config, config_dict), None
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        # A sound envelope around a payload that is not a result.
+        return None, f"malformed entry: {type(error).__name__}: {error}"
 
 
 class ResultCache:
@@ -357,14 +345,7 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        payload, defect = _parse_entry(blob, key)
-        result = None
-        if payload is not None:
-            try:
-                result = SimulationResult.from_dict(payload, config, config_dict)
-            except (AttributeError, KeyError, TypeError, ValueError) as error:
-                # A sound envelope around a payload that is not a result.
-                defect = f"malformed entry: {type(error).__name__}: {error}"
+        result, defect = _parse_entry(blob, key, config, config_dict)
         if result is None:
             self.misses += 1
             if defect is not None:
@@ -399,11 +380,10 @@ class ResultCache:
         """Persist a serialized result under ``key`` atomically; returns the path.
 
         The result is encoded once, as :func:`canonical_json`, and those
-        bytes are both hashed (the document's ``sha256`` field, the digest
-        :func:`result_checksum` gives) and written verbatim: the file is the
-        canonical JSON of ``{"key", "result", "sha256", "version"}``, which
-        :meth:`get` and :meth:`merge_from` verify without re-encoding.
-        Entries written before the field existed remain readable.
+        bytes are both hashed (the document's ``sha256`` field) and written
+        verbatim: the file is the canonical JSON of ``{"key", "result",
+        "sha256", "version"}``, which :meth:`get` and :meth:`merge_from`
+        verify without re-encoding.
         """
         path = self._entry_path(key)
         payload = canonical_json(result_dict).encode("utf-8")
@@ -454,11 +434,14 @@ class ResultCache:
         Only ``??/*.json`` entries are copied: shard manifests are read in
         place and any other file in the directory is left alone.
 
-        Every copied entry is validated first by the check :meth:`get`
-        uses (JSON shape + embedded checksum): a torn or corrupt
-        source entry is quarantined *in the source* and skipped, so the
-        merged cache never inherits corruption — the key simply stays
-        missing and the completeness check names it for resimulation.
+        Every entry is validated first by the check :meth:`get` uses
+        (envelope, embedded checksum, result payload), and only one that
+        :meth:`get` would serve is copied: a torn or corrupt source entry
+        is quarantined *in the source* and skipped, so the merged cache
+        never inherits corruption — the key simply stays missing and the
+        completeness check names it for resimulation.  An entry of another
+        format version is skipped and left in place, as :meth:`get` leaves
+        it.
         """
         copied = 0
         for entry in sorted(source._entries()):
@@ -469,9 +452,10 @@ class ResultCache:
                 blob = entry.read_bytes()
             except OSError:  # vanished mid-merge (concurrent prune)
                 continue
-            _, defect = _parse_entry(blob, entry.stem)
-            if defect is not None:
-                source.quarantine(entry, defect)
+            result, defect = _parse_entry(blob, entry.stem)
+            if result is None:
+                if defect is not None:
+                    source.quarantine(entry, defect)
                 continue
             atomic_write(destination, blob)
             copied += 1

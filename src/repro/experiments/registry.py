@@ -165,40 +165,27 @@ def resolve_plan(
 
 def run_experiment(
     name: str,
-    scale: float = 1.0,
+    scale: Optional[float] = None,
     benchmarks: Optional[Sequence[str]] = None,
     runner: Optional[SimulationRunner] = None,
     **kwargs: object,
 ) -> ExperimentResult:
     """Run one experiment by name: simulate its whole plan, then render.
 
-    ``runner`` defaults to a serial :class:`SimulationRunner` at ``scale``;
-    ``scale`` sizes only that default runner.  Every harness is called as
+    ``runner`` defaults to a serial :class:`SimulationRunner` at ``scale``
+    (1.0 when ``scale`` is None).  Every harness is called as
     ``run(runner, benchmarks, **options)`` and takes its scale from the
-    runner.
+    runner, so a ``scale`` passed with a runner must equal ``runner.scale``.
     """
     function = get_experiment(name)
-    runner = runner or SimulationRunner(scale=scale)
+    if runner is None:
+        runner = SimulationRunner(scale=1.0 if scale is None else scale)
+    elif scale is not None and scale != runner.scale:
+        raise ExperimentError(
+            f"scale {scale} differs from the runner's scale {runner.scale}; "
+            "pass one or make them equal"
+        )
     plan = plan_function(name)
     if plan is not None:
         runner.run_many(plan(runner, benchmarks=benchmarks, **kwargs))
     return function(runner=runner, benchmarks=benchmarks, **kwargs)
-
-
-def run_all(
-    scale: float = 1.0,
-    benchmarks: Optional[Sequence[str]] = None,
-    share_runner: bool = True,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run the paper campaign (every table and figure), sharing cached runs."""
-    runner = (
-        SimulationRunner(scale=scale, jobs=jobs, cache_dir=cache_dir)
-        if share_runner
-        else None
-    )
-    return {
-        name: run_experiment(name, scale=scale, benchmarks=benchmarks, runner=runner)
-        for name in available_experiments()
-    }

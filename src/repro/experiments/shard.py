@@ -30,7 +30,6 @@ distribution almost free — the only things a multi-host campaign needs are
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import sys
@@ -49,12 +48,8 @@ from .common import SimulationRunner
 #: live inside the cache directory without being pruned/merged as results.
 MANIFEST_DIRNAME = "manifests"
 
-#: Shard-manifest schema version.  v2 added ``key_timings`` (per-key wall
-#: seconds of the runs this worker simulated), ``stolen_keys`` and
-#: ``strategy``; v3 dropped ``stolen_keys``; v4 dropped ``key_timings`` and
-#: ``strategy``.  The reader accepts older manifests (missing fields
-#: default) and ignores fields it does not know, so mixed-version fleets
-#: merge.
+#: Shard-manifest schema version.  The reader accepts this version only,
+#: with the fields :meth:`ShardManifest.to_dict` writes.
 MANIFEST_VERSION = 4
 
 
@@ -217,17 +212,17 @@ class ShardManifest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ShardManifest":
-        """Version-tolerant reader.
+        """Rebuild a manifest from :meth:`to_dict` output.
 
-        A manifest without a version is recorded as v1; fields this reader
-        does not know — v2's ``stolen_keys``, v2/v3's ``key_timings`` and
-        ``strategy``, or whatever a *newer* writer adds — are dropped rather
-        than crashing, so mixed-version fleets keep merging.
+        Raises ``ValueError`` for a manifest of another ``manifest_version``
+        or one whose keys name entries of another ``cache_format_version``,
+        and ``TypeError`` for an unknown or missing field; a merge skips
+        such a manifest like an unreadable one.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        payload = {name: value for name, value in data.items() if name in known}
-        payload.setdefault("manifest_version", 1)
-        return cls(**payload)
+        versions = (data.get("manifest_version"), data.get("cache_format_version"))
+        if versions != (MANIFEST_VERSION, CACHE_FORMAT_VERSION):
+            raise ValueError(f"unsupported shard manifest versions {versions}")
+        return cls(**data)
 
     def write(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
         """Persist the manifest atomically (tmp+rename, like cache entries)."""
@@ -429,7 +424,7 @@ def merge_shards(
         for manifest_file in find_manifests(source_path, experiment):
             try:
                 manifests.append(ShardManifest.read(manifest_file))
-            except (OSError, json.JSONDecodeError, TypeError, ValueError):
+            except (AttributeError, OSError, TypeError, ValueError):
                 continue  # advisory metadata only; completeness is key-based
     planned = ShardPlan(
         resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs), count=1

@@ -143,14 +143,15 @@ class SimulationResult:
         ``config`` is a config the caller already holds and ``config_dict``
         its :meth:`~repro.config.SimulationConfig.to_dict` form: when the
         stored ``config`` equals ``config_dict`` the result shares
-        ``config`` instead of parsing its own.  Any other stored config
-        (such as an older entry's, with the retired ``dmu.backend`` field)
-        is parsed by :meth:`~repro.config.SimulationConfig.from_dict`.
+        ``config`` instead of parsing its own.  Any other stored config is
+        parsed by :meth:`~repro.config.SimulationConfig.from_dict`.  Every
+        field :meth:`to_dict` writes is required: a missing one raises
+        ``KeyError``.
         """
         stored_config = data["config"]
         if config is None or stored_config != config_dict:
             config = SimulationConfig.from_dict(stored_config)
-        dmu_stats = data.get("dmu_stats")
+        dmu_stats = data["dmu_stats"]
         return cls(
             program_name=data["program_name"],
             runtime_name=data["runtime_name"],
@@ -159,11 +160,11 @@ class SimulationResult:
             total_cycles=int(data["total_cycles"]),
             timeline=Timeline.from_dict(data["timeline"]),
             energy=EnergyReport.from_dict(data["energy"]),
-            runtime_stats=dict(data.get("runtime_stats") or {}),
+            runtime_stats=dict(data["runtime_stats"]),
             dmu_stats=DMUStats.from_dict(dmu_stats) if dmu_stats is not None else None,
-            dat_average_occupied_sets=float(data.get("dat_average_occupied_sets", 0.0)),
-            locality_hit_fraction=float(data.get("locality_hit_fraction", 0.0)),
-            finished_task_count=data.get("finished_task_count"),
+            dat_average_occupied_sets=float(data["dat_average_occupied_sets"]),
+            locality_hit_fraction=float(data["locality_hit_fraction"]),
+            finished_task_count=data["finished_task_count"],
         )
 
 

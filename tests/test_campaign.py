@@ -18,7 +18,8 @@ import pytest
 from repro.config import DMUConfig, SimulationConfig, default_paper_config
 from repro.errors import ExperimentError
 from repro.experiments import campaign
-from repro.experiments.cache import ResultCache, canonical_json, canonical_run_key
+from repro.experiments.cache import CACHE_FORMAT_VERSION, ResultCache, canonical_json
+from repro.experiments.cache import canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
@@ -144,18 +145,26 @@ class TestResultCache:
         assert cache.misses == 2
 
     @pytest.mark.parametrize(
-        "document",
-        ["[1, 2, 3]", '{"version": 1}', '{"version": 1, "result": {"oops": true}}'],
+        "document, quarantined",
+        [
+            ([1, 2, 3], 1),
+            ({"version": CACHE_FORMAT_VERSION}, 1),
+            ({"version": CACHE_FORMAT_VERSION, "result": {"oops": True}}, 1),
+            # The previous format is stale, not corrupt: a plain miss.
+            ({"version": CACHE_FORMAT_VERSION - 1, "result": {"oops": True}}, 0),
+        ],
+        ids=["list", "no-result", "not-a-result", "previous-version"],
     )
-    def test_structurally_malformed_entries_are_misses(self, tmp_path, document):
+    def test_structurally_malformed_entries_are_misses(self, tmp_path, document, quarantined):
         # Valid JSON of the wrong shape must resimulate, not abort the campaign.
         cache = ResultCache(tmp_path)
         key = "aa" + "0" * 62
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(document, encoding="utf-8")
+        path.write_text(json.dumps(document), encoding="utf-8")
         assert cache.get(key) is None
-        assert cache.misses == 1
+        assert (cache.misses, cache.quarantined) == (1, quarantined)
+        assert path.is_file() == (not quarantined)
 
     def test_undecodable_entry_is_quarantined_by_get_and_merge(self, tmp_path):
         # Bytes that are not UTF-8 fail the one entry check as invalid JSON,
@@ -174,26 +183,6 @@ class TestResultCache:
         for name in ("read", "source"):
             reason = tmp_path / name / "quarantine" / f"{key}.json.reason"
             assert reason.read_text().startswith("invalid JSON")
-
-    def test_entries_with_retired_backend_field_still_hit(self, tmp_path):
-        # Entries written while DMUConfig still had a storage-backend field
-        # store it inside the result's config, under a valid checksum.
-        result = run_simulation(diamond_program(), make_config(runtime="tdm"))
-        result_dict = result.to_dict()
-        result_dict["config"]["dmu"]["backend"] = "accel"
-        key = "ab" + "0" * 62
-        old = ResultCache(tmp_path / "old")
-        old.put_serialized(key, result_dict)
-        # The stored config differs from the known one, so it is parsed.
-        restored = old.get(key, result.config, result.config.to_dict())
-        assert restored is not None
-        assert restored.config == result.config and restored.config is not result.config
-        assert (old.hits, old.misses, old.quarantined) == (1, 0, 0)
-        merged = ResultCache(tmp_path / "merged")
-        assert merged.merge_from(old) == 1
-        assert old.quarantined == 0
-        assert merged.get(key).total_cycles == result.total_cycles
-        assert (merged.hits, merged.quarantined) == (1, 0)
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -322,6 +311,34 @@ class TestParallelEquivalence:
         second = SimulationRunner(scale=SCALE, jobs=2, cache_dir=cache_dir)
         run_experiment("figure_10", runner=second, scale=SCALE, benchmarks=["blackscholes"])
         assert second.cache_info()["simulations_run"] == 0
+
+
+class TestFormatBump:
+    """A cache of the previous format version resimulates, once."""
+
+    def test_previous_version_cache_resimulates_every_key_then_serves_warm(
+        self, tmp_path
+    ):
+        kwargs = dict(scale=0.05, benchmarks=["blackscholes"])
+        cold = SimulationRunner(scale=0.05, cache_dir=tmp_path)
+        csv = run_experiment("figure_12", runner=cold, **kwargs).to_csv()
+        entries = {path: path.read_bytes() for path in tmp_path.glob("??/*.json")}
+        assert len(entries) == cold.cache_info()["simulations_run"] > 0
+        # Every entry as the previous format wrote it, each at its path.
+        for path, blob in entries.items():
+            document = dict(json.loads(blob), version=CACHE_FORMAT_VERSION - 1)
+            path.write_text(canonical_json(document), encoding="utf-8")
+
+        upgrade = SimulationRunner(scale=0.05, cache_dir=tmp_path)
+        assert run_experiment("figure_12", runner=upgrade, **kwargs).to_csv() == csv
+        info = upgrade.cache_info()
+        assert (info["simulations_run"], info["disk_hits"]) == (len(entries), 0)
+        assert upgrade.reliability_info()["quarantined"] == 0
+        assert {path: path.read_bytes() for path in entries} == entries
+
+        warm = SimulationRunner(scale=0.05, cache_dir=tmp_path)
+        assert run_experiment("figure_12", runner=warm, **kwargs).to_csv() == csv
+        assert warm.cache_info()["simulations_run"] == 0
 
 
 class TestCachePruning:

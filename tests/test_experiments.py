@@ -129,6 +129,22 @@ class TestRenderRunsThePlan:
             )
         assert runner.cache_info()["simulations_run"] == 0
 
+    @pytest.mark.parametrize("name", ["figure_02", "table_02", "table_03"])
+    def test_a_scale_other_than_the_runners_is_rejected(self, name):
+        runner = SimulationRunner(scale=0.05)
+        with pytest.raises(ExperimentError, match="differs from the runner's scale"):
+            run_experiment(name, scale=1.0, benchmarks=["blackscholes"], runner=runner)
+        assert runner.cache_info()["simulations_run"] == 0
+
+    def test_a_runner_renders_at_its_scale_with_or_without_a_matching_one(self):
+        runner = SimulationRunner(scale=0.05)
+        options = dict(benchmarks=["blackscholes"], runner=runner)
+        assert (
+            run_experiment("table_02", scale=0.05, **options).to_csv()
+            == run_experiment("table_02", **options).to_csv()
+            == run_experiment("table_02", scale=0.05, benchmarks=["blackscholes"]).to_csv()
+        )
+
     def test_figure_08_plan_rejects_unknown_mode(self):
         with pytest.raises(ExperimentError, match="unknown sweep mode"):
             resolve_plan(

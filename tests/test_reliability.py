@@ -17,6 +17,8 @@ under test are the recovery contracts:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -27,12 +29,13 @@ import time
 
 import pytest
 
+from repro.core.stats import DMUStats
 from repro.errors import ExperimentError
-from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
+    CACHE_FORMAT_VERSION,
     QUARANTINE_DIRNAME,
     ResultCache,
-    result_checksum,
+    canonical_json,
 )
 from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
 from repro.experiments.cli import main as cli_main
@@ -289,12 +292,12 @@ class TestWatchdog:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def real_entry(tmp_path_factory):
-    """(key, entry bytes) of one genuine cached simulation result."""
-    directory = tmp_path_factory.mktemp("entry-source")
-    engine = CampaignEngine(scale=SCALE, cache_dir=directory)
-    resolved = engine.resolve(REQUEST)
-    engine.run(REQUEST)
-    return resolved.key, engine.disk_cache.path_for(resolved.key).read_bytes()
+    """(key, entry bytes) of one genuine cached TDM result, DMU stats included."""
+    request = RunRequest(benchmark="blackscholes", runtime="tdm")
+    engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path_factory.mktemp("entry-source"))
+    engine.run(request)
+    key = engine.resolve(request).key
+    return key, engine.disk_cache.path_for(key).read_bytes()
 
 
 def plant(cache: ResultCache, key: str, blob: bytes) -> None:
@@ -303,63 +306,46 @@ def plant(cache: ResultCache, key: str, blob: bytes) -> None:
     path.write_bytes(blob)
 
 
-#: Entry layouts a cache may hold: what ``put_serialized`` writes now (the
-#: compact canonical document) and what it wrote before (``sort_keys`` with
-#: the default separators).  Both must verify.
-LAYOUTS = ("compact", "sort_keys")
-
-
-def in_layout(blob: bytes, layout: str) -> bytes:
-    if layout == "compact":
-        return blob
-    return json.dumps(json.loads(blob), sort_keys=True).encode()
-
-
 def quarantine_reason(cache_dir, key: str) -> str:
     return (cache_dir / QUARANTINE_DIRNAME / f"{key}.json.reason").read_text()
 
 
-@pytest.fixture
-def checksum_calls(monkeypatch):
-    """Every ``result_checksum`` re-encode the cache makes, recorded."""
-    calls = []
-
-    def counting_checksum(result_dict):
-        calls.append(result_dict)
-        return result_checksum(result_dict)
-
-    monkeypatch.setattr(cache_module, "result_checksum", counting_checksum)
-    return calls
+def rejected_by_get_and_merge(tmp_path, key: str, blob: bytes):
+    """The quarantine reasons of ``get`` and of ``merge_from`` for one entry."""
+    read = ResultCache(tmp_path / "read")
+    plant(read, key, blob)
+    assert read.get(key) is None
+    assert (read.hits, read.misses, read.quarantined) == (0, 1, 1)
+    source = ResultCache(tmp_path / "source")
+    plant(source, key, blob)
+    merged = ResultCache(tmp_path / "merged")
+    assert merged.merge_from(source) == 0 and source.quarantined == 1
+    return tuple(quarantine_reason(tmp_path / name, key) for name in ("read", "source"))
 
 
 class TestCacheIntegrity:
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_intact_entry_hits(self, tmp_path, real_entry, layout, checksum_calls):
+    def test_intact_entry_hits(self, tmp_path, real_entry):
         key, blob = real_entry
         cache = ResultCache(tmp_path)
-        plant(cache, key, in_layout(blob, layout))
+        plant(cache, key, blob)
         assert cache.get(key) is not None
         assert cache.hits == 1 and cache.quarantined == 0
-        # A current entry is verified on the bytes read; only the older
-        # layout falls back to re-encoding the parsed result.
-        assert len(checksum_calls) == (0 if layout == "compact" else 1)
 
     def test_put_serialized_writes_the_canonical_document(self, tmp_path, real_entry):
         key, blob = real_entry
         document = json.loads(blob)
-        assert blob == json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+        assert blob == canonical_json(document).encode()
         cache = ResultCache(tmp_path)
         assert cache.put_serialized(key, document["result"]).read_bytes() == blob
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_bit_flip_is_quarantined_as_a_miss(self, tmp_path, real_entry, layout):
+    def test_bit_flip_is_quarantined_as_a_miss(self, tmp_path, real_entry):
         key, blob = real_entry
         # Flip the low bit of one digit inside the payload: still valid JSON,
         # and the stored sha256 is now stale.
         flipped, count = re.subn(
-            rb'("total_cycles": ?)(\d+)',
+            rb'("total_cycles":)(\d+)',
             lambda match: match.group(1) + str(int(match.group(2)) ^ 1).encode(),
-            in_layout(blob, layout),
+            blob,
             count=1,
         )
         assert count == 1
@@ -372,24 +358,22 @@ class TestCacheIntegrity:
         assert "checksum mismatch" in quarantine_reason(tmp_path, key)
         assert not cache.path_for(key).exists()
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_flipped_checksum_is_quarantined(self, tmp_path, real_entry, layout):
+    def test_flipped_checksum_is_quarantined(self, tmp_path, real_entry):
         key, blob = real_entry
         digest = json.loads(blob)["sha256"].encode()
         other = b"0" if digest[:1] != b"0" else b"1"
-        flipped = in_layout(blob, layout).replace(digest, other + digest[1:])
+        flipped = blob.replace(digest, other + digest[1:])
         cache = ResultCache(tmp_path)
         plant(cache, key, flipped)
         assert cache.get(key) is None
         assert cache.quarantined == 1
         assert "checksum mismatch" in quarantine_reason(tmp_path, key)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_misfiled_entry_is_quarantined(self, tmp_path, real_entry, layout):
+    def test_misfiled_entry_is_quarantined(self, tmp_path, real_entry):
         key, blob = real_entry
         other = "0" * 64
         cache = ResultCache(tmp_path)
-        plant(cache, other, in_layout(blob, layout))    # intact, wrong filename
+        plant(cache, other, blob)    # intact, wrong filename
         assert cache.get(other) is None
         assert cache.misses == 1 and cache.quarantined == 1
         assert "key mismatch" in quarantine_reason(tmp_path, other)
@@ -402,14 +386,47 @@ class TestCacheIntegrity:
         assert cache.quarantined == 1
         assert "invalid JSON" in quarantine_reason(tmp_path, key)
 
-    def test_legacy_entry_without_checksum_still_reads(self, tmp_path, real_entry):
+    def test_sort_keys_entry_is_a_checksum_mismatch(self, tmp_path, real_entry):
+        # The layout older writers used, now at the current version: the
+        # byte check is the only way an entry verifies.
         key, blob = real_entry
-        document = json.loads(blob)
-        del document["sha256"]
-        cache = ResultCache(tmp_path)
-        plant(cache, key, json.dumps(document).encode())
-        assert cache.get(key) is not None
-        assert cache.hits == 1 and cache.quarantined == 0
+        reencoded = json.dumps(json.loads(blob), sort_keys=True).encode()
+        reasons = rejected_by_get_and_merge(tmp_path, key, reencoded)
+        assert reasons == ("checksum mismatch\n",) * 2
+
+    @pytest.mark.parametrize("sha256", [{}, {"sha256": 7}], ids=["absent", "not-a-string"])
+    def test_entry_without_a_string_checksum_is_quarantined(self, tmp_path, real_entry, sha256):
+        key, blob = real_entry
+        document = {name: value for name, value in json.loads(blob).items() if name != "sha256"}
+        blob = canonical_json(dict(document, **sha256)).encode()
+        reasons = rejected_by_get_and_merge(tmp_path, key, blob)
+        assert reasons == ("malformed entry: missing sha256\n",) * 2
+
+    @pytest.mark.parametrize(
+        "path",
+        [(name,) for name in ("dmu_stats", "runtime_stats", "dat_average_occupied_sets",
+                              "locality_hit_fraction", "finished_task_count")]
+        + [("dmu_stats", field.name) for field in dataclasses.fields(DMUStats)],
+        ids=".".join,
+    )
+    def test_payload_missing_a_result_field_is_quarantined(self, tmp_path, real_entry, path):
+        # A sound envelope and checksum around a payload the writer would
+        # never write: every field it writes is required.
+        key, blob = real_entry
+        payload = json.loads(blob)["result"]
+        del (payload["dmu_stats"] if len(path) == 2 else payload)[path[-1]]
+        blob = ResultCache(tmp_path / "writer").put_serialized(key, payload).read_bytes()
+        for reason in rejected_by_get_and_merge(tmp_path, key, blob):
+            assert reason.startswith(f"malformed entry: KeyError: {path[-1]!r}")
+
+    def test_merge_leaves_a_stale_version_entry_alone(self, tmp_path, real_entry):
+        key, blob = real_entry
+        stale = blob.replace(b'"version":%d}' % CACHE_FORMAT_VERSION, b'"version":1}')
+        source = ResultCache(tmp_path / "source")
+        plant(source, key, stale)
+        assert ResultCache(tmp_path / "merged").merge_from(source) == 0
+        assert source.quarantined == 0
+        assert source.path_for(key).read_bytes() == stale != blob
 
     def test_structurally_malformed_entry_is_quarantined(self, tmp_path, real_entry):
         key, _ = real_entry
@@ -418,10 +435,11 @@ class TestCacheIntegrity:
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    def test_checksum_covers_canonical_json(self, real_entry):
+    def test_checksum_covers_the_canonical_result_bytes(self, real_entry):
         _, blob = real_entry
         document = json.loads(blob)
-        assert document["sha256"] == result_checksum(document["result"])
+        payload = canonical_json(document["result"]).encode()
+        assert document["sha256"] == hashlib.sha256(payload).hexdigest()
 
     def test_orphaned_tmp_files_are_swept_by_age(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -450,18 +468,16 @@ class TestCacheIntegrity:
         assert (tmp_path / "source" / QUARANTINE_DIRNAME / f"{key}.json").is_file()
         assert destination.get(other) is not None
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_merge_from_quarantines_misfiled_sources(self, tmp_path, real_entry, layout):
+    def test_merge_from_quarantines_misfiled_sources(self, tmp_path, real_entry):
         key, blob = real_entry
         source = ResultCache(tmp_path / "source")
-        entry = in_layout(blob, layout)
-        plant(source, key, entry)                       # filed under its key
+        plant(source, key, blob)                        # filed under its key
         other = "0" * 64
-        plant(source, other, entry)                     # intact, wrong filename
+        plant(source, other, blob)                      # intact, wrong filename
         destination = ResultCache(tmp_path / "merged")
         assert destination.merge_from(source) == 1
         assert destination.keys() == [key]
-        assert destination.path_for(key).read_bytes() == entry
+        assert destination.path_for(key).read_bytes() == blob
         assert source.quarantined == 1
         assert "key mismatch" in quarantine_reason(tmp_path / "source", other)
 

@@ -15,13 +15,14 @@ This module makes that promise executable:
 
 from __future__ import annotations
 
-import dataclasses
 import io
+import json
 import multiprocessing
 
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.cache import CACHE_FORMAT_VERSION
 from repro.experiments.campaign import CampaignRunError
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import experiment_catalog, resolve_plan, run_experiment
@@ -136,60 +137,32 @@ class TestSharedCacheDeterminism:
         assert (csv, markdown) == serial_outputs[figure]
         assert merged.cache_info()["simulations_run"] == 0
 
-    def test_manifest_reader_tolerates_versions(self):
-        current = ShardManifest(
-            experiment="figure_10",
-            shard_index=1,
-            shard_count=2,
-            scale=SCALE,
-            seed=0,
-            benchmarks=None,
-            keys=["ab" * 32],
-            simulated=1,
-        )
-        assert ShardManifest.from_dict(current.to_dict()) == current
-        assert current.manifest_version == MANIFEST_VERSION == 4
-        for retired in ("stolen_keys", "key_timings", "strategy"):
-            assert retired not in current.to_dict()
-
-        # A v3 manifest carries its worker's strategy and per-key timings:
-        # still readable, the retired fields are dropped.
-        v3 = ShardManifest.from_dict(
-            dict(
-                current.to_dict(),
-                manifest_version=3,
-                strategy="cost",
-                key_timings={"ab" * 32: 0.25},
-            )
-        )
-        assert v3.manifest_version == 3
-        assert v3.keys == current.keys and v3.simulated == current.simulated
-        assert dataclasses.replace(v3, manifest_version=4) == current
-
-        # A v2 manifest also lists the keys its worker stole.
-        v2 = ShardManifest.from_dict(
-            dict(
-                current.to_dict(),
-                manifest_version=2,
-                strategy="modulo",
-                key_timings={"ab" * 32: 0.25},
-                stolen_keys=["ab" * 32],
-            )
-        )
-        assert v2.manifest_version == 2
-        assert dataclasses.replace(v2, manifest_version=4) == current
-
-        # A v1 manifest carries no version at all.
-        v1_payload = {
-            name: value for name, value in current.to_dict().items() if name != "manifest_version"
+    def test_merge_skips_manifests_of_other_versions(self, serial_outputs, tmp_path):
+        # A v3 manifest, and a current one whose keys name entries of the
+        # previous cache format, are skipped like unreadable files; the
+        # entries, completeness and the render do not depend on them.
+        figure = "figure_10"
+        manifests = run_all_shards(figure, SCALE, BENCHMARKS, tmp_path, count=3)
+        older = {
+            1: dict(manifest_version=3, strategy="cost", key_timings={}),
+            2: dict(cache_format_version=CACHE_FORMAT_VERSION - 1),
         }
-        v1 = ShardManifest.from_dict(v1_payload)
-        assert v1.manifest_version == 1
-        assert dataclasses.replace(v1, manifest_version=4) == current
-
-        # Fields from a *future* writer are dropped, not fatal.
-        future = dict(current.to_dict(), manifest_version=5, carbon_footprint_g=12.5)
-        assert ShardManifest.from_dict(future).keys == current.keys
+        for index, overrides in older.items():
+            path = manifest_path(tmp_path / f"shard{index}", figure, ShardSpec(index, 3))
+            path.write_text(json.dumps(dict(manifests[index - 1].to_dict(), **overrides)))
+        # Not a manifest object at all: skipped too, not a traceback.
+        path.with_name(f"{figure}.shard-9-of-9.json").write_text("[]")
+        runner = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "merged")
+        sources = [tmp_path / f"shard{index}" for index in (1, 2, 3)]
+        report = merge_shards(figure, sources, runner, benchmarks=BENCHMARKS)
+        assert report.manifests == [manifests[2]]
+        assert report.missing_shards == [1, 2]
+        planned = sum(manifest.attempted for manifest in manifests)
+        assert report.complete and report.verify() is report
+        assert report.entries_copied == report.planned_keys == planned
+        assert ", 1 manifests," in report.summary()
+        assert experiment_output(figure, SCALE, BENCHMARKS, runner) == serial_outputs[figure]
+        assert runner.cache_info()["simulations_run"] == 0
 
 
 def _manifest(**overrides):
@@ -205,8 +178,20 @@ def _manifest(**overrides):
 class TestManifestFormat:
     """The manifest file and the worker-facing report, without simulating."""
 
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(manifest_version=3), ValueError),
+        (dict(manifest_version=3, strategy="cost", key_timings={}), ValueError),
+        (dict(cache_format_version=CACHE_FORMAT_VERSION - 1), ValueError),
+        (dict(carbon_footprint_g=12.5), TypeError),
+    ], ids=["v3", "v3-fields", "cache-format-1", "unknown-field"])
+    def test_reader_rejects_other_versions_and_fields(self, overrides, error):
+        with pytest.raises(error):
+            ShardManifest.from_dict(dict(_manifest().to_dict(), **overrides))
+
     def test_write_then_read_round_trips(self, tmp_path):
         manifest = _manifest()
+        assert manifest.manifest_version == MANIFEST_VERSION == 4
+        assert manifest.cache_format_version == CACHE_FORMAT_VERSION
         path = manifest.write(manifest_path(tmp_path, "figure_10", ShardSpec(2, 3)))
         assert path.name == "figure_10.shard-2-of-3.json"
         assert ShardManifest.read(path) == manifest
