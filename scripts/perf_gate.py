@@ -23,6 +23,9 @@ part in the medians: its deterministic work counters (``WORK_COUNTERS``) are
 printed side by side instead, each marked ``exact`` when every traced run of
 both trees agrees and ``changed`` otherwise.  This is advisory and never
 fails the gate: a change that is meant to be semantic moves them on purpose.
+Beside them it prints the traced runs' orchestration values
+(``ORCHESTRATION_VALUES``: program builds and pool utilization), which a
+change of how the campaign is run may move with no semantic change.
 
 Usage::
 
@@ -54,6 +57,14 @@ WORK_COUNTERS = (
     "sim.cycles_total",
     "core.instructions",
     "core.sram_accesses",
+)
+
+#: Traced-run values that move with how the campaign is orchestrated (pool
+#: lifetime, program memo reuse), not with what it computes: shown side by
+#: side, never judged exact or changed.
+ORCHESTRATION_VALUES = (
+    "workloads.builds",
+    "campaign.pool_util",
 )
 
 
@@ -107,6 +118,14 @@ def compare_counters(base_runs: List[dict], head_runs: List[dict]) -> None:
             verdict = "exact" if len(set(base + head)) == 1 else "changed"
             print(f"  {name:<20} base {statistics.median(base):<16.10g} "
                   f"head {statistics.median(head):<16.10g} {verdict}")
+        for name in ORCHESTRATION_VALUES:
+            base = [run["metrics"][name]["value"] for run in base_groups[workload]
+                    if name in run["metrics"]]
+            head = [run["metrics"][name]["value"] for run in head_groups[workload]
+                    if name in run["metrics"]]
+            if base and head:
+                print(f"  {name:<20} base {statistics.median(base):<16.10g} "
+                      f"head {statistics.median(head):<16.10g} (advisory)")
 
 
 def gate(base_runs: List[dict], head_runs: List[dict], bounds: Dict[str, dict]) -> List[str]:

@@ -84,6 +84,7 @@ Deviations from the paper, both listed in ``docs/architecture.md``
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Union
 
 from ..config import DMUConfig
@@ -324,6 +325,12 @@ class DependenceManagementUnit:
         # they are zero, which creates the Counter key; commit() does too.
         rla_charged = ready_charged = False
 
+        # The tables hold commit() and commit() reaches them weakly: a
+        # strong reference back would leave every DMU in a reference cycle,
+        # freed only by the cyclic collector.  A dead table has no reader.
+        tat_ref = weakref.ref(tat)
+        dat_ref = weakref.ref(dat)
+
         def commit() -> None:
             nonlocal created, added, completed, finished, popped, null_pops
             nonlocal blocked_adds, occupied_set_total
@@ -374,10 +381,14 @@ class DependenceManagementUnit:
             stats.dependences_added += added
             stats.ready_pops += popped
             stats.null_ready_pops += null_pops
-            tat._lookups += lookups + blocked_adds
-            dat._lookups += added + blocked_adds
-            dat._occupied_set_samples += added
-            dat._occupied_set_total += occupied_set_total
+            table = tat_ref()
+            if table is not None:
+                table._lookups += lookups + blocked_adds
+            table = dat_ref()
+            if table is not None:
+                table._lookups += added + blocked_adds
+                table._occupied_set_samples += added
+                table._occupied_set_total += occupied_set_total
             created = added = completed = finished = popped = null_pops = 0
             blocked_adds = occupied_set_total = 0
             tt_more = dat_more = dt_more = sla_more = dla_more = rla_more = ready_more = 0

@@ -16,9 +16,10 @@ embarrassingly parallel, incrementally resumable campaign:
   key-sorted order, so the campaign output is bit-identical whatever the
   completion order or worker count.  Serial is a one-worker campaign:
   every attempt runs the one body, :func:`_simulate_entry`, in-process
-  (``jobs == 1``) or on a watchdogged ``multiprocessing`` pool, and every
-  outcome is the serialized result.  Renders, shard workers and the
-  results daemon all use it.
+  (``jobs == 1``) or on the engine's watchdogged :class:`WorkerPool`,
+  kept warm across rounds and batches, and every outcome is the
+  serialized result.  Renders, shard workers and the results daemon all
+  use it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -31,15 +32,18 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import pathlib
+import queue
+import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import DMUConfig, SimulationConfig, default_paper_config
 from ..errors import ExperimentError
-from ..reliability.faults import active_spec, ensure_plan, maybe_fault
+from ..reliability.faults import active_spec, ensure_plan, install_plan, maybe_fault
 from ..reliability.retry import RetryPolicy
 from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
 from ..runtime.task import TaskProgram
@@ -258,10 +262,13 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
     try:
         attempt = int(payload.get("attempt", 1))
         spec = payload.get("faults")
+        # Exactly the payload's fault plan, on every attempt: a warm worker
+        # outlives the plan its last payload carried.  The same spec keeps
+        # its counters (a fork worker's are the inherited ones).
         if spec:
-            # Forwarded fault plan (spawn workers have no parent env/state;
-            # fork workers keep the inherited plan's counters).
             ensure_plan(spec)
+        else:
+            install_plan(None)
         heartbeat_dir = payload.get("heartbeat_dir")
         if heartbeat_dir:
             write_heartbeat(heartbeat_dir, payload["key"], attempt)
@@ -283,6 +290,78 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
     return payload["key"], result.to_dict(), time.perf_counter() - started
 
 
+class WorkerPool:
+    """Campaign worker processes, kept warm across rounds and batches.
+
+    One ``multiprocessing`` pool of ``processes`` workers.  It forks on the
+    first :meth:`submit` and serves every later one, so a worker keeps its
+    :func:`build_program` memo from one batch (one figure) to the next.  A
+    round that finds a worker hung or dead condemns the pool
+    (:meth:`condemn`): it is terminated, its workers killed and reaped, and
+    the next :meth:`submit` forks a fresh one.  Forking, submitting and
+    condemning hold one lock, so the threads that share a pool (the results
+    daemon's offload threads, across all of its engines) never see more
+    than ``processes`` workers alive.  :meth:`close` terminates the pool for
+    good; a finalizer does the same when the owner is collected or the
+    interpreter exits.
+    """
+
+    def __init__(self, processes: int) -> None:
+        if processes < 1:
+            raise ExperimentError(f"a worker pool needs >= 1 process, got {processes}")
+        self.processes = processes
+        self._lock = threading.Lock()
+        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._reaper: Optional[weakref.finalize] = None
+        self._closed = False
+
+    def submit(self, payloads: Sequence[Dict[str, object]],
+               landed: Callable[[_Outcome], None],
+               failed: Callable[[str, BaseException], None]) -> "multiprocessing.pool.Pool":
+        """Queue one :func:`_simulate_entry` call per payload; returns the
+        serving pool, the token :meth:`serving` and :meth:`condemn` take.
+
+        ``landed`` gets each outcome and ``failed`` each pool plumbing
+        error (with the payload's key), both on the pool's result thread.
+        """
+        with self._lock:
+            if self._closed:
+                raise ExperimentError("the campaign worker pool is closed")
+            pool = self._pool
+            if pool is None:
+                pool = self._pool = multiprocessing.Pool(processes=self.processes)
+                self._reaper = weakref.finalize(self, pool.terminate)
+            for payload in payloads:
+                pool.apply_async(
+                    _simulate_entry, (payload,), callback=landed,
+                    error_callback=functools.partial(failed, payload["key"]),
+                )
+        return pool
+
+    def serving(self, pool: "multiprocessing.pool.Pool") -> bool:
+        """Whether ``pool`` still serves (no round condemned it)."""
+        return self._pool is pool
+
+    def condemn(self, pool: "multiprocessing.pool.Pool") -> None:
+        """Terminate ``pool`` unless it is already gone; the next
+        :meth:`submit` forks a fresh one.  Outcomes queued before the
+        terminate have all been delivered when this returns."""
+        with self._lock:
+            if self._pool is pool:
+                self._terminate()
+
+    def close(self) -> None:
+        """Terminate the workers and refuse later work.  Idempotent."""
+        with self._lock:
+            self._closed = True
+            self._terminate()
+
+    def _terminate(self) -> None:
+        if self._reaper is not None:
+            self._reaper()  # pool.terminate(): kill, then reap, every worker
+        self._pool = self._reaper = None
+
+
 class CampaignEngine:
     """Runs, parallelizes, memoizes and persists benchmark simulations.
 
@@ -298,12 +377,17 @@ class CampaignEngine:
       (optionally budgeted via ``cache_max_bytes``); reruns simulate only
       what is missing.
     * **Execution** — :meth:`run_many` simulates uncached runs in one
-      retrying loop through one attempt body, in-process or over a
-      watchdogged ``multiprocessing.Pool`` (``jobs > 1``), and commits
+      retrying loop through one attempt body, in-process or on the engine's
+      watchdogged :class:`WorkerPool` (``jobs > 1``), and commits
       serialized results in key-sorted order, so parallel output is
       byte-identical to serial (``docs/determinism.md``).  Failures surface as
       :class:`CampaignRunError` carrying the key, workload parameters and
       attempt history, never raw pool tracebacks.
+    * **Workers** — one pool of ``jobs`` workers, forked by the first
+      pooled round and kept by every later round and batch until a
+      watchdog strike replaces it or :meth:`close` ends it.  An injected
+      ``worker_pool`` (the results daemon shares one across its engines,
+      like ``disk_cache``) is used instead and left to its owner.
     * **Derived once** — resolution is memoized per engine: each distinct
       :class:`RunRequest` is keyed once, and each distinct runtime,
       scheduler and DMU gets one validated config, one ``to_dict()``
@@ -329,6 +413,7 @@ class CampaignEngine:
         disk_cache: Optional[ResultCache] = None,
         retry_policy: Optional[RetryPolicy] = None,
         watchdog_config: Optional[WatchdogConfig] = None,
+        worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         if not (0.0 < scale <= 1.0):
             raise ExperimentError(f"scale must be in (0, 1], got {scale}")
@@ -338,6 +423,8 @@ class CampaignEngine:
             raise ExperimentError(f"cache_max_bytes must be >= 0, got {cache_max_bytes}")
         if disk_cache is not None and cache_dir is not None:
             raise ExperimentError("pass cache_dir or disk_cache, not both")
+        if worker_pool is not None and jobs == 1:
+            raise ExperimentError("a worker pool needs jobs > 1 (jobs=1 runs in-process)")
         self.scale = scale
         self.seed = seed
         self.jobs = jobs
@@ -364,6 +451,11 @@ class CampaignEngine:
         self.retry_policy = retry_policy or RetryPolicy.from_env()
         #: Deadline shaping for the pool watchdog (hung-worker detection).
         self.watchdog_config = watchdog_config or WatchdogConfig.from_env()
+        #: Where ``jobs > 1`` rounds run; None for a serial engine.
+        self.worker_pool = worker_pool
+        self._owns_worker_pool = worker_pool is None and jobs > 1
+        if self._owns_worker_pool:
+            self.worker_pool = WorkerPool(jobs)
         self.simulations_run = 0
         self.memory_hits = 0
         self.disk_hits = 0
@@ -536,15 +628,16 @@ class CampaignEngine:
         """The simulation loop: rounds of attempts, each outcome settled once.
 
         A round attempts every pending key through :func:`_simulate_entry`
-        — in-process when ``jobs == 1``, otherwise on a fresh
-        ``multiprocessing`` pool under the
+        — in-process when ``jobs == 1``, otherwise on the engine's warm
+        :class:`WorkerPool` under the
         :class:`~repro.reliability.watchdog.Watchdog` — and settles the
-        outcomes in key order.  Settling commits a result, requeues a
-        transient failure (backing off before the next round) until the
-        retry policy is exhausted, or fails the key with a
-        :class:`CampaignRunError` carrying its attempt history.  Keys a
-        condemned pool round left unfinished requeue without penalty.
-        Returns the failed keys' errors; ``pending`` ends empty.
+        outcomes in key order, each as soon as every key before it has
+        one.  Settling commits a result, requeues a transient failure
+        (backing off before the next round) until the retry policy is
+        exhausted, or fails the key with a :class:`CampaignRunError`
+        carrying its attempt history.  Keys a condemned pool round left
+        unfinished requeue without penalty.  Returns the failed keys'
+        errors; ``pending`` ends empty.
         """
         policy = self.retry_policy
         failed_attempts: Dict[str, int] = {}
@@ -607,40 +700,61 @@ class CampaignEngine:
         return errors
 
     def _pool_round(self, batch: Sequence[ResolvedRun], payloads: Sequence[Dict[str, object]],
-                    watchdog: Watchdog) -> List[_Outcome]:
-        """Attempt ``batch`` on a fresh pool; the key-sorted outcomes.
+                    watchdog: Watchdog) -> Iterator[_Outcome]:
+        """Attempt ``batch`` on the worker pool; yields outcomes in key order.
 
-        Completions are collected as they land.  The round ends when every
-        key finished, or when the watchdog finds overdue keys (or sees no
-        progress for a whole stall budget: workers that died before
-        heartbeating).  Struck keys get a ``WorkerTimeout``/``WorkerStall``
-        outcome; the rest of an unfinished round get none and requeue.
-        Leaving the ``with`` block terminates the pool, killing any hung
-        worker and discarding tasks orphaned by a crash.
+        Completions arrive through pool callbacks on a queue, read with the
+        watchdog's poll interval as timeout.  An outcome is yielded once
+        every key sorting before it has landed, so the caller's commits
+        overlap the round's tail and still follow key order.  The round
+        ends when every key landed, or when the watchdog finds overdue keys
+        (or sees no progress for a whole stall budget: workers that died
+        before heartbeating).  Struck keys get a ``WorkerTimeout``/
+        ``WorkerStall`` outcome and condemn the pool, which kills any hung
+        worker and discards tasks orphaned by a crash; the rest of an
+        unfinished round get none and requeue.  A round whose pool another
+        caller condemned ends the same way, striking nothing.
         """
         items = {item.key: item for item in batch}
+        keys = sorted(items)
         watchdog.reset()
-        deadlines = {item.key: watchdog.deadline_for(item) for item in batch}
+        deadlines = {key: watchdog.deadline_for(items[key]) for key in keys}
         stall_budget = watchdog.config.min_seconds + max(deadlines.values())
+        poll_s = watchdog.config.poll_interval_s
+        landed: "queue.SimpleQueue[_Outcome]" = queue.SimpleQueue()
+
+        def failed(key: str, error: BaseException) -> None:
+            landed.put(self._failure(items[key], type(error).__name__, str(error)))
+
+        workers = self.worker_pool
+        pool = workers.submit(payloads, landed.put, failed)
         outcomes: Dict[str, _Outcome] = {}
-        with multiprocessing.Pool(processes=min(self.jobs, len(batch))) as pool:
-            handles = {
-                payload["key"]: pool.apply_async(_simulate_entry, (payload,))
-                for payload in payloads
-            }
-            last_progress = time.monotonic()
-            while handles:
-                for key in [key for key in sorted(handles) if handles[key].ready()]:
-                    try:
-                        outcomes[key] = handles.pop(key).get()
-                    except Exception as error:  # noqa: BLE001 - pool plumbing failure
-                        outcomes[key] = self._failure(
-                            items[key], type(error).__name__, str(error)
-                        )
+        settled = 0  # keys[:settled] are yielded
+        last_progress = time.monotonic()
+        next_check = last_progress + poll_s
+        struck: Dict[str, Tuple[str, str]] = {}
+        try:
+            while True:
+                while settled < len(keys) and keys[settled] in outcomes:
+                    yield outcomes.pop(keys[settled])
+                    settled += 1
+                if settled == len(keys):
+                    return
+                try:
+                    outcome = landed.get(timeout=max(0.0, next_check - time.monotonic()))
+                except queue.Empty:
+                    pass
+                else:
+                    outcomes[outcome[0]] = outcome
                     last_progress = time.monotonic()
-                if not handles:
-                    break
-                overdue = watchdog.overdue({key: deadlines[key] for key in handles})
+                now = time.monotonic()
+                if now < next_check:
+                    continue
+                next_check = now + poll_s
+                if not workers.serving(pool):
+                    break  # condemned by another round sharing the pool
+                unfinished = [key for key in keys[settled:] if key not in outcomes]
+                overdue = watchdog.overdue({key: deadlines[key] for key in unfinished})
                 if overdue:
                     struck = {
                         key: ("WorkerTimeout",
@@ -648,21 +762,34 @@ class CampaignEngine:
                               f"(deadline {deadlines[key]:.1f}s); pool terminated")
                         for key, seconds in overdue.items()
                     }
-                elif time.monotonic() - last_progress > stall_budget:
+                elif now - last_progress > stall_budget:
                     struck = {
                         key: ("WorkerStall",
                               f"no worker progress for {stall_budget:.1f}s; "
                               "pool terminated")
-                        for key in handles
+                        for key in unfinished
                     }
                 else:
-                    time.sleep(watchdog.config.poll_interval_s)
                     continue
-                self.watchdog_kills += len(struck)
-                for key, (error_type, message) in struck.items():
-                    outcomes[key] = self._failure(items[key], error_type, message)
+                workers.condemn(pool)
                 break
-        return [outcomes[key] for key in sorted(outcomes)]
+        except BaseException:
+            # Abandoned mid-round: no task of it may keep running.
+            workers.condemn(pool)
+            raise
+        # The pool is terminated: every outcome it delivered is queued.
+        while True:
+            try:
+                outcome = landed.get_nowait()
+            except queue.Empty:
+                break
+            outcomes[outcome[0]] = outcome
+        for key, (error_type, message) in struck.items():
+            if key not in outcomes:
+                self.watchdog_kills += 1
+                outcomes[key] = self._failure(items[key], error_type, message)
+        for key in sorted(outcomes):
+            yield outcomes[key]
 
     def _failure(self, item: ResolvedRun, error_type: str, message: str,
                  worker_traceback: str = "") -> _Outcome:
@@ -688,6 +815,13 @@ class CampaignEngine:
                 f"scheduler={request.scheduler} tasks={restored.num_tasks_executed} "
                 f"({seconds:.2f}s)"
             )
+
+    def close(self) -> None:
+        """Terminate the engine's own worker pool; idempotent.  An injected
+        pool is its owner's to close.  A closed pooled engine still serves
+        cached results but simulates nothing more."""
+        if self._owns_worker_pool:
+            self.worker_pool.close()
 
     def prune_disk_cache(self) -> int:
         """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""

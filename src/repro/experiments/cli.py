@@ -304,6 +304,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
+    try:
+        return _run(args, names, runner)
+    finally:
+        # The engine's warm pool workers end with the command.
+        runner.close()
+
+
+def _run(args: argparse.Namespace, names: Sequence[str], runner: SimulationRunner) -> int:
+    """Audit, shard, merge or render ``names`` through ``runner``."""
     if args.dry_run:
         # Audit mode: resolve and partition the plan, print it, simulate
         # nothing.

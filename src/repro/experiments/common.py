@@ -168,6 +168,10 @@ class SimulationRunner:
         """Enforce the engine's disk-cache size budget; returns evictions."""
         return self.engine.prune_disk_cache()
 
+    def close(self) -> None:
+        """End the engine's own pool workers (see ``CampaignEngine.close``)."""
+        self.engine.close()
+
     # ------------------------------------------------------------------ running
     def run(
         self,

@@ -130,6 +130,10 @@ class ShardPlan:
         """Every canonical key of the plan, sorted."""
         return [item.key for item in self._runs]
 
+    def runs(self) -> List[ResolvedRun]:
+        """Every run of the plan, key-sorted."""
+        return list(self._runs)
+
     def shard(self, spec: Union[ShardSpec, int]) -> List[ResolvedRun]:
         """The key-sorted runs owned by one shard."""
         if isinstance(spec, int):
@@ -336,9 +340,10 @@ class MergeReport:
     manifests: List[ShardManifest]
     failures: Dict[str, Dict[str, object]]
     missing_shards: List[int]
-    #: Corrupt source entries moved to their shard's ``quarantine/`` during
-    #: the merge (each leaves its key missing — and thus reported — unless a
-    #: healthy copy existed in another shard).
+    #: Corrupt entries moved to a ``quarantine/`` during the merge: source
+    #: entries refused by the copy and destination entries refused by the
+    #: completeness read (each leaves its key missing — and thus reported —
+    #: unless a healthy copy existed in another shard).
     quarantined: int = 0
 
     @property
@@ -429,7 +434,12 @@ def merge_shards(
     planned = ShardPlan(
         resolve_plan(experiment, runner, benchmarks=benchmarks, **plan_kwargs), count=1
     )
-    missing = [key for key in planned.keys() if key not in destination]
+    # A verifying read of every planned entry, as a render would make: a
+    # torn or corrupt one (a shared-cache source is never copied, so never
+    # checked above) is quarantined and counts as missing.
+    quarantined_before = destination.quarantined
+    missing = [item.key for item in planned.runs() if engine.cached(item) is None]
+    quarantined += destination.quarantined - quarantined_before
     failures: Dict[str, Dict[str, object]] = {}
     seen_shards: Dict[int, int] = {}
     for manifest in manifests:

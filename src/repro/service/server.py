@@ -8,10 +8,14 @@
 * a bounded pool of :class:`~repro.experiments.campaign.CampaignEngine`
   instances keyed by ``(scale, seed)`` — the in-memory memo of a
   warm parameter set;
+* one :class:`~repro.experiments.campaign.WorkerPool` of ``workers``
+  processes, injected into every engine, so at most ``workers`` simulating
+  processes are alive at once across all engines, and they stay warm from
+  one request to the next; drain and shutdown close it;
 * simulation offload through the engine's own loop
   (:meth:`~repro.experiments.campaign.CampaignEngine.run_many`, with its
   retries and watchdog) in a worker thread, so the event loop never blocks
-  on a simulation and at most ``workers`` simulating processes run at once;
+  on a simulation;
 * a :class:`~repro.service.singleflight.SingleFlight` group keyed by
   canonical run key — N concurrent identical requests cost one simulation
   per key.
@@ -38,7 +42,7 @@ import json
 from ..errors import ExperimentError
 from ..reliability.faults import maybe_fault
 from ..experiments.cache import ResultCache
-from ..experiments.campaign import CampaignEngine, CampaignRunError, ResolvedRun
+from ..experiments.campaign import CampaignEngine, CampaignRunError, ResolvedRun, WorkerPool
 from ..experiments.common import SimulationRunner
 from ..experiments.registry import (
     canonical_name,
@@ -129,10 +133,13 @@ class ResultsService:
         self.queue_budget = queue_budget
         self.failure_ttl_s = failure_ttl_s
         self.engines: Dict[tuple, CampaignEngine] = {}
+        #: The simulating processes of every engine.  Engines only borrow
+        #: it, so evicting one leaves no process behind; shutdown closes it.
+        self.worker_pool = WorkerPool(workers)
         self.flights = SingleFlight()
         self.jobs = JobTable()
-        #: One slot per simulating process: each flight runs one key through
-        #: its engine's loop, which simulates it in a one-process pool.
+        #: One slot per pool process: each flight runs one key through its
+        #: engine's loop, which simulates it on the shared pool.
         self._sim_slots = asyncio.Semaphore(workers)
         #: Recovery counters of engines dropped from :attr:`engines`.
         self._evicted_reliability = {"retries": 0, "watchdog_kills": 0}
@@ -171,6 +178,7 @@ class ResultsService:
                 # process (crash isolation, watchdog), not on its own threads.
                 jobs=max(2, self.workers),
                 disk_cache=self.cache,
+                worker_pool=self.worker_pool,
             )
             if len(self.engines) >= self.ENGINE_LIMIT:
                 evicted = next(iter(self.engines))
@@ -558,6 +566,10 @@ class ResultsService:
                         "requests still in flight"
                     )
                 raise
+            finally:
+                # No simulating process outlives the daemon (a simulation
+                # still running after a drain timeout is killed).
+                self.worker_pool.close()
 
 
 def _require(method: str, expected: str) -> None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..errors import DeadlockError, SimulationError
 from .events import Acquire, SimEvent, WaitEvent
@@ -100,11 +100,11 @@ class Process:
             except StopIteration as stop:
                 self.finished = True
                 self.result = stop.value
-                engine._live_processes -= 1
+                del engine._live[self]
                 return
             except Exception as exc:  # surface the failing process in the traceback
                 self.finished = True
-                engine._live_processes -= 1
+                del engine._live[self]
                 raise SimulationError(f"process {self.name!r} raised {exc!r}") from exc
 
             # Command dispatch, keyed on the exact type.  Bare ints are the
@@ -195,8 +195,7 @@ class Engine:
     reads the heap head, which lies beyond ``self.now``.
     """
 
-    __slots__ = ("now", "_queue", "_ready", "_seq", "_processes", "_live_processes",
-                 "_until", "_hold")
+    __slots__ = ("now", "_queue", "_ready", "_seq", "_live", "_until", "_hold")
 
     def __init__(self) -> None:
         #: Current simulation time in cycles (read-only for client code; the
@@ -208,8 +207,10 @@ class Engine:
         self._queue: list = []
         self._ready: deque = deque()
         self._seq = 0
-        self._processes: List[Process] = []
-        self._live_processes = 0
+        #: Unfinished processes in registration order.  A process leaves
+        #: when it finishes, so a completed run holds none: nothing links
+        #: the engine and its processes in a reference cycle afterwards.
+        self._live: Dict[Process, None] = {}
         #: ``until`` of the current :meth:`run`; bounds run-ahead.
         self._until: Optional[int] = None
         #: Raised by a waiter batch while later waiters of it remain.
@@ -223,8 +224,7 @@ class Engine:
         """Register a new process built from ``generator`` and queue its
         first step at the current time."""
         process = Process(self, generator, name=name)
-        self._processes.append(process)
-        self._live_processes += 1
+        self._live[process] = None
         seq = self._seq
         self._seq = seq + 1
         self._ready.append((seq, process, None))
@@ -268,11 +268,11 @@ class Engine:
                 self.now = until
                 return until
             self.now = now
-        if self._live_processes > 0:
-            blocked = [p.name for p in self._processes if not p.finished]
+        if self._live:
+            blocked = [p.name for p in self._live]
             raise DeadlockError(
                 "simulation deadlocked: no pending events but "
-                f"{self._live_processes} processes still blocked: {blocked[:8]}"
+                f"{len(blocked)} processes still blocked: {blocked[:8]}"
             )
         return self.now
 

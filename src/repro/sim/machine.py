@@ -206,7 +206,9 @@ class Machine:
     def run(self) -> SimulationResult:
         """Run the simulation to completion and collect the results."""
         for thread in self.threads:
-            thread.process = self.engine.process(thread.run(), name=f"thread{thread.thread_id}")
+            thread.process = self.engine.process(
+                thread.run(self), name=f"thread{thread.thread_id}"
+            )
         # The event loop allocates heap entries and ready-pool records at a
         # rate that keeps the cyclic collector's generation-0 threshold
         # permanently saturated; none of those objects form cycles, so the

@@ -66,7 +66,9 @@ class SimThread:
     """One hardware thread (the simulation pins one thread per core)."""
 
     def __init__(self, machine: "Machine", thread_id: int, is_master: bool) -> None:
-        self.machine = machine
+        # The machine is not kept: it holds its threads, and a back
+        # reference would leave every finished simulation in a reference
+        # cycle for the collector.  :meth:`run` gets it as an argument.
         self.thread_id = thread_id
         self.core_id = thread_id
         self.is_master = is_master
@@ -75,8 +77,8 @@ class SimThread:
         self.tasks_executed = 0
 
     # ------------------------------------------------------------------ process body
-    def run(self) -> Iterator:
-        """Process body: iterate over the program's parallel regions.
+    def run(self, machine: "Machine") -> Iterator:
+        """Process body: iterate over ``machine``'s parallel regions.
 
         In each region the master first creates the region's tasks; then
         every thread, the master included, runs the same worker loop (wake,
@@ -88,7 +90,6 @@ class SimThread:
         # Deferred: repro.runtime.base imports this package.
         from ..runtime.base import RuntimeSystem
 
-        machine = self.machine
         engine = machine.engine
         runtime = machine.runtime
         timeline = self.timeline

@@ -11,6 +11,8 @@ import dataclasses
 import functools
 import json
 import multiprocessing
+import os
+import time
 import warnings
 
 import pytest
@@ -23,6 +25,9 @@ from repro.experiments.cache import canonical_run_key
 from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
+from repro.reliability import faults
+from repro.reliability.retry import RetryPolicy
+from repro.reliability.watchdog import WatchdogConfig
 from repro.sim.machine import SimulationResult, run_simulation
 from repro.workloads.registry import create_workload
 
@@ -911,11 +916,11 @@ class TestSimulationLoop:
     """Every path records its timings; the pool submits the module worker."""
 
     @staticmethod
-    def _plan(engine):
+    def _plan(engine, experiment="figure_12"):
         return [
             item.request
             for item in resolve_plan(
-                "figure_12", SimulationRunner(engine=engine), benchmarks=["blackscholes"]
+                experiment, SimulationRunner(engine=engine), benchmarks=["blackscholes"]
             )
         ]
 
@@ -950,3 +955,164 @@ class TestSimulationLoop:
         engine = CampaignEngine(scale=0.05, jobs=jobs)
         engine.run_many(self._plan(engine))
         assert sorted(path.name for path in marks.iterdir()) == sorted(engine.key_timings)
+
+
+class TestWarmPool:
+    """One worker pool per engine, kept across rounds and batches."""
+
+    NO_WAIT = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+
+    @pytest.fixture(autouse=True)
+    def fork_workers(self):
+        # The patched bodies below reach the workers only by fork, and the
+        # workers inherit the parent's program memo, emptied here.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a patched worker body reaches the pool only by fork")
+        campaign._memoized_program.cache_clear()
+        yield
+        campaign._memoized_program.cache_clear()
+
+    @staticmethod
+    def _mark_attempts(monkeypatch, marks, delays=None):
+        """Log ``<key> <attempt> <pid>`` per attempt to ``marks``, after
+        sleeping the key's ``delays`` seconds."""
+        original = campaign._simulate_entry
+
+        @functools.wraps(original)
+        def marking_entry(payload):
+            with marks.open("a") as handle:
+                handle.write(f"{payload['key']} {payload['attempt']} {os.getpid()}\n")
+            time.sleep((delays or {}).get(payload["key"], 0.0))
+            return original(payload)
+
+        monkeypatch.setattr(campaign, "_simulate_entry", marking_entry)
+
+    @staticmethod
+    def _attempts(marks):
+        return [line.split() for line in marks.read_text().splitlines()]
+
+    _plan = staticmethod(TestSimulationLoop._plan)
+
+    def test_batches_share_workers_and_their_programs(self, tmp_path, monkeypatch):
+        marks = tmp_path / "attempts"
+        builds = tmp_path / "builds"
+        self._mark_attempts(monkeypatch, marks)
+        real = campaign.create_workload
+
+        def logging_create(*args, **kwargs):
+            with builds.open("a") as handle:
+                handle.write(f"{os.getpid()} {args} {sorted(kwargs.items())}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "create_workload", logging_create)
+        engine = CampaignEngine(scale=0.05, jobs=2)
+        first, second = self._plan(engine, "figure_12"), self._plan(engine, "figure_09")
+        points = [
+            {(item.request.benchmark, item.workload_runtime) for item in map(engine.resolve, batch)}
+            for batch in (first, second)
+        ]
+        assert points[0] & points[1], "the batches must share a program"
+        engine.run_many(first)
+        engine.run_many(second)
+        engine.close()
+        pids = {pid for _, _, pid in self._attempts(marks)}
+        assert 1 <= len(pids) <= engine.jobs
+        assert len(self._attempts(marks)) == engine.simulations_run
+        built = builds.read_text().splitlines()
+        assert len(built) == len(set(built)), "a worker rebuilt a program it had"
+        assert {line.split()[0] for line in built} <= pids
+
+    def test_watchdog_strike_retries_on_a_fresh_pool(self, tmp_path, monkeypatch):
+        marks = tmp_path / "attempts"
+        self._mark_attempts(monkeypatch, marks)
+        faults.install_plan(faults.parse_faults("hang@sim", hang_seconds=600.0))
+        engine = CampaignEngine(
+            scale=0.05, jobs=2, retry_policy=self.NO_WAIT,
+            watchdog_config=WatchdogConfig(min_seconds=1.0, poll_interval_s=0.02),
+        )
+        try:
+            result = engine.run(RunRequest("blackscholes", "software"))
+        finally:
+            faults.install_plan(None)
+        assert (engine.watchdog_kills, engine.retries) == (1, 1)
+        (_, first, hung), (_, second, retried) = self._attempts(marks)
+        assert (first, second) == ("1", "2")
+        live = {str(child.pid) for child in multiprocessing.active_children()}
+        assert hung not in live, "the struck pool's worker outlived it"
+        assert retried in live and retried != hung
+        engine.close()
+        assert result.to_dict() == CampaignEngine(scale=0.05).run(
+            RunRequest("blackscholes", "software")
+        ).to_dict()
+
+    def test_close_is_idempotent_and_reaps_every_worker(self):
+        engine = CampaignEngine(scale=0.05, jobs=2)
+        warm = RunRequest("blackscholes", "software")
+        result = engine.run(warm)
+        assert len(multiprocessing.active_children()) == engine.jobs
+        engine.close()
+        assert multiprocessing.active_children() == []
+        engine.close()
+        assert multiprocessing.active_children() == []
+        assert engine.run(warm) is result  # memoized results still serve
+        with pytest.raises(ExperimentError, match="closed"):
+            engine.run(RunRequest("blackscholes", "tdm"))
+        assert multiprocessing.active_children() == []
+
+    def test_injected_pool_is_left_to_its_owner(self):
+        shared = campaign.WorkerPool(2)
+        engine = CampaignEngine(scale=0.05, jobs=2, worker_pool=shared)
+        engine.run(RunRequest("blackscholes", "software"))
+        engine.close()
+        assert len(multiprocessing.active_children()) == 2
+        shared.close()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ExperimentError, match="jobs > 1"):
+            CampaignEngine(scale=0.05, worker_pool=shared)
+
+    def test_commits_follow_key_order_as_results_land(self, tmp_path, monkeypatch):
+        engine = CampaignEngine(scale=0.05, jobs=2)
+        plan = self._plan(engine, "figure_12")
+        keys = sorted({engine.resolve(request).key for request in plan})
+        assert len(keys) >= 4
+        # The first key lands after its successors, the last one well after
+        # every other key has landed.
+        self._mark_attempts(monkeypatch, tmp_path / "attempts",
+                            delays={keys[0]: 0.5, keys[-1]: 1.5})
+        commits = []
+        commit = engine._commit
+
+        def recording_commit(item, result, seconds):
+            commits.append((item.key, time.monotonic()))
+            commit(item, result, seconds)
+
+        monkeypatch.setattr(engine, "_commit", recording_commit)
+        engine.run_many(plan)
+        engine.close()
+        assert [key for key, _ in commits] == keys
+        committed = dict(commits)
+        # Commits overlap the round's tail instead of waiting for it.
+        assert committed[keys[-1]] - committed[keys[-2]] > 0.5
+
+    def test_a_cleared_fault_plan_leaves_the_warm_workers(self):
+        engine = CampaignEngine(scale=0.05, jobs=2, retry_policy=self.NO_WAIT)
+        faults.install_plan(faults.parse_faults("error@sim:key%1"))
+        try:
+            engine.run_many(self._plan(engine, "figure_12"))
+        finally:
+            faults.install_plan(None)
+        assert engine.retries >= 1
+        retries = engine.retries
+        simulated = engine.simulations_run
+        engine.run_many(self._plan(engine, "figure_09"))
+        engine.close()
+        assert engine.simulations_run > simulated  # the second batch was cold
+        assert (engine.retries, engine.watchdog_kills) == (retries, 0)
+
+    def test_a_pooled_cli_run_leaves_no_worker(self, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["figure_12", "--scale", "0.05", "--benchmarks", "blackscholes",
+                     "--jobs", "2"]) == 0
+        assert "Figure 12" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []

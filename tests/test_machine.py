@@ -1,11 +1,14 @@
 """The Machine wrapper and SimulationResult conveniences."""
 
+import collections
 import dataclasses
+import gc
 
 import pytest
 
 from repro.config import DMUConfig
 from repro.errors import SimulationError
+from repro.runtime.factory import available_runtimes
 from repro.sim.machine import Machine, run_simulation
 from repro.sim.timeline import Phase
 
@@ -90,3 +93,22 @@ class TestMachine:
         config = dataclasses.replace(make_config(), validate_execution=False)
         result = run_simulation(diamond, config)
         assert result.num_tasks_executed == 4
+
+
+@pytest.mark.parametrize("runtime", available_runtimes())
+def test_finished_run_leaves_no_cyclic_garbage(runtime, small_random_program):
+    # A campaign worker runs hundreds of simulations; each must be freed by
+    # reference counting alone, leaving nothing for the cyclic collector.
+    config = make_config(runtime=runtime)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_simulation(small_random_program, config)
+        assert result.num_tasks_executed == small_random_program.num_tasks
+        del result
+        gc.collect()
+        leftovers = collections.Counter(type(thing).__name__ for thing in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leftovers, leftovers.most_common(8)

@@ -176,3 +176,31 @@ def test_traced_on_one_side_only_is_noted(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cold_campaign work counters: traced on one side only" in out
     assert counter_lines(out) == {}
+
+
+def test_orchestration_values_are_shown_beside_the_counters(tmp_path, capsys):
+    # Program builds and pool utilization may move with no semantic change:
+    # printed side by side, judged neither exact nor changed, never failing.
+    base_run, head_run = traced("cold_campaign"), traced("cold_campaign")
+    for run, builds, util in ((base_run, 149.0, 0.91), (head_run, 81.0, 0.95)):
+        run["metrics"]["workloads.builds"] = {"value": builds, "unit": "count"}
+        run["metrics"]["campaign.pool_util"] = {"value": util, "unit": "ratio"}
+    base = three("cold_campaign") + [base_run]
+    head = three("cold_campaign") + [head_run]
+    assert run_gate(tmp_path, base, head) == 0
+    out = capsys.readouterr().out
+    shown = {words[0]: words[1:] for words in map(str.split, out.splitlines())
+             if words and words[0] in perf_gate.ORCHESTRATION_VALUES}
+    assert shown == {
+        "workloads.builds": ["base", "149", "head", "81", "(advisory)"],
+        "campaign.pool_util": ["base", "0.91", "head", "0.95", "(advisory)"],
+    }
+    assert set(counter_lines(out).values()) == {"exact"}
+
+
+def test_orchestration_values_missing_on_a_side_are_not_shown(tmp_path, capsys):
+    head_run = traced("cold_campaign")
+    head_run["metrics"]["workloads.builds"] = {"value": 81.0, "unit": "count"}
+    base = three("cold_campaign") + [traced("cold_campaign")]
+    assert run_gate(tmp_path, base, three("cold_campaign") + [head_run]) == 0
+    assert "workloads.builds" not in capsys.readouterr().out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -37,7 +38,7 @@ from repro.experiments.cache import (
     ResultCache,
     canonical_json,
 )
-from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
+from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest, WorkerPool
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan
@@ -681,6 +682,21 @@ class TestDaemonDegradation:
         assert health["watchdog_kills"] >= 1
         assert 1 <= sampler.peak <= live.service.workers
 
+    def test_evicted_engines_and_shutdown_leave_no_worker(self, tmp_path, monkeypatch):
+        # Engines borrow the daemon's one pool: evicting one orphans no
+        # process, and shutdown reaps every worker.
+        monkeypatch.setattr(ResultsService, "ENGINE_LIMIT", 1)
+        before = {child.pid for child in multiprocessing.active_children()}
+        with reliability_daemon(tmp_path / "cache") as live, ChildProcessSampler() as sampler:
+            for seed in (0, 1):
+                status, _, body = live.render("figure_02", dict(RENDER_BODY, seed=seed))
+                assert status == 200, body
+            assert list(live.service.engines) == [(SCALE, 1)]
+            workers = {child.pid for child in multiprocessing.active_children()} - before
+            assert 1 <= len(workers) <= live.service.workers
+        assert sampler.peak - len(before) <= live.service.workers
+        assert not {child.pid for child in multiprocessing.active_children()} - before
+
     def test_oversized_request_line_is_a_clean_400(self, tmp_path):
         with reliability_daemon(tmp_path / "cache") as live:
             response = raw_exchange(
@@ -790,3 +806,64 @@ class TestDaemonDegradation:
             assert status == 200
         assert live.service.draining is True
         assert live.service._active_requests == 0
+
+
+# ---------------------------------------------------------------------------
+# One worker pool shared by concurrent callers
+# ---------------------------------------------------------------------------
+class TestSharedWorkerPool:
+    def test_a_strike_requeues_other_callers_without_penalty(self, tmp_path, monkeypatch):
+        # Two engines share one pool, as the daemon's do.  One's key hangs
+        # and its watchdog condemns the pool under the other's running
+        # batch: that batch requeues its unfinished keys and finishes with
+        # no retry and no strike of its own, on at most two live workers.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a patched worker body reaches the pool only by fork")
+        from repro.experiments import campaign
+
+        shared = WorkerPool(2)
+        striking = CampaignEngine(
+            scale=SCALE, jobs=2, worker_pool=shared, retry_policy=FAST_RETRY,
+            watchdog_config=WatchdogConfig(min_seconds=1.0, poll_interval_s=0.02),
+        )
+        patient = CampaignEngine(scale=SCALE, seed=1, jobs=2, worker_pool=shared,
+                                 retry_policy=FAST_RETRY)
+        plan = [item.request for item in resolve_plan(
+            "figure_12", SimulationRunner(engine=patient), benchmarks=BENCHMARKS)]
+        patient_keys = {patient.resolve(request).key for request in plan}
+        hung = int(striking.resolve(REQUEST).key, 16)
+        modulo = next(m for m in range(2, 1000)
+                      if all(int(key, 16) % m != hung % m for key in patient_keys))
+        attempts = tmp_path / "attempts"
+        original = campaign._simulate_entry
+
+        @functools.wraps(original)
+        def slow_entry(payload):
+            if payload["key"] in patient_keys:
+                with attempts.open("a") as handle:
+                    handle.write(payload["key"] + "\n")
+                time.sleep(0.4)
+            return original(payload)
+
+        monkeypatch.setattr(campaign, "_simulate_entry", slow_entry)
+        faults.install_plan(parse_faults(f"hang@sim:key%{modulo}={hung % modulo}",
+                                         hang_seconds=600.0))
+        struck = []
+        with ChildProcessSampler() as sampler:
+            first = threading.Thread(target=lambda: struck.append(striking.run(REQUEST)))
+            first.start()
+            time.sleep(0.2)
+            patient.run_many(plan)
+            first.join(timeout=60)
+        faults.install_plan(None)
+        shared.close()
+        assert not first.is_alive() and len(struck) == 1
+        assert (striking.watchdog_kills, striking.retries) == (1, 1)
+        assert (patient.watchdog_kills, patient.retries) == (0, 0)
+        assert len(attempts.read_text().split()) > len(patient_keys)  # requeued
+        assert 1 <= sampler.peak <= 2
+        assert multiprocessing.active_children() == []
+        serial = CampaignEngine(scale=SCALE, seed=1)
+        assert [result.to_dict() for result in patient.run_many(plan)] == [
+            result.to_dict() for result in serial.run_many(plan)
+        ]

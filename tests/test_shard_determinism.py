@@ -24,6 +24,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.cache import CACHE_FORMAT_VERSION
 from repro.experiments.campaign import CampaignRunError
+from repro.experiments.cli import main as cli_main
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import experiment_catalog, resolve_plan, run_experiment
 from repro.experiments.shard import (
@@ -136,6 +137,33 @@ class TestSharedCacheDeterminism:
         )
         assert (csv, markdown) == serial_outputs[figure]
         assert merged.cache_info()["simulations_run"] == 0
+
+    def test_merge_verifies_the_entries_of_a_shared_cache(self, tmp_path, capsys):
+        # The destination is the only source: nothing is copied, so only a
+        # verifying read finds the torn entry.  It is quarantined, counted
+        # missing, and the merge refuses to render.
+        shared = tmp_path / "shared"
+        command = ["figure_02", "--scale", str(SCALE), "--benchmarks", *BENCHMARKS,
+                   "--cache-dir", str(shared)]
+        assert cli_main(command + ["--shard", "1/1"]) == 0
+        (entry,) = shared.glob("??/*.json")
+        blob = entry.read_bytes()
+        entry.write_bytes(blob[: len(blob) // 2])
+        capsys.readouterr()
+        assert cli_main(command + ["--merge-shards", str(shared), "--verbose"]) == 2
+        captured = capsys.readouterr()
+        assert "0/1 planned keys present" in captured.out
+        assert "quarantined=1" in captured.out
+        assert "[run]" not in captured.out
+        assert "incomplete" in captured.err
+        assert not entry.exists()
+        # Rerunning the shard repairs the cache; the merge then renders.
+        assert cli_main(command + ["--shard", "1/1"]) == 0
+        capsys.readouterr()
+        assert cli_main(command + ["--merge-shards", str(shared), "--verbose"]) == 0
+        captured = capsys.readouterr().out
+        assert "1/1 planned keys present" in captured
+        assert "[run]" not in captured
 
     def test_merge_skips_manifests_of_other_versions(self, serial_outputs, tmp_path):
         # A v3 manifest, and a current one whose keys name entries of the
