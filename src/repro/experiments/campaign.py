@@ -16,10 +16,9 @@ embarrassingly parallel, incrementally resumable campaign:
   key-sorted order, so the campaign output is bit-identical whatever the
   completion order or worker count.  Serial is a one-worker campaign:
   every attempt runs the one body, :func:`_simulate_entry`, in-process
-  (``jobs == 1``) or on the engine's watchdogged :class:`WorkerPool`,
-  kept warm across rounds and batches, and every outcome is the
-  serialized result.  Renders, shard workers and the results daemon all
-  use it.
+  (``jobs == 1``) or on the engine's :class:`WorkerPool`, kept warm
+  across rounds and batches, and every outcome is the serialized result.
+  Renders, shard workers and the results daemon all use it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -29,23 +28,26 @@ render's plan through :meth:`run_many` before the harness builds its rows.
 
 from __future__ import annotations
 
+import collections
 import functools
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.util
+import os
 import pathlib
 import queue
 import threading
 import time
 import traceback
-import weakref
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import DMUConfig, SimulationConfig, default_paper_config
 from ..errors import ExperimentError
 from ..reliability.faults import active_spec, ensure_plan, install_plan, maybe_fault
 from ..reliability.retry import RetryPolicy
-from ..reliability.watchdog import Watchdog, WatchdogConfig, write_heartbeat
+from ..reliability.watchdog import WatchdogConfig
 from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
 from ..workloads.registry import create_workload, workload_factory
@@ -269,9 +271,6 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             ensure_plan(spec)
         else:
             install_plan(None)
-        heartbeat_dir = payload.get("heartbeat_dir")
-        if heartbeat_dir:
-            write_heartbeat(heartbeat_dir, payload["key"], attempt)
         maybe_fault("sim", payload["key"], attempt)
         config = SimulationConfig.from_dict(payload["config"])
         program = build_program(
@@ -290,76 +289,244 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
     return payload["key"], result.to_dict(), time.perf_counter() - started
 
 
+def _worker_main(conn: multiprocessing.connection.Connection,
+                 parent_end: multiprocessing.connection.Connection) -> None:
+    """A pool worker's life: answer each payload the parent sends with its
+    :func:`_simulate_entry` outcome, until the parent's end closes.
+
+    The body is looked up on this module per payload, so a wrapper
+    installed here before the fork is what the worker runs.
+    """
+    parent_end.close()  # a forked copy would keep the pipe open after the parent
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        conn.send(_simulate_entry(payload))
+
+
+def _struck(payload: Dict[str, object], error_type: str, message: str,
+            seconds: float) -> _Outcome:
+    """The outcome of a payload whose worker produced no result."""
+    return payload["key"], _error_marker(_run_params(payload), error_type, message), seconds
+
+
+#: Strikes the pool hands out for an attempt its worker never answered.
+_STRIKES = ("WorkerCrash", "WorkerTimeout")
+
+#: A queued payload: ``(payload, landed, deadline seconds)``.
+_Job = Tuple[Dict[str, object], Callable[[_Outcome], None], float]
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe and its payload."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(child, self.conn), name="campaign-worker", daemon=True
+        )
+        self.process.start()
+        child.close()
+        #: The payload being simulated (None when idle), who gets its
+        #: outcome (None once cancelled), and when it was sent and is due.
+        self.payload: Optional[Dict[str, object]] = None
+        self.landed: Optional[Callable[[_Outcome], None]] = None
+        self.started = self.deadline = 0.0
+
+    def reap(self) -> None:
+        """Kill the process, wait for it and close the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+class _Dispatcher:
+    """The workers, queue and dispatch loop behind a :class:`WorkerPool`.
+
+    The loop runs on a daemon thread that holds this object, never the
+    pool, so dropping the pool runs its finalizer.  Every field is guarded
+    by ``lock``; the loop waits outside it.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self.processes = processes
+        self.lock = threading.Lock()
+        self.queue: Deque[_Job] = collections.deque()
+        self.workers: List[_Worker] = []
+        self.closed = False
+        self.wake_r = self.wake_w = -1
+
+    def submit(self, payloads: Sequence[Dict[str, object]],
+               landed: Callable[[_Outcome], None], deadline_s: float) -> None:
+        with self.lock:
+            if self.closed:
+                raise ExperimentError("the campaign worker pool is closed")
+            if not self.workers:
+                self.wake_r, self.wake_w = os.pipe()
+                os.set_blocking(self.wake_w, False)
+                self.workers = [_Worker() for _ in range(self.processes)]
+                threading.Thread(target=self.run, name="campaign-dispatch", daemon=True).start()
+            self.queue.extend((payload, landed, deadline_s) for payload in payloads)
+            self._wake()
+
+    def cancel(self, landed: Callable[[_Outcome], None]) -> None:
+        with self.lock:
+            self.queue = collections.deque(job for job in self.queue if job[1] is not landed)
+            for worker in self.workers:
+                if worker.landed is landed:
+                    worker.landed, worker.deadline = None, 0.0  # killed at once
+            if self.workers:
+                self._wake()
+
+    def close(self, error: Optional[BaseException] = None) -> None:
+        """Kill every worker; every payload still owed an outcome gets
+        ``error`` (by default: the pool is closed).  Idempotent."""
+        with self.lock:
+            if self.closed:
+                return
+            if self.workers:
+                self._wake()
+            self.closed = True
+            error_type, message = (
+                (type(error).__name__, str(error)) if error is not None
+                else ("ExperimentError", "the campaign worker pool is closed")
+            )
+            for worker in self.workers:
+                worker.reap()
+                if worker.payload is not None and worker.landed is not None:
+                    worker.landed(_struck(worker.payload, error_type, message, 0.0))
+            for payload, landed, _ in self.queue:
+                landed(_struck(payload, error_type, message, 0.0))
+            self.workers, self.queue = [], collections.deque()
+
+    def _wake(self) -> None:
+        try:
+            os.write(self.wake_w, b"\0")
+        except BlockingIOError:
+            pass  # a wake-up is already pending
+
+    def run(self) -> None:
+        """The dispatch loop, until the pool closes."""
+        try:
+            while self._turn():
+                pass
+        except BaseException as error:  # noqa: BLE001 - owed outcomes carry it
+            self.close(error)
+        finally:
+            with self.lock:
+                os.close(self.wake_r)
+                os.close(self.wake_w)
+
+    def _turn(self) -> bool:
+        """Send queued payloads to idle workers, wait for a result, a death,
+        a wake-up or the earliest deadline, and settle what happened."""
+        with self.lock:
+            if self.closed:
+                return False
+            now = time.monotonic()
+            for worker in self.workers:
+                if worker.payload is None and self.queue:
+                    self._send(worker, now)
+            busy = [worker for worker in self.workers if worker.payload is not None]
+            waits = [self.wake_r, *(worker.process.sentinel for worker in self.workers),
+                     *(worker.conn for worker in busy)]
+            timeout = max(0.0, min(w.deadline for w in busy) - now) if busy else None
+        ready = set(multiprocessing.connection.wait(waits, timeout))
+        with self.lock:
+            if self.closed:
+                return False
+            if self.wake_r in ready:
+                os.read(self.wake_r, 4096)
+            now = time.monotonic()
+            for index, worker in enumerate(self.workers):
+                if worker.payload is not None and worker.conn in ready:
+                    try:
+                        outcome = worker.conn.recv()
+                    except (EOFError, OSError):
+                        ready.add(worker.process.sentinel)  # its pipe closed: it died
+                    else:
+                        landed = worker.landed
+                        worker.payload = worker.landed = None
+                        if landed is not None:
+                            landed(outcome)
+                dead = worker.process.sentinel in ready
+                if dead or (worker.payload is not None and now >= worker.deadline):
+                    self._replace(index, dead, now)
+        return True
+
+    def _send(self, worker: _Worker, now: float) -> None:
+        payload, landed, deadline_s = job = self.queue.popleft()
+        try:
+            worker.conn.send(payload)
+        except OSError:  # the worker died idle; its sentinel reports it
+            self.queue.appendleft(job)
+            return
+        worker.payload, worker.landed = payload, landed
+        worker.started, worker.deadline = now, now + deadline_s
+
+    def _replace(self, index: int, dead: bool, now: float) -> None:
+        """Reap a dead or overdue worker, strike its payload and fork one
+        replacement."""
+        worker = self.workers[index]
+        worker.reap()
+        if worker.payload is not None and worker.landed is not None:
+            seconds = now - worker.started
+            if dead:
+                error = ("WorkerCrash", f"worker exited with code {worker.process.exitcode}")
+            else:
+                error = ("WorkerTimeout", f"no result after {seconds:.1f}s (deadline "
+                         f"{worker.deadline - worker.started:.1f}s); worker killed")
+            worker.landed(_struck(worker.payload, *error, seconds))
+        self.workers[index] = _Worker()
+
+
 class WorkerPool:
     """Campaign worker processes, kept warm across rounds and batches.
 
-    One ``multiprocessing`` pool of ``processes`` workers.  It forks on the
-    first :meth:`submit` and serves every later one, so a worker keeps its
+    ``processes`` workers, each on its own pipe, forked on the first
+    :meth:`submit` and serving every later one, so a worker keeps its
     :func:`build_program` memo from one batch (one figure) to the next.  A
-    round that finds a worker hung or dead condemns the pool
-    (:meth:`condemn`): it is terminated, its workers killed and reaped, and
-    the next :meth:`submit` forks a fresh one.  Forking, submitting and
-    condemning hold one lock, so the threads that share a pool (the results
-    daemon's offload threads, across all of its engines) never see more
-    than ``processes`` workers alive.  :meth:`close` terminates the pool for
-    good; a finalizer does the same when the owner is collected or the
-    interpreter exits.
+    dispatcher thread sends each queued payload to an idle worker and hands
+    every payload exactly one outcome: its result, a ``WorkerCrash`` strike
+    as soon as its worker is seen dead, or a ``WorkerTimeout`` strike when
+    it outlives its deadline (its worker is killed).  A dead or killed
+    worker is reaped before its one replacement forks, so the threads that
+    share a pool (the results daemon's, across all of its engines) never
+    see more than ``processes`` workers alive, and no other worker is
+    disturbed.  :meth:`close` kills the workers for good; a finalizer does
+    the same when the pool is collected or the interpreter exits.
     """
 
     def __init__(self, processes: int) -> None:
         if processes < 1:
             raise ExperimentError(f"a worker pool needs >= 1 process, got {processes}")
         self.processes = processes
-        self._lock = threading.Lock()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._reaper: Optional[weakref.finalize] = None
-        self._closed = False
+        self._dispatcher = _Dispatcher(processes)
+        # Runs before multiprocessing reaps daemonic children at exit, so
+        # the dispatcher never sees a worker die under it and fork another.
+        self._reaper = multiprocessing.util.Finalize(
+            self, self._dispatcher.close, exitpriority=10
+        )
 
     def submit(self, payloads: Sequence[Dict[str, object]],
-               landed: Callable[[_Outcome], None],
-               failed: Callable[[str, BaseException], None]) -> "multiprocessing.pool.Pool":
-        """Queue one :func:`_simulate_entry` call per payload; returns the
-        serving pool, the token :meth:`serving` and :meth:`condemn` take.
+               landed: Callable[[_Outcome], None], deadline_s: float) -> None:
+        """Queue one :func:`_simulate_entry` call per payload, each due
+        ``deadline_s`` after it reaches a worker.  ``landed`` gets each
+        outcome, on the dispatcher thread; it is also this submission's
+        handle for :meth:`cancel`."""
+        self._dispatcher.submit(payloads, landed, deadline_s)
 
-        ``landed`` gets each outcome and ``failed`` each pool plumbing
-        error (with the payload's key), both on the pool's result thread.
-        """
-        with self._lock:
-            if self._closed:
-                raise ExperimentError("the campaign worker pool is closed")
-            pool = self._pool
-            if pool is None:
-                pool = self._pool = multiprocessing.Pool(processes=self.processes)
-                self._reaper = weakref.finalize(self, pool.terminate)
-            for payload in payloads:
-                pool.apply_async(
-                    _simulate_entry, (payload,), callback=landed,
-                    error_callback=functools.partial(failed, payload["key"]),
-                )
-        return pool
-
-    def serving(self, pool: "multiprocessing.pool.Pool") -> bool:
-        """Whether ``pool`` still serves (no round condemned it)."""
-        return self._pool is pool
-
-    def condemn(self, pool: "multiprocessing.pool.Pool") -> None:
-        """Terminate ``pool`` unless it is already gone; the next
-        :meth:`submit` forks a fresh one.  Outcomes queued before the
-        terminate have all been delivered when this returns."""
-        with self._lock:
-            if self._pool is pool:
-                self._terminate()
+    def cancel(self, landed: Callable[[_Outcome], None]) -> None:
+        """Drop the payloads submitted with ``landed`` that have no outcome
+        yet: queued ones are dequeued, running ones have their worker killed
+        and replaced.  ``landed`` gets nothing more."""
+        self._dispatcher.cancel(landed)
 
     def close(self) -> None:
-        """Terminate the workers and refuse later work.  Idempotent."""
-        with self._lock:
-            self._closed = True
-            self._terminate()
-
-    def _terminate(self) -> None:
-        if self._reaper is not None:
-            self._reaper()  # pool.terminate(): kill, then reap, every worker
-        self._pool = self._reaper = None
+        """Kill the workers and refuse later work.  Idempotent."""
+        self._reaper()
 
 
 class CampaignEngine:
@@ -378,14 +545,15 @@ class CampaignEngine:
       what is missing.
     * **Execution** — :meth:`run_many` simulates uncached runs in one
       retrying loop through one attempt body, in-process or on the engine's
-      watchdogged :class:`WorkerPool` (``jobs > 1``), and commits
+      :class:`WorkerPool` (``jobs > 1``), and commits
       serialized results in key-sorted order, so parallel output is
       byte-identical to serial (``docs/determinism.md``).  Failures surface as
       :class:`CampaignRunError` carrying the key, workload parameters and
       attempt history, never raw pool tracebacks.
     * **Workers** — one pool of ``jobs`` workers, forked by the first
-      pooled round and kept by every later round and batch until a
-      watchdog strike replaces it or :meth:`close` ends it.  An injected
+      pooled round and kept by every later round and batch until
+      :meth:`close` ends it; a worker that dies or outlives its deadline
+      is replaced alone.  An injected
       ``worker_pool`` (the results daemon shares one across its engines,
       like ``disk_cache``) is used instead and left to its owner.
     * **Derived once** — resolution is memoized per engine: each distinct
@@ -449,7 +617,7 @@ class CampaignEngine:
         #: Retry policy for transiently failed runs (crashed/hung workers,
         #: injected faults); permanent simulation errors never retry.
         self.retry_policy = retry_policy or RetryPolicy.from_env()
-        #: Deadline shaping for the pool watchdog (hung-worker detection).
+        #: Every pooled attempt's deadline (hung-worker detection).
         self.watchdog_config = watchdog_config or WatchdogConfig.from_env()
         #: Where ``jobs > 1`` rounds run; None for a serial engine.
         self.worker_pool = worker_pool
@@ -463,8 +631,8 @@ class CampaignEngine:
         #: Keys resubmitted after a transient failure (retry attempts beyond
         #: the first; bounded by ``retry_policy.max_attempts`` per key).
         self.retries = 0
-        #: Keys the watchdog struck for exceeding their deadline (hung or
-        #: crashed workers — both present as an overdue heartbeat).
+        #: Pooled attempts struck because their worker died (``WorkerCrash``)
+        #: or outlived the deadline and was killed (``WorkerTimeout``).
         self.watchdog_kills = 0
         #: Observed wall seconds of every simulation this engine (or its
         #: pool workers) actually ran, by canonical key.  Cache hits record
@@ -561,13 +729,11 @@ class CampaignEngine:
             "config": resolved.config_dict,
         }
 
-    def _attempt_payload(self, resolved: ResolvedRun, attempt: int, spec: Optional[str],
-                         watchdog: Optional[Watchdog]) -> Dict[str, object]:
+    def _attempt_payload(self, resolved: ResolvedRun, attempt: int,
+                         spec: Optional[str]) -> Dict[str, object]:
         """What :func:`_simulate_entry` gets for one attempt, in either mode."""
         payload = self._payload(resolved)
         payload["attempt"] = attempt
-        if watchdog is not None:
-            payload["heartbeat_dir"] = str(watchdog.directory)
         if spec:
             payload["faults"] = spec
         return payload
@@ -601,7 +767,7 @@ class CampaignEngine:
         entries.
 
         **Resilience.**  Transient failures — crashed pool workers, hung
-        simulations struck by the watchdog, injected faults — are retried
+        simulations killed at their deadline, injected faults — are retried
         with exponential backoff up to ``retry_policy.max_attempts`` per
         key; deterministic simulation errors fail immediately.  Because
         results are pure functions of their canonical key, a recovered batch
@@ -629,15 +795,12 @@ class CampaignEngine:
 
         A round attempts every pending key through :func:`_simulate_entry`
         — in-process when ``jobs == 1``, otherwise on the engine's warm
-        :class:`WorkerPool` under the
-        :class:`~repro.reliability.watchdog.Watchdog` — and settles the
-        outcomes in key order, each as soon as every key before it has
-        one.  Settling commits a result, requeues a transient failure
-        (backing off before the next round) until the retry policy is
-        exhausted, or fails the key with a :class:`CampaignRunError`
-        carrying its attempt history.  Keys a condemned pool round left
-        unfinished requeue without penalty.  Returns the failed keys'
-        errors; ``pending`` ends empty.
+        :class:`WorkerPool` — and settles the outcomes in key order, each
+        as soon as every key before it has one.  Settling commits a result,
+        requeues a transient failure (backing off before the next round)
+        until the retry policy is exhausted, or fails the key with a
+        :class:`CampaignRunError` carrying its attempt history.  Returns the
+        failed keys' errors; ``pending`` ends empty.
         """
         policy = self.retry_policy
         failed_attempts: Dict[str, int] = {}
@@ -668,134 +831,60 @@ class CampaignEngine:
                 attempts=history[key],
             )
 
-        watchdog = Watchdog(self.watchdog_config) if self.jobs > 1 else None
         if self.verbose:  # pragma: no cover - console feedback only
             print(f"[campaign] {len(pending)} runs on {self.jobs} worker(s)")
         spec = active_spec()
-        try:
-            while pending:
-                batch = [pending[key] for key in sorted(pending)]
-                backoff = max(
-                    (policy.delay(failed_attempts[item.key], item.key)
-                     for item in batch if item.key in failed_attempts),
-                    default=0.0,
-                )
-                if backoff:
-                    time.sleep(backoff)
-                payloads = [
-                    self._attempt_payload(
-                        item, failed_attempts.get(item.key, 0) + 1, spec, watchdog
-                    )
-                    for item in batch
-                ]
-                if watchdog is None:
-                    outcomes = (_simulate_entry(payload) for payload in payloads)
-                else:
-                    outcomes = self._pool_round(batch, payloads, watchdog)
-                for outcome in outcomes:
-                    settle(*outcome)
-        finally:
-            if watchdog is not None:
-                watchdog.cleanup()
+        while pending:
+            batch = [pending[key] for key in sorted(pending)]
+            backoff = max(
+                (policy.delay(failed_attempts[item.key], item.key)
+                 for item in batch if item.key in failed_attempts),
+                default=0.0,
+            )
+            if backoff:
+                time.sleep(backoff)
+            payloads = [
+                self._attempt_payload(item, failed_attempts.get(item.key, 0) + 1, spec)
+                for item in batch
+            ]
+            if self.worker_pool is None:
+                outcomes = (_simulate_entry(payload) for payload in payloads)
+            else:
+                outcomes = self._pool_round(payloads)
+            for outcome in outcomes:
+                settle(*outcome)
         return errors
 
-    def _pool_round(self, batch: Sequence[ResolvedRun], payloads: Sequence[Dict[str, object]],
-                    watchdog: Watchdog) -> Iterator[_Outcome]:
-        """Attempt ``batch`` on the worker pool; yields outcomes in key order.
+    def _pool_round(self, payloads: Sequence[Dict[str, object]]) -> Iterator[_Outcome]:
+        """Attempt ``payloads`` on the worker pool; yields outcomes in key order.
 
-        Completions arrive through pool callbacks on a queue, read with the
-        watchdog's poll interval as timeout.  An outcome is yielded once
-        every key sorting before it has landed, so the caller's commits
-        overlap the round's tail and still follow key order.  The round
-        ends when every key landed, or when the watchdog finds overdue keys
-        (or sees no progress for a whole stall budget: workers that died
-        before heartbeating).  Struck keys get a ``WorkerTimeout``/
-        ``WorkerStall`` outcome and condemn the pool, which kills any hung
-        worker and discards tasks orphaned by a crash; the rest of an
-        unfinished round get none and requeue.  A round whose pool another
-        caller condemned ends the same way, striking nothing.
+        The pool hands every payload exactly one outcome on this round's
+        queue: its result or captured error, or a ``WorkerCrash`` /
+        ``WorkerTimeout`` strike (counted in :attr:`watchdog_kills`).  An
+        outcome is yielded once every key sorting before it has landed, so
+        the caller's commits overlap the round's tail and still follow key
+        order.  A round abandoned before its last outcome cancels its
+        remaining keys.
         """
-        items = {item.key: item for item in batch}
-        keys = sorted(items)
-        watchdog.reset()
-        deadlines = {key: watchdog.deadline_for(items[key]) for key in keys}
-        stall_budget = watchdog.config.min_seconds + max(deadlines.values())
-        poll_s = watchdog.config.poll_interval_s
+        keys = sorted(payload["key"] for payload in payloads)
         landed: "queue.SimpleQueue[_Outcome]" = queue.SimpleQueue()
-
-        def failed(key: str, error: BaseException) -> None:
-            landed.put(self._failure(items[key], type(error).__name__, str(error)))
-
-        workers = self.worker_pool
-        pool = workers.submit(payloads, landed.put, failed)
+        put = landed.put
+        self.worker_pool.submit(payloads, put, self.watchdog_config.min_seconds)
         outcomes: Dict[str, _Outcome] = {}
         settled = 0  # keys[:settled] are yielded
-        last_progress = time.monotonic()
-        next_check = last_progress + poll_s
-        struck: Dict[str, Tuple[str, str]] = {}
         try:
-            while True:
+            while settled < len(keys):
+                outcome = landed.get()
+                marker = outcome[1].get(_ERROR_MARKER)
+                if marker is not None and marker["error_type"] in _STRIKES:
+                    self.watchdog_kills += 1
+                outcomes[outcome[0]] = outcome
                 while settled < len(keys) and keys[settled] in outcomes:
                     yield outcomes.pop(keys[settled])
                     settled += 1
-                if settled == len(keys):
-                    return
-                try:
-                    outcome = landed.get(timeout=max(0.0, next_check - time.monotonic()))
-                except queue.Empty:
-                    pass
-                else:
-                    outcomes[outcome[0]] = outcome
-                    last_progress = time.monotonic()
-                now = time.monotonic()
-                if now < next_check:
-                    continue
-                next_check = now + poll_s
-                if not workers.serving(pool):
-                    break  # condemned by another round sharing the pool
-                unfinished = [key for key in keys[settled:] if key not in outcomes]
-                overdue = watchdog.overdue({key: deadlines[key] for key in unfinished})
-                if overdue:
-                    struck = {
-                        key: ("WorkerTimeout",
-                              f"no result after {seconds:.1f}s "
-                              f"(deadline {deadlines[key]:.1f}s); pool terminated")
-                        for key, seconds in overdue.items()
-                    }
-                elif now - last_progress > stall_budget:
-                    struck = {
-                        key: ("WorkerStall",
-                              f"no worker progress for {stall_budget:.1f}s; "
-                              "pool terminated")
-                        for key in unfinished
-                    }
-                else:
-                    continue
-                workers.condemn(pool)
-                break
-        except BaseException:
-            # Abandoned mid-round: no task of it may keep running.
-            workers.condemn(pool)
-            raise
-        # The pool is terminated: every outcome it delivered is queued.
-        while True:
-            try:
-                outcome = landed.get_nowait()
-            except queue.Empty:
-                break
-            outcomes[outcome[0]] = outcome
-        for key, (error_type, message) in struck.items():
-            if key not in outcomes:
-                self.watchdog_kills += 1
-                outcomes[key] = self._failure(items[key], error_type, message)
-        for key in sorted(outcomes):
-            yield outcomes[key]
-
-    def _failure(self, item: ResolvedRun, error_type: str, message: str,
-                 worker_traceback: str = "") -> _Outcome:
-        """The outcome of an attempt at ``item`` that produced no result."""
-        params = _run_params(self._payload(item))
-        return item.key, _error_marker(params, error_type, message, worker_traceback), 0.0
+        finally:
+            if settled < len(keys):
+                self.worker_pool.cancel(put)
 
     def _commit(self, item: ResolvedRun, result: Dict[str, object], seconds: float) -> None:
         """Persist one serialized result as is and memoize its deserialized

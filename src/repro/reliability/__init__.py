@@ -1,4 +1,4 @@
-"""Fault injection, retry policies and worker watchdogs for campaigns.
+"""Fault injection, retry policies and worker deadlines for campaigns.
 
 The campaign stack (``repro.experiments``) and the results daemon
 (``repro.service``) survive worker crashes, hung simulations and corrupted
@@ -9,8 +9,8 @@ cache entries through three cooperating pieces that live here:
   the cache, the campaign engine, the shard merger and the daemon;
 * :mod:`repro.reliability.retry` — bounded-attempt retry with exponential
   backoff and transient-vs-permanent error classification;
-* :mod:`repro.reliability.watchdog` — heartbeat files plus cost-model
-  deadlines, so a hung pool worker is killed and its key requeued.
+* :mod:`repro.reliability.watchdog` — the one per-key deadline past which
+  the campaign pool kills a hung worker and strikes its key.
 
 Every recovery path preserves the determinism contract: recovered campaign
 output is byte-identical to a fault-free serial run (``docs/reliability.md``
@@ -30,4 +30,4 @@ from .faults import (  # noqa: F401
     parse_faults,
 )
 from .retry import RetryPolicy  # noqa: F401
-from .watchdog import Watchdog, WatchdogConfig, write_heartbeat  # noqa: F401
+from .watchdog import WatchdogConfig  # noqa: F401

@@ -63,8 +63,10 @@ FAULT_KINDS = ("crash", "hang", "error", "corrupt")
 
 FAULT_SITES = ("sim", "cache-read", "commit", "merge", "serve")
 
-#: Default sleep of a ``hang`` fault; long enough that any realistic
-#: watchdog deadline trips first.
+#: Default sleep of a ``hang`` fault.  A pool worker past its deadline
+#: (``REPRO_WATCHDOG_MIN_S``, default 90 s) is killed, but this default is
+#: shorter: a hang at the default deadline ends on its own as a slow call.
+#: Chaos runs that need a kill raise it or lower the deadline.
 DEFAULT_HANG_SECONDS = 30.0
 
 

@@ -9,14 +9,14 @@ transiently-failed keys through it, and the chaos suite asserts its bounds
 **Transient vs permanent.**  A simulation is a pure function of its
 canonical key, so a *deterministic* exception (a workload bug, a config
 validation error) will recur on every attempt — retrying it only burns
-time.  Only infrastructure failures are worth retrying: killed or hung pool
-workers (surfaced as watchdog verdicts), OS-level errors, and injected
+time.  Only infrastructure failures are worth retrying: crashed or hung
+pool workers (struck by the pool), OS-level errors, and injected
 faults from :mod:`repro.reliability.faults`.  Classification is by exception
 *type name* because pool workers report failures as serialized markers, not
 live exception objects.
 
 **Deterministic jitter.**  Backoff delays are jittered from an explicit
-``random.Random`` seeded by ``(policy seed, key, attempt)`` — no global RNG,
+``random.Random`` seeded by ``(key, attempt)`` — no global RNG,
 no wall clock — so two runs of the same campaign back off identically and a
 thundering herd of shard workers still decorrelates per key.  Delays shape
 *scheduling only*; results and rendered bytes are unaffected
@@ -31,16 +31,13 @@ from dataclasses import dataclass
 from typing import FrozenSet
 
 #: Exception type names classified transient: worker-process casualties
-#: (watchdog verdicts), OS/infrastructure errors and injected faults.
+#: (pool strikes), OS/infrastructure errors and injected faults.
 TRANSIENT_ERROR_TYPES: FrozenSet[str] = frozenset(
     {
         "WorkerTimeout",
         "WorkerCrash",
-        "WorkerStall",
-        "BrokenProcessPool",
         "InjectedFault",
         "OSError",
-        "IOError",
         "ConnectionError",
         "ConnectionResetError",
         "BrokenPipeError",
@@ -64,8 +61,6 @@ class RetryPolicy:
     #: Fractional jitter: the delay is scaled by ``1 + jitter * u`` with
     #: ``u`` drawn from the per-(key, attempt) seeded RNG.
     jitter: float = 0.25
-    #: Mixed into the jitter RNG so distinct campaigns decorrelate.
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -96,7 +91,7 @@ class RetryPolicy:
     def delay(self, attempt: int, key: str = "") -> float:
         """Backoff before retrying ``key`` after its ``attempt``-th failure.
 
-        Deterministic in (seed, key, attempt): exponential in the attempt
+        Deterministic in (key, attempt): exponential in the attempt
         number, capped at :attr:`max_delay_s`, scaled by seeded jitter.
         """
         if attempt < 1:
@@ -104,5 +99,6 @@ class RetryPolicy:
         base = min(self.max_delay_s, self.base_delay_s * (2.0 ** (attempt - 1)))
         if not self.jitter or not base:
             return base
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
+        # The leading "0:" keeps the delays of earlier releases.
+        rng = random.Random(f"0:{key}:{attempt}")
         return min(self.max_delay_s, base * (1.0 + self.jitter * rng.random()))

@@ -8,6 +8,8 @@ experiment CLI at any scale.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.workloads.synthetic import chain_program, fork_join_program, random_dag_program
@@ -15,6 +17,15 @@ from repro.workloads.synthetic import chain_program, fork_join_program, random_d
 from tests.util import diamond_program, make_config
 
 __all__ = ["diamond_program", "make_config"]
+
+
+@pytest.fixture(autouse=True)
+def _no_live_child_process():
+    """Fail any test that leaves a child process alive: a pooled engine or
+    runner must be closed, or dropped, before its test ends."""
+    yield
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"live child processes after the test: {leftover}"
 
 
 @pytest.fixture

@@ -9,11 +9,14 @@ pair distinct.
 
 import dataclasses
 import functools
+import gc
 import json
 import multiprocessing
 import os
+import threading
 import time
 import warnings
+from contextlib import closing
 
 import pytest
 
@@ -271,8 +274,8 @@ class TestEngineCaching:
     def test_memo_holds_the_deserialized_result_shape(self, jobs):
         # Serial or pooled, a fresh result is memoized exactly as a disk hit
         # restores it: totals kept, per-task instances dropped.
-        runner = SimulationRunner(scale=0.05, jobs=jobs)
-        result = runner.run("cholesky", "software")
+        with closing(SimulationRunner(scale=0.05, jobs=jobs)) as runner:
+            result = runner.run("cholesky", "software")
         assert result.task_instances == []
         assert result.finished_task_count == result.num_tasks_executed > 0
 
@@ -292,10 +295,11 @@ class TestEngineCaching:
 class TestParallelEquivalence:
     def test_jobs2_csv_is_byte_identical_to_serial(self, tmp_path):
         serial = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "serial")
-        parallel = SimulationRunner(scale=SCALE, jobs=2, cache_dir=tmp_path / "cache")
         kwargs = dict(scale=SCALE, benchmarks=["blackscholes"])
         serial_result = run_experiment("figure_12", runner=serial, **kwargs)
-        parallel_result = run_experiment("figure_12", runner=parallel, **kwargs)
+        with closing(SimulationRunner(scale=SCALE, jobs=2,
+                                      cache_dir=tmp_path / "cache")) as parallel:
+            parallel_result = run_experiment("figure_12", runner=parallel, **kwargs)
         assert parallel_result.to_csv() == serial_result.to_csv()
         assert parallel_result.to_markdown() == serial_result.to_markdown()
         # Both ran the whole plan (the FIFO baseline and the fifo scheduler
@@ -309,12 +313,12 @@ class TestParallelEquivalence:
 
     def test_parallel_results_persist_for_warm_rerun(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = SimulationRunner(scale=SCALE, jobs=2, cache_dir=cache_dir)
-        run_experiment("figure_10", runner=first, scale=SCALE, benchmarks=["blackscholes"])
+        with closing(SimulationRunner(scale=SCALE, jobs=2, cache_dir=cache_dir)) as first:
+            run_experiment("figure_10", runner=first, scale=SCALE, benchmarks=["blackscholes"])
         assert first.cache_info()["simulations_run"] == 2
 
-        second = SimulationRunner(scale=SCALE, jobs=2, cache_dir=cache_dir)
-        run_experiment("figure_10", runner=second, scale=SCALE, benchmarks=["blackscholes"])
+        with closing(SimulationRunner(scale=SCALE, jobs=2, cache_dir=cache_dir)) as second:
+            run_experiment("figure_10", runner=second, scale=SCALE, benchmarks=["blackscholes"])
         assert second.cache_info()["simulations_run"] == 0
 
 
@@ -767,13 +771,13 @@ class TestResolutionMemo:
     @pytest.fixture(scope="class")
     def filled_cache(self, tmp_path_factory):
         cache_dir = tmp_path_factory.mktemp("warm")
-        runner = SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)
-        csvs = {
-            name: run_experiment(
-                name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
-            ).to_csv()
-            for name in self.PLAN
-        }
+        with closing(SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)) as runner:
+            csvs = {
+                name: run_experiment(
+                    name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
+                ).to_csv()
+                for name in self.PLAN
+            }
         return cache_dir, csvs
 
     def test_warm_render_derives_each_config_and_key_once(self, filled_cache, monkeypatch):
@@ -800,13 +804,13 @@ class TestResolutionMemo:
         monkeypatch.setattr(SimulationConfig, "to_dict", counting_to_dict)
         monkeypatch.setattr(CampaignEngine, "resolve", recording_resolve)
         monkeypatch.setattr(campaign, "canonical_run_key", counting_key)
-        runner = SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)
-        csvs = {
-            name: run_experiment(
-                name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
-            ).to_csv()
-            for name in self.PLAN
-        }
+        with closing(SimulationRunner(scale=0.05, jobs=2, cache_dir=cache_dir)) as runner:
+            csvs = {
+                name: run_experiment(
+                    name, scale=0.05, benchmarks=self.BENCHMARKS, runner=runner
+                ).to_csv()
+                for name in self.PLAN
+            }
         assert csvs == cold_csvs
         info = runner.engine.cache_info()
         assert info["simulations_run"] == 0 and info["disk_hits"] > 0
@@ -926,9 +930,9 @@ class TestSimulationLoop:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_campaign_records_one_timing_per_simulated_key(self, tmp_path, jobs):
-        engine = CampaignEngine(scale=0.05, jobs=jobs, cache_dir=tmp_path)
-        plan = self._plan(engine)
-        engine.run_many(plan)
+        with closing(CampaignEngine(scale=0.05, jobs=jobs, cache_dir=tmp_path)) as engine:
+            plan = self._plan(engine)
+            engine.run_many(plan)
         assert len(engine.key_timings) == engine.cache_info()["simulations_run"] > 1
         assert sorted(engine.key_timings) == sorted({engine.resolve(r).key for r in plan})
         assert all(seconds > 0 for seconds in engine.key_timings.values())
@@ -952,8 +956,8 @@ class TestSimulationLoop:
             return original(payload)
 
         monkeypatch.setattr(campaign, "_simulate_entry", marking_entry)
-        engine = CampaignEngine(scale=0.05, jobs=jobs)
-        engine.run_many(self._plan(engine))
+        with closing(CampaignEngine(scale=0.05, jobs=jobs)) as engine:
+            engine.run_many(self._plan(engine))
         assert sorted(path.name for path in marks.iterdir()) == sorted(engine.key_timings)
 
 
@@ -1005,16 +1009,16 @@ class TestWarmPool:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(campaign, "create_workload", logging_create)
-        engine = CampaignEngine(scale=0.05, jobs=2)
-        first, second = self._plan(engine, "figure_12"), self._plan(engine, "figure_09")
-        points = [
-            {(item.request.benchmark, item.workload_runtime) for item in map(engine.resolve, batch)}
-            for batch in (first, second)
-        ]
-        assert points[0] & points[1], "the batches must share a program"
-        engine.run_many(first)
-        engine.run_many(second)
-        engine.close()
+        with closing(CampaignEngine(scale=0.05, jobs=2)) as engine:
+            first, second = self._plan(engine, "figure_12"), self._plan(engine, "figure_09")
+            points = [
+                {(item.request.benchmark, item.workload_runtime)
+                 for item in map(engine.resolve, batch)}
+                for batch in (first, second)
+            ]
+            assert points[0] & points[1], "the batches must share a program"
+            engine.run_many(first)
+            engine.run_many(second)
         pids = {pid for _, _, pid in self._attempts(marks)}
         assert 1 <= len(pids) <= engine.jobs
         assert len(self._attempts(marks)) == engine.simulations_run
@@ -1022,28 +1026,109 @@ class TestWarmPool:
         assert len(built) == len(set(built)), "a worker rebuilt a program it had"
         assert {line.split()[0] for line in built} <= pids
 
-    def test_watchdog_strike_retries_on_a_fresh_pool(self, tmp_path, monkeypatch):
+    def test_a_deadline_strike_replaces_only_the_hung_worker(self, tmp_path, monkeypatch):
         marks = tmp_path / "attempts"
         self._mark_attempts(monkeypatch, marks)
-        faults.install_plan(faults.parse_faults("hang@sim", hang_seconds=600.0))
-        engine = CampaignEngine(
+        request = RunRequest("blackscholes", "software")
+        with closing(CampaignEngine(
             scale=0.05, jobs=2, retry_policy=self.NO_WAIT,
-            watchdog_config=WatchdogConfig(min_seconds=1.0, poll_interval_s=0.02),
-        )
+            watchdog_config=WatchdogConfig(min_seconds=1.0),
+        )) as engine:
+            engine.run(RunRequest("blackscholes", "tdm"))  # forks the workers
+            before = {str(child.pid) for child in multiprocessing.active_children()}
+            faults.install_plan(faults.parse_faults("hang@sim", hang_seconds=600.0))
+            try:
+                result = engine.run(request)
+            finally:
+                faults.install_plan(None)
+            assert (engine.watchdog_kills, engine.retries) == (1, 1)
+            (_, _, warm), (_, first, hung), (_, second, retried) = self._attempts(marks)
+            assert (first, second) == ("1", "2")
+            live = {str(child.pid) for child in multiprocessing.active_children()}
+            assert hung in before and hung not in live, "the hung worker outlived its deadline"
+            assert before - {hung} <= live, "a worker that was not hung was replaced"
+            assert retried in live and retried != hung
+            assert len(live) == engine.jobs
+        assert result.to_dict() == CampaignEngine(scale=0.05).run(request).to_dict()
+
+    def test_a_dropped_engine_leaves_no_worker(self):
+        # Nothing of the pool refers back to it (the dispatcher thread holds
+        # only its internals), so dropping the last reference reaps the
+        # workers without a garbage collection.
+        gc.disable()
         try:
-            result = engine.run(RunRequest("blackscholes", "software"))
+            engine = CampaignEngine(scale=0.05, jobs=2)
+            engine.run(RunRequest("blackscholes", "software"))
+            assert len(multiprocessing.active_children()) == engine.jobs
+            del engine
+            assert multiprocessing.active_children() == []
         finally:
-            faults.install_plan(None)
-        assert (engine.watchdog_kills, engine.retries) == (1, 1)
-        (_, first, hung), (_, second, retried) = self._attempts(marks)
-        assert (first, second) == ("1", "2")
-        live = {str(child.pid) for child in multiprocessing.active_children()}
-        assert hung not in live, "the struck pool's worker outlived it"
-        assert retried in live and retried != hung
-        engine.close()
-        assert result.to_dict() == CampaignEngine(scale=0.05).run(
-            RunRequest("blackscholes", "software")
-        ).to_dict()
+            gc.enable()
+
+    def test_a_warm_render_forks_no_worker(self, tmp_path):
+        plan = self._plan(CampaignEngine(scale=0.05), "figure_12")
+        CampaignEngine(scale=0.05, cache_dir=tmp_path).run_many(plan)
+        with closing(CampaignEngine(scale=0.05, jobs=2, cache_dir=tmp_path)) as engine:
+            assert all(result is not None for result in engine.run_many(plan))
+            assert engine.cache_info()["disk_hits"] > 0
+            assert multiprocessing.active_children() == []
+
+    def test_a_worker_exits_when_the_parent_closes_its_pipe(self):
+        worker = campaign._Worker()
+        worker.conn.close()  # the worker holds no copy of the parent's end
+        worker.process.join(timeout=10)
+        assert worker.process.exitcode == 0
+
+    def test_an_abandoned_round_cancels_its_keys(self, tmp_path, monkeypatch):
+        engine = CampaignEngine(scale=0.05, jobs=2)
+        plan = self._plan(engine, "figure_12")
+        keys = sorted({engine.resolve(request).key for request in plan})
+        assert len(keys) >= 4
+        marks = tmp_path / "attempts"
+        self._mark_attempts(monkeypatch, marks, delays={key: 30.0 for key in keys[1:]})
+
+        def failing_commit(item, result, seconds):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(engine, "_commit", failing_commit)
+        with closing(engine):
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="disk full"):
+                engine.run_many(plan)
+            assert time.monotonic() - started < 10.0
+            # The queued keys never ran; the running ones have their worker
+            # killed and replaced (by the dispatcher, right after).
+            attempts = self._attempts(marks)
+            assert 2 <= len(attempts) < len(keys)
+            cancelled = {pid for key, _, pid in attempts if key != keys[0]}
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                live = {str(child.pid) for child in multiprocessing.active_children()}
+                if len(live) == engine.jobs and not live & cancelled:
+                    break
+                time.sleep(0.05)
+            assert len(live) == engine.jobs and not live & cancelled
+
+    def test_closing_the_pool_fails_the_keys_it_still_owes(self, tmp_path, monkeypatch):
+        # Every submitted payload gets one outcome, even when the pool is
+        # closed under a waiting round: the round fails instead of hanging.
+        shared = campaign.WorkerPool(2)
+        engine = CampaignEngine(scale=0.05, jobs=2, worker_pool=shared)
+        plan = self._plan(engine, "figure_12")
+        keys = {engine.resolve(request).key for request in plan}
+        self._mark_attempts(monkeypatch, tmp_path / "attempts",
+                            delays={key: 30.0 for key in keys})
+        failures = {}
+        runner = threading.Thread(target=engine.run_many, args=(plan, failures))
+        runner.start()
+        time.sleep(0.5)
+        shared.close()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert set(failures) == keys
+        assert {error.error_type for error in failures.values()} == {"ExperimentError"}
+        assert all("closed" in error.error_message for error in failures.values())
+        assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent_and_reaps_every_worker(self):
         engine = CampaignEngine(scale=0.05, jobs=2)
@@ -1087,25 +1172,24 @@ class TestWarmPool:
             commit(item, result, seconds)
 
         monkeypatch.setattr(engine, "_commit", recording_commit)
-        engine.run_many(plan)
-        engine.close()
+        with closing(engine):
+            engine.run_many(plan)
         assert [key for key, _ in commits] == keys
         committed = dict(commits)
         # Commits overlap the round's tail instead of waiting for it.
         assert committed[keys[-1]] - committed[keys[-2]] > 0.5
 
     def test_a_cleared_fault_plan_leaves_the_warm_workers(self):
-        engine = CampaignEngine(scale=0.05, jobs=2, retry_policy=self.NO_WAIT)
-        faults.install_plan(faults.parse_faults("error@sim:key%1"))
-        try:
-            engine.run_many(self._plan(engine, "figure_12"))
-        finally:
-            faults.install_plan(None)
-        assert engine.retries >= 1
-        retries = engine.retries
-        simulated = engine.simulations_run
-        engine.run_many(self._plan(engine, "figure_09"))
-        engine.close()
+        with closing(CampaignEngine(scale=0.05, jobs=2, retry_policy=self.NO_WAIT)) as engine:
+            faults.install_plan(faults.parse_faults("error@sim:key%1"))
+            try:
+                engine.run_many(self._plan(engine, "figure_12"))
+            finally:
+                faults.install_plan(None)
+            assert engine.retries >= 1
+            retries = engine.retries
+            simulated = engine.simulations_run
+            engine.run_many(self._plan(engine, "figure_09"))
         assert engine.simulations_run > simulated  # the second batch was cold
         assert (engine.retries, engine.watchdog_kills) == (retries, 0)
 

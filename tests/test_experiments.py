@@ -6,6 +6,8 @@ rather than the headline numbers, whose directions
 ``tests/test_paper_claims.py`` asserts at scale 0.25.
 """
 
+from contextlib import closing
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -122,8 +124,8 @@ class TestRenderRunsThePlan:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unsupported_option_fails_before_anything_simulates(self, jobs):
-        runner = SimulationRunner(scale=0.05, jobs=jobs)
-        with pytest.raises(TypeError):
+        with closing(SimulationRunner(scale=0.05, jobs=jobs)) as runner, \
+                pytest.raises(TypeError):
             run_experiment(
                 "figure_02", runner=runner, benchmarks=["blackscholes"], schedulers=["fifo"]
             )

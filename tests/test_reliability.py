@@ -27,11 +27,13 @@ import re
 import socket
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
 from repro.core.stats import DMUStats
 from repro.errors import ExperimentError
+from repro.experiments import campaign
 from repro.experiments.cache import (
     CACHE_FORMAT_VERSION,
     QUARANTINE_DIRNAME,
@@ -46,12 +48,7 @@ from repro.experiments.shard import MergeReport
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, InjectedFault, maybe_fault, parse_faults
 from repro.reliability.retry import RetryPolicy
-from repro.reliability.watchdog import (
-    Watchdog,
-    WatchdogConfig,
-    read_heartbeats,
-    write_heartbeat,
-)
+from repro.reliability.watchdog import WatchdogConfig
 from repro.service.server import ResultsService, _HttpError
 
 from tests.test_service import ServiceThread
@@ -190,10 +187,10 @@ class TestRetryPolicy:
 
     def test_transient_classification(self):
         policy = RetryPolicy()
-        for name in ("WorkerTimeout", "WorkerCrash", "WorkerStall",
-                     "InjectedFault", "OSError", "BrokenProcessPool"):
+        for name in ("WorkerTimeout", "WorkerCrash", "InjectedFault", "OSError"):
             assert policy.transient(name), name
-        for name in ("ExperimentError", "KeyError", "ZeroDivisionError"):
+        for name in ("ExperimentError", "KeyError", "ZeroDivisionError",
+                     "WorkerStall", "BrokenProcessPool", "IOError"):
             assert not policy.transient(name), name
 
     def test_budget_and_validation(self):
@@ -215,39 +212,32 @@ class TestRetryPolicy:
 # ---------------------------------------------------------------------------
 # Watchdog
 # ---------------------------------------------------------------------------
+class DeadlineRecordingPool:
+    """A stand-in pool that runs each payload in-process and records the
+    deadline it was submitted with."""
+
+    def __init__(self):
+        self.deadlines = []
+
+    def submit(self, payloads, landed, deadline_s):
+        self.deadlines.extend(deadline_s for _ in payloads)
+        for payload in payloads:
+            landed(campaign._simulate_entry(payload))
+
+    def cancel(self, landed):
+        pass
+
+
 class TestWatchdog:
-    def test_heartbeat_roundtrip_and_torn_files(self, tmp_path):
-        write_heartbeat(tmp_path, "abc123", attempt=2)
-        (tmp_path / "hb-9999999.json").write_text("{torn", encoding="utf-8")
-        started = read_heartbeats(tmp_path)
-        assert set(started) == {"abc123"}
-        assert started["abc123"] == pytest.approx(time.time(), abs=5.0)
-
-    def test_earliest_start_wins_for_duplicate_keys(self, tmp_path):
-        (tmp_path / "hb-1.json").write_text(
-            json.dumps({"pid": 1, "key": "k", "attempt": 1, "started": 100.0}))
-        (tmp_path / "hb-2.json").write_text(
-            json.dumps({"pid": 2, "key": "k", "attempt": 2, "started": 50.0}))
-        assert read_heartbeats(tmp_path) == {"k": 50.0}
-
     def test_every_key_gets_the_one_deadline(self):
-        dog = Watchdog(WatchdogConfig(min_seconds=2.0))
-        try:
-            assert dog.deadline_for(object()) == 2.0
-        finally:
-            dog.cleanup()
+        pool = DeadlineRecordingPool()
+        engine = CampaignEngine(scale=SCALE, jobs=2, worker_pool=pool,
+                                watchdog_config=WatchdogConfig(min_seconds=2.0))
+        plan = resolve_plan("figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS)
+        engine.run_many([item.request for item in plan])
+        assert pool.deadlines == [2.0] * engine.simulations_run
+        assert engine.simulations_run > 1
         assert WatchdogConfig().min_seconds == 90.0
-
-    def test_overdue_counts_from_worker_start(self, tmp_path):
-        dog = Watchdog(WatchdogConfig(min_seconds=1.0), tmp_path)
-        (tmp_path / "hb-1.json").write_text(
-            json.dumps({"pid": 1, "key": "slow", "started": 100.0}))
-        deadlines = {"slow": 5.0, "queued": 5.0}  # "queued" never heartbeat
-        verdicts = dog.overdue(deadlines, now=110.0)
-        assert verdicts == {"slow": pytest.approx(10.0)}
-        assert dog.overdue(deadlines, now=104.0) == {}
-        dog.reset()
-        assert read_heartbeats(tmp_path) == {}
 
     def test_config_validation_and_env(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -260,11 +250,7 @@ class TestWatchdog:
     @pytest.mark.parametrize("raw,seconds", [("", 90.0), ("  ", 90.0), ("2.5", 2.5), ("0", 0.0)])
     def test_env_sets_every_key_s_deadline(self, monkeypatch, raw, seconds):
         monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", raw)
-        dog = Watchdog(WatchdogConfig.from_env())
-        try:
-            assert dog.deadline_for(object()) == seconds
-        finally:
-            dog.cleanup()
+        assert WatchdogConfig.from_env().min_seconds == seconds
 
     def test_negative_env_deadline_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "-3")
@@ -276,16 +262,6 @@ class TestWatchdog:
         assert CampaignEngine(scale=SCALE).watchdog_config.min_seconds == 7.0
         monkeypatch.delenv("REPRO_WATCHDOG_MIN_S")
         assert CampaignEngine(scale=SCALE).watchdog_config == WatchdogConfig()
-
-    def test_cleanup_removes_only_a_directory_it_created(self, tmp_path):
-        owned = Watchdog()
-        write_heartbeat(owned.directory, "k")
-        owned.cleanup()
-        assert not owned.directory.exists()
-        lent = Watchdog(directory=tmp_path / "hb")
-        write_heartbeat(lent.directory, "k")
-        lent.cleanup()
-        assert read_heartbeats(lent.directory) == {"k": pytest.approx(time.time(), abs=5.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -537,33 +513,52 @@ class TestCampaignRecovery:
         assert third.run(REQUEST).total_cycles == reference.total_cycles
         assert third.disk_cache.hits == 1
 
+    def test_a_crash_is_struck_at_once_at_the_default_deadline(self, monkeypatch):
+        # A dead worker is seen by its sentinel, not by a deadline: its key
+        # retries in well under the default 90 s, and its one replacement
+        # forks only after it is reaped.
+        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
+        faults.install_plan(parse_faults("crash@sim"))
+        started = time.monotonic()
+        with ChildProcessSampler() as sampler, closing(
+            CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY)
+        ) as engine:
+            result = engine.run(REQUEST)
+        elapsed = time.monotonic() - started
+        faults.install_plan(None)
+        assert engine.watchdog_config.min_seconds == 90.0
+        assert elapsed < 10.0
+        assert (engine.watchdog_kills, engine.retries) == (1, 1)
+        assert 1 <= sampler.peak <= engine.jobs
+        assert result.to_dict() == CampaignEngine(scale=SCALE).run(REQUEST).to_dict()
+
     def test_parallel_campaign_recovers_crashes_and_hangs_byte_identically(self):
         # Every key draws exactly one fault on its first attempt: even keys
         # crash the worker outright (SIGKILL-equivalent), odd keys hang
-        # until the watchdog strikes them.  The recovered parallel campaign
-        # must render bytes identical to an undisturbed serial run.
+        # until their deadline kills the worker.  The recovered parallel
+        # campaign must render bytes identical to an undisturbed serial run.
         faults.install_plan(
             parse_faults("crash@sim:key%2,hang@sim:key%2=1", hang_seconds=600.0)
         )
-        engine = CampaignEngine(
+        with closing(CampaignEngine(
             scale=SCALE,
             jobs=2,
             retry_policy=FAST_RETRY,
-            watchdog_config=WatchdogConfig(min_seconds=2.0, poll_interval_s=0.02),
-        )
-        plan = resolve_plan(
-            "figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS
-        )
-        assert len(plan) > 1  # the pool path, not the serial fallback
-        engine.run_many([item.request for item in plan])
-        assert engine.retries >= 1
-        assert engine.watchdog_kills >= 1
-        # Attempts stayed within budget: every retry is a counted strike.
-        assert engine.retries <= (FAST_RETRY.max_attempts - 1) * len(plan)
-        faults.install_plan(None)  # render (and any stragglers) fault-free
-        disturbed = experiment_output(
-            "figure_12", SCALE, BENCHMARKS, runner=SimulationRunner(engine=engine)
-        )
+            watchdog_config=WatchdogConfig(min_seconds=2.0),
+        )) as engine:
+            plan = resolve_plan(
+                "figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS
+            )
+            assert len(plan) > 1  # the pool path, not the serial fallback
+            engine.run_many([item.request for item in plan])
+            # Every key was struck once, as a crash or a timeout, and
+            # retried once.
+            keys = {item.key for item in plan}
+            assert engine.retries == engine.watchdog_kills == len(keys)
+            faults.install_plan(None)  # render fault-free
+            disturbed = experiment_output(
+                "figure_12", SCALE, BENCHMARKS, runner=SimulationRunner(engine=engine)
+            )
         assert disturbed == experiment_output("figure_12", SCALE, BENCHMARKS)
         info = engine.reliability_info()
         assert info["retries"] == engine.retries
@@ -655,7 +650,8 @@ class TestDaemonDegradation:
         # A pool worker that dies mid-simulation (os._exit) must cost the
         # daemon one retry, not its pool: the crashed figure and the next
         # cold figure both render the CLI bytes, with never more than
-        # `workers` simulating processes alive.
+        # `workers` simulating processes alive.  The death is seen at once,
+        # so the default 90 s deadline is never waited for.
         expected = {
             name: experiment_output(name, SCALE, BENCHMARKS)[0]
             for name in ("figure_12", "figure_09")
@@ -663,7 +659,7 @@ class TestDaemonDegradation:
         plan = resolve_plan("figure_12", SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
         modulo = 3
         assert any(int(item.key, 16) % modulo == 0 for item in plan)
-        monkeypatch.setenv("REPRO_WATCHDOG_MIN_S", "2")
+        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
         monkeypatch.setenv("REPRO_RETRY_DELAY_S", "0")
         faults.install_plan(parse_faults(f"crash@sim:key%{modulo}"))
         with reliability_daemon(tmp_path / "cache") as live, ChildProcessSampler() as sampler:
@@ -812,19 +808,17 @@ class TestDaemonDegradation:
 # One worker pool shared by concurrent callers
 # ---------------------------------------------------------------------------
 class TestSharedWorkerPool:
-    def test_a_strike_requeues_other_callers_without_penalty(self, tmp_path, monkeypatch):
+    def test_a_hang_kills_only_its_own_worker(self, tmp_path, monkeypatch):
         # Two engines share one pool, as the daemon's do.  One's key hangs
-        # and its watchdog condemns the pool under the other's running
-        # batch: that batch requeues its unfinished keys and finishes with
-        # no retry and no strike of its own, on at most two live workers.
+        # past its deadline while the other's batch runs: only the hung
+        # worker is killed, so every key of that batch is simulated exactly
+        # once, with no retry and no strike, on at most two live workers.
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("a patched worker body reaches the pool only by fork")
-        from repro.experiments import campaign
-
         shared = WorkerPool(2)
         striking = CampaignEngine(
             scale=SCALE, jobs=2, worker_pool=shared, retry_policy=FAST_RETRY,
-            watchdog_config=WatchdogConfig(min_seconds=1.0, poll_interval_s=0.02),
+            watchdog_config=WatchdogConfig(min_seconds=1.0),
         )
         patient = CampaignEngine(scale=SCALE, seed=1, jobs=2, worker_pool=shared,
                                  retry_policy=FAST_RETRY)
@@ -849,18 +843,17 @@ class TestSharedWorkerPool:
         faults.install_plan(parse_faults(f"hang@sim:key%{modulo}={hung % modulo}",
                                          hang_seconds=600.0))
         struck = []
-        with ChildProcessSampler() as sampler:
+        with closing(shared), ChildProcessSampler() as sampler:
             first = threading.Thread(target=lambda: struck.append(striking.run(REQUEST)))
             first.start()
             time.sleep(0.2)
             patient.run_many(plan)
             first.join(timeout=60)
-        faults.install_plan(None)
-        shared.close()
+            faults.install_plan(None)
         assert not first.is_alive() and len(struck) == 1
         assert (striking.watchdog_kills, striking.retries) == (1, 1)
         assert (patient.watchdog_kills, patient.retries) == (0, 0)
-        assert len(attempts.read_text().split()) > len(patient_keys)  # requeued
+        assert sorted(attempts.read_text().split()) == sorted(patient_keys)  # once each
         assert 1 <= sampler.peak <= 2
         assert multiprocessing.active_children() == []
         serial = CampaignEngine(scale=SCALE, seed=1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import multiprocessing
+from contextlib import closing
 
 import pytest
 
@@ -73,8 +74,8 @@ class TestDifferentialEquivalence:
 
     @pytest.mark.parametrize("figure", FIGURES)
     def test_jobs2_output_is_byte_identical(self, figure, serial_outputs, tmp_path):
-        runner = SimulationRunner(scale=SCALE, jobs=2, cache_dir=tmp_path / "cache")
-        assert experiment_output(figure, SCALE, BENCHMARKS, runner) == serial_outputs[figure]
+        with closing(SimulationRunner(scale=SCALE, jobs=2, cache_dir=tmp_path / "cache")) as runner:
+            assert experiment_output(figure, SCALE, BENCHMARKS, runner) == serial_outputs[figure]
 
     @pytest.mark.parametrize("figure", FIGURES)
     def test_three_shard_split_and_merge_is_byte_identical(
@@ -407,8 +408,8 @@ class TestFailureDiagnostics:
             return real(program, config)
 
         monkeypatch.setattr(campaign_module, "run_simulation", explode_on_qr)
-        runner = SimulationRunner(scale=SCALE, jobs=2)
-        with pytest.raises(CampaignRunError) as excinfo:
+        with closing(SimulationRunner(scale=SCALE, jobs=2)) as runner, \
+                pytest.raises(CampaignRunError) as excinfo:
             run_experiment(
                 "figure_10", scale=SCALE, benchmarks=["blackscholes", "qr"], runner=runner
             )
