@@ -360,11 +360,10 @@ class ResultCache:
         except FileNotFoundError:  # vanished under a concurrent prune — still a hit
             pass
         except OSError:
-            # Read-only cache directory (an NFS mount a daemon or shard
-            # serves from, a permission squash): the result itself was read
-            # fine, so keep serving hits — only the LRU refresh is lost.
-            # Warn once per cache object; the counter stays visible (the
-            # results daemon reports it in /healthz).
+            # Read-only cache directory (an NFS mount a shard reads from,
+            # a permission squash): the result itself was read fine, so
+            # keep serving hits — only the LRU refresh is lost.  Warn once
+            # per cache object; the counter stays visible to callers.
             self.mtime_refresh_failures += 1
             if self.mtime_refresh_failures == 1:
                 warnings.warn(

@@ -18,7 +18,7 @@ embarrassingly parallel, incrementally resumable campaign:
   every attempt runs the one body, :func:`_simulate_entry`, in-process
   (``jobs == 1``) or on the engine's :class:`WorkerPool`, kept warm
   across rounds and batches, and every outcome is the serialized result.
-  Renders, shard workers and the results daemon all use it.
+  Renders and shard workers both use it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -315,8 +315,8 @@ def _struck(payload: Dict[str, object], error_type: str, message: str,
 #: Strikes the pool hands out for an attempt its worker never answered.
 _STRIKES = ("WorkerCrash", "WorkerTimeout")
 
-#: A queued payload: ``(payload, landed, deadline seconds)``.
-_Job = Tuple[Dict[str, object], Callable[[_Outcome], None], float]
+#: A queued payload and who gets its outcome: ``(payload, landed)``.
+_Job = Tuple[Dict[str, object], Callable[[_Outcome], None]]
 
 
 class _Worker:
@@ -350,8 +350,9 @@ class _Dispatcher:
     by ``lock``; the loop waits outside it.
     """
 
-    def __init__(self, processes: int) -> None:
+    def __init__(self, processes: int, deadline_s: float) -> None:
         self.processes = processes
+        self.deadline_s = deadline_s
         self.lock = threading.Lock()
         self.queue: Deque[_Job] = collections.deque()
         self.workers: List[_Worker] = []
@@ -359,7 +360,7 @@ class _Dispatcher:
         self.wake_r = self.wake_w = -1
 
     def submit(self, payloads: Sequence[Dict[str, object]],
-               landed: Callable[[_Outcome], None], deadline_s: float) -> None:
+               landed: Callable[[_Outcome], None]) -> None:
         with self.lock:
             if self.closed:
                 raise ExperimentError("the campaign worker pool is closed")
@@ -368,7 +369,7 @@ class _Dispatcher:
                 os.set_blocking(self.wake_w, False)
                 self.workers = [_Worker() for _ in range(self.processes)]
                 threading.Thread(target=self.run, name="campaign-dispatch", daemon=True).start()
-            self.queue.extend((payload, landed, deadline_s) for payload in payloads)
+            self.queue.extend((payload, landed) for payload in payloads)
             self._wake()
 
     def cancel(self, landed: Callable[[_Outcome], None]) -> None:
@@ -397,7 +398,7 @@ class _Dispatcher:
                 worker.reap()
                 if worker.payload is not None and worker.landed is not None:
                     worker.landed(_struck(worker.payload, error_type, message, 0.0))
-            for payload, landed, _ in self.queue:
+            for payload, landed in self.queue:
                 landed(_struck(payload, error_type, message, 0.0))
             self.workers, self.queue = [], collections.deque()
 
@@ -457,14 +458,14 @@ class _Dispatcher:
         return True
 
     def _send(self, worker: _Worker, now: float) -> None:
-        payload, landed, deadline_s = job = self.queue.popleft()
+        payload, landed = job = self.queue.popleft()
         try:
             worker.conn.send(payload)
         except OSError:  # the worker died idle; its sentinel reports it
             self.queue.appendleft(job)
             return
         worker.payload, worker.landed = payload, landed
-        worker.started, worker.deadline = now, now + deadline_s
+        worker.started, worker.deadline = now, now + self.deadline_s
 
     def _replace(self, index: int, dead: bool, now: float) -> None:
         """Reap a dead or overdue worker, strike its payload and fork one
@@ -491,19 +492,17 @@ class WorkerPool:
     dispatcher thread sends each queued payload to an idle worker and hands
     every payload exactly one outcome: its result, a ``WorkerCrash`` strike
     as soon as its worker is seen dead, or a ``WorkerTimeout`` strike when
-    it outlives its deadline (its worker is killed).  A dead or killed
-    worker is reaped before its one replacement forks, so the threads that
-    share a pool (the results daemon's, across all of its engines) never
-    see more than ``processes`` workers alive, and no other worker is
-    disturbed.  :meth:`close` kills the workers for good; a finalizer does
-    the same when the pool is collected or the interpreter exits.
+    it is still running ``deadline_s`` after it reached its worker (the
+    worker is killed).  A dead or killed worker is reaped before its one
+    replacement forks, so no more than ``processes`` workers are ever
+    alive, and no other worker is disturbed.  :meth:`close` kills the
+    workers for good; a finalizer does the same when the pool is collected
+    or the interpreter exits.
     """
 
-    def __init__(self, processes: int) -> None:
-        if processes < 1:
-            raise ExperimentError(f"a worker pool needs >= 1 process, got {processes}")
+    def __init__(self, processes: int, deadline_s: float) -> None:
         self.processes = processes
-        self._dispatcher = _Dispatcher(processes)
+        self._dispatcher = _Dispatcher(processes, deadline_s)
         # Runs before multiprocessing reaps daemonic children at exit, so
         # the dispatcher never sees a worker die under it and fork another.
         self._reaper = multiprocessing.util.Finalize(
@@ -511,12 +510,11 @@ class WorkerPool:
         )
 
     def submit(self, payloads: Sequence[Dict[str, object]],
-               landed: Callable[[_Outcome], None], deadline_s: float) -> None:
-        """Queue one :func:`_simulate_entry` call per payload, each due
-        ``deadline_s`` after it reaches a worker.  ``landed`` gets each
-        outcome, on the dispatcher thread; it is also this submission's
-        handle for :meth:`cancel`."""
-        self._dispatcher.submit(payloads, landed, deadline_s)
+               landed: Callable[[_Outcome], None]) -> None:
+        """Queue one :func:`_simulate_entry` call per payload.  ``landed``
+        gets each outcome, on the dispatcher thread; it is also this
+        submission's handle for :meth:`cancel`."""
+        self._dispatcher.submit(payloads, landed)
 
     def cancel(self, landed: Callable[[_Outcome], None]) -> None:
         """Drop the payloads submitted with ``landed`` that have no outcome
@@ -552,10 +550,8 @@ class CampaignEngine:
       attempt history, never raw pool tracebacks.
     * **Workers** — one pool of ``jobs`` workers, forked by the first
       pooled round and kept by every later round and batch until
-      :meth:`close` ends it; a worker that dies or outlives its deadline
-      is replaced alone.  An injected
-      ``worker_pool`` (the results daemon shares one across its engines,
-      like ``disk_cache``) is used instead and left to its owner.
+      :meth:`close` ends it; a worker that dies or outlives the engine's
+      one deadline is replaced alone.
     * **Derived once** — resolution is memoized per engine: each distinct
       :class:`RunRequest` is keyed once, and each distinct runtime,
       scheduler and DMU gets one validated config, one ``to_dict()``
@@ -578,10 +574,8 @@ class CampaignEngine:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         cache_max_bytes: Optional[int] = None,
         verbose: bool = False,
-        disk_cache: Optional[ResultCache] = None,
         retry_policy: Optional[RetryPolicy] = None,
         watchdog_config: Optional[WatchdogConfig] = None,
-        worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         if not (0.0 < scale <= 1.0):
             raise ExperimentError(f"scale must be in (0, 1], got {scale}")
@@ -589,21 +583,12 @@ class CampaignEngine:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         if cache_max_bytes is not None and cache_max_bytes < 0:
             raise ExperimentError(f"cache_max_bytes must be >= 0, got {cache_max_bytes}")
-        if disk_cache is not None and cache_dir is not None:
-            raise ExperimentError("pass cache_dir or disk_cache, not both")
-        if worker_pool is not None and jobs == 1:
-            raise ExperimentError("a worker pool needs jobs > 1 (jobs=1 runs in-process)")
         self.scale = scale
         self.seed = seed
         self.jobs = jobs
         self.verbose = verbose
         self.base_config = base_config or default_paper_config()
-        if disk_cache is not None:
-            # Injected shared cache: several engines (the results daemon keeps
-            # one per requested scale/seed) serve from one ResultCache.
-            self.disk_cache = disk_cache
-        else:
-            self.disk_cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.disk_cache = ResultCache(cache_dir) if cache_dir is not None else None
         #: Size budget for the on-disk cache; enforced (oldest-mtime entries
         #: evicted first) after every parallel batch and via
         #: :meth:`prune_disk_cache`.
@@ -620,10 +605,9 @@ class CampaignEngine:
         #: Every pooled attempt's deadline (hung-worker detection).
         self.watchdog_config = watchdog_config or WatchdogConfig.from_env()
         #: Where ``jobs > 1`` rounds run; None for a serial engine.
-        self.worker_pool = worker_pool
-        self._owns_worker_pool = worker_pool is None and jobs > 1
-        if self._owns_worker_pool:
-            self.worker_pool = WorkerPool(jobs)
+        self.worker_pool = (
+            WorkerPool(jobs, self.watchdog_config.min_seconds) if jobs > 1 else None
+        )
         self.simulations_run = 0
         self.memory_hits = 0
         self.disk_hits = 0
@@ -713,8 +697,8 @@ class CampaignEngine:
     def cached(self, resolved: ResolvedRun) -> Optional[SimulationResult]:
         """The memoized/persisted result for a resolved run, if any.
 
-        Public face of the lookup :meth:`run_many` performs first — the
-        results daemon probes with it to decide what a render must simulate.
+        Public face of the lookup :meth:`run_many` performs first — a shard
+        merge probes with it to find the keys a render would still simulate.
         """
         return self._lookup(resolved)
 
@@ -869,7 +853,7 @@ class CampaignEngine:
         keys = sorted(payload["key"] for payload in payloads)
         landed: "queue.SimpleQueue[_Outcome]" = queue.SimpleQueue()
         put = landed.put
-        self.worker_pool.submit(payloads, put, self.watchdog_config.min_seconds)
+        self.worker_pool.submit(payloads, put)
         outcomes: Dict[str, _Outcome] = {}
         settled = 0  # keys[:settled] are yielded
         try:
@@ -906,10 +890,9 @@ class CampaignEngine:
             )
 
     def close(self) -> None:
-        """Terminate the engine's own worker pool; idempotent.  An injected
-        pool is its owner's to close.  A closed pooled engine still serves
-        cached results but simulates nothing more."""
-        if self._owns_worker_pool:
+        """Terminate the engine's worker pool; idempotent.  A closed pooled
+        engine still serves cached results but simulates nothing more."""
+        if self.worker_pool is not None:
             self.worker_pool.close()
 
     def prune_disk_cache(self) -> int:

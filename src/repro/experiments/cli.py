@@ -35,17 +35,6 @@ Examples::
     tdm-repro figure_12 --scale 0.2 --shard 1/3 --cache-dir cache
     tdm-repro figure_12 --scale 0.2 --shard 2/3 --cache-dir cache
     tdm-repro figure_12 --scale 0.2 --shard 3/3 --cache-dir cache
-
-    # Long-running results daemon: one ResultCache serves every
-    # request; repeated sweeps cost zero simulations
-    tdm-repro serve --cache-dir cache --port 8765 --service-workers 4
-
-    # ... then render over HTTP: identical bytes to the CLI render, with an
-    # ETag over the resolved canonical key set (If-None-Match gives 304)
-    curl -s -X POST localhost:8765/figures/figure_02 \\
-        -d '{"scale": 0.2, "format": "csv"}'
-    curl -s localhost:8765/experiments
-    curl -s localhost:8765/healthz
 """
 
 from __future__ import annotations
@@ -75,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default=None,
-        help="experiment name (e.g. figure_12, table_03), 'all', or 'serve' "
-        "(results daemon)",
+        help="experiment name (e.g. figure_12, table_03) or 'all'",
     )
     parser.add_argument(
         "--scale",
@@ -156,48 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(the missing points are simulated locally)",
     )
     parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve mode: interface to bind the results daemon to",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="serve mode: TCP port for the results daemon (0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=2,
-        help="serve mode: size of the daemon's simulation process pool",
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve mode: per-render deadline; a render that cannot finish in "
-        "time answers 503 + Retry-After while its simulations keep running "
-        "and land in the cache (default: unbounded)",
-    )
-    parser.add_argument(
-        "--queue-budget",
-        type=int,
-        default=32,
-        help="serve mode: maximum simulations queued beyond the worker pool "
-        "before new renders are refused with 503 (default: 32)",
-    )
-    parser.add_argument(
-        "--failure-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve mode: how long a key's deterministic simulation failure "
-        "is answered from the negative cache before a fresh attempt "
-        "(default: 30)",
-    )
-    parser.add_argument(
         "--faults",
         metavar="SPEC",
         default=None,
@@ -249,33 +195,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     if args.experiment is None:
         parser.error("an experiment name (or 'all') is required unless --list is given")
-    command = args.experiment.lower()
-
-    if command == "serve":
-        # Daemon mode: a long-running results server owning one ResultCache
-        # (see docs/architecture.md, "Results daemon").
-        if args.shard is not None or args.merge_shards is not None or args.dry_run:
-            parser.error("serve does not combine with --shard/--merge-shards/--dry-run")
-        if args.output is not None:
-            parser.error("serve has no --output; responses go to HTTP clients")
-        from ..service.server import serve as run_service
-
-        service_kwargs = {}
-        if args.failure_ttl is not None:
-            service_kwargs["failure_ttl_s"] = args.failure_ttl
-        return run_service(
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            workers=args.service_workers,
-            verbose=args.verbose,
-            request_timeout_s=args.request_timeout,
-            queue_budget=args.queue_budget,
-            **service_kwargs,
-        )
-
     try:
-        names = available_experiments() if command == "all" else [canonical_name(args.experiment)]
+        names = (
+            available_experiments() if args.experiment.lower() == "all"
+            else [canonical_name(args.experiment)]
+        )
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -130,9 +130,8 @@ class SimulationRunner:
         cache_max_bytes: Optional[int] = None,
         engine: Optional[CampaignEngine] = None,
     ) -> None:
-        # An injected engine carries all its own parameters; the results
-        # daemon uses this to render through long-lived engines that share
-        # one disk cache across requests.
+        # An injected engine carries all its own parameters, so several
+        # renders can share one engine's memo, cache and workers.
         self.engine = engine or CampaignEngine(
             scale=scale,
             base_config=base_config,

@@ -2,7 +2,7 @@
 
 The paper's eleven figures and tables are registered eagerly below, with
 ``fig2``/``figure12``-style aliases derived from their names.  Everything
-downstream — the CLI, sharding, the results daemon — resolves names through
+downstream — the CLI and sharding — resolves names through
 :func:`canonical_name`.
 
 When an experiment has a ``plan`` function (every simulating harness does),
@@ -99,9 +99,8 @@ def experiment_catalog() -> List[Dict[str, object]]:
     ``aliases``, a one-line ``title``, ``kind`` (always ``paper``; the
     benchmark harness under ``perfbench/`` still filters on it) and whether
     rendering it ``simulates`` (analytic tables have no simulation plan and
-    render instantly).  This is the payload of the results daemon's
-    ``GET /experiments`` endpoint and is equally usable by scripts that
-    want to enumerate the reproduction surface.
+    render instantly).  Tests and the benchmark harness enumerate the
+    reproduction surface through it.
     """
     return [
         {

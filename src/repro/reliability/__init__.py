@@ -1,12 +1,12 @@
 """Fault injection, retry policies and worker deadlines for campaigns.
 
-The campaign stack (``repro.experiments``) and the results daemon
-(``repro.service``) survive worker crashes, hung simulations and corrupted
-cache entries through three cooperating pieces that live here:
+The campaign stack (``repro.experiments``) survives worker crashes, hung
+simulations and corrupted cache entries through three cooperating pieces
+that live here:
 
 * :mod:`repro.reliability.faults` — a seeded, deterministic fault-injection
   plan (``REPRO_FAULTS`` / ``--faults``) with named sites threaded through
-  the cache, the campaign engine, the shard merger and the daemon;
+  the cache, the campaign engine and the shard merger;
 * :mod:`repro.reliability.retry` — bounded-attempt retry with exponential
   backoff and transient-vs-permanent error classification;
 * :mod:`repro.reliability.watchdog` — the one per-key deadline past which

@@ -2,7 +2,7 @@
 
 :class:`RetryPolicy` is the single retry vocabulary of the campaign stack:
 the one simulation loop of :meth:`CampaignEngine.run_many` (serial runs,
-pool batches, shard workers and the results daemon) requeues
+pool batches and shard workers) requeues
 transiently-failed keys through it, and the chaos suite asserts its bounds
 (every key simulated at most ``max_attempts`` times).
 

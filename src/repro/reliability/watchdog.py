@@ -1,10 +1,10 @@
 """The per-key deadline of pooled simulation attempts.
 
-A campaign pool worker that hangs never answers its payload.  The pool's
-dispatcher (:class:`~repro.experiments.campaign.WorkerPool`) gives every
-payload the same deadline, ``min_seconds`` from the moment it reaches a
-worker; a worker still busy at its deadline is killed and its key struck
-as ``WorkerTimeout`` for the retry policy.  A worker that dies needs no
+A campaign pool worker that hangs never answers its payload.  Each engine
+builds its one pool (:class:`~repro.experiments.campaign.WorkerPool`) with
+one deadline, ``min_seconds`` from the moment a payload reaches a worker;
+a worker still busy at its deadline is killed and its key struck as
+``WorkerTimeout`` for the retry policy.  A worker that dies needs no
 deadline: the dispatcher sees the death at once.  Deadlines shape
 scheduling only: a killed-and-retried key commits the identical result
 bytes (``docs/determinism.md``).

@@ -13,6 +13,7 @@ import gc
 import json
 import multiprocessing
 import os
+import queue
 import threading
 import time
 import warnings
@@ -858,7 +859,8 @@ class TestResolutionMemo:
         assert resolved.key == direct
 
     def test_concurrent_resolution_agrees_with_serial(self):
-        # The results daemon resolves on several threads through one engine.
+        # Resolution memoizes without a lock: callers on several threads
+        # of one engine still agree with a serial resolution.
         import sys
         import threading
 
@@ -1110,10 +1112,9 @@ class TestWarmPool:
             assert len(live) == engine.jobs and not live & cancelled
 
     def test_closing_the_pool_fails_the_keys_it_still_owes(self, tmp_path, monkeypatch):
-        # Every submitted payload gets one outcome, even when the pool is
+        # Every submitted payload gets one outcome, even when the engine is
         # closed under a waiting round: the round fails instead of hanging.
-        shared = campaign.WorkerPool(2)
-        engine = CampaignEngine(scale=0.05, jobs=2, worker_pool=shared)
+        engine = CampaignEngine(scale=0.05, jobs=2)
         plan = self._plan(engine, "figure_12")
         keys = {engine.resolve(request).key for request in plan}
         self._mark_attempts(monkeypatch, tmp_path / "attempts",
@@ -1122,7 +1123,7 @@ class TestWarmPool:
         runner = threading.Thread(target=engine.run_many, args=(plan, failures))
         runner.start()
         time.sleep(0.5)
-        shared.close()
+        engine.close()
         runner.join(timeout=10)
         assert not runner.is_alive()
         assert set(failures) == keys
@@ -1143,17 +1144,6 @@ class TestWarmPool:
         with pytest.raises(ExperimentError, match="closed"):
             engine.run(RunRequest("blackscholes", "tdm"))
         assert multiprocessing.active_children() == []
-
-    def test_injected_pool_is_left_to_its_owner(self):
-        shared = campaign.WorkerPool(2)
-        engine = CampaignEngine(scale=0.05, jobs=2, worker_pool=shared)
-        engine.run(RunRequest("blackscholes", "software"))
-        engine.close()
-        assert len(multiprocessing.active_children()) == 2
-        shared.close()
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ExperimentError, match="jobs > 1"):
-            CampaignEngine(scale=0.05, worker_pool=shared)
 
     def test_commits_follow_key_order_as_results_land(self, tmp_path, monkeypatch):
         engine = CampaignEngine(scale=0.05, jobs=2)
@@ -1199,4 +1189,85 @@ class TestWarmPool:
         assert main(["figure_12", "--scale", "0.05", "--benchmarks", "blackscholes",
                      "--jobs", "2"]) == 0
         assert "Figure 12" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerPool:
+    """The pool on its own: one deadline, exactly one outcome per payload."""
+
+    @pytest.fixture(autouse=True)
+    def fork_workers(self):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fault plans below reach the workers only by fork")
+
+    @staticmethod
+    def _payloads(count, spec=None):
+        engine = CampaignEngine(scale=0.05)
+        resolved = {}
+        for request in TestSimulationLoop._plan(engine):
+            item = engine.resolve(request)
+            resolved[item.key] = item
+        return [engine._attempt_payload(resolved[key], 1, spec)
+                for key in sorted(resolved)[:count]]
+
+    @staticmethod
+    def _round(pool, payloads):
+        """Submit ``payloads`` and return their outcomes in key order."""
+        landed = queue.SimpleQueue()
+        pool.submit(payloads, landed.put)
+        return sorted(landed.get(timeout=60) for _ in payloads)
+
+    @staticmethod
+    def _strike(outcome):
+        marker = outcome[1][campaign._ERROR_MARKER]
+        return marker["error_type"], marker["error_message"]
+
+    def test_each_payload_lands_once_with_its_in_process_result(self):
+        payloads = self._payloads(3)
+        with closing(campaign.WorkerPool(2, 60.0)) as pool:
+            outcomes = self._round(pool, payloads)
+        assert [key for key, _, _ in outcomes] == [payload["key"] for payload in payloads]
+        assert [result for _, result, _ in outcomes] == [
+            campaign._simulate_entry(payload)[1] for payload in payloads
+        ]
+
+    def test_a_hang_is_struck_at_the_deadline_the_pool_was_built_with(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS_HANG_S", "600")
+        (payload,) = self._payloads(1, "hang@sim")
+        with closing(campaign.WorkerPool(1, 0.5)) as pool:
+            (outcome,) = self._round(pool, [payload])
+        key, _, seconds = outcome
+        error_type, message = self._strike(outcome)
+        assert (key, error_type) == (payload["key"], "WorkerTimeout")
+        assert "(deadline 0.5s)" in message
+        assert 0.5 <= seconds < 30.0
+
+    def test_a_crash_is_struck_with_the_workers_exit_code(self):
+        (payload,) = self._payloads(1, "crash@sim")
+        with closing(campaign.WorkerPool(1, 60.0)) as pool:
+            (outcome,) = self._round(pool, [payload])
+        assert self._strike(outcome) == (
+            "WorkerCrash", f"worker exited with code {faults.CRASH_EXIT_CODE}"
+        )
+
+    def test_a_worker_that_dies_idle_is_replaced_before_the_next_payload(self):
+        first, second = self._payloads(2)
+        with closing(campaign.WorkerPool(1, 60.0)) as pool:
+            assert campaign._ERROR_MARKER not in self._round(pool, [first])[0][1]
+            (worker,) = pool._dispatcher.workers
+            worker.process.kill()
+            deadline = time.monotonic() + 10.0
+            while pool._dispatcher.workers[0] is worker and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._dispatcher.workers[0] is not worker
+            assert len(multiprocessing.active_children()) == 1
+            (outcome,) = self._round(pool, [second])
+        assert outcome[1] == campaign._simulate_entry(second)[1]
+
+    def test_a_closed_pool_forks_nothing_and_refuses_work(self):
+        pool = campaign.WorkerPool(2, 1.0)
+        pool.close()
+        pool.close()
+        with pytest.raises(ExperimentError, match="closed"):
+            pool.submit(self._payloads(1), lambda outcome: None)
         assert multiprocessing.active_children() == []

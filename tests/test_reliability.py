@@ -8,23 +8,19 @@ under test are the recovery contracts:
 * every key is attempted at most ``RetryPolicy.max_attempts`` times, with
   deterministic backoff, and deterministic failures are never retried;
 * corrupt cache entries (torn writes, bit flips) are quarantined and
-  resimulated instead of being served or aborting the run;
-* the results daemon degrades predictably: clean 400s for malformed input,
-  503 + ``Retry-After`` for cached failures and deadline misses, and a
-  ``/healthz`` that says *why* it is degraded.
+  resimulated instead of being served or aborting the run.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import functools
 import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import re
-import socket
 import threading
 import time
 from contextlib import closing
@@ -40,7 +36,7 @@ from repro.experiments.cache import (
     ResultCache,
     canonical_json,
 )
-from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest, WorkerPool
+from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan
@@ -49,9 +45,7 @@ from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, InjectedFault, maybe_fault, parse_faults
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.watchdog import WatchdogConfig
-from repro.service.server import ResultsService, _HttpError
 
-from tests.test_service import ServiceThread
 from tests.util import experiment_output
 
 SCALE = 0.05
@@ -96,6 +90,13 @@ class TestFaultGrammar:
     def test_malformed_specs_raise(self, bad):
         with pytest.raises(ExperimentError):
             parse_faults(bad)
+
+    @pytest.mark.parametrize("site", faults.FAULT_SITES)
+    def test_every_site_is_hooked(self, site):
+        # A site the grammar accepts but no code reaches would inject nothing.
+        package = pathlib.Path(faults.__file__).resolve().parents[1]
+        assert any(f'maybe_fault("{site}"' in path.read_text(encoding="utf-8")
+                   for path in package.rglob("*.py"))
 
     def test_occurrence_selector_counts_per_site(self):
         plan = parse_faults("error@sim:2")
@@ -148,13 +149,13 @@ class TestFaultGrammar:
             assert maybe_fault("sim", "deadbeef", attempt) is None
 
     def test_env_spec_is_loaded_lazily(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "error@serve")
+        monkeypatch.setenv("REPRO_FAULTS", "error@merge")
         faults._PLAN = None
         faults._LOADED = False
         try:
             plan = faults.active_plan()
-            assert plan is not None and plan.describe() == "error@serve"
-            assert faults.active_spec() == "error@serve"
+            assert plan is not None and plan.describe() == "error@merge"
+            assert faults.active_spec() == "error@merge"
         finally:
             faults.install_plan(None)
 
@@ -213,15 +214,16 @@ class TestRetryPolicy:
 # Watchdog
 # ---------------------------------------------------------------------------
 class DeadlineRecordingPool:
-    """A stand-in pool that runs each payload in-process and records the
-    deadline it was submitted with."""
+    """A stand-in pool that records what it is built with and runs each
+    payload in-process."""
 
-    def __init__(self):
-        self.deadlines = []
+    def __init__(self, processes, deadline_s):
+        self.built_with = (processes, deadline_s)
+        self.submitted = 0
 
-    def submit(self, payloads, landed, deadline_s):
-        self.deadlines.extend(deadline_s for _ in payloads)
+    def submit(self, payloads, landed):
         for payload in payloads:
+            self.submitted += 1
             landed(campaign._simulate_entry(payload))
 
     def cancel(self, landed):
@@ -229,14 +231,18 @@ class DeadlineRecordingPool:
 
 
 class TestWatchdog:
-    def test_every_key_gets_the_one_deadline(self):
-        pool = DeadlineRecordingPool()
-        engine = CampaignEngine(scale=SCALE, jobs=2, worker_pool=pool,
+    def test_every_key_gets_the_one_deadline(self, monkeypatch):
+        # The engine builds its one pool with its one deadline, and every
+        # key it simulates goes through that pool.
+        monkeypatch.setattr(campaign, "WorkerPool", DeadlineRecordingPool)
+        engine = CampaignEngine(scale=SCALE, jobs=2,
                                 watchdog_config=WatchdogConfig(min_seconds=2.0))
+        pool = engine.worker_pool
+        assert pool.built_with == (2, 2.0)
         plan = resolve_plan("figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS)
         engine.run_many([item.request for item in plan])
-        assert pool.deadlines == [2.0] * engine.simulations_run
-        assert engine.simulations_run > 1
+        assert pool.submitted == engine.simulations_run > 1
+        assert CampaignEngine(scale=SCALE).worker_pool is None
         assert WatchdogConfig().min_seconds == 90.0
 
     def test_config_validation_and_env(self, monkeypatch):
@@ -470,6 +476,29 @@ class TestCacheIntegrity:
 # ---------------------------------------------------------------------------
 # Campaign recovery: the byte-identity contract under fire
 # ---------------------------------------------------------------------------
+class ChildProcessSampler:
+    """Peak number of live child processes while the ``with`` block runs."""
+
+    def __enter__(self):
+        self.peak = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+        return self
+
+    def _sample(self):
+        while not self._stop.is_set():
+            try:
+                self.peak = max(self.peak, len(multiprocessing.active_children()))
+            except RuntimeError:  # the child set changed while listed
+                pass
+            self._stop.wait(0.005)
+
+    def __exit__(self, *_exc):
+        self._stop.set()
+        self._thread.join()
+
+
 class TestCampaignRecovery:
     def test_serial_transient_error_is_retried_once(self):
         faults.install_plan(parse_faults("error@sim:key%1"))
@@ -532,6 +561,51 @@ class TestCampaignRecovery:
         assert 1 <= sampler.peak <= engine.jobs
         assert result.to_dict() == CampaignEngine(scale=SCALE).run(REQUEST).to_dict()
 
+    def test_a_hang_costs_its_batchmates_nothing(self, tmp_path, monkeypatch):
+        # One key of a pooled round hangs past its deadline.  Only its
+        # worker is killed: that key is struck and retried once, every
+        # other key of the round is simulated exactly once, and no more
+        # than `jobs` workers are ever alive.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a patched worker body reaches the pool only by fork")
+        engine = CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY,
+                                watchdog_config=WatchdogConfig(min_seconds=1.0))
+        plan = [item.request for item in resolve_plan(
+            "figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS)]
+        hung, *batchmates = sorted({engine.resolve(request).key for request in plan})
+        assert len(batchmates) >= 3
+        # The hung key is dispatched first, so the whole round runs past it.
+        residue = int(hung, 16)
+        modulo = next(m for m in range(2, 1000)
+                      if all(int(key, 16) % m != residue % m for key in batchmates))
+        marks = tmp_path / "attempts"
+        original = campaign._simulate_entry
+
+        @functools.wraps(original)
+        def marking_entry(payload):
+            with marks.open("a") as handle:
+                handle.write(f"{payload['key']} {payload['attempt']}\n")
+            if payload["key"] != hung:
+                time.sleep(0.3)  # the round outlasts the hung key's deadline
+            return original(payload)
+
+        monkeypatch.setattr(campaign, "_simulate_entry", marking_entry)
+        faults.install_plan(parse_faults(f"hang@sim:key%{modulo}={residue % modulo}",
+                                         hang_seconds=600.0))
+        with closing(engine), ChildProcessSampler() as sampler:
+            results = engine.run_many(plan)
+        faults.install_plan(None)
+        assert (engine.watchdog_kills, engine.retries) == (1, 1)
+        attempts = sorted(tuple(line.split()) for line in marks.read_text().splitlines())
+        assert attempts == sorted(
+            [(hung, "1"), (hung, "2")] + [(key, "1") for key in batchmates]
+        )
+        assert 1 <= sampler.peak <= engine.jobs
+        serial = CampaignEngine(scale=SCALE).run_many(plan)
+        assert [result.to_dict() for result in results] == [
+            result.to_dict() for result in serial
+        ]
+
     def test_parallel_campaign_recovers_crashes_and_hangs_byte_identically(self):
         # Every key draws exactly one fault on its first attempt: even keys
         # crash the worker outright (SIGKILL-equivalent), odd keys hang
@@ -569,9 +643,13 @@ class TestCampaignRecovery:
 # CLI surface
 # ---------------------------------------------------------------------------
 class TestCLI:
-    def test_malformed_faults_spec_fails_fast(self, capsys):
-        assert cli_main(["figure_02", "--faults", "explode@warehouse"]) == 2
-        assert "unknown fault kind" in capsys.readouterr().err
+    @pytest.mark.parametrize("spec,message", [
+        ("explode@warehouse", "unknown fault kind"),
+        ("error@serve", "unknown fault site"),  # the removed daemon's site
+    ])
+    def test_malformed_faults_spec_fails_fast(self, capsys, spec, message):
+        assert cli_main(["figure_02", "--faults", spec]) == 2
+        assert message in capsys.readouterr().err
 
     def test_faults_flag_installs_plan_and_reports_recovery(self, capsys):
         code = cli_main([
@@ -590,273 +668,3 @@ class TestCLI:
         ])
         assert code == 0
         assert "[reliability]" not in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# Results daemon degradation
-# ---------------------------------------------------------------------------
-RENDER_BODY = {"scale": SCALE, "benchmarks": BENCHMARKS, "format": "csv"}
-
-
-def reliability_daemon(cache_dir, **service_kwargs):
-    """A ServiceThread whose service takes the reliability knobs."""
-    thread = ServiceThread(cache_dir=cache_dir)
-    thread.service = ResultsService(
-        cache_dir=cache_dir, workers=2, log=thread.log, **service_kwargs
-    )
-    return thread
-
-
-def raw_exchange(address, payload: bytes) -> bytes:
-    with socket.create_connection(tuple(address), timeout=30) as sock:
-        sock.sendall(payload)
-        sock.shutdown(socket.SHUT_WR)
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-    return b"".join(chunks)
-
-
-class ChildProcessSampler:
-    """Peak number of live child processes while the ``with`` block runs."""
-
-    def __enter__(self):
-        self.peak = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._sample, daemon=True)
-        self._thread.start()
-        return self
-
-    def _sample(self):
-        while not self._stop.is_set():
-            try:
-                self.peak = max(self.peak, len(multiprocessing.active_children()))
-            except RuntimeError:  # the child set changed while listed
-                pass
-            self._stop.wait(0.005)
-
-    def __exit__(self, *_exc):
-        self._stop.set()
-        self._thread.join()
-
-
-class TestDaemonDegradation:
-    def test_crashed_worker_is_retried_and_cold_renders_keep_serving(
-        self, tmp_path, monkeypatch
-    ):
-        # A pool worker that dies mid-simulation (os._exit) must cost the
-        # daemon one retry, not its pool: the crashed figure and the next
-        # cold figure both render the CLI bytes, with never more than
-        # `workers` simulating processes alive.  The death is seen at once,
-        # so the default 90 s deadline is never waited for.
-        expected = {
-            name: experiment_output(name, SCALE, BENCHMARKS)[0]
-            for name in ("figure_12", "figure_09")
-        }
-        plan = resolve_plan("figure_12", SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
-        modulo = 3
-        assert any(int(item.key, 16) % modulo == 0 for item in plan)
-        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
-        monkeypatch.setenv("REPRO_RETRY_DELAY_S", "0")
-        faults.install_plan(parse_faults(f"crash@sim:key%{modulo}"))
-        with reliability_daemon(tmp_path / "cache") as live, ChildProcessSampler() as sampler:
-            first = live.render("figure_12", RENDER_BODY)
-            assert first[0] == 200, first[2]
-            engine = live.service.engines[(SCALE, 0)]
-            simulated = engine.simulations_run
-            second = live.render("figure_09", RENDER_BODY)
-            assert engine.simulations_run > simulated  # the second figure was cold
-            _, _, body = live.request("GET", "/healthz")
-        assert second[0] == 200, second[2]
-        assert first[2].decode() == expected["figure_12"]
-        assert second[2].decode() == expected["figure_09"]
-        health = json.loads(body)["reliability"]
-        assert health["retries"] >= 1
-        assert health["watchdog_kills"] >= 1
-        assert 1 <= sampler.peak <= live.service.workers
-
-    def test_evicted_engines_and_shutdown_leave_no_worker(self, tmp_path, monkeypatch):
-        # Engines borrow the daemon's one pool: evicting one orphans no
-        # process, and shutdown reaps every worker.
-        monkeypatch.setattr(ResultsService, "ENGINE_LIMIT", 1)
-        before = {child.pid for child in multiprocessing.active_children()}
-        with reliability_daemon(tmp_path / "cache") as live, ChildProcessSampler() as sampler:
-            for seed in (0, 1):
-                status, _, body = live.render("figure_02", dict(RENDER_BODY, seed=seed))
-                assert status == 200, body
-            assert list(live.service.engines) == [(SCALE, 1)]
-            workers = {child.pid for child in multiprocessing.active_children()} - before
-            assert 1 <= len(workers) <= live.service.workers
-        assert sampler.peak - len(before) <= live.service.workers
-        assert not {child.pid for child in multiprocessing.active_children()} - before
-
-    def test_oversized_request_line_is_a_clean_400(self, tmp_path):
-        with reliability_daemon(tmp_path / "cache") as live:
-            response = raw_exchange(
-                live.address, b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
-            )
-            assert response.startswith(b"HTTP/1.1 400 ")
-            assert b"oversized request line" in response
-            # The daemon survived; the next request is served normally.
-            status, _, _ = live.request("GET", "/healthz")
-            assert status == 200
-
-    def test_header_flood_is_a_clean_400(self, tmp_path):
-        with reliability_daemon(tmp_path / "cache") as live:
-            flood = b"".join(b"X-Padding-%d: a\r\n" % i for i in range(150))
-            response = raw_exchange(
-                live.address, b"GET /healthz HTTP/1.1\r\n" + flood + b"\r\n"
-            )
-            assert response.startswith(b"HTTP/1.1 400 ")
-            assert b"header lines" in response
-
-    def test_internal_errors_do_not_leak_exception_text(self, tmp_path):
-        faults.install_plan(parse_faults("error@serve"))
-        with reliability_daemon(tmp_path / "cache") as live:
-            status, _, body = live.render("figure_02", RENDER_BODY)
-        assert status == 500
-        assert json.loads(body) == {"error": "internal server error"}
-        assert "InjectedFault" in live.log.getvalue()  # logged, not served
-
-    def test_failure_caching_and_degraded_healthz(self, tmp_path):
-        # Every simulation attempt of every key fails deterministically; the
-        # first render pays the simulation and answers 500, the second is
-        # answered from the negative-TTL failure cache without simulating.
-        faults.install_plan(parse_faults("error@sim:key%1x999"))
-        with reliability_daemon(tmp_path / "cache", failure_ttl_s=60.0) as live:
-            status, _, _ = live.render("figure_02", RENDER_BODY)
-            assert status == 500
-            # Rerequest until the first-probed key's failure is in the
-            # negative cache (its flight-mates may still be landing); the
-            # TTL (60 s) far outlives the loop, so 503 is reached.
-            for _ in range(40):
-                status, headers, body = live.render("figure_02", RENDER_BODY)
-                if status == 503:
-                    break
-                assert status == 500
-                time.sleep(0.1)
-            assert status == 503
-            assert int(headers["Retry-After"]) >= 1
-            assert "cached failure" in json.loads(body)["error"]
-            assert live.service.failure_cache_hits >= 1
-            # A cached refusal starts no new simulation flights.
-            flights_started = live.service.flights.started
-            status, _, _ = live.render("figure_02", RENDER_BODY)
-            assert status == 503
-            assert live.service.flights.started == flights_started
-            status, _, body = live.request("GET", "/healthz")
-            health = json.loads(body)
-            assert health["status"] == "degraded"
-            assert any("failure cache" in reason
-                       for reason in health["degraded_reasons"])
-            assert health["reliability"]["failure_cache"] >= 1
-
-    def test_render_deadline_expires_into_503_then_warms(self, tmp_path):
-        # The first simulation of the run hangs for 2 s against a 0.3 s
-        # request deadline: the render answers 503 + Retry-After while the
-        # simulations (shielded by single-flight) finish in the background;
-        # a retried render is then served from the warm cache.
-        faults.install_plan(parse_faults("hang@sim:1", hang_seconds=2.0))
-        with reliability_daemon(
-            tmp_path / "cache", request_timeout_s=0.3
-        ) as live:
-            status, headers, body = live.render("figure_02", RENDER_BODY)
-            assert status == 503
-            assert headers["Retry-After"] == "2"
-            assert "deadline" in json.loads(body)["error"]
-            assert live.service.deadline_expired == 1
-            faults.install_plan(None)
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                status, _, _ = live.render("figure_02", RENDER_BODY)
-                if status == 200:
-                    break
-                time.sleep(0.25)
-            assert status == 200
-
-    def test_queue_budget_refuses_with_retry_after(self):
-        service = ResultsService(workers=1, queue_budget=0)
-        service.inflight_sims = 5
-        with pytest.raises(_HttpError) as excinfo:
-            service._check_queue_budget(1)
-        assert excinfo.value.status == 503
-        assert "Retry-After" in excinfo.value.headers
-        assert service.rejected_busy == 1
-        _, body, _, _ = asyncio.run(service.handle_healthz())
-        health = json.loads(body)
-        assert health["status"] == "degraded"
-        assert any("queue" in reason for reason in health["degraded_reasons"])
-
-    def test_validation_rejects_bad_knobs(self):
-        with pytest.raises(ExperimentError):
-            ResultsService(queue_budget=-1)
-        # Non-positive deadlines mean "unbounded", not "instant timeout".
-        assert ResultsService(request_timeout_s=0).request_timeout_s is None
-
-    def test_shutdown_drains_and_flags_draining(self, tmp_path):
-        with reliability_daemon(tmp_path / "cache") as live:
-            status, _, _ = live.request("GET", "/healthz")
-            assert status == 200
-        assert live.service.draining is True
-        assert live.service._active_requests == 0
-
-
-# ---------------------------------------------------------------------------
-# One worker pool shared by concurrent callers
-# ---------------------------------------------------------------------------
-class TestSharedWorkerPool:
-    def test_a_hang_kills_only_its_own_worker(self, tmp_path, monkeypatch):
-        # Two engines share one pool, as the daemon's do.  One's key hangs
-        # past its deadline while the other's batch runs: only the hung
-        # worker is killed, so every key of that batch is simulated exactly
-        # once, with no retry and no strike, on at most two live workers.
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("a patched worker body reaches the pool only by fork")
-        shared = WorkerPool(2)
-        striking = CampaignEngine(
-            scale=SCALE, jobs=2, worker_pool=shared, retry_policy=FAST_RETRY,
-            watchdog_config=WatchdogConfig(min_seconds=1.0),
-        )
-        patient = CampaignEngine(scale=SCALE, seed=1, jobs=2, worker_pool=shared,
-                                 retry_policy=FAST_RETRY)
-        plan = [item.request for item in resolve_plan(
-            "figure_12", SimulationRunner(engine=patient), benchmarks=BENCHMARKS)]
-        patient_keys = {patient.resolve(request).key for request in plan}
-        hung = int(striking.resolve(REQUEST).key, 16)
-        modulo = next(m for m in range(2, 1000)
-                      if all(int(key, 16) % m != hung % m for key in patient_keys))
-        attempts = tmp_path / "attempts"
-        original = campaign._simulate_entry
-
-        @functools.wraps(original)
-        def slow_entry(payload):
-            if payload["key"] in patient_keys:
-                with attempts.open("a") as handle:
-                    handle.write(payload["key"] + "\n")
-                time.sleep(0.4)
-            return original(payload)
-
-        monkeypatch.setattr(campaign, "_simulate_entry", slow_entry)
-        faults.install_plan(parse_faults(f"hang@sim:key%{modulo}={hung % modulo}",
-                                         hang_seconds=600.0))
-        struck = []
-        with closing(shared), ChildProcessSampler() as sampler:
-            first = threading.Thread(target=lambda: struck.append(striking.run(REQUEST)))
-            first.start()
-            time.sleep(0.2)
-            patient.run_many(plan)
-            first.join(timeout=60)
-            faults.install_plan(None)
-        assert not first.is_alive() and len(struck) == 1
-        assert (striking.watchdog_kills, striking.retries) == (1, 1)
-        assert (patient.watchdog_kills, patient.retries) == (0, 0)
-        assert sorted(attempts.read_text().split()) == sorted(patient_keys)  # once each
-        assert 1 <= sampler.peak <= 2
-        assert multiprocessing.active_children() == []
-        serial = CampaignEngine(scale=SCALE, seed=1)
-        assert [result.to_dict() for result in patient.run_many(plan)] == [
-            result.to_dict() for result in serial.run_many(plan)
-        ]
