@@ -606,6 +606,32 @@ class TestCampaignRecovery:
             result.to_dict() for result in serial
         ]
 
+    def test_a_crashed_round_leaves_the_pool_serving_the_next_cold_figure(self, monkeypatch):
+        # Workers that die mid-simulation cost their keys one retry each,
+        # not the engine its pool: the crashed figure and the next cold
+        # figure both render the serial bytes, with never more than `jobs`
+        # workers alive.  The deaths are seen at once, so the default
+        # deadline is never waited for.
+        expected = {
+            name: experiment_output(name, SCALE, BENCHMARKS)
+            for name in ("figure_12", "figure_09")
+        }
+        plan = resolve_plan("figure_12", SimulationRunner(scale=SCALE), benchmarks=BENCHMARKS)
+        modulo = 3
+        assert any(int(item.key, 16) % modulo == 0 for item in plan)
+        monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
+        faults.install_plan(parse_faults(f"crash@sim:key%{modulo}"))
+        engine = CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY)
+        runner = SimulationRunner(engine=engine)
+        with closing(engine), ChildProcessSampler() as sampler:
+            first = experiment_output("figure_12", SCALE, BENCHMARKS, runner=runner)
+            simulated = engine.simulations_run
+            second = experiment_output("figure_09", SCALE, BENCHMARKS, runner=runner)
+            assert engine.simulations_run > simulated  # the second figure was cold
+        assert (first, second) == (expected["figure_12"], expected["figure_09"])
+        assert engine.retries >= 1 and engine.watchdog_kills >= 1
+        assert 1 <= sampler.peak <= engine.jobs
+
     def test_parallel_campaign_recovers_crashes_and_hangs_byte_identically(self):
         # Every key draws exactly one fault on its first attempt: even keys
         # crash the worker outright (SIGKILL-equivalent), odd keys hang
