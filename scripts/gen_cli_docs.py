@@ -120,7 +120,7 @@ def generate() -> str:
     lines.append("")
     lines.append(
         "The module docstring of `repro.experiments.cli` is the canonical "
-        "example set (shard workers, merges, cache budgets):"
+        "example set (shard workers, merges, shared caches):"
     )
     lines.append("")
     lines.append("```text")

@@ -36,7 +36,6 @@ import os
 import pathlib
 import threading
 import time
-import warnings
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..config import SimulationConfig
@@ -232,9 +231,8 @@ class ResultCache:
     * **Atomic writes** — every put is tmp + rename, so a reader (or a
       crashed writer) never observes a torn entry; ``CACHE_FORMAT_VERSION``
       gates stale layouts on read.
-    * **LRU pruning** — :meth:`get` refreshes the entry's mtime and
-      :meth:`prune` evicts oldest-mtime first (deterministic key order on
-      ties), so a result the campaign just used is never the next evicted.
+    * **Pure reads** — :meth:`get` writes nothing for a hit, so a
+      read-only cache directory serves every hit it holds.
     * **Byte-preserving union** — :meth:`merge_from` copies entry files
       verbatim, which is what keeps shard merges byte-identical to serial
       runs (see ``docs/determinism.md``).
@@ -258,11 +256,6 @@ class ResultCache:
         self.quarantined = 0
         #: Orphaned ``*.tmp.*`` files removed by :meth:`sweep_orphans`.
         self.orphans_swept = 0
-        #: LRU mtime refreshes that failed for a reason other than the entry
-        #: vanishing (read-only NFS mount, permission change, ...).  Reads
-        #: keep working — eviction order just degrades toward write-order for
-        #: the affected entries — and the first failure emits one warning.
-        self.mtime_refresh_failures = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         """Cache file for ``key`` (two-level fan-out keeps directories small)."""
@@ -276,7 +269,7 @@ class ResultCache:
         """Every cache entry file.  The ``??/*.json`` pattern pins the
         two-hex-char fan-out layout, so every non-entry artifact inside the
         cache directory — ``manifests/`` (shard manifests) and any
-        top-level file — is never counted, pruned, merged or cleared.
+        top-level file — is never counted or merged.
         ``tests/test_campaign.py`` pins this."""
         return self.directory.glob("??/*.json")
 
@@ -352,27 +345,6 @@ class ResultCache:
                 self.quarantine(pathlib.Path(path), defect)
             return None
         self.hits += 1
-        try:
-            # Refresh the mtime so :meth:`prune` is least-recently-*used*
-            # eviction: a key the current campaign just read back cannot be
-            # the next one evicted mid-run.
-            os.utime(path)
-        except FileNotFoundError:  # vanished under a concurrent prune — still a hit
-            pass
-        except OSError:
-            # Read-only cache directory (an NFS mount a shard reads from,
-            # a permission squash): the result itself was read fine, so
-            # keep serving hits — only the LRU refresh is lost.  Warn once
-            # per cache object; the counter stays visible to callers.
-            self.mtime_refresh_failures += 1
-            if self.mtime_refresh_failures == 1:
-                warnings.warn(
-                    f"result cache {self.directory} is not writable; serving "
-                    "reads without LRU mtime refreshes (prune order degrades "
-                    "to write-order for these entries)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         return result
 
     def put_serialized(self, key: str, result_dict: Dict[str, object]) -> pathlib.Path:
@@ -397,7 +369,7 @@ class ResultCache:
         forever (the pid embedded in the name may even be reused, so the
         name is not self-cleaning).  Files younger than ``max_age_s`` are
         kept — they may belong to a live writer mid-publication.  Invoked
-        by :meth:`prune` and by shard merges; returns deletions.
+        by shard merges; returns deletions.
         """
         swept = 0
         cutoff = time.time() - max_age_s
@@ -449,7 +421,7 @@ class ResultCache:
                 continue
             try:
                 blob = entry.read_bytes()
-            except OSError:  # vanished mid-merge (concurrent prune)
+            except OSError:  # vanished mid-merge (a concurrent reader quarantined it)
                 continue
             result, defect = _parse_entry(blob, entry.stem)
             if result is None:
@@ -459,56 +431,3 @@ class ResultCache:
             atomic_write(destination, blob)
             copied += 1
         return copied
-
-    def total_bytes(self) -> int:
-        """Total on-disk size of all cached entries."""
-        total = 0
-        for entry in self._entries():
-            try:
-                total += entry.stat().st_size
-            except OSError:  # entry vanished (concurrent prune/clear)
-                continue
-        return total
-
-    def prune(self, max_bytes: int) -> int:
-        """Evict oldest entries (by mtime) until the cache fits ``max_bytes``.
-
-        Returns the number of entries deleted.  Eviction order is
-        oldest-modification-first — and since :meth:`get` refreshes the mtime
-        of every hit, effectively least-recently-used — so long-lived cache
-        directories shed the results that have gone longest without being
-        read or rewritten.  mtime ties (common on coarse-timestamp
-        filesystems and just-merged shard caches) are broken by key, so the
-        eviction order is deterministic.  Entries that vanish mid-scan
-        (another process pruning the same directory) are skipped.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.sweep_orphans()
-        entries = []
-        total = 0
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, path.name, path, stat.st_size))
-            total += stat.st_size
-        if total <= max_bytes:
-            return 0
-        evicted = 0
-        for _mtime, _name, path, size in sorted(entries):
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        return evicted
-
-    def clear(self) -> None:
-        """Delete every cached entry (keeps the directory itself)."""
-        for entry in self._entries():
-            entry.unlink()

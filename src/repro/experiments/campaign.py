@@ -12,13 +12,15 @@ embarrassingly parallel, incrementally resumable campaign:
   :class:`~repro.experiments.cache.ResultCache`, so re-invoking an experiment
   (or the benchmark suite) skips every already-simulated point;
 * :meth:`CampaignEngine.run_many` is the one way a cold point gets
-  simulated: a round loop that retries transient failures and commits in
-  key-sorted order, so the campaign output is bit-identical whatever the
-  completion order or worker count.  Serial is a one-worker campaign:
-  every attempt runs the one body, :func:`_simulate_entry`, in-process
-  (``jobs == 1``) or on the engine's :class:`WorkerPool`, kept warm
-  across rounds and batches, and every outcome is the serialized result.
-  Renders and shard workers both use it.
+  simulated: a round loop that retries transient failures (at most
+  :data:`~repro.reliability.retry.MAX_ATTEMPTS` attempts per key, with no
+  wait between rounds) and commits in key-sorted order, so the campaign
+  output is bit-identical whatever the completion order or worker count.
+  Serial is a one-worker campaign: every attempt runs the one body,
+  :func:`_simulate_entry`, in-process (``jobs == 1``) or on the engine's
+  :class:`WorkerPool`, kept warm across rounds and batches, and every
+  outcome is the serialized result.  Renders and shard workers both use
+  it.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -46,7 +48,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Seq
 from ..config import DMUConfig, SimulationConfig, default_paper_config
 from ..errors import ExperimentError
 from ..reliability.faults import active_spec, ensure_plan, install_plan, maybe_fault
-from ..reliability.retry import RetryPolicy
+from ..reliability.retry import MAX_ATTEMPTS, TRANSIENT_ERROR_TYPES
 from ..reliability.watchdog import WatchdogConfig
 from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
@@ -95,8 +97,8 @@ class CampaignRunError(ExperimentError):
         self.error_message = error_message
         self.worker_traceback = worker_traceback
         #: Per-attempt failure records (``{"attempt", "error_type",
-        #: "error_message"}``) when the retry policy exhausted its budget on
-        #: this key; the last entry matches the headline error.
+        #: "error_message"}``) when this key used up its ``MAX_ATTEMPTS``
+        #: attempts; the last entry matches the headline error.
         self.attempts = list(attempts or [])
         described = ", ".join(f"{name}={value!r}" for name, value in self.params.items())
         suffix = f" after {len(self.attempts)} attempts" if len(self.attempts) > 1 else ""
@@ -501,7 +503,6 @@ class WorkerPool:
     """
 
     def __init__(self, processes: int, deadline_s: float) -> None:
-        self.processes = processes
         self._dispatcher = _Dispatcher(processes, deadline_s)
         # Runs before multiprocessing reaps daemonic children at exit, so
         # the dispatcher never sees a worker die under it and fork another.
@@ -538,9 +539,8 @@ class CampaignEngine:
       (:func:`repro.experiments.cache.canonical_run_key`); the key is the
       memo key, the disk-cache filename and the shard-ownership input.
     * **Memoization** — results are cached in-process and, with
-      ``cache_dir``, in a :class:`~repro.experiments.cache.ResultCache`
-      (optionally budgeted via ``cache_max_bytes``); reruns simulate only
-      what is missing.
+      ``cache_dir``, in a :class:`~repro.experiments.cache.ResultCache`;
+      reruns simulate only what is missing.
     * **Execution** — :meth:`run_many` simulates uncached runs in one
       retrying loop through one attempt body, in-process or on the engine's
       :class:`WorkerPool` (``jobs > 1``), and commits
@@ -572,36 +572,25 @@ class CampaignEngine:
         seed: int = 0,
         jobs: int = 1,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        cache_max_bytes: Optional[int] = None,
         verbose: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
         watchdog_config: Optional[WatchdogConfig] = None,
     ) -> None:
         if not (0.0 < scale <= 1.0):
             raise ExperimentError(f"scale must be in (0, 1], got {scale}")
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if cache_max_bytes is not None and cache_max_bytes < 0:
-            raise ExperimentError(f"cache_max_bytes must be >= 0, got {cache_max_bytes}")
         self.scale = scale
         self.seed = seed
         self.jobs = jobs
         self.verbose = verbose
         self.base_config = base_config or default_paper_config()
         self.disk_cache = ResultCache(cache_dir) if cache_dir is not None else None
-        #: Size budget for the on-disk cache; enforced (oldest-mtime entries
-        #: evicted first) after every parallel batch and via
-        #: :meth:`prune_disk_cache`.
-        self.cache_max_bytes = cache_max_bytes
         self._memo: Dict[str, SimulationResult] = {}
         #: Resolution memos (see :meth:`resolve`): requests already keyed,
         #: and the validated config + its ``to_dict()`` + the canonical JSON
         #: text of that dict per runtime, scheduler and DMU.
         self._resolved: Dict[RunRequest, ResolvedRun] = {}
         self._configs: Dict[tuple, Tuple[SimulationConfig, Dict[str, object], str]] = {}
-        #: Retry policy for transiently failed runs (crashed/hung workers,
-        #: injected faults); permanent simulation errors never retry.
-        self.retry_policy = retry_policy or RetryPolicy.from_env()
         #: Every pooled attempt's deadline (hung-worker detection).
         self.watchdog_config = watchdog_config or WatchdogConfig.from_env()
         #: Where ``jobs > 1`` rounds run; None for a serial engine.
@@ -611,9 +600,8 @@ class CampaignEngine:
         self.simulations_run = 0
         self.memory_hits = 0
         self.disk_hits = 0
-        self.cache_evictions = 0
         #: Keys resubmitted after a transient failure (retry attempts beyond
-        #: the first; bounded by ``retry_policy.max_attempts`` per key).
+        #: the first; bounded by ``MAX_ATTEMPTS`` per key).
         self.retries = 0
         #: Pooled attempts struck because their worker died (``WorkerCrash``)
         #: or outlived the deadline and was killed (``WorkerTimeout``).
@@ -752,8 +740,8 @@ class CampaignEngine:
 
         **Resilience.**  Transient failures — crashed pool workers, hung
         simulations killed at their deadline, injected faults — are retried
-        with exponential backoff up to ``retry_policy.max_attempts`` per
-        key; deterministic simulation errors fail immediately.  Because
+        in the next round, up to ``MAX_ATTEMPTS`` attempts per key;
+        deterministic simulation errors fail immediately.  Because
         results are pure functions of their canonical key, a recovered batch
         leaves memo and disk state byte-identical to an undisturbed serial
         run.
@@ -765,7 +753,6 @@ class CampaignEngine:
                 pending[item.key] = item
         if pending:
             errors = self._simulate_pending(dict(pending))
-            self.prune_disk_cache()
             if errors:
                 if failures is None:
                     raise errors[min(errors)]  # deterministic: lowest key first
@@ -781,12 +768,11 @@ class CampaignEngine:
         — in-process when ``jobs == 1``, otherwise on the engine's warm
         :class:`WorkerPool` — and settles the outcomes in key order, each
         as soon as every key before it has one.  Settling commits a result,
-        requeues a transient failure (backing off before the next round)
-        until the retry policy is exhausted, or fails the key with a
+        requeues a transient failure for the next round until the key has
+        had ``MAX_ATTEMPTS`` attempts, or fails the key with a
         :class:`CampaignRunError` carrying its attempt history.  Returns the
         failed keys' errors; ``pending`` ends empty.
         """
-        policy = self.retry_policy
         failed_attempts: Dict[str, int] = {}
         history: Dict[str, List[Dict[str, object]]] = {}
         errors: Dict[str, CampaignRunError] = {}
@@ -802,7 +788,7 @@ class CampaignEngine:
                 "error_type": marker["error_type"],
                 "error_message": marker["error_message"],
             })
-            if policy.transient(marker["error_type"]) and not policy.exhausted(attempt):
+            if marker["error_type"] in TRANSIENT_ERROR_TYPES and attempt < MAX_ATTEMPTS:
                 self.retries += 1
                 return
             del pending[key]
@@ -819,17 +805,9 @@ class CampaignEngine:
             print(f"[campaign] {len(pending)} runs on {self.jobs} worker(s)")
         spec = active_spec()
         while pending:
-            batch = [pending[key] for key in sorted(pending)]
-            backoff = max(
-                (policy.delay(failed_attempts[item.key], item.key)
-                 for item in batch if item.key in failed_attempts),
-                default=0.0,
-            )
-            if backoff:
-                time.sleep(backoff)
             payloads = [
-                self._attempt_payload(item, failed_attempts.get(item.key, 0) + 1, spec)
-                for item in batch
+                self._attempt_payload(pending[key], failed_attempts.get(key, 0) + 1, spec)
+                for key in sorted(pending)
             ]
             if self.worker_pool is None:
                 outcomes = (_simulate_entry(payload) for payload in payloads)
@@ -895,14 +873,6 @@ class CampaignEngine:
         if self.worker_pool is not None:
             self.worker_pool.close()
 
-    def prune_disk_cache(self) -> int:
-        """Enforce ``cache_max_bytes`` on the disk cache; returns evictions."""
-        if self.disk_cache is None or self.cache_max_bytes is None:
-            return 0
-        evicted = self.disk_cache.prune(self.cache_max_bytes)
-        self.cache_evictions += evicted
-        return evicted
-
     # ------------------------------------------------------------------ stats
     def cache_info(self) -> Dict[str, int]:
         """Counters for tests and reports."""
@@ -911,7 +881,6 @@ class CampaignEngine:
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "memoized": len(self._memo),
-            "cache_evictions": self.cache_evictions,
         }
 
     def reliability_info(self) -> Dict[str, int]:

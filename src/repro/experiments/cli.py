@@ -102,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist simulation results here; rerunning skips cached points",
     )
     parser.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=None,
-        help="size budget for --cache-dir; oldest entries are evicted "
-        "(by mtime) whenever the cache exceeds it",
-    )
-    parser.add_argument(
         "--shard",
         metavar="I/N",
         default=None,
@@ -203,8 +196,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.cache_max_bytes is not None and args.cache_dir is None:
-        parser.error("--cache-max-bytes requires --cache-dir")
     if args.shard is not None and args.merge_shards is not None:
         parser.error("--shard and --merge-shards are mutually exclusive")
     if (
@@ -222,7 +213,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             verbose=args.verbose,
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            cache_max_bytes=args.cache_max_bytes,
         )
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -262,7 +252,6 @@ def _run(args: argparse.Namespace, names: Sequence[str], runner: SimulationRunne
             print(f"error: {error}", file=sys.stderr)
             return 2
         exit_code = manifest.report()
-        runner.prune_cache()
         _report_reliability(runner)
         return exit_code
 
@@ -292,9 +281,6 @@ def _run(args: argparse.Namespace, names: Sequence[str], runner: SimulationRunne
             csv_path = args.output / f"{result.experiment}.csv"
             csv_path.write_text(result.to_csv(), encoding="utf-8")
         print(f"wrote {markdown_path}")
-    evicted = runner.prune_cache()
-    if evicted:
-        print(f"cache budget: evicted {evicted} oldest entries")
     _report_reliability(runner)
     return exit_code
 

@@ -127,7 +127,6 @@ class SimulationRunner:
         verbose: bool = False,
         jobs: int = 1,
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        cache_max_bytes: Optional[int] = None,
         engine: Optional[CampaignEngine] = None,
     ) -> None:
         # An injected engine carries all its own parameters, so several
@@ -138,7 +137,6 @@ class SimulationRunner:
             seed=seed,
             jobs=jobs,
             cache_dir=cache_dir,
-            cache_max_bytes=cache_max_bytes,
             verbose=verbose,
         )
 
@@ -162,10 +160,6 @@ class SimulationRunner:
     def reliability_info(self) -> Dict[str, int]:
         """Recovery counters (retries/watchdog/quarantine) of the engine."""
         return self.engine.reliability_info()
-
-    def prune_cache(self) -> int:
-        """Enforce the engine's disk-cache size budget; returns evictions."""
-        return self.engine.prune_disk_cache()
 
     def close(self) -> None:
         """End the engine's own pool workers (see ``CampaignEngine.close``)."""

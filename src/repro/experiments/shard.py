@@ -45,7 +45,7 @@ from .common import SimulationRunner
 
 #: Subdirectory of a cache directory where shard manifests are written.
 #: Cache entry enumeration pins the ``??/`` fan-out layout, so manifests can
-#: live inside the cache directory without being pruned/merged as results.
+#: live inside the cache directory without being counted or merged as results.
 MANIFEST_DIRNAME = "manifests"
 
 #: Shard-manifest schema version.  The reader accepts this version only,
@@ -396,7 +396,6 @@ def merge_shards(
     sources: Sequence[Union[str, pathlib.Path]],
     runner: SimulationRunner,
     benchmarks: Optional[Sequence[str]] = None,
-    shard_count: Optional[int] = None,
     **plan_kwargs: object,
 ) -> MergeReport:
     """Union shard cache directories into the runner's cache and verify them.
@@ -445,7 +444,7 @@ def merge_shards(
     for manifest in manifests:
         failures.update(manifest.failures)
         seen_shards[manifest.shard_index] = manifest.shard_count
-    count = shard_count or (max(seen_shards.values()) if seen_shards else 0)
+    count = max(seen_shards.values()) if seen_shards else 0
     missing_shards = [
         index for index in range(1, count + 1) if index not in seen_shards
     ] if count else []

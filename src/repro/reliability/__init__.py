@@ -1,4 +1,4 @@
-"""Fault injection, retry policies and worker deadlines for campaigns.
+"""Fault injection, bounded retries and worker deadlines for campaigns.
 
 The campaign stack (``repro.experiments``) survives worker crashes, hung
 simulations and corrupted cache entries through three cooperating pieces
@@ -7,8 +7,8 @@ that live here:
 * :mod:`repro.reliability.faults` — a seeded, deterministic fault-injection
   plan (``REPRO_FAULTS`` / ``--faults``) with named sites threaded through
   the cache, the campaign engine and the shard merger;
-* :mod:`repro.reliability.retry` — bounded-attempt retry with exponential
-  backoff and transient-vs-permanent error classification;
+* :mod:`repro.reliability.retry` — the attempt budget (``MAX_ATTEMPTS``)
+  and the transient-vs-permanent error classification;
 * :mod:`repro.reliability.watchdog` — the one per-key deadline past which
   the campaign pool kills a hung worker and strikes its key.
 
@@ -29,5 +29,5 @@ from .faults import (  # noqa: F401
     maybe_fault,
     parse_faults,
 )
-from .retry import RetryPolicy  # noqa: F401
+from .retry import MAX_ATTEMPTS, TRANSIENT_ERROR_TYPES  # noqa: F401
 from .watchdog import WatchdogConfig  # noqa: F401

@@ -4,8 +4,8 @@ A campaign pool worker that hangs never answers its payload.  Each engine
 builds its one pool (:class:`~repro.experiments.campaign.WorkerPool`) with
 one deadline, ``min_seconds`` from the moment a payload reaches a worker;
 a worker still busy at its deadline is killed and its key struck as
-``WorkerTimeout`` for the retry policy.  A worker that dies needs no
-deadline: the dispatcher sees the death at once.  Deadlines shape
+``WorkerTimeout``, a transient failure that is retried.  A worker that
+dies needs no deadline: the dispatcher sees the death at once.  Deadlines shape
 scheduling only: a killed-and-retried key commits the identical result
 bytes (``docs/determinism.md``).
 """

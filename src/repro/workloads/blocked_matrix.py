@@ -56,10 +56,6 @@ class BlockedMatrix:
     def update(self, row: int, col: int) -> DependenceSpec:
         return self.dep(row, col, _INOUT)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.num_blocks * self.num_blocks * self.block_bytes
-
 
 def block_bytes_for_elements(block_elements: int, element_bytes: int = 4) -> int:
     """Bytes of a square block of ``block_elements`` x ``block_elements`` values."""

@@ -30,7 +30,6 @@ from repro.experiments.campaign import CampaignEngine, RunRequest
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
 from repro.reliability import faults
-from repro.reliability.retry import RetryPolicy
 from repro.reliability.watchdog import WatchdogConfig
 from repro.sim.machine import SimulationResult, run_simulation
 from repro.workloads.registry import create_workload
@@ -193,60 +192,83 @@ class TestResultCache:
             reason = tmp_path / name / "quarantine" / f"{key}.json.reason"
             assert reason.read_text().startswith("invalid JSON")
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = run_simulation(diamond_program(), make_config(runtime="software"))
-        cache.put_serialized("12" + "0" * 62, result.to_dict())
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_read_only_cache_keeps_serving_hits(self, tmp_path, monkeypatch):
-        """A read-only cache directory (NFS mount, permission squash) must
-        degrade gracefully: the LRU mtime refresh fails, reads keep working,
-        one warning fires, and the failure counter keeps counting."""
+    def test_a_hit_writes_nothing(self, tmp_path):
+        """A hit is a pure read: it neither touches the entry's mtime nor
+        its bytes, and warns of nothing."""
         cache = ResultCache(tmp_path)
         result = run_simulation(diamond_program(), make_config(runtime="software"))
         key = "ab" + "0" * 62
-        cache.put_serialized(key, result.to_dict())
+        path = cache.put_serialized(key, result.to_dict())
+        os.utime(path, (1_000_000.0, 1_000_000.0))
+        before = (path.stat().st_mtime_ns, path.read_bytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                assert cache.get(key).total_cycles == result.total_cycles
+        assert cache.hits == 2
+        assert (path.stat().st_mtime_ns, path.read_bytes()) == before
 
-        import os as os_module
 
-        def read_only_utime(*args, **kwargs):
+class TestPureReads:
+    """A warm render reads its cache and writes nothing to it."""
+
+    @staticmethod
+    def _tree(directory):
+        return {
+            path.relative_to(directory): (path.stat().st_mtime_ns, path.read_bytes())
+            for path in sorted(directory.rglob("*"))
+            if path.is_file()
+        }
+
+    @staticmethod
+    def _warm_cache(directory):
+        kwargs = dict(scale=0.05, benchmarks=["blackscholes"])
+        cold = SimulationRunner(scale=0.05, cache_dir=directory)
+        csv = run_experiment("figure_12", runner=cold, **kwargs).to_csv()
+        for path in directory.rglob("*.json"):
+            os.utime(path, (1_000_000.0, 1_000_000.0))
+        return csv, kwargs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_warm_render_leaves_the_cache_tree_untouched(self, tmp_path, jobs):
+        csv, kwargs = self._warm_cache(tmp_path)
+        before = self._tree(tmp_path)
+        with closing(SimulationRunner(scale=0.05, jobs=jobs, cache_dir=tmp_path)) as warm:
+            assert run_experiment("figure_12", runner=warm, **kwargs).to_csv() == csv
+        assert warm.cache_info()["simulations_run"] == 0
+        assert warm.cache_info()["disk_hits"] > 0
+        assert self._tree(tmp_path) == before
+
+    def test_a_cache_nothing_may_write_serves_a_warm_render(self, tmp_path, monkeypatch):
+        # What a read-only directory does to a writer, without needing a
+        # non-root user for the permission bits to bite.
+        csv, kwargs = self._warm_cache(tmp_path)
+
+        def refuse(*args, **kwargs):
             raise PermissionError(30, "Read-only file system")
 
-        monkeypatch.setattr("repro.experiments.cache.os.utime", read_only_utime)
-        with pytest.warns(RuntimeWarning, match="is not writable"):
-            restored = cache.get(key)
-        assert restored is not None
-        assert restored.total_cycles == result.total_cycles
-        assert cache.hits == 1
-        assert cache.mtime_refresh_failures == 1
-        # Later hits keep serving and counting, but warn only once.
+        for name in ("utime", "replace", "unlink"):
+            monkeypatch.setattr(f"repro.experiments.cache.os.{name}", refuse)
+        monkeypatch.setattr("repro.experiments.cache.atomic_write", refuse)
+        warm = SimulationRunner(scale=0.05, cache_dir=tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cache.get(key) is not None
-        assert cache.hits == 2
-        assert cache.mtime_refresh_failures == 2
-        assert os_module.utime is not None  # monkeypatch scoped to the module under test
-
-    def test_vanished_entry_mtime_refresh_stays_silent(self, tmp_path, monkeypatch):
-        # A concurrent prune deleting the entry between read and refresh is
-        # normal operation, not a degradation — no warning, no counter.
-        cache = ResultCache(tmp_path)
-        result = run_simulation(diamond_program(), make_config(runtime="software"))
-        key = "cd" + "0" * 62
-        cache.put_serialized(key, result.to_dict())
-        monkeypatch.setattr(
-            "repro.experiments.cache.os.utime",
-            lambda *args, **kwargs: (_ for _ in ()).throw(FileNotFoundError()),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cache.get(key) is not None
-        assert cache.mtime_refresh_failures == 0
+            assert run_experiment("figure_12", runner=warm, **kwargs).to_csv() == csv
+        assert warm.cache_info()["simulations_run"] == 0
+        assert not any(warm.reliability_info().values())
 
 
 class TestEngineCaching:
+    def test_cache_and_reliability_counters_keep_their_names(self):
+        # The benchmark harness reads these keys.
+        runner = SimulationRunner(scale=SCALE)
+        assert set(runner.cache_info()) == {
+            "simulations_run", "memory_hits", "disk_hits", "memoized",
+        }
+        assert set(runner.reliability_info()) == {
+            "retries", "watchdog_kills", "quarantined", "orphans_swept",
+        }
+
     def test_memo_hit_and_counters(self):
         runner = SimulationRunner(scale=SCALE)
         first = runner.run("cholesky", "software")
@@ -351,132 +373,26 @@ class TestFormatBump:
         assert warm.cache_info()["simulations_run"] == 0
 
 
-class TestCachePruning:
-    """``ResultCache.prune`` / ``--cache-max-bytes``: oldest-mtime eviction."""
-
-    def _populate(self, tmp_path, count=4):
-        import os
-        import time
-
-        cache = ResultCache(tmp_path / "cache")
-        paths = []
-        for index in range(count):
-            key = f"{index:02x}" + "ab" * 31
-            path = cache.put_serialized(key, {"payload": "x" * 100, "index": index})
-            # Distinct, strictly increasing mtimes so eviction order is exact.
-            stamp = time.time() - (count - index) * 100
-            os.utime(path, (stamp, stamp))
-            paths.append(path)
-        return cache, paths
-
-    def test_prune_evicts_oldest_mtime_first(self, tmp_path):
-        cache, paths = self._populate(tmp_path)
-        entry_size = paths[0].stat().st_size
-        total = cache.total_bytes()
-        evicted = cache.prune(total - entry_size)  # force out exactly one
-        assert evicted == 1
-        assert not paths[0].exists()  # the oldest went first
-        assert all(path.exists() for path in paths[1:])
-
-    def test_prune_noop_under_budget(self, tmp_path):
-        cache, paths = self._populate(tmp_path)
-        assert cache.prune(cache.total_bytes()) == 0
-        assert all(path.exists() for path in paths)
-
-    def test_prune_to_zero_clears_everything(self, tmp_path):
-        cache, paths = self._populate(tmp_path)
-        assert cache.prune(0) == len(paths)
-        assert cache.total_bytes() == 0
-        assert len(cache) == 0
-
-    def test_prune_rejects_negative_budget(self, tmp_path):
-        cache, _paths = self._populate(tmp_path, count=1)
-        with pytest.raises(ValueError):
-            cache.prune(-1)
-
-    def test_engine_enforces_budget_after_batches(self, tmp_path):
-        engine = CampaignEngine(
-            scale=SCALE, cache_dir=tmp_path / "cache", cache_max_bytes=0
-        )
-        engine.run_many([RunRequest("blackscholes", "software")])
-        # A zero budget keeps the disk cache empty (everything evicted), and
-        # the eviction is reported in the counters.
-        assert engine.disk_cache.total_bytes() == 0
-        assert engine.cache_info()["cache_evictions"] >= 1
-
-    def test_engine_rejects_negative_budget(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            CampaignEngine(scale=SCALE, cache_dir=tmp_path / "c", cache_max_bytes=-5)
-
-    def test_cli_requires_cache_dir_for_budget(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["figure_02", "--cache-max-bytes", "1000"])
-        assert "--cache-max-bytes requires --cache-dir" in capsys.readouterr().err
-
-
-class TestCachePruneEdgeCases:
-    """The corners of eviction: mtime ties, zero budgets, mid-campaign needs."""
-
-    def _cache_with_keys(self, tmp_path, keys, mtime=None):
-        import os
-
-        cache = ResultCache(tmp_path / "cache")
-        for key in keys:
-            path = cache.put_serialized(key, {"payload": "x" * 100})
-            if mtime is not None:
-                os.utime(path, (mtime, mtime))
-        return cache
-
-    def test_mtime_ties_break_deterministically_by_key(self, tmp_path):
-        # Coarse-timestamp filesystems and just-merged shard caches produce
-        # exact mtime ties; eviction order must not depend on readdir order.
-        keys = sorted(f"{index:02x}" + "cd" * 31 for index in range(6))
-        cache = self._cache_with_keys(tmp_path, keys, mtime=1_000_000.0)
-        entry = cache.path_for(keys[0]).stat().st_size
-        assert cache.prune(entry * 2) == 4
-        assert cache.keys() == keys[4:]  # lexicographically-smallest evicted first
-
-    def test_prune_zero_budget_on_empty_cache_is_noop(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.prune(0) == 0
-        assert cache.total_bytes() == 0
-
-    def test_get_refreshes_mtime_so_hot_keys_survive_pruning(self, tmp_path):
-        import os
-
-        result = run_simulation(diamond_program(), make_config(runtime="software"))
-        cache = ResultCache(tmp_path / "cache")
-        old_key, new_key = "aa" + "0" * 62, "bb" + "0" * 62
-        old_path = cache.put_serialized(old_key, result.to_dict())
-        new_path = cache.put_serialized(new_key, result.to_dict())
-        os.utime(old_path, (1_000_000.0, 1_000_000.0))
-        os.utime(new_path, (2_000_000.0, 2_000_000.0))
-        # A campaign reads the *older* entry: it becomes most-recently-used …
-        assert cache.get(old_key) is not None
-        # … so pruning down to one entry evicts the unread key instead.
-        assert cache.prune(old_path.stat().st_size) == 1
-        assert old_key in cache
-        assert new_key not in cache
+class TestNonEntryArtifacts:
+    """Files inside a cache directory that are not ``??/*.json`` entries."""
 
     def _assert_invisible(self, cache, artifacts, tmp_path):
-        """Entry enumeration, pruning, clearing and merging skip ``artifacts``."""
+        """Entry enumeration and merging skip ``artifacts``."""
         assert len(cache) == 1
-        assert cache.total_bytes() == cache.path_for("ab" + "0" * 62).stat().st_size
-        assert cache.prune(0) == 1  # the entry, none of the artifacts
-        assert all(path.exists() for path in artifacts)
-        cache.clear()
-        assert all(path.exists() for path in artifacts)
-        other = self._cache_with_keys(tmp_path / "other", ["ef" + "0" * 62])
-        assert other.merge_from(cache) == 0  # the only entry was pruned
+        keys = cache.keys()
+        other = ResultCache(tmp_path / "other")
+        assert other.merge_from(cache) == 1  # the entry, none of the artifacts
+        assert other.keys() == keys
         for path in artifacts:
+            assert path.exists()
             assert not (other.directory / path.relative_to(cache.directory)).exists()
 
-    def test_manifests_inside_cache_dir_are_never_pruned_or_counted(self, tmp_path):
+    def test_manifests_inside_cache_dir_are_never_counted_or_merged(self, tmp_path):
         # Shard manifests live inside the cache dir and must be invisible
-        # to entry enumeration, pruning, clearing and merging.
-        cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
+        # to entry enumeration and merging.
+        cache = ResultCache(tmp_path / "cache")
+        result = run_simulation(diamond_program(), make_config(runtime="software"))
+        cache.put_serialized("ab" + "0" * 62, result.to_dict())
         manifest = cache.directory / "manifests" / "figure_10.shard-1-of-2.json"
         manifest.parent.mkdir()
         manifest.write_text('{"experiment": "figure_10"}', encoding="utf-8")
@@ -485,8 +401,8 @@ class TestCachePruneEdgeCases:
     def test_stray_cost_profile_from_an_older_version_is_ignored(self, tmp_path):
         # Older versions wrote a top-level cost_profile.json into every
         # cache dir.  Nothing reads or writes it now: a campaign over such a
-        # cache leaves it byte-for-byte alone, and no cache operation counts,
-        # prunes or merges it.
+        # cache leaves it byte-for-byte alone, and no cache operation counts
+        # or merges it.
         blob = '{"timings": {"%s": {"seconds": 1.0, "units": 2.0}}, "version": 1}' % ("ab" * 32)
         profile = tmp_path / "cache" / "cost_profile.json"
         profile.parent.mkdir()
@@ -495,21 +411,7 @@ class TestCachePruneEdgeCases:
         engine.run_many([RunRequest("blackscholes", "software")])
         assert engine.simulations_run == 1
         assert profile.read_text(encoding="utf-8") == blob
-        engine.disk_cache.clear()
-        cache = self._cache_with_keys(tmp_path, ["ab" + "0" * 62])
-        self._assert_invisible(cache, [profile], tmp_path)
-
-    def test_midcampaign_eviction_never_loses_a_needed_result(self, tmp_path):
-        # The harshest budget evicts every disk entry after each batch, yet
-        # the run's own results stay reachable (memo) — re-requesting a key
-        # the campaign already simulated never resimulates mid-run.
-        engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path / "cache", cache_max_bytes=0)
-        request = RunRequest("blackscholes", "software")
-        first = engine.run_many([request])[0]
-        assert engine.disk_cache.total_bytes() == 0  # evicted on disk …
-        second = engine.run(request)
-        assert second is first  # … but not from the running campaign
-        assert engine.cache_info()["simulations_run"] == 1
+        self._assert_invisible(engine.disk_cache, [profile], tmp_path)
 
 
 class TestRunManyFailureWrapping:
@@ -966,8 +868,6 @@ class TestSimulationLoop:
 class TestWarmPool:
     """One worker pool per engine, kept across rounds and batches."""
 
-    NO_WAIT = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
-
     @pytest.fixture(autouse=True)
     def fork_workers(self):
         # The patched bodies below reach the workers only by fork, and the
@@ -1033,8 +933,7 @@ class TestWarmPool:
         self._mark_attempts(monkeypatch, marks)
         request = RunRequest("blackscholes", "software")
         with closing(CampaignEngine(
-            scale=0.05, jobs=2, retry_policy=self.NO_WAIT,
-            watchdog_config=WatchdogConfig(min_seconds=1.0),
+            scale=0.05, jobs=2, watchdog_config=WatchdogConfig(min_seconds=1.0),
         )) as engine:
             engine.run(RunRequest("blackscholes", "tdm"))  # forks the workers
             before = {str(child.pid) for child in multiprocessing.active_children()}
@@ -1170,7 +1069,7 @@ class TestWarmPool:
         assert committed[keys[-1]] - committed[keys[-2]] > 0.5
 
     def test_a_cleared_fault_plan_leaves_the_warm_workers(self):
-        with closing(CampaignEngine(scale=0.05, jobs=2, retry_policy=self.NO_WAIT)) as engine:
+        with closing(CampaignEngine(scale=0.05, jobs=2)) as engine:
             faults.install_plan(faults.parse_faults("error@sim:key%1"))
             try:
                 engine.run_many(self._plan(engine, "figure_12"))

@@ -5,8 +5,8 @@ under test are the recovery contracts:
 
 * a campaign disturbed by crashed, hung or erroring workers recovers and
   renders bytes *identical* to an undisturbed serial run;
-* every key is attempted at most ``RetryPolicy.max_attempts`` times, with
-  deterministic backoff, and deterministic failures are never retried;
+* every key is attempted at most ``MAX_ATTEMPTS`` times, and
+  deterministic failures are never retried;
 * corrupt cache entries (torn writes, bit flips) are quarantined and
   resimulated instead of being served or aborting the run.
 """
@@ -39,11 +39,11 @@ from repro.experiments.cache import (
 from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import SimulationRunner
-from repro.experiments.registry import resolve_plan
-from repro.experiments.shard import MergeReport
+from repro.experiments.registry import resolve_plan, run_experiment
+from repro.experiments.shard import MergeReport, ShardSpec, merge_shards, run_shard_worker
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, InjectedFault, maybe_fault, parse_faults
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.retry import MAX_ATTEMPTS, TRANSIENT_ERROR_TYPES
 from repro.reliability.watchdog import WatchdogConfig
 
 from tests.util import experiment_output
@@ -52,8 +52,6 @@ SCALE = 0.05
 BENCHMARKS = ["blackscholes"]
 REQUEST = RunRequest(benchmark="blackscholes", runtime="software")
 
-#: A retry policy with no real sleeping, for fast chaos tests.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -172,42 +170,50 @@ class TestFaultGrammar:
 
 
 # ---------------------------------------------------------------------------
-# Retry policy
+# Retry budget
 # ---------------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.1, max_delay_s=0.5)
-        delays = [policy.delay(attempt, "deadbeef") for attempt in (1, 2, 3, 4)]
-        assert delays == [policy.delay(a, "deadbeef") for a in (1, 2, 3, 4)]
-        assert all(d <= 0.5 * (1 + policy.jitter) for d in delays)
-        assert delays[1] > delays[0]  # exponential up to the cap
-        # Distinct keys decorrelate; zero jitter removes the spread.
-        assert policy.delay(1, "deadbeef") != policy.delay(1, "cafebabe")
-        flat = RetryPolicy(base_delay_s=0.1, jitter=0.0)
-        assert flat.delay(2, "x") == pytest.approx(0.2)
-
+class TestRetryBudget:
     def test_transient_classification(self):
-        policy = RetryPolicy()
         for name in ("WorkerTimeout", "WorkerCrash", "InjectedFault", "OSError"):
-            assert policy.transient(name), name
+            assert name in TRANSIENT_ERROR_TYPES, name
         for name in ("ExperimentError", "KeyError", "ZeroDivisionError",
                      "WorkerStall", "BrokenProcessPool", "IOError"):
-            assert not policy.transient(name), name
+            assert name not in TRANSIENT_ERROR_TYPES, name
 
-    def test_budget_and_validation(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert not policy.exhausted(2) and policy.exhausted(3)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_s=-1.0)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_last_of_three_attempts_still_recovers(self, jobs):
+        # A transient fault on attempts 1 and 2 leaves the third, which
+        # commits the fault-free result; one more faulty attempt exhausts
+        # the budget (``test_permanent_fault_exhausts_with_attempt_history``).
+        assert MAX_ATTEMPTS == 3
+        faults.install_plan(parse_faults("error@sim:key%1x2"))
+        with closing(CampaignEngine(scale=SCALE, jobs=jobs)) as engine:
+            disturbed = engine.run(REQUEST)
+        faults.install_plan(None)
+        assert engine.retries == 2
+        assert disturbed.to_dict() == CampaignEngine(scale=SCALE).run(REQUEST).to_dict()
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_MAX", "7")
-        monkeypatch.setenv("REPRO_RETRY_DELAY_S", "0.125")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 7
-        assert policy.base_delay_s == 0.125
+    def test_a_retry_waits_for_nothing(self, monkeypatch):
+        # Every key of a figure fails its first two attempts; the loop
+        # requeues them at once, so nothing in the campaign ever sleeps.
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        faults.install_plan(parse_faults("error@sim:key%1x2"))
+        engine = CampaignEngine(scale=SCALE)
+        plan = resolve_plan("figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS)
+        engine.run_many([item.request for item in plan])
+        assert engine.retries == 2 * engine.simulations_run > 0
+        assert sleeps == []
+
+    def test_retry_variables_in_the_environment_change_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_MAX", "1")
+        monkeypatch.setenv("REPRO_RETRY_DELAY_S", "30")
+        faults.install_plan(parse_faults("error@sim:key%1"))
+        started = time.monotonic()
+        engine = CampaignEngine(scale=SCALE)
+        engine.run(REQUEST)
+        assert engine.retries == 1
+        assert time.monotonic() - started < 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +430,46 @@ class TestCacheIntegrity:
         payload = canonical_json(document["result"]).encode()
         assert document["sha256"] == hashlib.sha256(payload).hexdigest()
 
-    def test_orphaned_tmp_files_are_swept_by_age(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        bucket = tmp_path / "ab"
-        bucket.mkdir()
+    @staticmethod
+    def _stale_orphan(cache_dir):
+        """An hour-old ``*.tmp.*`` file, as a writer killed mid-publish leaves."""
+        bucket = cache_dir / "ab"
+        bucket.mkdir(parents=True, exist_ok=True)
         stale = bucket / "deadbeef.json.tmp.12345"
         stale.write_text("{half a wri")
         old = time.time() - 3600
         os.utime(stale, (old, old))
-        fresh = bucket / "cafebabe.json.tmp.12346"
+        return stale
+
+    def test_orphaned_tmp_files_are_swept_by_age(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        stale = self._stale_orphan(tmp_path)
+        fresh = tmp_path / "ab" / "cafebabe.json.tmp.12346"
         fresh.write_text("{being written right now")
         assert cache.sweep_orphans(max_age_s=300.0) == 1
         assert not stale.exists() and fresh.exists()
         assert cache.orphans_swept == 1
+
+    def test_a_render_never_sweeps_orphans(self, tmp_path):
+        # Sweeps run only at shard merges: a render, cold or warm, leaves
+        # even a stale tmp file where it is.
+        stale = self._stale_orphan(tmp_path)
+        for _ in range(2):
+            runner = SimulationRunner(scale=SCALE, cache_dir=tmp_path)
+            run_experiment("figure_12", scale=SCALE, benchmarks=BENCHMARKS, runner=runner)
+            assert runner.reliability_info()["orphans_swept"] == 0
+        assert stale.exists()
+
+    def test_a_merge_sweeps_the_orphans_of_its_destination(self, tmp_path):
+        source = tmp_path / "source"
+        run_shard_worker("figure_12", ShardSpec(1, 1),
+                         SimulationRunner(scale=SCALE, cache_dir=source), benchmarks=BENCHMARKS)
+        stale = self._stale_orphan(tmp_path / "merged")
+        merged = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "merged")
+        report = merge_shards("figure_12", [source], merged, benchmarks=BENCHMARKS)
+        assert report.complete
+        assert not stale.exists()
+        assert merged.reliability_info()["orphans_swept"] == 1
 
     def test_merge_from_quarantines_corrupt_sources(self, tmp_path, real_entry):
         key, blob = real_entry
@@ -502,20 +535,22 @@ class ChildProcessSampler:
 class TestCampaignRecovery:
     def test_serial_transient_error_is_retried_once(self):
         faults.install_plan(parse_faults("error@sim:key%1"))
-        engine = CampaignEngine(scale=SCALE, retry_policy=FAST_RETRY)
+        engine = CampaignEngine(scale=SCALE)
         disturbed = engine.run(REQUEST)
         assert engine.retries == 1
         faults.install_plan(None)
         clean = CampaignEngine(scale=SCALE).run(REQUEST)
         assert disturbed.total_cycles == clean.total_cycles
 
-    def test_permanent_fault_exhausts_with_attempt_history(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_permanent_fault_exhausts_with_attempt_history(self, jobs):
         faults.install_plan(parse_faults("error@sim:key%1x99"))
-        engine = CampaignEngine(scale=SCALE, retry_policy=FAST_RETRY)
-        with pytest.raises(CampaignRunError) as excinfo:
-            engine.run_many([REQUEST])
+        with closing(CampaignEngine(scale=SCALE, jobs=jobs)) as engine:
+            with pytest.raises(CampaignRunError) as excinfo:
+                engine.run_many([REQUEST])
+        assert engine.retries == MAX_ATTEMPTS - 1
         error = excinfo.value
-        assert len(error.attempts) == FAST_RETRY.max_attempts
+        assert len(error.attempts) == MAX_ATTEMPTS
         assert [record["attempt"] for record in error.attempts] == [1, 2, 3]
         assert all(r["error_type"] == "InjectedFault" for r in error.attempts)
         assert "attempts" in error.to_dict()
@@ -523,7 +558,7 @@ class TestCampaignRecovery:
     def test_deterministic_error_is_never_retried(self):
         from repro.errors import ConfigurationError
 
-        engine = CampaignEngine(scale=SCALE, retry_policy=FAST_RETRY)
+        engine = CampaignEngine(scale=SCALE)
         with pytest.raises(ConfigurationError):
             engine.run(RunRequest(benchmark="no-such-benchmark", runtime="software"))
         assert engine.retries == 0
@@ -550,7 +585,7 @@ class TestCampaignRecovery:
         faults.install_plan(parse_faults("crash@sim"))
         started = time.monotonic()
         with ChildProcessSampler() as sampler, closing(
-            CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY)
+            CampaignEngine(scale=SCALE, jobs=2)
         ) as engine:
             result = engine.run(REQUEST)
         elapsed = time.monotonic() - started
@@ -568,7 +603,7 @@ class TestCampaignRecovery:
         # than `jobs` workers are ever alive.
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("a patched worker body reaches the pool only by fork")
-        engine = CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY,
+        engine = CampaignEngine(scale=SCALE, jobs=2,
                                 watchdog_config=WatchdogConfig(min_seconds=1.0))
         plan = [item.request for item in resolve_plan(
             "figure_12", SimulationRunner(engine=engine), benchmarks=BENCHMARKS)]
@@ -621,7 +656,7 @@ class TestCampaignRecovery:
         assert any(int(item.key, 16) % modulo == 0 for item in plan)
         monkeypatch.delenv("REPRO_WATCHDOG_MIN_S", raising=False)
         faults.install_plan(parse_faults(f"crash@sim:key%{modulo}"))
-        engine = CampaignEngine(scale=SCALE, jobs=2, retry_policy=FAST_RETRY)
+        engine = CampaignEngine(scale=SCALE, jobs=2)
         runner = SimulationRunner(engine=engine)
         with closing(engine), ChildProcessSampler() as sampler:
             first = experiment_output("figure_12", SCALE, BENCHMARKS, runner=runner)
@@ -643,7 +678,6 @@ class TestCampaignRecovery:
         with closing(CampaignEngine(
             scale=SCALE,
             jobs=2,
-            retry_policy=FAST_RETRY,
             watchdog_config=WatchdogConfig(min_seconds=2.0),
         )) as engine:
             plan = resolve_plan(

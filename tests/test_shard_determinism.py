@@ -343,6 +343,18 @@ class TestResumability:
         with pytest.raises(ExperimentError, match="incomplete"):
             report.verify()
 
+    def test_merge_takes_the_shard_count_from_the_manifests_it_read(self, tmp_path):
+        # Shards 1 and 3 of 4 ran: the manifests say 4, so 2 and 4 are named.
+        figure = "figure_12"
+        for index in (1, 3):
+            runner = SimulationRunner(scale=SCALE, cache_dir=tmp_path / f"shard{index}")
+            run_shard_worker(figure, ShardSpec(index, 4), runner, benchmarks=BENCHMARKS)
+        merged = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "merged")
+        report = merge_shards(figure, [tmp_path / "shard1", tmp_path / "shard3"], merged,
+                              benchmarks=BENCHMARKS)
+        assert report.missing_shards == [2, 4]
+        assert not report.complete
+
     def test_merge_with_shared_cache_dir_is_a_completeness_check(self, tmp_path):
         """Shared-filesystem campaigns: all shards in one dir, merge = verify."""
         figure = "figure_10"
