@@ -74,9 +74,9 @@ def generate() -> str:
     lines.append(
         f"One executable, `{parser.prog}` (or `PYTHONPATH=src python -m "
         "repro.experiments.cli` from a checkout): it renders any of the "
-        "paper's figures and tables, fans sweeps out over local processes, "
-        "persists results in content-addressed caches, and runs/merges "
-        "multi-host shards.  See [figures.md](figures.md) for what each "
+        "paper's figures and tables, fans sweeps out over local processes "
+        "and persists results in a content-addressed cache.  See "
+        "[figures.md](figures.md) for what each "
         "experiment reproduces and [architecture.md](architecture.md) for "
         "the campaign machinery underneath."
     )
@@ -120,7 +120,7 @@ def generate() -> str:
     lines.append("")
     lines.append(
         "The module docstring of `repro.experiments.cli` is the canonical "
-        "example set (shard workers, merges, shared caches):"
+        "example set (serial, pooled and cached campaigns):"
     )
     lines.append("")
     lines.append("```text")

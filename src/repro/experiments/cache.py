@@ -35,7 +35,6 @@ import json
 import os
 import pathlib
 import threading
-import time
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..config import SimulationConfig
@@ -52,46 +51,35 @@ CACHE_FORMAT_VERSION = 2
 #: so the ``??/*.json`` entry enumeration never sees it.
 QUARANTINE_DIRNAME = "quarantine"
 
-#: Orphaned ``*.tmp.<pid>`` files younger than this survive the sweep —
-#: they may belong to a live writer between tmp-write and rename.
-ORPHAN_TMP_MAX_AGE_S = 300.0
 
+def atomic_write(path: str, blob: bytes, key: str) -> None:
+    """Write the entry ``blob`` of ``key`` to ``path`` via tmp+fsync+rename,
+    creating parents.
 
-def atomic_write(
-    path: Union[str, pathlib.Path],
-    data: Union[str, bytes],
-    fault_key: Optional[str] = None,
-) -> None:
-    """Write ``data`` to ``path`` via tmp+fsync+rename, creating parents.
+    The single publication primitive for cache entries: a concurrent reader
+    sees either the old file or the complete new one, never a torn write
+    (the tmp name embeds the pid and thread so concurrent writers of one key
+    cannot collide either).  The tmp file is fsynced before the rename so a
+    machine crash cannot publish a name whose bytes never reached disk.
 
-    The single publication primitive for cache entries, merged shard copies
-    and shard manifests: a concurrent reader sees either the old file or the
-    complete new one, never a torn write (the tmp name embeds the pid and
-    thread so concurrent writers of one key cannot collide either).  The tmp file is
-    fsynced before the rename so a machine crash cannot publish a name whose
-    bytes never reached disk.
-
-    ``fault_key`` arms the ``commit`` fault-injection site *between* the tmp
+    ``key`` arms the ``commit`` fault-injection site *between* the tmp
     write and the rename — a ``crash`` fault there leaves exactly the
-    orphaned ``*.tmp`` file a SIGKILL'd writer would
-    (:meth:`ResultCache.sweep_orphans` reclaims them).
+    orphaned ``*.tmp`` file a SIGKILL'd writer would, which no read opens.
     """
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}.{threading.get_ident()}"
-    blob = data if isinstance(data, bytes) else data.encode("utf-8")
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "wb") as handle:
         handle.write(blob)
         handle.flush()
         os.fsync(handle.fileno())
-    if fault_key is not None:
-        fault = maybe_fault("commit", fault_key)
-        if fault is not None and fault.kind == "corrupt":
-            # Publish a torn entry: the first half of the bytes, as if the
-            # writer died mid-write on a filesystem without atomic rename.
-            with open(tmp, "wb") as handle:
-                handle.write(blob[: max(1, len(blob) // 2)])
-                handle.flush()
-                os.fsync(handle.fileno())
+    fault = maybe_fault("commit", key)
+    if fault is not None and fault.kind == "corrupt":
+        # Publish a torn entry: the first half of the bytes, as if the
+        # writer died mid-write on a filesystem without atomic rename.
+        with open(tmp, "wb") as handle:
+            handle.write(blob[: max(1, len(blob) // 2)])
+            handle.flush()
+            os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
@@ -167,9 +155,8 @@ def _parse_entry(
 ) -> Tuple[Optional[SimulationResult], Optional[str]]:
     """Parse and check one entry document: ``(result, defect)``.
 
-    The one corruption check of :meth:`ResultCache.get` and
-    :meth:`ResultCache.merge_from`; ``key`` is the key the entry is filed
-    under, and ``config``/``config_dict`` are passed on to
+    The one corruption check of :meth:`ResultCache.get`; ``key`` is the key
+    the entry is filed under, and ``config``/``config_dict`` are passed on to
     :meth:`~repro.sim.machine.SimulationResult.from_dict`.  A sound current
     entry gives its result and no defect; torn/invalid JSON, structural
     breakage, a document recorded under another key, a checksum mismatch
@@ -221,21 +208,18 @@ def _parse_entry(
 class ResultCache:
     """On-disk store of serialized simulation results, one JSON file per key.
 
-    Layout and behavioral guarantees (relied on by the sharded campaign
-    layer and documented in ``docs/architecture.md``):
+    Layout and behavioral guarantees (documented in
+    ``docs/architecture.md``):
 
     * ``<directory>/<key[:2]>/<key>.json`` — two-level fan-out; entry
-      enumeration is pinned to that shape, so auxiliary data (shard
-      manifests under ``manifests/``, or any stray top-level file) can live
-      inside the cache directory without being mistaken for entries.
+      enumeration is pinned to that shape, so any other file inside the
+      cache directory (``quarantine/``, a stray top-level file) is never
+      mistaken for an entry.
     * **Atomic writes** — every put is tmp + rename, so a reader (or a
       crashed writer) never observes a torn entry; ``CACHE_FORMAT_VERSION``
       gates stale layouts on read.
     * **Pure reads** — :meth:`get` writes nothing for a hit, so a
       read-only cache directory serves every hit it holds.
-    * **Byte-preserving union** — :meth:`merge_from` copies entry files
-      verbatim, which is what keeps shard merges byte-identical to serial
-      runs (see ``docs/determinism.md``).
 
     Serialization is ``SimulationResult.to_dict`` / ``from_dict``; timeline
     intervals and per-task instances are intentionally not persisted (the
@@ -249,13 +233,9 @@ class ResultCache:
         #: :meth:`put_serialized` and ``in`` build entry paths from it as
         #: strings: two ``pathlib`` joins cost about as much as the read.
         self._root = os.path.join(os.fspath(self.directory), "")
-        self.hits = 0
-        self.misses = 0
         #: Entries moved to ``quarantine/`` after failing to parse or to
-        #: verify their embedded checksum (each is also counted as a miss).
+        #: verify their embedded checksum (each read of one is a miss).
         self.quarantined = 0
-        #: Orphaned ``*.tmp.*`` files removed by :meth:`sweep_orphans`.
-        self.orphans_swept = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         """Cache file for ``key`` (two-level fan-out keeps directories small)."""
@@ -268,9 +248,8 @@ class ResultCache:
     def _entries(self):
         """Every cache entry file.  The ``??/*.json`` pattern pins the
         two-hex-char fan-out layout, so every non-entry artifact inside the
-        cache directory — ``manifests/`` (shard manifests) and any
-        top-level file — is never counted or merged.
-        ``tests/test_campaign.py`` pins this."""
+        cache directory — ``quarantine/`` and any top-level file — is never
+        counted.  ``tests/test_campaign.py`` pins this."""
         return self.directory.glob("??/*.json")
 
     def __contains__(self, key: str) -> bool:
@@ -281,9 +260,8 @@ class ResultCache:
 
         Quarantined files keep their original bytes (forensics: was it a
         torn write, a bit flip, a stale layout?) and leave the entry
-        namespace — the key becomes a plain miss everywhere, including
-        :meth:`merge_from`, and the ``??/*.json`` enumeration never counts
-        the quarantine directory.  A name collision (the same key corrupted
+        namespace — the key becomes a plain miss, and the ``??/*.json``
+        enumeration never counts the quarantine directory.  A name collision (the same key corrupted
         twice) appends a numeric suffix rather than overwriting evidence.
         """
         target_dir = self.directory / QUARANTINE_DIRNAME
@@ -314,7 +292,7 @@ class ResultCache:
 
         Corrupt entries — unparseable JSON, a structurally malformed
         document, or a checksum mismatch against the embedded ``sha256``
-        field — are quarantined and counted as misses: the campaign
+        field — are quarantined and read as misses: the campaign
         resimulates the point rather than aborting or serving bad data.
         ``config`` and its ``to_dict()`` form ``config_dict`` are the
         config the caller resolved ``key`` from; a result whose stored
@@ -336,15 +314,10 @@ class ResultCache:
             with open(path, "rb") as handle:
                 blob = handle.read()
         except OSError:
-            self.misses += 1
             return None
         result, defect = _parse_entry(blob, key, config, config_dict)
-        if result is None:
-            self.misses += 1
-            if defect is not None:
-                self.quarantine(pathlib.Path(path), defect)
-            return None
-        self.hits += 1
+        if defect is not None:
+            self.quarantine(pathlib.Path(path), defect)
         return result
 
     def put_serialized(self, key: str, result_dict: Dict[str, object]) -> pathlib.Path:
@@ -353,36 +326,14 @@ class ResultCache:
         The result is encoded once, as :func:`canonical_json`, and those
         bytes are both hashed (the document's ``sha256`` field) and written
         verbatim: the file is the canonical JSON of ``{"key", "result",
-        "sha256", "version"}``, which :meth:`get` and :meth:`merge_from`
-        verify without re-encoding.
+        "sha256", "version"}``, which :meth:`get` verifies without
+        re-encoding.
         """
         path = self._entry_path(key)
         payload = canonical_json(result_dict).encode("utf-8")
         prefix, suffix = _envelope(key, hashlib.sha256(payload).hexdigest())
-        atomic_write(path, prefix + payload + suffix, fault_key=key)
+        atomic_write(path, prefix + payload + suffix, key)
         return pathlib.Path(path)
-
-    def sweep_orphans(self, max_age_s: float = ORPHAN_TMP_MAX_AGE_S) -> int:
-        """Delete orphaned ``*.tmp.<pid>`` files left by killed writers.
-
-        A writer SIGKILL'd between tmp-write and rename leaks its tmp file
-        forever (the pid embedded in the name may even be reused, so the
-        name is not self-cleaning).  Files younger than ``max_age_s`` are
-        kept — they may belong to a live writer mid-publication.  Invoked
-        by shard merges; returns deletions.
-        """
-        swept = 0
-        cutoff = time.time() - max_age_s
-        for tmp in self.directory.glob("??/*.json.tmp.*"):
-            try:
-                if tmp.stat().st_mtime > cutoff:
-                    continue
-                tmp.unlink()
-            except OSError:  # vanished (its writer finished the rename)
-                continue
-            swept += 1
-        self.orphans_swept += swept
-        return swept
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
@@ -390,44 +341,3 @@ class ResultCache:
     def keys(self) -> List[str]:
         """Every cached key, sorted (the canonical enumeration order)."""
         return sorted(entry.stem for entry in self._entries())
-
-    def merge_from(self, source: "ResultCache") -> int:
-        """Union another cache directory into this one; returns copies made.
-
-        Keys are content hashes of the full run configuration and results
-        are deterministic, so two caches can only ever disagree on a key by
-        holding byte-identical documents — entries already present locally
-        are therefore skipped, and copies preserve the source bytes exactly
-        (atomic tmp+rename, like :meth:`put_serialized`).  This is the merge
-        point of multi-host campaigns: union every shard's cache, then
-        render from the union.
-
-        Only ``??/*.json`` entries are copied: shard manifests are read in
-        place and any other file in the directory is left alone.
-
-        Every entry is validated first by the check :meth:`get` uses
-        (envelope, embedded checksum, result payload), and only one that
-        :meth:`get` would serve is copied: a torn or corrupt source entry
-        is quarantined *in the source* and skipped, so the merged cache
-        never inherits corruption — the key simply stays missing and the
-        completeness check names it for resimulation.  An entry of another
-        format version is skipped and left in place, as :meth:`get` leaves
-        it.
-        """
-        copied = 0
-        for entry in sorted(source._entries()):
-            destination = self.path_for(entry.stem)
-            if destination.is_file():
-                continue
-            try:
-                blob = entry.read_bytes()
-            except OSError:  # vanished mid-merge (a concurrent reader quarantined it)
-                continue
-            result, defect = _parse_entry(blob, entry.stem)
-            if result is None:
-                if defect is not None:
-                    source.quarantine(entry, defect)
-                continue
-            atomic_write(destination, blob)
-            copied += 1
-        return copied

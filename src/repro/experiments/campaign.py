@@ -19,8 +19,7 @@ embarrassingly parallel, incrementally resumable campaign:
   Serial is a one-worker campaign: every attempt runs the one body,
   :func:`_simulate_entry`, in-process (``jobs == 1``) or on the engine's
   :class:`WorkerPool`, kept warm across rounds and batches, and every
-  outcome is the serialized result.  Renders and shard workers both use
-  it.
+  outcome is the serialized result.
 
 :class:`~repro.experiments.common.SimulationRunner` is a thin façade over
 this engine; the experiment harnesses declare their sweeps as lists of
@@ -84,8 +83,7 @@ class CampaignRunError(ExperimentError):
 
     Raw ``multiprocessing`` pool tracebacks identify neither the run nor the
     workload; this wrapper carries the canonical run key and the workload
-    parameters so a failed point is diagnosable from logs and shard
-    manifests alike.
+    parameters so a failed point is diagnosable from the log alone.
     """
 
     def __init__(self, key: str, params: Dict[str, object], error_type: str,
@@ -106,17 +104,6 @@ class CampaignRunError(ExperimentError):
             f"simulation {key[:12]}… failed{suffix} ({described}): "
             f"{error_type}: {error_message}"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form, stored in shard-manifest ``failures`` entries."""
-        return {
-            "key": self.key,
-            "params": dict(self.params),
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-            "traceback": self.worker_traceback,
-            "attempts": [dict(entry) for entry in self.attempts],
-        }
 
 
 def _run_params(payload: Dict[str, object]) -> Dict[str, object]:
@@ -537,7 +524,7 @@ class CampaignEngine:
     * **Identity** — every :class:`RunRequest` resolves to a canonical
       SHA-256 run key over the full configuration and workload parameters
       (:func:`repro.experiments.cache.canonical_run_key`); the key is the
-      memo key, the disk-cache filename and the shard-ownership input.
+      memo key and the disk-cache filename.
     * **Memoization** — results are cached in-process and, with
       ``cache_dir``, in a :class:`~repro.experiments.cache.ResultCache`;
       reruns simulate only what is missing.
@@ -685,8 +672,8 @@ class CampaignEngine:
     def cached(self, resolved: ResolvedRun) -> Optional[SimulationResult]:
         """The memoized/persisted result for a resolved run, if any.
 
-        Public face of the lookup :meth:`run_many` performs first — a shard
-        merge probes with it to find the keys a render would still simulate.
+        Public face of the lookup :meth:`run_many` performs first; the
+        benchmark harness reads a rendered plan's results through it.
         """
         return self._lookup(resolved)
 
@@ -718,11 +705,7 @@ class CampaignEngine:
         """
         return self.run_many([request])[0]
 
-    def run_many(
-        self,
-        requests: Sequence[RunRequest],
-        failures: Optional[Dict[str, CampaignRunError]] = None,
-    ) -> List[Optional[SimulationResult]]:
+    def run_many(self, requests: Sequence[RunRequest]) -> List[SimulationResult]:
         """Run a batch: every uncached point goes through the simulation loop.
 
         The return list is aligned with ``requests``.  Results are committed
@@ -732,11 +715,9 @@ class CampaignEngine:
 
         A failing simulation raises :class:`CampaignRunError` (carrying the
         canonical key, workload parameters and attempt history, not a bare
-        pool traceback).  When ``failures`` is a dict the engine records
-        errors there instead — keyed by canonical run key — and returns
-        ``None`` in the failed requests' slots; successful batchmates still
-        commit.  Shard workers use that mode to turn crashes into manifest
-        entries.
+        pool traceback) once the batch is settled: its successful
+        batchmates are committed first, and the failed key is neither
+        memoized nor persisted.
 
         **Resilience.**  Transient failures — crashed pool workers, hung
         simulations killed at their deadline, injected faults — are retried
@@ -754,10 +735,8 @@ class CampaignEngine:
         if pending:
             errors = self._simulate_pending(dict(pending))
             if errors:
-                if failures is None:
-                    raise errors[min(errors)]  # deterministic: lowest key first
-                failures.update(errors)
-        return [self._memo.get(item.key) for item in resolved]
+                raise errors[min(errors)]  # deterministic: lowest key first
+        return [self._memo[item.key] for item in resolved]
 
     def _simulate_pending(
         self, pending: Dict[str, ResolvedRun]
@@ -894,5 +873,4 @@ class CampaignEngine:
             "retries": self.retries,
             "watchdog_kills": self.watchdog_kills,
             "quarantined": cache.quarantined if cache is not None else 0,
-            "orphans_swept": cache.orphans_swept if cache is not None else 0,
         }

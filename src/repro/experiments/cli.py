@@ -14,27 +14,6 @@ Examples::
     # Fan the sweeps out over 8 worker processes with a persistent result
     # cache: a second invocation simulates nothing
     tdm-repro all --scale 0.2 --jobs 8 --cache-dir .campaign-cache --output results/
-
-    # Distribute one figure across three hosts: each host simulates its
-    # deterministic third of the sweep into its own cache ...
-    tdm-repro figure_12 --scale 0.2 --shard 1/3 --cache-dir shards/1   # host A
-    tdm-repro figure_12 --scale 0.2 --shard 2/3 --cache-dir shards/2   # host B
-    tdm-repro figure_12 --scale 0.2 --shard 3/3 --cache-dir shards/3   # host C
-
-    # ... then any host unions the shard caches, verifies completeness and
-    # renders — byte-identical to a serial run
-    tdm-repro figure_12 --scale 0.2 --merge-shards shards/1 shards/2 shards/3 \\
-        --cache-dir merged --output results/ --csv
-
-    # Audit the partition first: keys, owning shards and per-shard key
-    # counts, without simulating anything
-    tdm-repro figure_07 --scale 0.2 --shard 1/3 --dry-run
-
-    # Shared-filesystem variant: every shard writes into one cache; a dead
-    # host is repaired by rerunning its shard, merged bytes unchanged
-    tdm-repro figure_12 --scale 0.2 --shard 1/3 --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 2/3 --cache-dir cache
-    tdm-repro figure_12 --scale 0.2 --shard 3/3 --cache-dir cache
 """
 
 from __future__ import annotations
@@ -46,13 +25,7 @@ from typing import Optional, Sequence
 
 from ..errors import ExperimentError
 from .common import SimulationRunner, select_benchmarks
-from .registry import (
-    available_experiments,
-    canonical_name,
-    resolve_plan,
-    run_experiment,
-)
-from .shard import ShardPlan, ShardSpec, merge_shards, run_shard_worker
+from .registry import available_experiments, canonical_name, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,41 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=pathlib.Path,
         default=None,
         help="persist simulation results here; rerunning skips cached points",
-    )
-    parser.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="shard-worker mode: simulate only this experiment's deterministic "
-        "shard I of N into --cache-dir and write a shard manifest (no rendering)",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the resolved plan (keys, owning shards, per-shard key "
-        "counts) without simulating anything; use --shard I/N to choose the "
-        "shard count being audited",
-    )
-    parser.add_argument(
-        "--merge-shards",
-        metavar="DIR",
-        nargs="+",
-        type=pathlib.Path,
-        default=None,
-        help="merge mode: union these shard cache directories into --cache-dir, "
-        "verify the experiment's full key set is present, then render",
-    )
-    parser.add_argument(
-        "--manifest",
-        type=pathlib.Path,
-        default=None,
-        help="shard-worker manifest path (default: <cache-dir>/manifests/...)",
-    )
-    parser.add_argument(
-        "--allow-incomplete",
-        action="store_true",
-        help="with --merge-shards: render even if planned keys are missing "
-        "(the missing points are simulated locally)",
     )
     parser.add_argument(
         "--faults",
@@ -196,16 +134,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExperimentError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.shard is not None and args.merge_shards is not None:
-        parser.error("--shard and --merge-shards are mutually exclusive")
-    if (
-        (args.shard is not None or args.merge_shards is not None)
-        and args.cache_dir is None
-        and not args.dry_run
-    ):
-        parser.error("--shard/--merge-shards require --cache-dir")
-    if (args.shard is not None or args.merge_shards is not None or args.dry_run) and len(names) != 1:
-        parser.error("--shard/--merge-shards/--dry-run take a single experiment, not 'all'")
     try:
         select_benchmarks(args.benchmarks)
         runner = SimulationRunner(
@@ -226,49 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace, names: Sequence[str], runner: SimulationRunner) -> int:
-    """Audit, shard, merge or render ``names`` through ``runner``."""
-    if args.dry_run:
-        # Audit mode: resolve and partition the plan, print it, simulate
-        # nothing.
-        try:
-            count = ShardSpec.parse(args.shard).count if args.shard is not None else 1
-            plan = ShardPlan(resolve_plan(names[0], runner, benchmarks=args.benchmarks), count)
-        except ExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(plan.describe(names[0]))
-        return 0
-
-    if args.shard is not None:
-        try:
-            manifest = run_shard_worker(
-                names[0],
-                ShardSpec.parse(args.shard),
-                runner,
-                benchmarks=args.benchmarks,
-                manifest=args.manifest,
-            )
-        except ExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        exit_code = manifest.report()
-        _report_reliability(runner)
-        return exit_code
-
-    if args.merge_shards is not None:
-        try:
-            report = merge_shards(
-                names[0], args.merge_shards, runner, benchmarks=args.benchmarks
-            )
-            print(report.summary())
-            if not args.allow_incomplete:
-                report.verify()
-        except ExperimentError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        # Fall through: render below from the (now complete) merged cache.
-
-    exit_code = 0
+    """Render ``names`` through ``runner``."""
     for name in names:
         result = run_experiment(name, scale=args.scale, benchmarks=args.benchmarks, runner=runner)
         if args.output is None:
@@ -282,7 +168,7 @@ def _run(args: argparse.Namespace, names: Sequence[str], runner: SimulationRunne
             csv_path.write_text(result.to_csv(), encoding="utf-8")
         print(f"wrote {markdown_path}")
     _report_reliability(runner)
-    return exit_code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution hook

@@ -40,8 +40,8 @@ def unique_requests(requests: Iterable[RunRequest]) -> List[RunRequest]:
     Harness plans naturally repeat points (every figure replans its
     software-FIFO baseline next to the same request from its scheduler
     sweep); :class:`RunRequest` is a frozen dataclass, so equal requests
-    collapse here and plan sizes, shard manifests and campaign batches all
-    count *simulations*, not enumeration artifacts.
+    collapse here and plan sizes and campaign batches both count
+    *simulations*, not enumeration artifacts.
     """
     return list(dict.fromkeys(requests))
 

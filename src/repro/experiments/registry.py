@@ -2,7 +2,7 @@
 
 The paper's eleven figures and tables are registered eagerly below, with
 ``fig2``/``figure12``-style aliases derived from their names.  Everything
-downstream — the CLI and sharding — resolves names through
+downstream — the CLI and the benchmark harness — resolves names through
 :func:`canonical_name`.
 
 When an experiment has a ``plan`` function (every simulating harness does),
@@ -15,8 +15,7 @@ before anything simulates.
 
 :func:`resolve_plan` exposes the same plan as resolved runs (canonical key
 plus full configuration, deduplicated and key-sorted) — the authoritative
-key set the sharded campaign layer partitions across hosts and verifies
-merged caches against.
+key set a full render populates.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ _ALIASES: Dict[str, str] = {}
 def _register_paper_experiments() -> None:
     """Register each harness under its name and three aliases.
 
-    ``plan`` is the sweep enumerator every render simulates first and
-    sharding partitions (None for analytic tables); the title shown in
+    ``plan`` is the sweep enumerator every render simulates first (None
+    for analytic tables); the title shown in
     catalogs is the first line of the harness module's docstring.
     """
     modules = {
@@ -146,14 +145,13 @@ def resolve_plan(
     """Every simulation of one experiment's sweep, resolved and key-sorted.
 
     Duplicate requests collapse by canonical key, so the result is the
-    exact key set a full run populates — what shard workers partition and
-    what the merge step's completeness check demands.  Raises for
-    experiments with no simulation plan (the analytic tables).
+    exact key set a full run populates.  Raises for experiments with no
+    simulation plan (the analytic tables).
     """
     plan = plan_function(name)
     if plan is None:
         raise ExperimentError(
-            f"experiment {name!r} has no simulation plan (nothing to shard)"
+            f"experiment {name!r} has no simulation plan"
         )
     resolved: Dict[str, ResolvedRun] = {}
     for request in plan(runner, benchmarks=benchmarks, **kwargs):

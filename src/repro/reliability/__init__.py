@@ -6,7 +6,7 @@ that live here:
 
 * :mod:`repro.reliability.faults` — a seeded, deterministic fault-injection
   plan (``REPRO_FAULTS`` / ``--faults``) with named sites threaded through
-  the cache, the campaign engine and the shard merger;
+  the cache and the campaign engine;
 * :mod:`repro.reliability.retry` — the attempt budget (``MAX_ATTEMPTS``)
   and the transient-vs-permanent error classification;
 * :mod:`repro.reliability.watchdog` — the one per-key deadline past which

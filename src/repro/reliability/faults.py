@@ -20,9 +20,8 @@ Each entry is ``kind@site[:selector][xT]``:
 
 * **site** — a named instrumentation point (:data:`FAULT_SITES`):
   ``sim`` (worker simulation body), ``cache-read`` (:meth:`ResultCache.get`),
-  ``commit`` (cache entry publication, *between* tmp write and rename —
-  a ``crash`` here leaves an orphaned ``*.tmp`` file) and ``merge``
-  (:func:`merge_shards`).
+  and ``commit`` (cache entry publication, *between* tmp write and rename —
+  a ``crash`` here leaves an orphaned ``*.tmp`` file that no read opens).
 
 * **selector** — when the fault fires.  ``:N`` fires on the N-th hit of the
   site in this process (a per-site counter); ``:key%M`` fires for every key
@@ -61,7 +60,7 @@ CRASH_EXIT_CODE = 86
 
 FAULT_KINDS = ("crash", "hang", "error", "corrupt")
 
-FAULT_SITES = ("sim", "cache-read", "commit", "merge")
+FAULT_SITES = ("sim", "cache-read", "commit")
 
 #: Default sleep of a ``hang`` fault.  A pool worker past its deadline
 #: (``REPRO_WATCHDOG_MIN_S``, default 90 s) is killed, but this default is

@@ -1,7 +1,7 @@
 """The attempt budget and the transient/permanent split of campaign retries.
 
-The one simulation loop of :meth:`CampaignEngine.run_many` (serial runs,
-pool batches and shard workers) requeues a transiently-failed key for the
+The one simulation loop of :meth:`CampaignEngine.run_many` (serial runs
+and pool batches alike) requeues a transiently-failed key for the
 next round until it has had :data:`MAX_ATTEMPTS` attempts, and the chaos
 suite asserts that bound.  A retry waits for nothing: the worker that was
 struck has already been replaced, and injected faults are gated by

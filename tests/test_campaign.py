@@ -103,6 +103,60 @@ class TestCanonicalKeyRegression:
         )
 
 
+class TestCanonicalKeyGoldenValues:
+    """Pinned key digests: the key-schema contract that keeps cached corpora
+    valid across checkouts.  Any accidental drift (a new hashed field, a
+    float formatting change, a version bump) fails here.  If a change is
+    intentional, bump ``CACHE_FORMAT_VERSION``, regenerate these constants,
+    and note that old caches resimulate.
+
+    Re-pinned when ``CACHE_FORMAT_VERSION`` went from 1 to 2, which every
+    key hashes (see ``docs/determinism.md``).
+    """
+
+    @pytest.mark.parametrize("form", sorted(CONFIG_FORMS))
+    def test_workload_parameter_keys(self, form):
+        config = CONFIG_FORMS[form](default_paper_config())
+        assert (
+            canonical_run_key(config, "cholesky", 0.1)
+            == "1b1a10dc49bfcb6c91f0b96ad7a511a7a3acd42327eb7d9ed0da9e994250a143"
+        )
+        assert (
+            canonical_run_key(config, "cholesky", 0.1, granularity=8)
+            == "38978ac4db0430b89eac9c2bcb3e94890c23503e7cdb4a29506d67338f2c50d5"
+        )
+        assert (
+            canonical_run_key(config, "qr", 1.0, granularity_runtime="tdm", seed=3)
+            == "a8ad0ab86084ad1b6dcd95fc9b2fe1b0fba24043acfe13cde6476b2b49d56f94"
+        )
+
+    def test_resolved_request_keys(self):
+        engine = CampaignEngine(scale=0.1)
+        assert (
+            engine.resolve(RunRequest("blackscholes", "tdm", "lifo")).key
+            == "cd579259215a5f98aa9ef7a34fff897069170f26d50ebaa9e7101279aea50fed"
+        )
+        assert (
+            engine.resolve(RunRequest("histogram", "software")).key
+            == "37452b0897842ca9eb22226b133876aced994e5246a011311d350e8da76663ac"
+        )
+
+    def test_key_still_sees_semantic_dmu_fields(self):
+        base = DMUConfig(
+            tat_entries=32, dat_entries=32,
+            tat_associativity=4, dat_associativity=4,
+            successor_list_entries=16, dependence_list_entries=16,
+            reader_list_entries=16, elements_per_list_entry=4,
+            ready_queue_entries=32,
+        )
+        resized = dataclasses.replace(base, tat_entries=16)
+        assert canonical_run_key(
+            make_config(dmu=base), benchmark="cholesky", scale=0.1
+        ) != canonical_run_key(
+            make_config(dmu=resized), benchmark="cholesky", scale=0.1
+        )
+
+
 class TestResultSerialization:
     @pytest.fixture(scope="class")
     def live_result(self):
@@ -150,7 +204,7 @@ class TestResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json", encoding="utf-8")
         assert cache.get("ef" + "0" * 62) is None
-        assert cache.misses == 2
+        assert cache.quarantined == 1
 
     @pytest.mark.parametrize(
         "document, quarantined",
@@ -171,26 +225,20 @@ class TestResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(document), encoding="utf-8")
         assert cache.get(key) is None
-        assert (cache.misses, cache.quarantined) == (1, quarantined)
+        assert cache.quarantined == quarantined
         assert path.is_file() == (not quarantined)
 
-    def test_undecodable_entry_is_quarantined_by_get_and_merge(self, tmp_path):
-        # Bytes that are not UTF-8 fail the one entry check as invalid JSON,
-        # on a read and on a merge alike.
+    def test_undecodable_entry_is_quarantined(self, tmp_path):
+        # Bytes that are not UTF-8 fail the one entry check as invalid JSON.
         key = "aa" + "0" * 62
-        for name in ("read", "source"):
-            path = ResultCache(tmp_path / name).path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(b"\xff\xfe not utf-8")
-        read = ResultCache(tmp_path / "read")
-        assert read.get(key) is None
-        assert (read.misses, read.quarantined) == (1, 1)
-        source = ResultCache(tmp_path / "source")
-        assert ResultCache(tmp_path / "merged").merge_from(source) == 0
-        assert source.quarantined == 1
-        for name in ("read", "source"):
-            reason = tmp_path / name / "quarantine" / f"{key}.json.reason"
-            assert reason.read_text().startswith("invalid JSON")
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\xff\xfe not utf-8")
+        assert cache.get(key) is None
+        assert cache.quarantined == 1
+        reason = tmp_path / "quarantine" / f"{key}.json.reason"
+        assert reason.read_text().startswith("invalid JSON")
 
     def test_a_hit_writes_nothing(self, tmp_path):
         """A hit is a pure read: it neither touches the entry's mtime nor
@@ -205,7 +253,7 @@ class TestResultCache:
             warnings.simplefilter("error")
             for _ in range(2):
                 assert cache.get(key).total_cycles == result.total_cycles
-        assert cache.hits == 2
+        assert cache.quarantined == 0
         assert (path.stat().st_mtime_ns, path.read_bytes()) == before
 
 
@@ -266,7 +314,7 @@ class TestEngineCaching:
             "simulations_run", "memory_hits", "disk_hits", "memoized",
         }
         assert set(runner.reliability_info()) == {
-            "retries", "watchdog_kills", "quarantined", "orphans_swept",
+            "retries", "watchdog_kills", "quarantined",
         }
 
     def test_memo_hit_and_counters(self):
@@ -376,33 +424,33 @@ class TestFormatBump:
 class TestNonEntryArtifacts:
     """Files inside a cache directory that are not ``??/*.json`` entries."""
 
-    def _assert_invisible(self, cache, artifacts, tmp_path):
-        """Entry enumeration and merging skip ``artifacts``."""
+    @staticmethod
+    def _assert_invisible(cache, key, artifacts):
+        """Entry enumeration sees ``key`` alone, and skips ``artifacts``."""
         assert len(cache) == 1
-        keys = cache.keys()
-        other = ResultCache(tmp_path / "other")
-        assert other.merge_from(cache) == 1  # the entry, none of the artifacts
-        assert other.keys() == keys
+        assert cache.keys() == [key]
         for path in artifacts:
             assert path.exists()
-            assert not (other.directory / path.relative_to(cache.directory)).exists()
 
-    def test_manifests_inside_cache_dir_are_never_counted_or_merged(self, tmp_path):
-        # Shard manifests live inside the cache dir and must be invisible
-        # to entry enumeration and merging.
+    def test_quarantined_files_are_never_counted(self, tmp_path):
+        # A quarantined entry keeps its ``.json`` name inside the cache dir,
+        # one directory level down, and must be invisible to enumeration.
         cache = ResultCache(tmp_path / "cache")
         result = run_simulation(diamond_program(), make_config(runtime="software"))
-        cache.put_serialized("ab" + "0" * 62, result.to_dict())
-        manifest = cache.directory / "manifests" / "figure_10.shard-1-of-2.json"
-        manifest.parent.mkdir()
-        manifest.write_text('{"experiment": "figure_10"}', encoding="utf-8")
-        self._assert_invisible(cache, [manifest], tmp_path)
+        key = "ab" + "0" * 62
+        cache.put_serialized(key, result.to_dict())
+        torn = "cd" + "0" * 62
+        cache.path_for(torn).parent.mkdir()
+        cache.path_for(torn).write_text("{torn", encoding="utf-8")
+        assert cache.get(torn) is None
+        quarantined = cache.directory / "quarantine" / f"{torn}.json"
+        self._assert_invisible(cache, key, [quarantined])
 
     def test_stray_cost_profile_from_an_older_version_is_ignored(self, tmp_path):
         # Older versions wrote a top-level cost_profile.json into every
         # cache dir.  Nothing reads or writes it now: a campaign over such a
-        # cache leaves it byte-for-byte alone, and no cache operation counts
-        # or merges it.
+        # cache leaves it byte-for-byte alone, and entry enumeration never
+        # counts it.
         blob = '{"timings": {"%s": {"seconds": 1.0, "units": 2.0}}, "version": 1}' % ("ab" * 32)
         profile = tmp_path / "cache" / "cost_profile.json"
         profile.parent.mkdir()
@@ -411,7 +459,8 @@ class TestNonEntryArtifacts:
         engine.run_many([RunRequest("blackscholes", "software")])
         assert engine.simulations_run == 1
         assert profile.read_text(encoding="utf-8") == blob
-        self._assert_invisible(engine.disk_cache, [profile], tmp_path)
+        (key,) = engine.key_timings
+        self._assert_invisible(engine.disk_cache, key, [profile])
 
 
 class TestRunManyFailureWrapping:
@@ -441,24 +490,20 @@ class TestRunManyFailureWrapping:
         assert error.params["runtime"] == "software"
         assert error.params["scheduler"] == "fifo"
         assert error.error_type == "RuntimeError"
-        assert error.key in error.to_dict()["key"]
+        assert error.key == engine.resolve(RunRequest("qr", "software")).key
         assert "qr" in str(error) and error.key[:12] in str(error)
 
-    def test_collect_mode_returns_none_slots_and_commits_survivors(self, broken_qr):
+    def test_a_failing_key_raises_after_its_batchmates_commit(self, broken_qr, tmp_path):
         from repro.experiments.campaign import CampaignRunError
 
-        engine = CampaignEngine(scale=SCALE)
-        failures = {}
-        results = engine.run_many(
-            [RunRequest("blackscholes", "software"), RunRequest("qr", "software")],
-            failures=failures,
-        )
-        assert results[0] is not None and results[1] is None
-        assert len(failures) == 1
-        (error,) = failures.values()
-        assert isinstance(error, CampaignRunError)
-        assert error.params["benchmark"] == "qr"
+        engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path / "cache")
+        healthy = RunRequest("blackscholes", "software")
+        with pytest.raises(CampaignRunError) as excinfo:
+            engine.run_many([healthy, RunRequest("qr", "software")])
+        assert excinfo.value.params["benchmark"] == "qr"
         assert engine.cache_info()["simulations_run"] == 1  # survivor committed
+        assert engine.resolve(healthy).key in engine.disk_cache
+        assert engine.cached(engine.resolve(healthy)) is not None
 
     def test_run_is_a_one_request_batch(self, broken_qr):
         from repro.experiments.campaign import CampaignRunError
@@ -482,12 +527,46 @@ class TestRunManyFailureWrapping:
         assert engine.cache_info()["simulations_run"] == 0
 
     def test_failed_key_is_not_cached_anywhere(self, broken_qr, tmp_path):
+        from repro.experiments.campaign import CampaignRunError
+
         engine = CampaignEngine(scale=SCALE, cache_dir=tmp_path / "cache")
-        failures = {}
-        engine.run_many([RunRequest("qr", "software")], failures=failures)
-        (key,) = failures
+        request = RunRequest("qr", "software")
+        with pytest.raises(CampaignRunError) as excinfo:
+            engine.run_many([request])
+        key = excinfo.value.key
         assert key not in engine.disk_cache
-        assert engine.run_many([RunRequest("qr", "software")], failures={}) == [None]
+        assert engine.cache_info()["memoized"] == 0
+        # Nothing was kept, so a second batch attempts the key again.
+        with pytest.raises(CampaignRunError):
+            engine.run_many([request])
+        assert engine.cache_info()["simulations_run"] == 0
+
+    def test_pool_failure_raises_campaign_run_error_with_context(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("monkeypatched fault injection needs fork workers")
+        import repro.experiments.campaign as campaign_module
+        from repro.experiments.campaign import CampaignRunError
+
+        real = campaign_module.run_simulation
+
+        def explode_on_qr(program, config):
+            if program.name.startswith("qr"):
+                raise ValueError("qr blew up")
+            return real(program, config)
+
+        monkeypatch.setattr(campaign_module, "run_simulation", explode_on_qr)
+        with closing(SimulationRunner(scale=0.05, jobs=2)) as runner, \
+                pytest.raises(CampaignRunError) as excinfo:
+            run_experiment(
+                "figure_10", scale=0.05, benchmarks=["blackscholes", "qr"], runner=runner
+            )
+        error = excinfo.value
+        assert error.params["benchmark"] == "qr"
+        assert error.error_type == "ValueError"
+        assert error.key[:12] in str(error)
+        assert "qr" in str(error)
+        # The healthy batchmates were still committed before the raise.
+        assert runner.cache_info()["simulations_run"] >= 1
 
 
 class TestProgramCache:
@@ -1018,16 +1097,26 @@ class TestWarmPool:
         keys = {engine.resolve(request).key for request in plan}
         self._mark_attempts(monkeypatch, tmp_path / "attempts",
                             delays={key: 30.0 for key in keys})
-        failures = {}
-        runner = threading.Thread(target=engine.run_many, args=(plan, failures))
+        raised = []
+
+        def run():
+            try:
+                engine.run_many(plan)
+            except campaign.CampaignRunError as error:
+                raised.append(error)
+
+        runner = threading.Thread(target=run)
         runner.start()
         time.sleep(0.5)
         engine.close()
         runner.join(timeout=10)
         assert not runner.is_alive()
-        assert set(failures) == keys
-        assert {error.error_type for error in failures.values()} == {"ExperimentError"}
-        assert all("closed" in error.error_message for error in failures.values())
+        # Every key failed (none committed); the lowest is the one raised.
+        (error,) = raised
+        assert error.key == min(keys)
+        assert error.error_type == "ExperimentError"
+        assert "closed" in error.error_message
+        assert engine.cache_info()["memoized"] == 0
         assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent_and_reaps_every_worker(self):

@@ -16,12 +16,10 @@ from repro.experiments import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments import campaign
 from repro.experiments import cli as cli_module
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import ExperimentResult, SimulationRunner, select_benchmarks
 from repro.experiments.registry import canonical_name, experiment_catalog, resolve_plan
-from repro.experiments.shard import ShardPlan
 
 SCALE = 0.12
 FAST_BENCHMARKS = ["cholesky", "blackscholes"]
@@ -311,40 +309,14 @@ class TestCli:
         "argv,message",
         [
             ([], "an experiment name (or 'all') is required unless --list is given"),
-            (["figure_02", "--shard", "1/2", "--merge-shards", "shards", "--cache-dir", "cache"],
-             "--shard and --merge-shards are mutually exclusive"),
-            (["figure_02", "--shard", "1/2"], "--shard/--merge-shards require --cache-dir"),
-            (["all", "--dry-run"], "--shard/--merge-shards/--dry-run take a single experiment"),
         ],
-        ids=["no-experiment", "shard-and-merge", "shard-without-cache", "dry-run-all"],
+        ids=["no-experiment"],
     )
     def test_bad_option_combination_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_dry_run_prints_the_plan_and_simulates_nothing(self, shards, capsys, monkeypatch):
-        def no_simulation(payload):
-            raise AssertionError("a dry run simulated a key")
-
-        monkeypatch.setattr(campaign, "_simulate_entry", no_simulation)
-        benchmarks = ["blackscholes", "cholesky"]
-        argv = ["figure_02", "--dry-run", "--scale", "0.05", "--benchmarks", *benchmarks]
-        if shards > 1:
-            argv += ["--shard", f"2/{shards}"]  # no --cache-dir: an audit needs none
-        assert cli_main(argv) == 0
-        plan = resolve_plan("figure_02", SimulationRunner(scale=0.05), benchmarks=benchmarks)
-        expected = ShardPlan(plan, shards).describe("figure_02")
-        assert capsys.readouterr().out == expected + "\n"
-        assert expected.startswith(f"[plan] figure_02 shards={shards}: 2 keys")
-
-    def test_dry_run_rejects_a_malformed_shard(self, capsys):
-        assert cli_main(["figure_02", "--dry-run", "--shard", "2of3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid shard spec '2of3'")
-        assert "Traceback" not in err
 
     def test_trace_is_not_a_verb(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -30,17 +30,11 @@ import pytest
 from repro.core.stats import DMUStats
 from repro.errors import ExperimentError
 from repro.experiments import campaign
-from repro.experiments.cache import (
-    CACHE_FORMAT_VERSION,
-    QUARANTINE_DIRNAME,
-    ResultCache,
-    canonical_json,
-)
+from repro.experiments.cache import QUARANTINE_DIRNAME, ResultCache, canonical_json
 from repro.experiments.campaign import CampaignEngine, CampaignRunError, RunRequest
 from repro.experiments.cli import main as cli_main
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import resolve_plan, run_experiment
-from repro.experiments.shard import MergeReport, ShardSpec, merge_shards, run_shard_worker
 from repro.reliability import faults
 from repro.reliability.faults import FaultPlan, InjectedFault, maybe_fault, parse_faults
 from repro.reliability.retry import MAX_ATTEMPTS, TRANSIENT_ERROR_TYPES
@@ -83,6 +77,7 @@ class TestFaultGrammar:
             "",                     # empty spec
             " , ,",                 # only separators
             "crash@claim",          # site of the removed work stealing
+            "error@merge",          # site of the removed shard merge
         ],
     )
     def test_malformed_specs_raise(self, bad):
@@ -123,7 +118,7 @@ class TestFaultGrammar:
             maybe_fault("sim", "0a")
         fault = maybe_fault("commit", "0a")
         assert fault is not None and fault.kind == "corrupt"
-        assert maybe_fault("merge") is None            # un-faulted site
+        assert maybe_fault("cache-read") is None       # un-faulted site
 
     def test_no_plan_fast_path_returns_none(self):
         faults.install_plan(None)
@@ -147,13 +142,13 @@ class TestFaultGrammar:
             assert maybe_fault("sim", "deadbeef", attempt) is None
 
     def test_env_spec_is_loaded_lazily(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "error@merge")
+        monkeypatch.setenv("REPRO_FAULTS", "error@commit")
         faults._PLAN = None
         faults._LOADED = False
         try:
             plan = faults.active_plan()
-            assert plan is not None and plan.describe() == "error@merge"
-            assert faults.active_spec() == "error@merge"
+            assert plan is not None and plan.describe() == "error@commit"
+            assert faults.active_spec() == "error@commit"
         finally:
             faults.install_plan(None)
 
@@ -277,7 +272,7 @@ class TestWatchdog:
 
 
 # ---------------------------------------------------------------------------
-# Cache integrity: checksums, quarantine, orphan sweeping
+# Cache integrity: checksums, quarantine, orphaned tmp files
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def real_entry(tmp_path_factory):
@@ -299,17 +294,13 @@ def quarantine_reason(cache_dir, key: str) -> str:
     return (cache_dir / QUARANTINE_DIRNAME / f"{key}.json.reason").read_text()
 
 
-def rejected_by_get_and_merge(tmp_path, key: str, blob: bytes):
-    """The quarantine reasons of ``get`` and of ``merge_from`` for one entry."""
+def rejected_by_get(tmp_path, key: str, blob: bytes) -> str:
+    """The quarantine reason of ``get`` for one entry."""
     read = ResultCache(tmp_path / "read")
     plant(read, key, blob)
     assert read.get(key) is None
-    assert (read.hits, read.misses, read.quarantined) == (0, 1, 1)
-    source = ResultCache(tmp_path / "source")
-    plant(source, key, blob)
-    merged = ResultCache(tmp_path / "merged")
-    assert merged.merge_from(source) == 0 and source.quarantined == 1
-    return tuple(quarantine_reason(tmp_path / name, key) for name in ("read", "source"))
+    assert read.quarantined == 1
+    return quarantine_reason(tmp_path / "read", key)
 
 
 class TestCacheIntegrity:
@@ -318,7 +309,7 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
         plant(cache, key, blob)
         assert cache.get(key) is not None
-        assert cache.hits == 1 and cache.quarantined == 0
+        assert cache.quarantined == 0
 
     def test_put_serialized_writes_the_canonical_document(self, tmp_path, real_entry):
         key, blob = real_entry
@@ -341,7 +332,7 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
         plant(cache, key, flipped)
         assert cache.get(key) is None
-        assert cache.misses == 1 and cache.quarantined == 1
+        assert cache.quarantined == 1
         quarantine = tmp_path / QUARANTINE_DIRNAME
         assert (quarantine / f"{key}.json").read_bytes() == flipped
         assert "checksum mismatch" in quarantine_reason(tmp_path, key)
@@ -364,7 +355,7 @@ class TestCacheIntegrity:
         cache = ResultCache(tmp_path)
         plant(cache, other, blob)    # intact, wrong filename
         assert cache.get(other) is None
-        assert cache.misses == 1 and cache.quarantined == 1
+        assert cache.quarantined == 1
         assert "key mismatch" in quarantine_reason(tmp_path, other)
 
     def test_truncated_entry_is_quarantined(self, tmp_path, real_entry):
@@ -380,16 +371,14 @@ class TestCacheIntegrity:
         # byte check is the only way an entry verifies.
         key, blob = real_entry
         reencoded = json.dumps(json.loads(blob), sort_keys=True).encode()
-        reasons = rejected_by_get_and_merge(tmp_path, key, reencoded)
-        assert reasons == ("checksum mismatch\n",) * 2
+        assert rejected_by_get(tmp_path, key, reencoded) == "checksum mismatch\n"
 
     @pytest.mark.parametrize("sha256", [{}, {"sha256": 7}], ids=["absent", "not-a-string"])
     def test_entry_without_a_string_checksum_is_quarantined(self, tmp_path, real_entry, sha256):
         key, blob = real_entry
         document = {name: value for name, value in json.loads(blob).items() if name != "sha256"}
         blob = canonical_json(dict(document, **sha256)).encode()
-        reasons = rejected_by_get_and_merge(tmp_path, key, blob)
-        assert reasons == ("malformed entry: missing sha256\n",) * 2
+        assert rejected_by_get(tmp_path, key, blob) == "malformed entry: missing sha256\n"
 
     @pytest.mark.parametrize(
         "path",
@@ -405,17 +394,8 @@ class TestCacheIntegrity:
         payload = json.loads(blob)["result"]
         del (payload["dmu_stats"] if len(path) == 2 else payload)[path[-1]]
         blob = ResultCache(tmp_path / "writer").put_serialized(key, payload).read_bytes()
-        for reason in rejected_by_get_and_merge(tmp_path, key, blob):
-            assert reason.startswith(f"malformed entry: KeyError: {path[-1]!r}")
-
-    def test_merge_leaves_a_stale_version_entry_alone(self, tmp_path, real_entry):
-        key, blob = real_entry
-        stale = blob.replace(b'"version":%d}' % CACHE_FORMAT_VERSION, b'"version":1}')
-        source = ResultCache(tmp_path / "source")
-        plant(source, key, stale)
-        assert ResultCache(tmp_path / "merged").merge_from(source) == 0
-        assert source.quarantined == 0
-        assert source.path_for(key).read_bytes() == stale != blob
+        reason = rejected_by_get(tmp_path, key, blob)
+        assert reason.startswith(f"malformed entry: KeyError: {path[-1]!r}")
 
     def test_structurally_malformed_entry_is_quarantined(self, tmp_path, real_entry):
         key, _ = real_entry
@@ -430,80 +410,20 @@ class TestCacheIntegrity:
         payload = canonical_json(document["result"]).encode()
         assert document["sha256"] == hashlib.sha256(payload).hexdigest()
 
-    @staticmethod
-    def _stale_orphan(cache_dir):
-        """An hour-old ``*.tmp.*`` file, as a writer killed mid-publish leaves."""
-        bucket = cache_dir / "ab"
-        bucket.mkdir(parents=True, exist_ok=True)
-        stale = bucket / "deadbeef.json.tmp.12345"
+    def test_a_render_never_sweeps_orphans(self, tmp_path):
+        # No read opens a ``*.tmp.*`` file, so nothing sweeps: a render, cold
+        # or warm, leaves the hour-old tmp file of a writer killed
+        # mid-publish where it is.
+        stale = tmp_path / "ab" / "deadbeef.json.tmp.12345"
+        stale.parent.mkdir()
         stale.write_text("{half a wri")
         old = time.time() - 3600
         os.utime(stale, (old, old))
-        return stale
-
-    def test_orphaned_tmp_files_are_swept_by_age(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        stale = self._stale_orphan(tmp_path)
-        fresh = tmp_path / "ab" / "cafebabe.json.tmp.12346"
-        fresh.write_text("{being written right now")
-        assert cache.sweep_orphans(max_age_s=300.0) == 1
-        assert not stale.exists() and fresh.exists()
-        assert cache.orphans_swept == 1
-
-    def test_a_render_never_sweeps_orphans(self, tmp_path):
-        # Sweeps run only at shard merges: a render, cold or warm, leaves
-        # even a stale tmp file where it is.
-        stale = self._stale_orphan(tmp_path)
         for _ in range(2):
             runner = SimulationRunner(scale=SCALE, cache_dir=tmp_path)
             run_experiment("figure_12", scale=SCALE, benchmarks=BENCHMARKS, runner=runner)
-            assert runner.reliability_info()["orphans_swept"] == 0
+            assert not any(runner.reliability_info().values())
         assert stale.exists()
-
-    def test_a_merge_sweeps_the_orphans_of_its_destination(self, tmp_path):
-        source = tmp_path / "source"
-        run_shard_worker("figure_12", ShardSpec(1, 1),
-                         SimulationRunner(scale=SCALE, cache_dir=source), benchmarks=BENCHMARKS)
-        stale = self._stale_orphan(tmp_path / "merged")
-        merged = SimulationRunner(scale=SCALE, cache_dir=tmp_path / "merged")
-        report = merge_shards("figure_12", [source], merged, benchmarks=BENCHMARKS)
-        assert report.complete
-        assert not stale.exists()
-        assert merged.reliability_info()["orphans_swept"] == 1
-
-    def test_merge_from_quarantines_corrupt_sources(self, tmp_path, real_entry):
-        key, blob = real_entry
-        source = ResultCache(tmp_path / "source")
-        plant(source, key, blob[: len(blob) // 2])      # torn shard entry
-        other = "0" * 64
-        source.put_serialized(other, json.loads(blob)["result"])   # healthy entry
-        destination = ResultCache(tmp_path / "merged")
-        copied = destination.merge_from(source)
-        assert copied == 1
-        assert source.quarantined == 1
-        assert (tmp_path / "source" / QUARANTINE_DIRNAME / f"{key}.json").is_file()
-        assert destination.get(other) is not None
-
-    def test_merge_from_quarantines_misfiled_sources(self, tmp_path, real_entry):
-        key, blob = real_entry
-        source = ResultCache(tmp_path / "source")
-        plant(source, key, blob)                        # filed under its key
-        other = "0" * 64
-        plant(source, other, blob)                      # intact, wrong filename
-        destination = ResultCache(tmp_path / "merged")
-        assert destination.merge_from(source) == 1
-        assert destination.keys() == [key]
-        assert destination.path_for(key).read_bytes() == blob
-        assert source.quarantined == 1
-        assert "key mismatch" in quarantine_reason(tmp_path / "source", other)
-
-    def test_merge_report_mentions_quarantined_entries(self):
-        report = MergeReport(
-            experiment="figure_02", entries_copied=3, planned_keys=4,
-            missing_keys=["a" * 64], manifests=[], failures={},
-            missing_shards=[], quarantined=2,
-        )
-        assert "quarantined=2" in report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +473,7 @@ class TestCampaignRecovery:
         assert len(error.attempts) == MAX_ATTEMPTS
         assert [record["attempt"] for record in error.attempts] == [1, 2, 3]
         assert all(r["error_type"] == "InjectedFault" for r in error.attempts)
-        assert "attempts" in error.to_dict()
+        assert f"after {MAX_ATTEMPTS} attempts" in str(error)
 
     def test_deterministic_error_is_never_retried(self):
         from repro.errors import ConfigurationError
@@ -575,7 +495,7 @@ class TestCampaignRecovery:
         # The resimulated entry is sound: a third engine reads it as a hit.
         third = CampaignEngine(scale=SCALE, cache_dir=tmp_path)
         assert third.run(REQUEST).total_cycles == reference.total_cycles
-        assert third.disk_cache.hits == 1
+        assert third.simulations_run == 0 and third.disk_hits == 1
 
     def test_a_crash_is_struck_at_once_at_the_default_deadline(self, monkeypatch):
         # A dead worker is seen by its sentinel, not by a deadline: its key

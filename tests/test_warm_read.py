@@ -70,7 +70,7 @@ class TestShapeChecks:
         cache = ResultCache(tmp_path)
         cache.put_serialized(KEY, result_dict)
         assert cache.get(KEY, live_result.config, live_result.config.to_dict()) is None
-        assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
+        assert cache.quarantined == 1
         assert reason(tmp_path, KEY).startswith("malformed entry")
         assert not cache.path_for(KEY).exists()
 

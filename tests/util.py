@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import pathlib
 from typing import Optional, Sequence, Tuple
 
 from repro.config import ChipConfig, CoreConfig, DMUConfig, SimulationConfig
 from repro.experiments.cache import canonical_json
 from repro.experiments.common import SimulationRunner
 from repro.experiments.registry import run_experiment
-from repro.experiments.shard import ShardManifest, ShardSpec, merge_shards, run_shard_worker
 from repro.runtime.task import (
     AccessMode,
     DependenceSpec,
@@ -59,55 +57,11 @@ def experiment_output(
     """Render one experiment and return its (CSV, Markdown) byte content.
 
     The differential determinism harness compares these strings across
-    serial, ``jobs > 1`` and sharded split-and-merge executions — they must
-    match byte for byte.
+    serial and ``jobs > 1`` executions — they must match byte for byte.
     """
     runner = runner or SimulationRunner(scale=scale)
     result = run_experiment(experiment, scale=scale, benchmarks=benchmarks, runner=runner)
     return result.to_csv(), result.to_markdown()
-
-
-def run_all_shards(
-    experiment: str,
-    scale: float,
-    benchmarks: Optional[Sequence[str]],
-    shard_root: pathlib.Path,
-    count: int,
-) -> list[ShardManifest]:
-    """Simulate every shard of an experiment into per-shard cache dirs.
-
-    Each shard gets a *fresh* runner — the same isolation N distinct hosts
-    would have — persisting to ``<shard_root>/shard<i>``.
-    """
-    manifests = []
-    for index in range(1, count + 1):
-        runner = SimulationRunner(scale=scale, cache_dir=shard_root / f"shard{index}")
-        manifests.append(
-            run_shard_worker(experiment, ShardSpec(index, count), runner, benchmarks=benchmarks)
-        )
-    return manifests
-
-
-def merge_and_render(
-    experiment: str,
-    scale: float,
-    benchmarks: Optional[Sequence[str]],
-    shard_root: pathlib.Path,
-    count: int,
-    sources: Optional[Sequence[pathlib.Path]] = None,
-) -> Tuple[str, str, SimulationRunner]:
-    """Union the shard caches, verify completeness, render from the union.
-
-    Returns (CSV, Markdown, the merge runner) so callers can additionally
-    assert that rendering simulated nothing.  ``sources`` overrides the
-    default per-shard directory layout (e.g. one shared cache directory).
-    """
-    if sources is None:
-        sources = [shard_root / f"shard{index}" for index in range(1, count + 1)]
-    runner = SimulationRunner(scale=scale, cache_dir=shard_root / "merged")
-    merge_shards(experiment, sources, runner, benchmarks=benchmarks).verify()
-    csv, markdown = experiment_output(experiment, scale, benchmarks, runner=runner)
-    return csv, markdown, runner
 
 
 def diamond_program(work_us: float = 50.0):
