@@ -52,6 +52,7 @@ from ..reliability.watchdog import WatchdogConfig
 from ..runtime.task import TaskProgram
 from ..sim.machine import SimulationResult, run_simulation
 from ..workloads.registry import create_workload, workload_factory
+from . import reuse
 from .cache import ResultCache, canonical_json, canonical_run_key
 
 #: Runtimes whose optimal-granularity default follows the TDM optimum.
@@ -60,6 +61,10 @@ _TDM_GRANULARITY_RUNTIMES = ("tdm", "task_superscalar")
 #: Sentinel field marking a worker return value as a captured failure rather
 #: than a serialized result (no SimulationResult dict ever contains it).
 _ERROR_MARKER = "__campaign_error__"
+
+#: Field marking a serialized result as produced by a verified DMU replay
+#: (:mod:`repro.experiments.reuse`); the engine pops it before committing.
+_REUSED_MARKER = "__trajectory_reused__"
 
 #: One attempt's outcome: ``(key, serialized result | error marker, seconds)``.
 _Outcome = Tuple[str, Dict[str, object], float]
@@ -244,7 +249,10 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
     the canonical key with the serialized result and the wall seconds the
     point took (workload build + simulation, recorded in
     ``CampaignEngine.key_timings``); the engine performs the deterministic
-    merge.  Exceptions are captured into an error marker (rather than
+    merge.  When the caller serves a trajectory memo
+    (:func:`repro.experiments.reuse.serving`), a verified DMU replay of the
+    key's trajectory class stands in for the build and the simulation, and
+    a ``payload["record"]`` run records the class's trace.  Exceptions are captured into an error marker (rather than
     poisoning the pool with a raw remote traceback) so the engine can
     attach the offending key and workload parameters — and so one bad
     point does not discard its batchmates.
@@ -262,6 +270,14 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             install_plan(None)
         maybe_fault("sim", payload["key"], attempt)
         config = SimulationConfig.from_dict(payload["config"])
+        memo = reuse.active_memo()
+        trajectory = reuse.trajectory_class(payload) if memo is not None else None
+        if trajectory is not None:
+            replayed = memo.replayed(trajectory, config)
+            if replayed is not None:
+                serialized = replayed.to_dict()
+                serialized[_REUSED_MARKER] = True
+                return payload["key"], serialized, time.perf_counter() - started
         program = build_program(
             payload["benchmark"],
             payload["scale"],
@@ -269,13 +285,18 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             payload["workload_runtime"],
             payload["seed"],
         )
-        result = run_simulation(program, config)
+        if trajectory is not None and payload.get("record") and trajectory not in memo:
+            with reuse.recording(reuse.DMUTrace()) as trace:
+                serialized = run_simulation(program, config).to_dict()
+            memo.add(trajectory, trace, serialized)
+        else:
+            serialized = run_simulation(program, config).to_dict()
     except Exception as error:  # noqa: BLE001 - reported with full context
         marker = _error_marker(
             _run_params(payload), type(error).__name__, str(error), traceback.format_exc()
         )
         return payload["key"], marker, time.perf_counter() - started
-    return payload["key"], result.to_dict(), time.perf_counter() - started
+    return payload["key"], serialized, time.perf_counter() - started
 
 
 def _worker_main(conn: multiprocessing.connection.Connection,
@@ -287,12 +308,13 @@ def _worker_main(conn: multiprocessing.connection.Connection,
     installed here before the fork is what the worker runs.
     """
     parent_end.close()  # a forked copy would keep the pipe open after the parent
-    while True:
-        try:
-            payload = conn.recv()
-        except EOFError:
-            return
-        conn.send(_simulate_entry(payload))
+    with reuse.serving(reuse.TrajectoryMemo()):
+        while True:
+            try:
+                payload = conn.recv()
+            except EOFError:
+                return
+            conn.send(_simulate_entry(payload))
 
 
 def _struck(payload: Dict[str, object], error_type: str, message: str,
@@ -515,6 +537,19 @@ class WorkerPool:
         self._reaper()
 
 
+def _ask_for_traces(payloads: Sequence[Dict[str, object]]) -> None:
+    """Mark each payload of a round (in dispatch order) that a later payload
+    of its trajectory class follows: when its worker holds no trace of the
+    class yet, its full simulation records one the later payload may
+    replay."""
+    classes = [reuse.trajectory_class(payload) for payload in payloads]
+    later = collections.Counter(classes)
+    for payload, trajectory in zip(payloads, classes):
+        later[trajectory] -= 1
+        if later[trajectory]:
+            payload["record"] = True
+
+
 class CampaignEngine:
     """Runs, parallelizes, memoizes and persists benchmark simulations.
 
@@ -550,6 +585,10 @@ class CampaignEngine:
       built :class:`~repro.runtime.task.TaskProgram` through the bounded
       module-level :func:`build_program` memo, in-process and in every
       pool worker alike.
+    * **Trajectory reuse** — a key whose DMU-only sibling already ran on
+      the same worker (or serial engine) is served by a verified replay of
+      the sibling's DMU trace (:mod:`repro.experiments.reuse`); the serial
+      engine's memo lives on the engine, a worker's in the worker.
     """
 
     def __init__(
@@ -584,7 +623,12 @@ class CampaignEngine:
         self.worker_pool = (
             WorkerPool(jobs, self.watchdog_config.min_seconds) if jobs > 1 else None
         )
+        #: The serial engine's DMU traces (pool workers keep their own).
+        self._trajectories = reuse.TrajectoryMemo() if jobs == 1 else None
         self.simulations_run = 0
+        #: Committed results a verified DMU replay produced (a subset of
+        #: ``simulations_run``).
+        self.simulations_reused = 0
         self.memory_hits = 0
         self.disk_hits = 0
         #: Keys resubmitted after a transient failure (retry attempts beyond
@@ -788,13 +832,19 @@ class CampaignEngine:
                 self._attempt_payload(pending[key], failed_attempts.get(key, 0) + 1, spec)
                 for key in sorted(pending)
             ]
+            _ask_for_traces(payloads)
             if self.worker_pool is None:
-                outcomes = (_simulate_entry(payload) for payload in payloads)
+                outcomes = (self._attempt_in_process(payload) for payload in payloads)
             else:
                 outcomes = self._pool_round(payloads)
             for outcome in outcomes:
                 settle(*outcome)
         return errors
+
+    def _attempt_in_process(self, payload: Dict[str, object]) -> _Outcome:
+        """One serial attempt, served this engine's trajectory memo."""
+        with reuse.serving(self._trajectories):
+            return _simulate_entry(payload)
 
     def _pool_round(self, payloads: Sequence[Dict[str, object]]) -> Iterator[_Outcome]:
         """Attempt ``payloads`` on the worker pool; yields outcomes in key order.
@@ -831,7 +881,9 @@ class CampaignEngine:
         """Persist one serialized result as is and memoize its deserialized
         form: every mode commits the shape a disk-cache hit restores."""
         key = item.key
+        reused = result.pop(_REUSED_MARKER, False)
         self.simulations_run += 1
+        self.simulations_reused += reused
         self.key_timings[key] = seconds
         if self.disk_cache is not None:
             self.disk_cache.put_serialized(key, result)
@@ -843,7 +895,7 @@ class CampaignEngine:
             print(
                 f"[run] {request.benchmark} runtime={request.runtime} "
                 f"scheduler={request.scheduler} tasks={restored.num_tasks_executed} "
-                f"({seconds:.2f}s)"
+                f"({seconds:.2f}s{', reused' if reused else ''})"
             )
 
     def close(self) -> None:
@@ -857,6 +909,7 @@ class CampaignEngine:
         """Counters for tests and reports."""
         return {
             "simulations_run": self.simulations_run,
+            "simulations_reused": self.simulations_reused,
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "memoized": len(self._memo),

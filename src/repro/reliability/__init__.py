@@ -16,18 +16,3 @@ Every recovery path preserves the determinism contract: recovered campaign
 output is byte-identical to a fault-free serial run (``docs/reliability.md``
 and ``docs/determinism.md``).
 """
-
-from .faults import (  # noqa: F401
-    FAULT_KINDS,
-    FAULT_SITES,
-    Fault,
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    active_spec,
-    install_plan,
-    maybe_fault,
-    parse_faults,
-)
-from .retry import MAX_ATTEMPTS, TRANSIENT_ERROR_TYPES  # noqa: F401
-from .watchdog import WatchdogConfig  # noqa: F401

@@ -173,7 +173,7 @@ class RuntimeSystem(abc.ABC):
 
     def stats(self) -> Dict[str, object]:
         """Aggregate runtime statistics for reports and tests."""
-        data: Dict[str, object] = {
+        return {
             "runtime": self.name,
             "tasks_created": self.tasks_created,
             "tasks_finished": self.tasks_finished,
@@ -183,9 +183,6 @@ class RuntimeSystem(abc.ABC):
             "lock_acquisitions": self.runtime_lock.acquisitions,
             "lock_wait_cycles": self.runtime_lock.total_wait_cycles,
         }
-        if self.dmu is not None:
-            data["dmu"] = self.dmu.stats.as_dict()
-        return data
 
     def assert_drained(self) -> None:
         """Sanity check at end of simulation: everything created also finished."""

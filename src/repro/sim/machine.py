@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..config import SimulationConfig
 from ..core.stats import DMUStats
@@ -21,12 +21,19 @@ from ..units import cycles_to_seconds, cycles_to_us, us_to_cycles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import:
     # the runtime package imports the simulation kernel at module load time)
+    from ..core.dmu import DependenceManagementUnit
     from ..runtime.task import TaskInstance, TaskProgram
 from .engine import Engine
 from .locality import LocalityModel
 from .noc import NocModel
 from .thread import RegionState, build_threads
 from .timeline import Phase, Timeline, TimelineRecorder
+
+
+#: While set, called with the DMU (None for a runtime without one) of every
+#: :class:`Machine` about to run: how trajectory reuse records the DMU
+#: instructions of a run (:func:`repro.experiments.reuse.recording`).
+dmu_observer: Optional[Callable[[Optional["DependenceManagementUnit"]], None]] = None
 
 
 @dataclass
@@ -205,6 +212,8 @@ class Machine:
     # ------------------------------------------------------------------ run
     def run(self) -> SimulationResult:
         """Run the simulation to completion and collect the results."""
+        if dmu_observer is not None:
+            dmu_observer(self.runtime.dmu)
         for thread in self.threads:
             thread.process = self.engine.process(
                 thread.run(self), name=f"thread{thread.thread_id}"
@@ -224,29 +233,19 @@ class Machine:
                 gc.enable()
 
         self.runtime.assert_drained()
-        timeline = self.recorder.finalize(final_cycle)
-
-        dmu = self.runtime.dmu
-        dmu_stats = dmu.stats if dmu is not None else None
-        storage = DMUStorageModel(self.config.dmu) if dmu is not None else None
-        energy_model = ChipEnergyModel(self.config.chip, storage)
-        energy = energy_model.report(timeline, dmu_stats)
-
-        result = SimulationResult(
+        result = simulation_result(
+            self.config,
+            self.runtime.dmu,
             program_name=self.program.name,
             runtime_name=self.runtime.name,
             scheduler_name=(
                 self.config.scheduler if self.runtime.honors_scheduler else self.runtime.name
             ),
-            config=self.config,
             total_cycles=final_cycle,
-            timeline=timeline,
-            energy=energy,
+            timeline=self.recorder.finalize(final_cycle),
             runtime_stats=self.runtime.stats(),
-            dmu_stats=dmu_stats,
-            dat_average_occupied_sets=(dmu.dat.average_occupied_sets() if dmu else 0.0),
             locality_hit_fraction=self.locality.average_hit_fraction(),
-            task_instances=list(self.runtime.all_instances),
+            task_instances=self.runtime.all_instances,
         )
 
         if self.config.validate_execution:
@@ -254,6 +253,50 @@ class Machine:
 
             validate_execution(self.program, result.task_instances)
         return result
+
+
+def simulation_result(
+    config: SimulationConfig,
+    dmu: Optional["DependenceManagementUnit"],
+    *,
+    program_name: str,
+    runtime_name: str,
+    scheduler_name: str,
+    total_cycles: int,
+    timeline: Timeline,
+    runtime_stats: Dict[str, object],
+    locality_hit_fraction: float,
+    task_instances: Sequence["TaskInstance"] = (),
+    finished_task_count: Optional[int] = None,
+) -> SimulationResult:
+    """Package one finished run: everything ``config.dmu`` and ``dmu`` decide.
+
+    The DMU statistics (also added to ``runtime_stats`` as ``"dmu"``), the
+    DAT occupancy average and the energy report come from ``dmu`` and
+    ``config``; the rest is the run's trajectory, passed in.  :meth:`Machine.run` calls it on the
+    DMU it simulated with, and trajectory reuse
+    (:mod:`repro.experiments.reuse`) on a DMU that replayed another run's
+    instructions, so both paths produce a result the same way.
+    """
+    dmu_stats = dmu.stats if dmu is not None else None
+    if dmu_stats is not None:
+        runtime_stats = {**runtime_stats, "dmu": dmu_stats.as_dict()}
+    storage = DMUStorageModel(config.dmu) if dmu is not None else None
+    return SimulationResult(
+        program_name=program_name,
+        runtime_name=runtime_name,
+        scheduler_name=scheduler_name,
+        config=config,
+        total_cycles=total_cycles,
+        timeline=timeline,
+        energy=ChipEnergyModel(config.chip, storage).report(timeline, dmu_stats),
+        runtime_stats=runtime_stats,
+        dmu_stats=dmu_stats,
+        dat_average_occupied_sets=dmu.dat.average_occupied_sets() if dmu is not None else 0.0,
+        locality_hit_fraction=locality_hit_fraction,
+        task_instances=list(task_instances),
+        finished_task_count=finished_task_count,
+    )
 
 
 def run_simulation(program: "TaskProgram", config: SimulationConfig) -> SimulationResult:

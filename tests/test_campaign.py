@@ -311,7 +311,7 @@ class TestEngineCaching:
         # The benchmark harness reads these keys.
         runner = SimulationRunner(scale=SCALE)
         assert set(runner.cache_info()) == {
-            "simulations_run", "memory_hits", "disk_hits", "memoized",
+            "simulations_run", "simulations_reused", "memory_hits", "disk_hits", "memoized",
         }
         assert set(runner.reliability_info()) == {
             "retries", "watchdog_kills", "quarantined",

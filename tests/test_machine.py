@@ -12,7 +12,7 @@ from repro.runtime.factory import available_runtimes
 from repro.sim.machine import Machine, run_simulation
 from repro.sim.timeline import Phase
 
-from tests.util import diamond_program, make_config
+from tests.util import make_config
 
 
 class TestMachine:
