@@ -13,7 +13,9 @@ of ``BENCHMARK.json``.  The gate fails when
 * a workload's median ``ops_ok_frac`` drops;
 * a gated metric's head median is worse than its base median by more than
   its bound: ``wall_s`` on ``cold_campaign`` and on ``warm_render``, and
-  ``dmu_instr_per_s`` on ``dmu_replay``.
+  ``dmu_instr_per_s`` and ``setup_s`` on ``dmu_replay`` (its set-up is
+  the nine Table II program builds, which every cold simulation starts
+  with).
 
 Every other metric is printed as an advisory.
 
@@ -48,6 +50,7 @@ GATED = {
     ("cold_campaign", "wall_s"),
     ("warm_render", "wall_s"),
     ("dmu_replay", "dmu_instr_per_s"),
+    ("dmu_replay", "setup_s"),
 }
 
 #: Work counters of a traced run that only a semantic change may move.

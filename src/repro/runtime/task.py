@@ -62,8 +62,10 @@ class DependenceSpec:
     A plain ``__slots__`` class rather than a frozen dataclass (the
     generated dataclass machinery was measurable in workload builds), but
     still **enforced immutable**: built programs are shared across
-    simulations by the campaign's program memo (``build_program``), so a mutation here
-    would leak state between runs and break the byte-identity contract.
+    simulations by the campaign's program memo (``build_program``), and one
+    spec by every task that names the same dependence
+    (``workloads.base.shared_dependence``), so a mutation here would leak
+    state between tasks and runs and break the byte-identity contract.
     Equality and hashing mirror the old frozen dataclass: by
     ``(address, size, mode)``.
     """
@@ -114,14 +116,13 @@ class TaskDefinition:
 
     A plain ``__slots__`` class, **enforced immutable** (see
     :class:`DependenceSpec` for why — built programs are shared across
-    simulations).  ``all_addresses`` and ``input_addresses`` are
-    precomputed: the locality model reads ``all_addresses`` on every task
-    execution and the old per-call tuple rebuild was measurable.
+    simulations).  ``all_addresses`` is precomputed: the locality model
+    reads it on every task execution and the old per-call tuple rebuild was
+    measurable.
     """
 
     __slots__ = ("uid", "name", "kind", "work_us", "dependences",
-                 "memory_sensitivity", "creation_work_us",
-                 "all_addresses", "input_addresses")
+                 "memory_sensitivity", "creation_work_us", "all_addresses")
 
     def __init__(
         self,
@@ -129,7 +130,7 @@ class TaskDefinition:
         name: str,
         kind: str,
         work_us: float,
-        dependences: Tuple[DependenceSpec, ...] = (),
+        dependences: Iterable[DependenceSpec] = (),
         memory_sensitivity: float = 0.0,
         creation_work_us: float = 0.0,
     ) -> None:
@@ -144,18 +145,13 @@ class TaskDefinition:
         init(self, "name", name)
         init(self, "kind", kind)
         init(self, "work_us", work_us)
-        dependences = tuple(dependences)
+        if type(dependences) is not tuple:
+            dependences = tuple(dependences)
         init(self, "dependences", dependences)
         init(self, "memory_sensitivity", memory_sensitivity)
         init(self, "creation_work_us", creation_work_us)
         #: Every dependence address of the task (used by the locality model).
         init(self, "all_addresses", tuple([d.address for d in dependences]))
-        #: Addresses this task reads (IN and INOUT dependences).
-        init(
-            self,
-            "input_addresses",
-            tuple([d.address for d in dependences if d.mode.is_input]),
-        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(

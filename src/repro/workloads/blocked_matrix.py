@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..runtime.task import DependenceSpec, AccessMode
+from .base import shared_dependence
 
 # Modes as module constants: ``AccessMode.X`` reads go through the enum
 # metaclass, and the generators request one dependence per block access.
@@ -42,10 +43,8 @@ class BlockedMatrix:
         return self.base_address + (row * self.num_blocks + col) * self.block_bytes
 
     def dep(self, row: int, col: int, mode: AccessMode) -> DependenceSpec:
-        """A dependence on block (row, col) with the given access mode."""
-        return DependenceSpec(
-            address=self.block_address(row, col), size=self.block_bytes, mode=mode
-        )
+        """The shared dependence on block (row, col) with the given access mode."""
+        return shared_dependence(self.block_address(row, col), self.block_bytes, mode)
 
     def read(self, row: int, col: int) -> DependenceSpec:
         return self.dep(row, col, _IN)

@@ -16,13 +16,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..runtime.task import (
-    AccessMode,
-    DependenceSpec,
-    TaskDefinition,
-    TaskProgram,
-    TaskRegion,
-)
+from ..runtime.task import AccessMode, TaskDefinition, TaskProgram, TaskRegion
+from .base import shared_dependence
 
 _CHAIN_BASE = 0xA0_0000_0000
 _FORK_BASE = 0xB0_0000_0000
@@ -50,7 +45,7 @@ def chain_program(
                     name=f"chain{chain}_{step}",
                     kind="chain",
                     work_us=work_us,
-                    dependences=(DependenceSpec(address, _BLOCK, AccessMode.INOUT),),
+                    dependences=(shared_dependence(address, _BLOCK, AccessMode.INOUT),),
                 )
             )
             uid += 1
@@ -81,8 +76,8 @@ def fork_join_program(
                     kind="fork",
                     work_us=work_us,
                     dependences=(
-                        DependenceSpec(input_address, _BLOCK, AccessMode.IN),
-                        DependenceSpec(output_address, _BLOCK, AccessMode.OUT),
+                        shared_dependence(input_address, _BLOCK, AccessMode.IN),
+                        shared_dependence(output_address, _BLOCK, AccessMode.OUT),
                     ),
                 )
             )
@@ -126,7 +121,7 @@ def random_dag_program(
                 mode = AccessMode.OUT if rng.random() < 0.5 else AccessMode.INOUT
             else:
                 mode = AccessMode.IN
-            deps.append(DependenceSpec(address, _BLOCK, mode))
+            deps.append(shared_dependence(address, _BLOCK, mode))
         tasks.append(
             TaskDefinition(
                 uid=uid,

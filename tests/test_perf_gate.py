@@ -80,6 +80,13 @@ def test_fails_on_a_30_percent_warm_render_wall_regression(tmp_path, capsys):
     assert "FAILED warm_render wall_s" in capsys.readouterr().out
 
 
+def test_fails_on_a_30_percent_dmu_replay_setup_regression(tmp_path, capsys):
+    base = three("dmu_replay", setup_s=0.30)
+    head = three("dmu_replay", setup_s=0.39)
+    assert run_gate(tmp_path, base, head) == 1
+    assert "FAILED dmu_replay setup_s" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("side", ["base", "head"])
 def test_fails_on_an_incorrect_run(tmp_path, side):
     runs = {"base": three("warm_render"), "head": three("warm_render")}

@@ -69,7 +69,6 @@ class TestTaskDefinition:
         ]
         definition = make_definition(deps=deps)
         assert definition.num_dependences == 3
-        assert definition.input_addresses == (0x100, 0x300)
         assert definition.all_addresses == (0x100, 0x200, 0x300)
 
     def test_negative_work_rejected(self):
