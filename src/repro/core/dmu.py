@@ -183,11 +183,6 @@ class DependenceManagementUnit:
         return self.task_table.occupancy
 
     @property
-    def in_flight_dependences(self) -> int:
-        """Number of dependence addresses currently tracked."""
-        return self.dependence_table.occupancy
-
-    @property
     def ready_tasks(self) -> int:
         """Number of task IDs currently waiting in the Ready Queue."""
         return len(self.ready_queue)

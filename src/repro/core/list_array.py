@@ -40,7 +40,7 @@ indices are handed out in increasing order only when the stack is empty.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import DMUStructureFullError
 
@@ -428,22 +428,6 @@ class ListArray:
             "live_elements": live_elements,
             "valid_total": valid_total,
         }
-
-    # ------------------------------------------------------------------ internals
-    def _walk(self, head: int) -> Iterator[int]:
-        """Follow the chain from ``head`` (validation and tests only)."""
-        index = head
-        visited = 0
-        while True:
-            if not self._in_use[index]:
-                raise ValueError(f"{self.name}: list head {head} references a free entry")
-            yield index
-            visited += 1
-            if visited > self.num_entries:
-                raise ValueError(f"{self.name}: corrupted list chain starting at {head}")
-            if self._next[index] == index:
-                return
-            index = self._next[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -50,9 +50,6 @@ class DMUStats:
         retired = self.total_instructions
         return self.total_cycles / retired if retired else 0.0
 
-    def accesses_by_structure(self) -> Mapping[str, int]:
-        return dict(self.structure_accesses)
-
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary representation for reports and tests."""
         return {

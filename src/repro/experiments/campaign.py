@@ -66,6 +66,10 @@ _ERROR_MARKER = "__campaign_error__"
 #: (:mod:`repro.experiments.reuse`); the engine pops it before committing.
 _REUSED_MARKER = "__trajectory_reused__"
 
+#: Field carrying a ``payload["record"]`` run's DMU trace back to the engine,
+#: which pops it before committing.
+_RECORDED = "__trajectory_trace__"
+
 #: One attempt's outcome: ``(key, serialized result | error marker, seconds)``.
 _Outcome = Tuple[str, Dict[str, object], float]
 
@@ -249,13 +253,14 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
     the canonical key with the serialized result and the wall seconds the
     point took (workload build + simulation, recorded in
     ``CampaignEngine.key_timings``); the engine performs the deterministic
-    merge.  When the caller serves a trajectory memo
-    (:func:`repro.experiments.reuse.serving`), a verified DMU replay of the
-    key's trajectory class stands in for the build and the simulation, and
-    a ``payload["record"]`` run records the class's trace.  Exceptions are captured into an error marker (rather than
-    poisoning the pool with a raw remote traceback) so the engine can
-    attach the offending key and workload parameters — and so one bad
-    point does not discard its batchmates.
+    merge.  An attempt reads nothing but its payload: a verified replay of
+    the trace in ``payload["trace"]`` (:func:`repro.experiments.reuse.replayed`)
+    stands in for the build and the simulation, and a ``payload["record"]``
+    run returns its DMU trace in the result's :data:`_RECORDED` field.
+    Exceptions are captured into an error marker (rather than poisoning the
+    pool with a raw remote traceback) so the engine can attach the
+    offending key and workload parameters — and so one bad point does not
+    discard its batchmates.
     """
     started = time.perf_counter()
     try:
@@ -270,10 +275,8 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             install_plan(None)
         maybe_fault("sim", payload["key"], attempt)
         config = SimulationConfig.from_dict(payload["config"])
-        memo = reuse.active_memo()
-        trajectory = reuse.trajectory_class(payload) if memo is not None else None
-        if trajectory is not None:
-            replayed = memo.replayed(trajectory, config)
+        if "trace" in payload:
+            replayed = reuse.replayed(payload["trace"], config)
             if replayed is not None:
                 serialized = replayed.to_dict()
                 serialized[_REUSED_MARKER] = True
@@ -285,10 +288,10 @@ def _simulate_entry(payload: Dict[str, object]) -> Tuple[str, Dict[str, object],
             payload["workload_runtime"],
             payload["seed"],
         )
-        if trajectory is not None and payload.get("record") and trajectory not in memo:
+        if payload.get("record"):
             with reuse.recording(reuse.DMUTrace()) as trace:
                 serialized = run_simulation(program, config).to_dict()
-            memo.add(trajectory, trace, serialized)
+            serialized[_RECORDED] = trace
         else:
             serialized = run_simulation(program, config).to_dict()
     except Exception as error:  # noqa: BLE001 - reported with full context
@@ -308,13 +311,12 @@ def _worker_main(conn: multiprocessing.connection.Connection,
     installed here before the fork is what the worker runs.
     """
     parent_end.close()  # a forked copy would keep the pipe open after the parent
-    with reuse.serving(reuse.TrajectoryMemo()):
-        while True:
-            try:
-                payload = conn.recv()
-            except EOFError:
-                return
-            conn.send(_simulate_entry(payload))
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        conn.send(_simulate_entry(payload))
 
 
 def _struck(payload: Dict[str, object], error_type: str, message: str,
@@ -537,19 +539,6 @@ class WorkerPool:
         self._reaper()
 
 
-def _ask_for_traces(payloads: Sequence[Dict[str, object]]) -> None:
-    """Mark each payload of a round (in dispatch order) that a later payload
-    of its trajectory class follows: when its worker holds no trace of the
-    class yet, its full simulation records one the later payload may
-    replay."""
-    classes = [reuse.trajectory_class(payload) for payload in payloads]
-    later = collections.Counter(classes)
-    for payload, trajectory in zip(payloads, classes):
-        later[trajectory] -= 1
-        if later[trajectory]:
-            payload["record"] = True
-
-
 class CampaignEngine:
     """Runs, parallelizes, memoizes and persists benchmark simulations.
 
@@ -585,10 +574,11 @@ class CampaignEngine:
       built :class:`~repro.runtime.task.TaskProgram` through the bounded
       module-level :func:`build_program` memo, in-process and in every
       pool worker alike.
-    * **Trajectory reuse** — a key whose DMU-only sibling already ran on
-      the same worker (or serial engine) is served by a verified replay of
-      the sibling's DMU trace (:mod:`repro.experiments.reuse`); the serial
-      engine's memo lives on the engine, a worker's in the worker.
+    * **Trajectory reuse** — a key whose DMU-only sibling already ran is
+      served by a verified replay of the sibling's DMU trace
+      (:mod:`repro.experiments.reuse`).  The engine keeps the one memo of
+      traces and plans every round's references and replays from the plan
+      (:meth:`_round`), so serial and pooled runs replay the same keys.
     """
 
     def __init__(
@@ -623,12 +613,15 @@ class CampaignEngine:
         self.worker_pool = (
             WorkerPool(jobs, self.watchdog_config.min_seconds) if jobs > 1 else None
         )
-        #: The serial engine's DMU traces (pool workers keep their own).
-        self._trajectories = reuse.TrajectoryMemo() if jobs == 1 else None
+        #: The DMU traces of this engine's trajectory classes.
+        self._trajectories = reuse.TrajectoryMemo()
         self.simulations_run = 0
         #: Committed results a verified DMU replay produced (a subset of
         #: ``simulations_run``).
         self.simulations_reused = 0
+        #: Keys their class's trace did not serve: sent with it and
+        #: simulated in full, or sent without it because their DMU must block.
+        self.failed_replays = 0
         self.memory_hits = 0
         self.disk_hits = 0
         #: Keys resubmitted after a transient failure (retry attempts beyond
@@ -832,49 +825,89 @@ class CampaignEngine:
                 self._attempt_payload(pending[key], failed_attempts.get(key, 0) + 1, spec)
                 for key in sorted(pending)
             ]
-            _ask_for_traces(payloads)
-            if self.worker_pool is None:
-                outcomes = (self._attempt_in_process(payload) for payload in payloads)
-            else:
-                outcomes = self._pool_round(payloads)
-            for outcome in outcomes:
+            for outcome in self._round(payloads, pending):
                 settle(*outcome)
         return errors
 
-    def _attempt_in_process(self, payload: Dict[str, object]) -> _Outcome:
-        """One serial attempt, served this engine's trajectory memo."""
-        with reuse.serving(self._trajectories):
-            return _simulate_entry(payload)
+    def _round(self, payloads: Sequence[Dict[str, object]],
+               pending: Mapping[str, ResolvedRun]) -> Iterator[_Outcome]:
+        """Attempt ``payloads`` (in key order) once each; yields outcomes in
+        key order, each once every key sorting before it has landed, so the
+        caller's commits overlap the round's tail and still follow key order.
 
-    def _pool_round(self, payloads: Sequence[Dict[str, object]]) -> Iterator[_Outcome]:
-        """Attempt ``payloads`` on the worker pool; yields outcomes in key order.
-
-        The pool hands every payload exactly one outcome on this round's
-        queue: its result or captured error, or a ``WorkerCrash`` /
-        ``WorkerTimeout`` strike (counted in :attr:`watchdog_kills`).  An
-        outcome is yielded once every key sorting before it has landed, so
-        the caller's commits overlap the round's tail and still follow key
-        order.  A round abandoned before its last outcome cancels its
-        remaining keys.
+        Trajectory reuse is planned here from the plan and the memo alone.  A
+        class with a trace sends each key with it (or bare, a failed replay,
+        when the key's DMU must block).  Otherwise its first key is its
+        reference and records the trace; the later keys go out when the
+        reference's outcome is yielded.  Serial attempts run in key order.
+        The :class:`WorkerPool` hands each pooled one exactly one outcome (a
+        ``WorkerCrash`` / ``WorkerTimeout`` strike counts in
+        :attr:`watchdog_kills`); a round abandoned before its last outcome
+        cancels its remaining keys.
         """
-        keys = sorted(payload["key"] for payload in payloads)
-        landed: "queue.SimpleQueue[_Outcome]" = queue.SimpleQueue()
-        put = landed.put
-        self.worker_pool.submit(payloads, put)
-        outcomes: Dict[str, _Outcome] = {}
+        sent = {payload["key"]: payload for payload in payloads}
+        keys = list(sent)
+        memo = self._trajectories
+        waiting: Dict[str, Tuple[str, List[Dict[str, object]]]] = {}
+
+        def route(trajectory: str, members: List[Dict[str, object]]) -> List[Dict[str, object]]:
+            """Which of ``members`` (one class's keys, in key order) to send now."""
+            if trajectory not in memo:
+                reference, *later = members
+                if later:
+                    reference["record"] = True
+                    waiting[reference["key"]] = trajectory, later
+                return [reference]
+            for payload in members:
+                trace = memo.trace(trajectory, pending[payload["key"]].config.dmu)
+                if trace is None:
+                    self.failed_replays += 1
+                else:
+                    payload["trace"] = trace
+            return members
+
         settled = 0  # keys[:settled] are yielded
+        if self.worker_pool is None:
+            def launch(batch: List[Dict[str, object]]) -> None:
+                pass
+
+            def land() -> _Outcome:
+                return _simulate_entry(sent[keys[settled]])
+        else:
+            landed: "queue.SimpleQueue[_Outcome]" = queue.SimpleQueue()
+            land, put = landed.get, landed.put
+
+            def launch(batch: List[Dict[str, object]]) -> None:
+                self.worker_pool.submit(batch, put)
+
+        classes: Dict[str, List[Dict[str, object]]] = collections.defaultdict(list)
+        for payload in payloads:
+            classes[reuse.trajectory_class(payload)].append(payload)
+        launch(sorted((payload for trajectory, members in classes.items()
+                       for payload in route(trajectory, members)), key=lambda p: p["key"]))
+        outcomes: Dict[str, _Outcome] = {}
         try:
             while settled < len(keys):
-                outcome = landed.get()
+                outcome = land()
                 marker = outcome[1].get(_ERROR_MARKER)
                 if marker is not None and marker["error_type"] in _STRIKES:
                     self.watchdog_kills += 1
                 outcomes[outcome[0]] = outcome
                 while settled < len(keys) and keys[settled] in outcomes:
-                    yield outcomes.pop(keys[settled])
+                    key, result, _ = outcome = outcomes.pop(keys[settled])
+                    if key in waiting:
+                        trajectory, later = waiting.pop(key)
+                        trace = result.pop(_RECORDED, None)
+                        if trace is not None:
+                            memo.add(trajectory, trace, result)
+                        launch(route(trajectory, later))
+                    elif ("trace" in sent[key] and _REUSED_MARKER not in result
+                          and _ERROR_MARKER not in result):
+                        self.failed_replays += 1
+                    yield outcome
                     settled += 1
         finally:
-            if settled < len(keys):
+            if settled < len(keys) and self.worker_pool is not None:
                 self.worker_pool.cancel(put)
 
     def _commit(self, item: ResolvedRun, result: Dict[str, object], seconds: float) -> None:

@@ -63,9 +63,6 @@ class ExperimentResult:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def column_values(self, column: str) -> List[object]:
-        return [row.get(column) for row in self.rows]
-
     def row_for(self, **match: object) -> Mapping[str, object]:
         """First row whose fields match all the given key/value pairs."""
         for row in self.rows:

@@ -12,12 +12,17 @@ one did, the two runs are the same run up to the DMU's own counters.
   and its storage model read (:data:`DROPPED_DMU_FIELDS`).  Two keys of one
   class build the same program and drive the same runtime, scheduler and
   chip.
-* The first full simulation of a class that the campaign engine marks with
-  ``payload["record"]`` records its **DMU trace** (:class:`DMUTrace`):
-  every instruction it issued, with its arguments and the response fields
-  the runtime reads.
-* Another key of the class **replays** the trace through a fresh
-  :class:`~repro.core.dmu.DependenceManagementUnit` of its own
+* The campaign engine owns the one :class:`TrajectoryMemo` and plans
+  every key's part from the plan and the memo.  A class's first pending key
+  (in key order) is its **reference**: when later keys of the class follow,
+  the engine marks it ``payload["record"]`` and its full simulation records
+  its **DMU trace** (:class:`DMUTrace`): every instruction it issued, with
+  its arguments and the response fields the runtime reads.  The outcome
+  carries the trace back to the engine's memo.
+* A later key goes out once its reference has settled, with the class's
+  :meth:`TrajectoryMemo.trace` in ``payload["trace"]``, and
+  :func:`replayed` runs the trace through a fresh
+  :class:`~repro.core.dmu.DependenceManagementUnit` of the key's own
   configuration and compares every response.  Equal responses mean equal
   instructions next (the rest of the simulation is a deterministic function
   of the class and of the responses so far), so by induction the key's run
@@ -28,14 +33,15 @@ one did, the two runs are the same run up to the DMU's own counters.
   :meth:`~repro.sim.machine.Machine.run` packages every full run with.
 * The first mismatch, or any exception, abandons the replay: the key is
   simulated in full, and records nothing (its class has a trace already).
-  A key is not replayed at all when its DMU has fewer entries in some
+  A key goes without the trace when its DMU has fewer entries in some
   structure than a reference that never blocked held at once: it would
   block where the reference did not.
 
 :class:`TrajectoryMemo` holds one trace per class, compressed and bounded
-in bytes.  A serial engine owns one memo and serves it only around its own
-attempts (:func:`serving`); a pool worker serves one for its life.  No memo
-outlives its engine.
+in bytes.  Attempts hold no memo: they replay only the trace their payload
+carries.  The engine's outcomes settle in key order, so its memo, and with
+it the set of replayed keys, is a function of the plan, serial or pooled.
+No memo outlives its engine.
 """
 
 from __future__ import annotations
@@ -117,9 +123,10 @@ class DMUTrace:
     holds little more than its compressed bytes and a replay unpacks one
     chunk at a time.  Before each ``finish_task`` (which frees what the
     creations before it filled) it takes the DMU's free entries per
-    structure; ``least_free`` keeps each minimum.  ``observed`` counts the DMUs :meth:`observe` was handed;
-    a trace is complete only when it saw exactly one (``None`` for a runtime
-    without a DMU, whose trace stays empty).
+    structure; ``least_free`` keeps each minimum.  ``observed`` counts the
+    DMUs :meth:`observe` was handed; a trace is complete only when it saw
+    exactly one (``None`` for a runtime without a DMU, whose trace stays
+    empty).  A trace holds plain data, so a pool worker's pickles back.
     """
 
     __slots__ = ("observed", "least_free", "_words", "_chunks")
@@ -255,10 +262,42 @@ def replay(words: Sequence[int], dmu: DependenceManagementUnit) -> bool:
     return True
 
 
-#: A memo entry: the trace's chunks (None for a runtime without a DMU), the
-#: reference result as JSON, and the reference's list width with its peak
-#: entries in use per sizing field (None unless the reference never blocked).
+#: What a replay needs (:meth:`TrajectoryMemo.trace`): the trace's chunks
+#: (None for a runtime without a DMU) and the reference result as JSON.
+Trace = Tuple[Optional[Tuple[bytes, ...]], bytes]
+
+#: A memo entry: the two fields of a :data:`Trace`, then the reference's list
+#: width with its peak entries in use per sizing field (None unless it never
+#: blocked).
 _Entry = Tuple[Optional[Tuple[bytes, ...]], bytes, Optional[Tuple[int, Dict[str, int]]]]
+
+
+def replayed(trace: Trace, config: SimulationConfig) -> Optional[SimulationResult]:
+    """The result of ``config``'s run when ``trace`` replays through a fresh
+    DMU of ``config.dmu`` with every response equal; None when it does not."""
+    config.validate()
+    chunks, serialized = trace
+    dmu = None
+    if chunks is not None:
+        dmu = DependenceManagementUnit(config.dmu)
+        try:
+            if not all(replay(_unpack(chunk), dmu) for chunk in chunks):
+                return None
+        except Exception:  # noqa: BLE001 - any failure falls back to a full run
+            return None
+    reference = SimulationResult.from_dict(json.loads(serialized))
+    return simulation_result(
+        config,
+        dmu,
+        program_name=reference.program_name,
+        runtime_name=reference.runtime_name,
+        scheduler_name=reference.scheduler_name,
+        total_cycles=reference.total_cycles,
+        timeline=reference.timeline,
+        runtime_stats=reference.runtime_stats,
+        locality_hit_fraction=reference.locality_hit_fraction,
+        finished_task_count=reference.finished_task_count,
+    )
 
 
 class TrajectoryMemo:
@@ -267,53 +306,28 @@ class TrajectoryMemo:
     A trace is kept as its compressed chunks and the reference result as
     JSON, one bytes object each, so a memo pins no small objects between
     simulations.  The memo keeps at most :data:`MAX_MEMO_BYTES`, dropping
-    the least recently used classes.  ``failed_replays`` counts replays that
-    diverged, raised or could not match, and fell back to a full simulation.
+    the least recently used classes.
     """
 
     def __init__(self) -> None:
         self._classes: "collections.OrderedDict[str, _Entry]" = collections.OrderedDict()
         self.bytes = 0
-        self.failed_replays = 0
 
     def __contains__(self, trajectory: str) -> bool:
         return trajectory in self._classes
 
-    def replayed(self, trajectory: str, config: SimulationConfig) -> Optional[SimulationResult]:
-        """The result of ``config``'s run when its class's trace replays
-        through a fresh DMU of ``config.dmu`` with every response equal."""
+    def trace(self, trajectory: str, dmu: DMUConfig) -> Optional[Trace]:
+        """The :data:`Trace` a key of ``trajectory`` with the DMU ``dmu``
+        replays; None when the class has none, or when ``dmu`` must block
+        where the reference did not (:func:`_must_block`)."""
         entry = self._classes.get(trajectory)
         if entry is None:
             return None
-        config.validate()
         self._classes.move_to_end(trajectory)
         chunks, serialized, peaks = entry
-        dmu = None
-        if chunks is not None:
-            if peaks is not None and _must_block(peaks, config.dmu):
-                self.failed_replays += 1
-                return None
-            dmu = DependenceManagementUnit(config.dmu)
-            try:
-                matched = all(replay(_unpack(chunk), dmu) for chunk in chunks)
-            except Exception:  # noqa: BLE001 - any failure falls back to a full run
-                matched = False
-            if not matched:
-                self.failed_replays += 1
-                return None
-        reference = SimulationResult.from_dict(json.loads(serialized))
-        return simulation_result(
-            config,
-            dmu,
-            program_name=reference.program_name,
-            runtime_name=reference.runtime_name,
-            scheduler_name=reference.scheduler_name,
-            total_cycles=reference.total_cycles,
-            timeline=reference.timeline,
-            runtime_stats=reference.runtime_stats,
-            locality_hit_fraction=reference.locality_hit_fraction,
-            finished_task_count=reference.finished_task_count,
-        )
+        if peaks is not None and _must_block(peaks, dmu):
+            return None
+        return chunks, serialized
 
     def add(self, trajectory: str, trace: DMUTrace, result: Dict[str, object]) -> None:
         """Keep ``trace`` as its class's reference, with ``result`` (the
@@ -371,22 +385,3 @@ def recording(trace: DMUTrace) -> Iterator[DMUTrace]:
     finally:
         machine.dmu_observer = previous
 
-
-#: The memo attempts consult (see :func:`serving`); None: no reuse.
-_serving: Optional[TrajectoryMemo] = None
-
-
-def active_memo() -> Optional[TrajectoryMemo]:
-    """The memo the current attempt may replay from and record into."""
-    return _serving
-
-
-@contextlib.contextmanager
-def serving(memo: Optional[TrajectoryMemo]) -> Iterator[Optional[TrajectoryMemo]]:
-    """Make ``memo`` the :func:`active_memo` inside the block."""
-    global _serving
-    previous, _serving = _serving, memo
-    try:
-        yield memo
-    finally:
-        _serving = previous

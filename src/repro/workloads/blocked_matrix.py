@@ -54,8 +54,3 @@ class BlockedMatrix:
 
     def update(self, row: int, col: int) -> DependenceSpec:
         return self.dep(row, col, _INOUT)
-
-
-def block_bytes_for_elements(block_elements: int, element_bytes: int = 4) -> int:
-    """Bytes of a square block of ``block_elements`` x ``block_elements`` values."""
-    return block_elements * block_elements * element_bytes

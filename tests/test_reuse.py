@@ -87,8 +87,7 @@ class TestReusedResultsAreFreshResults:
         info = runner.cache_info()
         assert info["simulations_run"] == len(fresh_results)
         assert info["simulations_reused"] >= 1, "no key was served by a replay"
-        if jobs == 1:  # pool workers count in their own processes
-            assert engine._trajectories.failed_replays >= 1, "no replay fell back"
+        assert engine.failed_replays >= 1, "no replay fell back"
 
     def test_a_replay_that_diverges_falls_back_to_the_full_run(self):
         engine = CampaignEngine(scale=SCALE)
@@ -106,12 +105,11 @@ class TestReusedResultsAreFreshResults:
         # A slower DMU answers the first instruction with other cycles.
         slow = engine.resolve(RunRequest("qr", "tdm", dmu=DMUConfig(access_cycles=3)))
         assert reuse.trajectory_class(engine._payload(slow)) == trajectory
-        assert memo.replayed(trajectory, slow.config) is None
-        assert memo.failed_replays == 1
+        assert reuse.replayed(memo.trace(trajectory, slow.config.dmu), slow.config) is None
         # A bigger one answers every instruction alike: the reference's run.
         big = engine.resolve(RunRequest("qr", "tdm", dmu=DMUConfig(tat_entries=4096,
                                                                    ready_queue_entries=4096)))
-        replayed = memo.replayed(trajectory, big.config)
+        replayed = reuse.replayed(memo.trace(trajectory, big.config.dmu), big.config)
         assert canonical_json(replayed.to_dict()) == _fresh(big)
         assert replayed.num_tasks_executed == recorded.num_tasks_executed > 0
 
@@ -131,10 +129,7 @@ class TestReusedResultsAreFreshResults:
         small = engine.resolve(RunRequest("qr", "tdm", dmu=DMUConfig(
             tat_entries=1 << (peak - 1).bit_length() - 1)))
         assert small.config.dmu.tat_entries < peak
-        replays = []
-        monkeypatch.setattr(reuse, "replay", lambda *args: replays.append(args) or True)
-        assert memo.replayed(trajectory, small.config) is None
-        assert (replays, memo.failed_replays) == ([], 1)
+        assert trajectory in memo and memo.trace(trajectory, small.config.dmu) is None
         # The skip is sound: the small DMU's full run does block.
         blocked = canonical_json(run_simulation(campaign.build_program(
             "qr", SCALE, None, "tdm", 0), small.config).dmu_stats.blocked_by_structure)
@@ -142,7 +137,9 @@ class TestReusedResultsAreFreshResults:
         # Wider list entries change the lists' usage: only the TAT decides.
         wide = engine.resolve(RunRequest("qr", "tdm", dmu=DMUConfig(
             elements_per_list_entry=16, successor_list_entries=2)))
-        assert memo.replayed(trajectory, wide.config) is not None
+        replays = []
+        monkeypatch.setattr(reuse, "replay", lambda *args: replays.append(args) or True)
+        assert reuse.replayed(memo.trace(trajectory, wide.config.dmu), wide.config) is not None
         assert replays, "the wider DMU was not replayed"
 
     def test_a_runtime_without_a_dmu_replays_an_empty_trace(self):
@@ -210,7 +207,7 @@ class TestMemoBound:
         (first, *_), (second, *_), (third, *_) = classes
         memo.add(*classes[0][:3])
         memo.add(*classes[1][:3])
-        assert memo.replayed(first, classes[0][3]) is not None  # first is now the newest
+        assert memo.trace(first, classes[0][3].dmu) is not None  # first is now the newest
         monkeypatch.setattr(reuse, "MAX_MEMO_BYTES", memo.bytes)
         memo.add(*classes[2][:3])
         assert first in memo and third in memo and second not in memo
@@ -271,7 +268,7 @@ class TestTrajectoryClass:
 
 class TestMemoLifetime:
     #: Five keys of one trajectory class whose DMUs never block at this
-    #: scale: each worker replays every key after its first.
+    #: scale: every key after the first (the class's reference) replays.
     REQUESTS = [RunRequest("cholesky", "tdm", dmu=DMUConfig(dat_entries=size))
                 for size in (1024, 2048, 4096, 8192, 16384)]
 
@@ -314,14 +311,53 @@ class TestMemoLifetime:
         assert len(calls) == info["simulations_run"] - info["simulations_reused"] == 1
 
     def test_a_direct_attempt_has_no_memo(self):
+        # An attempt replays only the trace its payload carries: a record
+        # call leaves nothing behind for the next call to replay.
         engine = CampaignEngine(scale=SCALE)
-        payload = engine._payload(engine.resolve(RunRequest("cholesky", "tdm")))
-        payload["record"] = True
-        assert reuse.active_memo() is None
-        first = campaign._simulate_entry(payload)
-        second = campaign._simulate_entry(payload)
-        assert campaign._REUSED_MARKER not in second[1]
-        assert first[1] == second[1]
+        reference, sibling = (engine._payload(engine.resolve(request))
+                              for request in self.REQUESTS[:2])
+        _, recorded, _ = campaign._simulate_entry({**reference, "record": True})
+        trace = recorded.pop(campaign._RECORDED)
+        assert campaign._simulate_entry(reference)[1] == recorded
+        bare = campaign._simulate_entry(sibling)[1]
+        assert campaign._REUSED_MARKER not in bare
+        memo = reuse.TrajectoryMemo()
+        memo.add(reuse.trajectory_class(reference), trace, recorded)
+        carried = memo.trace(reuse.trajectory_class(sibling),
+                             engine.resolve(self.REQUESTS[1]).config.dmu)
+        replayed = campaign._simulate_entry({**sibling, "trace": carried})[1]
+        assert replayed.pop(campaign._REUSED_MARKER) is True
+        assert replayed == bare
+
+
+class TestPooledReuseEqualsSerialReuse:
+    #: The DMU sweeps whose classes have later keys that replay.
+    PLANS = ("figure_07", "figure_08", "figure_11")
+
+    @staticmethod
+    def _reused(monkeypatch, jobs):
+        """The keys a campaign of :data:`PLANS` committed from a replay, and
+        its engine's failed replays."""
+        reused = set()
+        real_commit = CampaignEngine._commit
+
+        def commit(engine, item, result, seconds):
+            if result.get(campaign._REUSED_MARKER):
+                reused.add(item.key)
+            real_commit(engine, item, result, seconds)
+
+        monkeypatch.setattr(CampaignEngine, "_commit", commit)
+        with closing(SimulationRunner(scale=SCALE, jobs=jobs)) as runner:
+            for name in TestPooledReuseEqualsSerialReuse.PLANS:
+                run_experiment(name, scale=SCALE, runner=runner)
+        return reused, runner.engine.failed_replays
+
+    def test_serial_and_pooled_campaigns_reuse_the_same_keys(self, monkeypatch):
+        serial, serial_failed = self._reused(monkeypatch, jobs=1)
+        pooled, pooled_failed = self._reused(monkeypatch, jobs=2)
+        assert serial, "no key was served by a replay"
+        assert pooled == serial
+        assert pooled_failed == serial_failed > 0
 
 
 class TestFaultsReachReusedKeys:
